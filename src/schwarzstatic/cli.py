@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .background import RoundData, SchwarzschildParams, match_round_data
-from .modes import integrate_mode, make_ivp, verify_kernel_trivial
+from .modes import (
+    ModeSolution,
+    classify,
+    integrate_mode,
+    make_ivp,
+    verify_kernel_trivial,
+)
 
 __all__ = [
     "SweepConfig",
@@ -59,8 +65,12 @@ class SweepConfig:
             raise ConfigError("mass list must not be empty")
         if not self.r0_offsets:
             raise ConfigError("offset list must not be empty")
+        if not np.isfinite([*self.masses, *self.r0_offsets]).all():
+            raise ConfigError("masses and boundary offsets must be finite")
         if any(d <= 0 for d in self.r0_offsets):
             raise ConfigError("all boundary offsets must be positive")
+        if not np.isfinite(2.0 * max(0.0, *self.masses) + max(self.r0_offsets)):
+            raise ConfigError("boundary radius 2*max(0, m) + offset must be finite")
         if self.ell_max < 0:
             raise ConfigError("ell_max must be nonnegative")
         if not 0.5 < self.decay_q < 1.0:
@@ -243,9 +253,15 @@ def write_mode_profile(
     atol: float = 1e-12,
 ) -> str:
     """Radial profile file mode_m<>_r0<>_l<>.csv with r,a,da,A,phi,Phi."""
-    os.makedirs(out_dir, exist_ok=True)
     ivp = make_ivp(params, ell, a0)
     sol = integrate_mode(ivp, r_max_factor * params.r0, rtol=rtol, atol=atol)
+    return _write_profile(out_dir, params, ell, sol)
+
+
+def _write_profile(
+    out_dir: str, params: SchwarzschildParams, ell: int, sol: ModeSolution
+) -> str:
+    os.makedirs(out_dir, exist_ok=True)
     name = f"mode_m{params.m:g}_r0{params.r0:g}_l{ell}.csv"
     path = os.path.join(out_dir, name)
     nancol = np.full_like(sol.a, np.nan)
@@ -401,16 +417,19 @@ def _cmd_mode(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    from .modes import classify
+    if args.ell < 0:
+        print("error: degree must be nonnegative", file=sys.stderr)
+        return 1
+    if not args.r_max_factor > 1.0:
+        print("error: r_max_factor must exceed 1", file=sys.stderr)
+        return 1
 
     ivp = make_ivp(params, args.ell, args.a0)
     sol = integrate_mode(
         ivp, args.r_max_factor * params.r0, rtol=1e-10, atol=1e-12
     )
     klass = classify(sol)
-    path = write_mode_profile(
-        args.out_dir, params, args.ell, a0=args.a0, r_max_factor=args.r_max_factor
-    )
+    path = _write_profile(args.out_dir, params, args.ell, sol)
     print(
         f"mode (m={args.m:g}, r0={args.r0:g}, ell={args.ell}): {klass.kind.value}"
         f" fitted_limit={klass.fitted_limit:.6g}"

@@ -7,11 +7,20 @@ synthesis of basis derivatives, which is exact on band-limited data, so the
 radial truncation dominates and the residual of the exact background
 converges at 4th order.
 
-The linearization oracle is a centered directional difference with one
-Richardson halving: D(eps) = [T(q + eps d) - T(q - eps d)] / (2 eps) and
-output (4 D(eps/2) - D(eps)) / 3.  Directions are sup-normalized before
-differencing.  This path never touches the hand-coded structure equations,
-which it exists to check.
+The linearization oracle is a complex step (Squire & Trapp, SIAM Rev. 40
+(1998) 110): the nonlinear operator T is evaluated once at q + i h d and
+Im T(q + i h d) / h = T'(q) d + O(h^2).  No difference is taken, so there is
+no cancellation and h = 1e-20 needs no tuning.  This needs T to be analytic
+in the samples, which shapes two steps of the nonlinear path: the
+positive-definiteness check runs its Cholesky factorization on G.real (a
+complex Cholesky would test the Hermitian matrix, not the symmetric one),
+and boundary_data takes the log-determinant as logabsdet + log(sign), since
+for complex input slogdet moves the phase of det into sign.  This path never
+touches the hand-coded structure equations, which it exists to check.
+
+oracle_combinations recombines a linearization into the values the five
+hand-coded structure residuals must take, staying on the oracle side of the
+comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import SchwarzschildParams
+from .background import SchwarzschildParams, background_at
 from .fd import d1_matrix
 from .fields import DeformationField
 from .sphere_ops import SphereCalc
@@ -40,6 +49,9 @@ __all__ = [
     "LinearizedLc",
     "linearize_at_schwarzschild",
     "adapted_frame_components",
+    "ric_prime_cartesian",
+    "scalar_curvature_prime",
+    "oracle_combinations",
 ]
 
 
@@ -59,12 +71,6 @@ class LabGrid:
     @property
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
-
-    def refined(self, factor: int = 2) -> "LabGrid":
-        """Same domain and angular grid with the radial spacing divided."""
-        n = (self.n_r - 1) * factor + 1
-        r = np.linspace(self.r[0], self.r[-1], n)
-        return LabGrid(self.params, self.calc, r, d1_matrix(n, r[1] - r[0]))
 
 
 def make_lab_grid(
@@ -178,11 +184,9 @@ def ricci_tensor(grid: LabGrid, G: np.ndarray):
 
 def _check_metric(G: np.ndarray):
     try:
-        np.linalg.cholesky(G)
+        np.linalg.cholesky(G.real)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "metric not positive definite at some node (reduce eps)"
-        ) from exc
+        raise ValueError("metric not positive definite at some node") from exc
 
 
 def conformal_static_residual(grid: LabGrid, G, U: np.ndarray):
@@ -217,9 +221,10 @@ def boundary_data(grid: LabGrid, G, U: np.ndarray):
     norm = np.sqrt(np.einsum("rni,ni->rn", raw, calc.normal))
     nu = raw / norm[..., None]
 
-    sign, logdet = np.linalg.slogdet(G)
-    if np.any(sign <= 0):
+    sign, logabsdet = np.linalg.slogdet(G)
+    if np.any(sign.real <= 0):
         raise ValueError("metric lost positive definiteness")
+    logdet = logabsdet + np.log(sign)
     dnu = gradient_components(grid, nu)  # [..., i, k] = d_k nu^i
     div = np.einsum("rnii->rn", dnu)
     dhalf = gradient_scalar(grid, 0.5 * logdet)
@@ -237,6 +242,9 @@ def boundary_data(grid: LabGrid, G, U: np.ndarray):
     return tau, h_row
 
 
+_H = 1e-20  # complex step: no cancellation, so it need not balance truncation
+
+
 @dataclass
 class LinearizedLc:
     """Directional derivative of the conformal static boundary-value map."""
@@ -245,51 +253,16 @@ class LinearizedLc:
     lap_row: np.ndarray  # (n_r, n)
     boundary_tau: np.ndarray  # (n, 2, 2) frame components
     boundary_h: np.ndarray  # (n,)
-    eps: float
-    scale: float
 
 
-def _tc_rows(grid, G, U):
-    ric_row, lap = conformal_static_residual(grid, G, U)
-    tau, h_row = boundary_data(grid, G, U)
-    return ric_row, lap, tau, h_row
-
-
-def linearize_at_schwarzschild(
-    grid: LabGrid,
-    direction: DeformationField,
-    eps: float = 1e-4,
-    richardson: bool = True,
-) -> LinearizedLc:
-    """Directional finite-difference linearization at the background pair."""
+def linearize_at_schwarzschild(grid: LabGrid, direction: DeformationField) -> LinearizedLc:
+    """Complex-step directional linearization at the background pair."""
     G0, U0 = schwarzschild_samples(grid)
     dg = np.stack([direction.cartesian(r) for r in grid.r])
     du = np.stack([direction.u(r) for r in grid.r])
-    scale = max(np.abs(dg).max(), np.abs(du).max())
-    if scale == 0.0:
-        zero = np.zeros_like
-        return LinearizedLc(
-            ric_row=zero(G0), lap_row=zero(U0),
-            boundary_tau=np.zeros((grid.calc.n_nodes, 2, 2)),
-            boundary_h=np.zeros(grid.calc.n_nodes), eps=eps, scale=0.0,
-        )
-    dg = dg / scale
-    du = du / scale
-
-    def diff(e):
-        plus = _tc_rows(grid, G0 + e * dg, U0 + e * du)
-        minus = _tc_rows(grid, G0 - e * dg, U0 - e * du)
-        return [(p - q) / (2.0 * e) for p, q in zip(plus, minus)]
-
-    rows = diff(eps)
-    if richardson:
-        half = diff(0.5 * eps)
-        rows = [(4.0 * h - f) / 3.0 for h, f in zip(half, rows)]
-    rows = [scale * row for row in rows]
-    return LinearizedLc(
-        ric_row=rows[0], lap_row=rows[1], boundary_tau=rows[2], boundary_h=rows[3],
-        eps=eps, scale=scale,
-    )
+    G, U = G0 + 1j * _H * dg, U0 + 1j * _H * du
+    rows = (*conformal_static_residual(grid, G, U), *boundary_data(grid, G, U))
+    return LinearizedLc(*(row.imag / _H for row in rows))
 
 
 def adapted_frame_components(grid: LabGrid, T: np.ndarray):
@@ -306,3 +279,72 @@ def adapted_frame_components(grid: LabGrid, T: np.ndarray):
     ra = np.einsum("rnij,ni,naj->rna", T, n, e) * fac[:, None, None]
     ab = np.einsum("rnij,nai,nbj->rnab", T, e, e) * fac[:, None, None, None] ** 2
     return {"rr": rr, "ra": ra, "ab": ab}
+
+
+def ric_prime_cartesian(grid: LabGrid, direction: DeformationField, lin: LinearizedLc):
+    """Cartesian components of Ric'(g~) from the linearized static row.
+
+    The static row is Ric'(g~) - 2 du~ (x) du_sc - 2 du_sc (x) du~, so
+    Ric'(g~) is recovered by adding back the analytic bilinear correction.
+    """
+    calc = grid.calc
+    bg = background_at(grid.params, grid.r)
+    corr = np.empty_like(lin.ric_row)
+    for i, r in enumerate(grid.r):
+        grad_u = direction.u_gradient_cart(r)  # (n, 3)
+        outer = np.einsum("ni,nj->nij", grad_u, calc.normal)
+        corr[i] = 2.0 * bg.du_sc[i] * (outer + np.swapaxes(outer, -1, -2))
+    return lin.ric_row + corr
+
+
+def scalar_curvature_prime(grid: LabGrid, ric_prime: np.ndarray) -> np.ndarray:
+    """R'(g~) = tr_inverse Ric'(g~) for transverse directions.
+
+    The correction <g~, Ric_sc> = 2 u_sc'^2 g~(dr, dr) vanishes for them.
+    """
+    calc = grid.calc
+    fac = 1.0 - 2.0 * grid.params.m / grid.r
+    nn = np.einsum("ni,nj->nij", calc.normal, calc.normal)
+    ginv = nn[None] + (1.0 / fac)[:, None, None, None] * (np.eye(3) - nn)[None]
+    return np.einsum("rnij,rnij->rn", ginv, ric_prime)
+
+
+def oracle_combinations(grid: LabGrid, direction: DeformationField, lin: LinearizedLc):
+    """Oracle-side values of the five structure residuals.
+
+    For an arbitrary transverse direction the linearized Riccati, traced
+    Gauss, Codazzi, and tangential-Gauss identities let the oracle predict
+    exactly what each hand-coded residual must evaluate to:
+
+      dg2 -> 4 u_sc' u~' - Ric'_rr
+      dg4 -> 2 Ric'_rr - R'(g~) - 4 u_sc' u~'
+      dg5 -> 2 u_sc' (d/ u~)_A - Ric'(dr)^T_A
+      dg3 -> -(Ric'^T - (1/2) tr/ Ric'^T gamma)_AB
+      dg1 -> linearized Laplacian row
+    """
+    bg = background_at(grid.params, grid.r)
+    dusc = bg.du_sc[:, None]
+    rho = np.sqrt(bg.rho2)[:, None, None]
+
+    ric_prime = ric_prime_cartesian(grid, direction, lin)
+    comps = adapted_frame_components(grid, ric_prime)
+    rprime = scalar_curvature_prime(grid, ric_prime)
+
+    du_rad = np.stack([direction.u(r, 1) for r in grid.r])
+    grad_u = np.stack(
+        [grid.calc.grad_scalar_frame(direction.u(r)) for r in grid.r]
+    ) / rho
+
+    ab = comps["ab"]
+    tr_ab = ab[..., 0, 0] + ab[..., 1, 1]
+    traceless = ab.copy()
+    traceless[..., 0, 0] -= 0.5 * tr_ab
+    traceless[..., 1, 1] -= 0.5 * tr_ab
+
+    return {
+        "dg2": 4.0 * dusc * du_rad - comps["rr"],
+        "dg4": 2.0 * comps["rr"] - rprime - 4.0 * dusc * du_rad,
+        "dg5": 2.0 * dusc[..., None] * grad_u - comps["ra"],
+        "dg3": -traceless,
+        "dg1": lin.lap_row,
+    }

@@ -47,9 +47,7 @@ def _derivative_matrix(n: int, h: float, order: int, edge_points: int) -> np.nda
         d[row, row - 2 : row + 3] = center
     for row in (0, 1):
         offs = np.arange(edge_points) - row
-        d[row, row : row + edge_points - row] = 0.0  # cleared below by full fill
         c = stencil_coefficients(offs, order) / h**order
-        d[row, : edge_points] = 0.0
         d[row, row + offs.astype(int)] = c
     for row in (n - 2, n - 1):
         back = n - 1 - row

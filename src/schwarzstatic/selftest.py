@@ -16,7 +16,11 @@ import numpy as np
 
 from . import structure
 from .background import SchwarzschildParams, background_at
-from .curvature_lab import linearize_at_schwarzschild, make_lab_grid
+from .curvature_lab import (
+    linearize_at_schwarzschild,
+    make_lab_grid,
+    oracle_combinations,
+)
 from .fields import random_deformation
 from .gauge import apply_gauge, build_gauge_field
 from .harmonics import make_grid
@@ -94,41 +98,7 @@ def _suite_structure_oracle(rng, n_r: int = 129) -> SuiteResult:
     field = random_deformation(rng, params, calc, l_band=3, gauge_fixed=True)
     d = FoliationDeformation.from_field(field, grid.r)
     res = structure_residuals(d)
-    lin = linearize_at_schwarzschild(grid, field)
-
-    # oracle-side combinations (duplicated from the test oracles on purpose:
-    # the selftest must not import the test tree)
-    bg = background_at(params, grid.r)
-    dusc = bg.du_sc[:, None]
-    rho = np.sqrt(bg.rho2)[:, None, None]
-    corr = np.empty_like(lin.ric_row)
-    for i, r in enumerate(grid.r):
-        grad_u = field.u_gradient_cart(r)
-        outer = np.einsum("ni,nj->nij", grad_u, calc.normal)
-        corr[i] = 2.0 * bg.du_sc[i] * (outer + np.swapaxes(outer, -1, -2))
-    ric_prime = lin.ric_row + corr
-    fac = 1.0 - 2.0 * params.m / grid.r
-    nn = np.einsum("ni,nj->nij", calc.normal, calc.normal)
-    ginv = nn[None] + (1.0 / fac)[:, None, None, None] * (np.eye(3) - nn)[None]
-    rprime = np.einsum("rnij,rnij->rn", ginv, ric_prime)
-
-    from .curvature_lab import adapted_frame_components
-
-    comps = adapted_frame_components(grid, ric_prime)
-    du_rad = np.stack([field.u(r, 1) for r in grid.r])
-    grad_u = np.stack([calc.grad_scalar_frame(field.u(r)) for r in grid.r]) / rho
-    ab = comps["ab"]
-    tr_ab = ab[..., 0, 0] + ab[..., 1, 1]
-    traceless = ab.copy()
-    traceless[..., 0, 0] -= 0.5 * tr_ab
-    traceless[..., 1, 1] -= 0.5 * tr_ab
-    combos = {
-        "dg2": 4.0 * dusc * du_rad - comps["rr"],
-        "dg4": 2.0 * comps["rr"] - rprime - 4.0 * dusc * du_rad,
-        "dg5": 2.0 * dusc[..., None] * grad_u - comps["ra"],
-        "dg3": -traceless,
-        "dg1": lin.lap_row,
-    }
+    combos = oracle_combinations(grid, field, linearize_at_schwarzschild(grid, field))
     measured = max(
         np.abs(res[k] - combos[k])[4:-4].max() for k in ("dg2", "dg4", "dg5", "dg3", "dg1")
     )

@@ -90,15 +90,6 @@ class SphereCalc:
     def grad_scalar(self, f: np.ndarray) -> np.ndarray:
         return self.tangential_derivative(f)
 
-    def _dhat(self, comp: np.ndarray):
-        """Directional pieces of the ambient derivative of one component.
-
-        Returns (dtheta_part, dphi_over_sin) so that
-        d_p F = theta_hat_p * dtheta_part + phi_hat_p * dphi_over_sin.
-        """
-        dt, dp = self.angular_derivatives(comp)
-        return dt, dp / self.sin_theta
-
     def div_vector(self, v: np.ndarray) -> np.ndarray:
         """Surface divergence of a tangential vector, Cartesian samples (..., n, 3)."""
         dt, dps = self.angular_derivatives(np.moveaxis(v, -1, 0))

@@ -16,7 +16,11 @@ from schwarzstatic.background import (
     match_round_data,
 )
 from schwarzstatic.cli import SweepConfig, run_sweep
-from schwarzstatic.curvature_lab import linearize_at_schwarzschild, make_lab_grid
+from schwarzstatic.curvature_lab import (
+    linearize_at_schwarzschild,
+    make_lab_grid,
+    oracle_combinations,
+)
 from schwarzstatic.fields import (
     DeformationField,
     RadialProfile,
@@ -36,7 +40,6 @@ from schwarzstatic.structure import (
     structure_residuals,
 )
 
-from oracles import oracle_combinations
 from test_gauge import make_test_vector_field
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)

@@ -39,9 +39,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(decay_q=0.4)
 
-    def test_rejects_nonpositive_offsets(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(r0_offsets=[0.0, 1.0]), id="zero-offset"),
+            pytest.param(dict(masses=[float("nan")]), id="nan-mass"),
+            pytest.param(dict(r0_offsets=[float("inf")]), id="inf-offset"),
+            pytest.param(dict(masses=[1e308]), id="overflowing-r0"),
+        ],
+    )
+    def test_rejects_nonpositive_offsets(self, overrides):
         with pytest.raises(ConfigError):
-            SweepConfig(r0_offsets=[0.0, 1.0])
+            SweepConfig(**overrides)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -201,11 +210,36 @@ class TestMainEntry:
         assert code == 0
         assert "ConvergesNonzero" in capsys.readouterr().out
 
-    def test_mode_cli_rejects_bad_params(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(["--r0", "1"], id="r0-inside-horizon"),
+            pytest.param(["--ell", "-1"], id="negative-ell"),
+            pytest.param(["--r-max-factor", "0.5"], id="r-max-factor-below-one"),
+        ],
+    )
+    def test_mode_cli_rejects_bad_params(self, tmp_path, bad):
         code = cli.main(
-            ["mode", "--m", "1", "--r0", "1", "--ell", "0", "--out-dir", str(tmp_path)]
+            ["mode", "--m", "1", "--r0", "3", "--ell", "0", "--out-dir", str(tmp_path)]
+            + bad
         )
         assert code == 1
+
+    def test_mode_cli_integrates_once(self, tmp_path, monkeypatch):
+        calls = []
+        integrate = cli.integrate_mode
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_mode", counting)
+        code = cli.main(
+            ["mode", "--m", "1", "--r0", "3", "--ell", "2",
+             "--r-max-factor", "100", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("SCHWARZSTATIC_SEED", "7")
@@ -223,6 +257,14 @@ class TestInstalledEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 1
+
+    def test_subprocess_nonfinite_mass_exit_one(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--masses", "nan"],
+            capture_output=True,
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
 
     def test_subprocess_unknown_subcommand(self):
         proc = subprocess.run(

@@ -144,6 +144,13 @@ class TestLinearization:
         assert np.abs(out.ric_row).max() == 0.0
         assert np.abs(out.lap_row).max() == 0.0
 
+    def test_rows_are_real_float64(self, grid):
+        rng = np.random.default_rng(5)
+        d = random_deformation(rng, P13, grid.calc, l_band=2, gauge_fixed=False)
+        out = linearize_at_schwarzschild(grid, d)
+        for attr in ("ric_row", "lap_row", "boundary_tau", "boundary_h"):
+            assert getattr(out, attr).dtype == np.float64, attr
+
     def test_mass_variation_is_bulk_kernel(self, grid):
         direction = mass_variation_direction(P13, grid.calc)
         out = linearize_at_schwarzschild(grid, direction)

@@ -4,7 +4,11 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from schwarzstatic.background import SchwarzschildParams, background_at
-from schwarzstatic.curvature_lab import linearize_at_schwarzschild, make_lab_grid
+from schwarzstatic.curvature_lab import (
+    linearize_at_schwarzschild,
+    make_lab_grid,
+    oracle_combinations,
+)
 from schwarzstatic.fields import (
     DeformationField,
     RadialProfile,
@@ -24,8 +28,6 @@ from schwarzstatic.structure import (
     linearized_scalar_curvature,
     structure_residuals,
 )
-
-from oracles import oracle_combinations
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 
