@@ -177,6 +177,8 @@ class RoundData:
     h: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.rho) and np.isfinite(self.h)):
+            raise ValueError(f"round data must be finite, got rho={self.rho}, h={self.h}")
         if self.rho <= 0:
             raise ValueError(f"area radius must be positive, got rho={self.rho}")
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from .background import RoundData, SchwarzschildParams, match_round_data
 from .modes import (
+    AsymptoticClass,
+    AsymptoticKind,
     ModeSolution,
     classify,
     integrate_mode,
@@ -75,8 +77,8 @@ class SweepConfig:
             raise ConfigError("ell_max must be nonnegative")
         if not 0.5 < self.decay_q < 1.0:
             raise ConfigError("decay_q must lie in (1/2, 1)")
-        if self.r_max_factor <= 1.0:
-            raise ConfigError("r_max_factor must exceed 1")
+        if not 1.0 < self.r_max_factor < np.inf:
+            raise ConfigError("r_max_factor must be finite and exceed 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -142,28 +144,35 @@ class SweepReport:
 
 
 def _sweep_task(args) -> VerdictRecord:
+    """One record; a solver failure is recorded as Undetermined, not raised."""
     config_fields, m, r0, ell = args
     t0 = time.perf_counter()
-    verdict = verify_kernel_trivial(
-        SchwarzschildParams(m=m, r0=r0),
-        ell,
-        decay_q=config_fields["decay_q"],
-        r_max_factor=config_fields["r_max_factor"],
-        rtol=config_fields["rtol"],
-        atol=config_fields["atol"],
-        eps_dec=config_fields["eps_dec"],
-        k_div=config_fields["k_div"],
-    )
+    try:
+        verdict = verify_kernel_trivial(
+            SchwarzschildParams(m=m, r0=r0),
+            ell,
+            decay_q=config_fields["decay_q"],
+            r_max_factor=config_fields["r_max_factor"],
+            rtol=config_fields["rtol"],
+            atol=config_fields["atol"],
+            eps_dec=config_fields["eps_dec"],
+            k_div=config_fields["k_div"],
+        )
+        klass, passed = verdict.klass, verdict.passed
+    except (RuntimeError, ValueError):
+        nan = float("nan")
+        klass = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan)
+        passed = False
     wall = time.perf_counter() - t0
     return VerdictRecord(
         m=m,
         r0=r0,
         ell=ell,
-        class_name=verdict.klass.kind.value,
-        fitted_limit=verdict.klass.fitted_limit,
-        fitted_exponent=verdict.klass.fitted_exponent,
-        r_max=verdict.klass.r_max,
-        passed=verdict.passed,
+        class_name=klass.kind.value,
+        fitted_limit=klass.fitted_limit,
+        fitted_exponent=klass.fitted_exponent,
+        r_max=klass.r_max,
+        passed=passed,
         wall_time_s=wall,
     )
 
@@ -420,14 +429,21 @@ def _cmd_mode(args) -> int:
     if args.ell < 0:
         print("error: degree must be nonnegative", file=sys.stderr)
         return 1
-    if not args.r_max_factor > 1.0:
-        print("error: r_max_factor must exceed 1", file=sys.stderr)
+    r_max = args.r_max_factor * params.r0
+    if not (args.r_max_factor > 1.0 and np.isfinite(r_max)):
+        print("error: r_max_factor must exceed 1 and r_max_factor * r0 be finite",
+              file=sys.stderr)
+        return 1
+    if not np.isfinite(args.a0):
+        print("error: a0 must be finite", file=sys.stderr)
         return 1
 
-    ivp = make_ivp(params, args.ell, args.a0)
-    sol = integrate_mode(
-        ivp, args.r_max_factor * params.r0, rtol=1e-10, atol=1e-12
-    )
+    try:
+        ivp = make_ivp(params, args.ell, args.a0)
+        sol = integrate_mode(ivp, r_max, rtol=1e-10, atol=1e-12)
+    except (RuntimeError, ValueError) as exc:
+        print(f"error: mode integration failed: {exc}", file=sys.stderr)
+        return 2
     klass = classify(sol)
     path = _write_profile(args.out_dir, params, args.ell, sol)
     print(
@@ -470,7 +486,11 @@ def _cmd_gauge_test(args) -> int:
     rng = np.random.default_rng(seed)
     params = SchwarzschildParams(m=1.0, r0=3.0)
     calc = SphereCalc(l_max=max(6, args.l_band + 2))
-    gt = random_deformation(rng, params, calc, l_band=args.l_band, gauge_fixed=False)
+    try:
+        gt = random_deformation(rng, params, calc, l_band=args.l_band, gauge_fixed=False)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     X = build_gauge_field(gt, params, calc)
     out = apply_gauge(gt, X, np.linspace(3.0, 11.5, 18))
     ok = out.max_radial_residual <= 1e-8

@@ -2,10 +2,11 @@
 
 The nonlinear residual (Ric_g - 2 du (x) du, Lap_g u) is evaluated from
 Cartesian metric components sampled on a radial x spherical grid.  Radial
-derivatives use 4th-order stencils; angular derivatives go through harmonic
-synthesis of basis derivatives, which is exact on band-limited data, so the
-radial truncation dominates and the residual of the exact background
-converges at 4th order.
+derivatives use 4th-order stencils, applied on their band by fd.apply_radial
+(shifted slices, not a dense n_r x n_r product); angular derivatives go
+through harmonic synthesis of basis derivatives, which is exact on
+band-limited data, so the radial truncation dominates and the residual of
+the exact background converges at 4th order.
 
 The linearization oracle is a complex step (Squire & Trapp, SIAM Rev. 40
 (1998) 110): the nonlinear operator T is evaluated once at q + i h d and
@@ -15,8 +16,11 @@ in the samples, which shapes two steps of the nonlinear path: the
 positive-definiteness check runs its Cholesky factorization on G.real (a
 complex Cholesky would test the Hermitian matrix, not the symmetric one),
 and boundary_data takes the log-determinant as logabsdet + log(sign), since
-for complex input slogdet moves the phase of det into sign.  This path never
-touches the hand-coded structure equations, which it exists to check.
+for complex input slogdet moves the phase of det into sign.  The banded
+radial stencils only multiply samples by real weights and add them, so they
+act on the real and imaginary parts separately and keep T analytic.  This
+path never touches the hand-coded structure equations, which it exists to
+check.
 
 oracle_combinations recombines a linearization into the values the five
 hand-coded structure residuals must take, staying on the oracle side of the
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import SchwarzschildParams, background_at
-from .fd import d1_matrix
+from .fd import apply_radial, d1_matrix
 from .fields import DeformationField
 from .sphere_ops import SphereCalc
 
@@ -131,7 +135,7 @@ def flat_samples(grid: LabGrid):
 def gradient_scalar(grid: LabGrid, f: np.ndarray) -> np.ndarray:
     """Cartesian gradient of scalar samples (n_r, n) -> (n_r, n, 3)."""
     calc = grid.calc
-    dr = grid.D1 @ f
+    dr = apply_radial(grid.D1, f)
     dt, dp = calc.angular_derivatives(f)
     inv_r = 1.0 / grid.r[:, None]
     return (
@@ -145,9 +149,9 @@ def gradient_components(grid: LabGrid, field: np.ndarray) -> np.ndarray:
     """Componentwise Cartesian gradient: (n_r, n, *c) -> (n_r, n, *c, 3)."""
     tail = field.shape[2:]
     calc = grid.calc
-    flat = np.moveaxis(field.reshape(grid.n_r, calc.n_nodes, -1), -1, 0)
-    dr = np.einsum("ab,cbn->can", grid.D1, flat)
-    dt, dp = calc.angular_derivatives(flat)
+    flat = field.reshape(grid.n_r, calc.n_nodes, -1)
+    dr = np.moveaxis(apply_radial(grid.D1, flat), -1, 0)
+    dt, dp = calc.angular_derivatives(np.moveaxis(flat, -1, 0))
     inv_r = 1.0 / grid.r[None, :, None]
     g = (
         dr[..., None] * calc.normal

@@ -193,6 +193,8 @@ class SphereCalc:
 
     def random_band_limited(self, rng: np.random.Generator, l_band: int, scale=1.0):
         """Random band-limited scalar samples with mildly decaying spectrum."""
+        if l_band < 0:
+            raise ValueError(f"band must be nonnegative, got l_band={l_band}")
         if l_band > self.grid.l_max:
             raise ValueError("band exceeds grid limit")
         c = np.zeros(self.grid.n_modes)

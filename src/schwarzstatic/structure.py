@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import SchwarzschildParams, background_at
-from .fd import d1_matrix, d2_matrix
+from .fd import apply_radial, d1_matrix, d2_matrix
 from .fields import DeformationField
 from .sphere_ops import SphereCalc
 
@@ -117,8 +117,8 @@ class FoliationDeformation:
             raise ValueError("sample constructor needs a uniform radial grid")
         d1 = d1_matrix(len(r), h)
         d2 = d2_matrix(len(r), h)
-        dg = np.einsum("ab,bnij->anij", d1, gamma)
-        d2g = np.einsum("ab,bnij->anij", d2, gamma)
+        dg = apply_radial(d1, gamma)
+        d2g = apply_radial(d2, gamma)
         return cls(
             params=params,
             calc=calc,
@@ -129,8 +129,8 @@ class FoliationDeformation:
             u=u,
             dH=0.5 * _trace2(d2g),
             dKring=0.5 * _traceless2(d2g),
-            du=d1 @ u,
-            d2u=d2 @ u,
+            du=apply_radial(d1, u),
+            d2u=apply_radial(d2, u),
         )
 
 
@@ -211,10 +211,10 @@ def decoupled_residual(
     h = r[1] - r[0]
     d1 = d1_matrix(len(r), h)
     if du is None:
-        du = d1 @ u
-        d2u = d2_matrix(len(r), h) @ u
+        du = apply_radial(d1, u)
+        d2u = apply_radial(d2_matrix(len(r), h), u)
     else:
-        d2u = d1 @ du
+        d2u = apply_radial(d1, du)
     m, r0 = params.m, params.r0
     rho2 = (r * (r - 2.0 * m))[:, None]
     lap = calc.laplacian_scalar(u)

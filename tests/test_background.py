@@ -187,6 +187,13 @@ class TestMatchRoundData:
         with pytest.raises(ValueError):
             match_round_data(RoundData(rho=1.0, h=-0.1))
 
+    @pytest.mark.parametrize(
+        "rho,h", [(float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))]
+    )
+    def test_rejects_nonfinite_round_data(self, rho, h):
+        with pytest.raises(ValueError):
+            RoundData(rho=rho, h=h)
+
     @given(
         m=st.floats(-3.0, 3.0, allow_nan=False),
         delta=st.floats(1e-3, 50.0, allow_nan=False),

@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(**overrides)
 
+    @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_r_max_factor(self, factor):
+        with pytest.raises(ConfigError):
+            SweepConfig(r_max_factor=factor)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"massess": [1.0]})
@@ -196,6 +201,16 @@ class TestMainEntry:
         )
         assert code == 2
 
+    def test_match_round_rejects_nan(self, capsys):
+        assert cli.main(["match-round", "--rho", "nan", "--h", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_gauge_test_rejects_negative_band(self, capsys):
+        assert cli.main(["gauge-test", "--l-band", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "pass" not in captured.out
+
     def test_match_round_cli(self, capsys):
         assert cli.main(["match-round", "--rho", "1", "--h", "2", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -211,19 +226,23 @@ class TestMainEntry:
         assert "ConvergesNonzero" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad,code",
         [
-            pytest.param(["--r0", "1"], id="r0-inside-horizon"),
-            pytest.param(["--ell", "-1"], id="negative-ell"),
-            pytest.param(["--r-max-factor", "0.5"], id="r-max-factor-below-one"),
+            pytest.param(["--r0", "1"], 1, id="r0-inside-horizon"),
+            pytest.param(["--ell", "-1"], 1, id="negative-ell"),
+            pytest.param(["--r-max-factor", "0.5"], 1, id="r-max-factor-below-one"),
+            pytest.param(["--a0", "nan"], 1, id="nan-a0"),
+            pytest.param(["--r-max-factor", "inf"], 1, id="infinite-r-max-factor"),
+            pytest.param(["--r-max-factor", "1e300"], 2, id="solver-failure"),
         ],
     )
-    def test_mode_cli_rejects_bad_params(self, tmp_path, bad):
-        code = cli.main(
+    def test_mode_cli_rejects_bad_params(self, tmp_path, capsys, bad, code):
+        assert cli.main(
             ["mode", "--m", "1", "--r0", "3", "--ell", "0", "--out-dir", str(tmp_path)]
             + bad
-        )
-        assert code == 1
+        ) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_mode_cli_integrates_once(self, tmp_path, monkeypatch):
         calls = []
@@ -265,6 +284,37 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "args,n_records,n_failed",
+        [
+            pytest.param(
+                ["--r-max-factor", "1e300", "--masses", "1", "--deltas", "1",
+                 "--ell-max", "2"], 3, 1, id="tail-integration-failure",
+            ),
+            pytest.param(
+                ["--masses=-1e308", "--deltas", "1", "--ell-max", "0"], 1, 1,
+                id="overflowing-initial-state",
+            ),
+        ],
+    )
+    def test_subprocess_solver_failure_is_a_record(
+        self, tmp_path, args, n_records, n_failed, jobs
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--jobs", jobs,
+             "--out-dir", str(tmp_path), *args],
+            capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        rows = [row.split(",") for row in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert len(rows) == n_records
+        failed = [row for row in rows if row[7] == "false"]
+        assert len(failed) == n_failed
+        for row in failed:
+            assert row[3:8] == ["Undetermined", "nan", "nan", "nan", "false"]
 
     def test_subprocess_unknown_subcommand(self):
         proc = subprocess.run(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schwarzstatic.fd import d1_matrix, d2_matrix, uniform_grid
+from schwarzstatic.fd import apply_radial, d1_matrix, d2_matrix, uniform_grid
 from schwarzstatic.harmonics import mode_position
 from schwarzstatic.sphere_ops import SphereCalc
 
@@ -39,8 +39,30 @@ class TestRadialStencils:
         ratio = err(33) / err(65)
         assert 12.0 < ratio < 22.0
 
+    @pytest.mark.parametrize("make", [d1_matrix, d2_matrix])
+    def test_apply_radial_matches_dense_product(self, make):
+        rng = np.random.default_rng(3)
+        for n in range(7, 41):
+            r = uniform_grid(1.0, 3.0, n)
+            d = make(n, r[1] - r[0])
+            for shape in [(n,), (n, 5), (n, 4, 3, 3)]:
+                re, im = rng.standard_normal((2, *shape))
+                for f in (re, re + 1j * im):
+                    dense = np.einsum("ab,b...->a...", d, f)
+                    # rounding of two summation orders is bounded by the
+                    # sum of the absolute terms, not by the (cancelling) result
+                    bound = np.einsum("ab,b...->a...", np.abs(d), np.abs(f))
+                    assert np.all(np.abs(apply_radial(d, f) - dense) <= 1e-14 * bound)
+                banded = apply_radial(d, re + 1j * im)
+                assert_allclose(banded.real, apply_radial(d, re), rtol=1e-14, atol=0)
+                assert_allclose(banded.imag, apply_radial(d, im), rtol=1e-14, atol=0)
+
 
 class TestScalarOps:
+    def test_random_band_limited_rejects_negative_band(self, calc):
+        with pytest.raises(ValueError):
+            calc.random_band_limited(np.random.default_rng(0), -1)
+
     def test_gradient_is_tangential(self, calc):
         f = harmonic(calc, 5, 3)
         g = calc.grad_scalar(f)
