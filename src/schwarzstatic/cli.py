@@ -39,7 +39,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 CSV_HEADER = "m,r0,ell,class,fitted_limit,fitted_exponent,r_max,pass,wall_time_s"
 
 
@@ -109,6 +109,10 @@ class VerdictRecord:
     r_max: float
     passed: bool
     wall_time_s: float
+    # solver diagnostics (sweep.json only); None for a solver failure
+    n_steps: int | None = None
+    nfev: int | None = None
+    stop: str | None = None
 
     def csv_row(self) -> str:
         return ",".join(
@@ -159,10 +163,12 @@ def _sweep_task(args) -> VerdictRecord:
             k_div=config_fields["k_div"],
         )
         klass, passed = verdict.klass, verdict.passed
+        diagnostics = {"n_steps": verdict.n_steps, "nfev": verdict.nfev, "stop": verdict.stop}
     except (RuntimeError, ValueError):
         nan = float("nan")
         klass = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan)
         passed = False
+        diagnostics = {}
     wall = time.perf_counter() - t0
     return VerdictRecord(
         m=m,
@@ -174,6 +180,7 @@ def _sweep_task(args) -> VerdictRecord:
         r_max=klass.r_max,
         passed=passed,
         wall_time_s=wall,
+        **diagnostics,
     )
 
 
@@ -219,6 +226,9 @@ def emit(report: SweepReport, out_dir: str, profile: bool = False) -> list[str]:
                 "r_max": rec.r_max,
                 "pass": rec.passed,
                 "wall_time_s": rec.wall_time_s,
+                "n_steps": rec.n_steps,
+                "nfev": rec.nfev,
+                "stop": rec.stop,
             }
             for rec in report.records
         ],

@@ -97,9 +97,12 @@ class TestEmit:
         assert lines[0] == cli.CSV_HEADER
         assert len(lines) == len(report.records) + 1
         data = json.loads(open(paths[1], encoding="utf-8").read())
-        assert data["schema_version"] == "1"
+        assert data["schema_version"] == "2"
         assert data["config"]["masses"] == [1.0]
         assert len(data["records"]) == 3
+        for rec in data["records"]:  # degrees 0, 1, 2 at (m, r0) = (1, 3)
+            assert rec["n_steps"] > 0 and rec["nfev"] > rec["n_steps"]
+        assert [rec["stop"] for rec in data["records"]] == ["r_max", "k_div", "k_div"]
         assert data["summary"]["all_passed"] is True
 
     def test_determinism_modulo_wall_time(self, tmp_path):
@@ -315,6 +318,31 @@ class TestInstalledEntryPoint:
         assert len(failed) == n_failed
         for row in failed:
             assert row[3:8] == ["Undetermined", "nan", "nan", "nan", "false"]
+        records = json.loads((tmp_path / "sweep.json").read_text())["records"]
+        for rec in records:
+            diagnostics = [rec["n_steps"], rec["nfev"], rec["stop"]]
+            assert (diagnostics == [None] * 3) == (not rec["pass"])
+
+    def test_subprocess_huge_extent_classifies(self, tmp_path):
+        # r_max = 3e100: the limit fit must not hand LAPACK an underflowed
+        # Vandermonde matrix (it looped on the nan instead of returning)
+        common = ["--r-max-factor", "1e100", "--out-dir", str(tmp_path)]
+        mode = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "mode", "--m", "1", "--r0", "3",
+             "--ell", "0", *common],
+            capture_output=True, timeout=120,
+        )
+        assert mode.returncode == 0, mode.stderr
+        assert b"ConvergesNonzero" in mode.stdout
+        sweep = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--masses", "1",
+             "--deltas", "1", "--ell-max", "0", *common],
+            capture_output=True, timeout=120,
+        )
+        assert sweep.returncode == 0, sweep.stderr
+        (row,) = [line.split(",") for line in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert row[3] == "ConvergesNonzero"
+        assert abs(float(row[4]) - 1.0) <= 1e-8
 
     def test_subprocess_unknown_subcommand(self):
         proc = subprocess.run(

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import DOP853, solve_ivp
 
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.modes import (
+    FLAT_MASS_RTOL,
+    PHASE_SWITCH,
     AsymptoticKind,
     classify,
     comparison_positivity,
@@ -28,6 +31,53 @@ def euler_coefficients(ell, r0, a0):
     )
     c1, c2 = np.linalg.solve(mat, [a0, da0])
     return c1, c2
+
+
+def scipy_mode(ivp, r_max, rtol, atol, k_div):
+    """The mode integrated by solve_ivp(method="DOP853"), phase by phase.
+
+    This is the route integrate_mode's own stepper replaced, kept here as its
+    independent check.  Returns (a and a' at radii r, r_reached, diverged,
+    right-hand-side evaluations).
+    """
+    m, r0, ll1, S = ivp.m, ivp.r0, ivp.ell * (ivp.ell + 1.0), ivp.source
+    threshold = k_div * (abs(ivp.a0) if ivp.a0 != 0.0 else 1.0)
+
+    def rhs_r(r, y):
+        rho2 = r * (r - 2.0 * m)
+        return [y[1] / rho2, (4.0 * m * m / rho2 + ll1) * y[0] - S / rho2]
+
+    def rhs_x(x, y):
+        omx = 1.0 - 2.0 * m * x
+        return [-y[1] / omx, -(4.0 * m * m / omx) * y[0] - ll1 * y[0] / (x * x) + S / omx]
+
+    def blowup(t, y):
+        return abs(y[0]) - threshold
+
+    blowup.terminal = True
+    events = blowup if np.isfinite(threshold) else None
+    opts = dict(method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events)
+    r_switch = min(r_max, PHASE_SWITCH * r0)
+    with np.errstate(all="ignore"):  # numpy scalars meet x / 0 at huge extents
+        inner = solve_ivp(rhs_r, (r0, r_switch), [ivp.a0, r0 * (r0 - 2.0 * m) * ivp.da0], **opts)
+        if not inner.success:
+            raise RuntimeError(inner.message)
+        diverged, r_reached, nfev, tail = inner.status == 1, inner.t[-1], inner.nfev, None
+        if not diverged and r_max > r_switch:
+            tail = solve_ivp(rhs_x, (1.0 / r_switch, 1.0 / r_max), inner.y[:, -1], **opts)
+            if not tail.success:
+                raise RuntimeError(tail.message)
+            diverged, r_reached, nfev = tail.status == 1, 1.0 / tail.t[-1], nfev + tail.nfev
+
+    def evaluate(r):
+        y = np.empty((2, r.size))
+        outer = r > r_switch if tail is not None else np.zeros(r.size, dtype=bool)
+        y[:, ~outer] = inner.sol(r[~outer])
+        if outer.any():
+            y[:, outer] = tail.sol(1.0 / r[outer])
+        return y[0], y[1] / (r * (r - 2.0 * m))
+
+    return evaluate, r_reached, diverged, nfev
 
 
 class TestMakeIVP:
@@ -204,9 +254,114 @@ class TestIntegrateSchwarzschild:
         # a(r) >= r0(r0-2m)/rho2 * a0 >= 0 on the same branch
         assert np.all(sol.a[neg] >= 3.0 / rho2[neg] * 1.0 - 1e-12)
 
+    def test_tolerances_validated_as_in_solve_ivp(self):
+        ivp = make_ivp(P13, 2, 1.0)
+        with pytest.raises(ValueError, match="atol"):
+            integrate_mode(ivp, 3e3, atol=-1e-12)
+        with pytest.warns(UserWarning, match="rtol"):
+            tiny = integrate_mode(ivp, 3e3, rtol=1e-16)
+        floor = integrate_mode(ivp, 3e3, rtol=100 * np.finfo(float).eps)
+        assert_allclose(tiny.a, floor.a, rtol=0, atol=0)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             integrate_mode(make_ivp(P13, 0, 1.0), 2.0)
+
+
+class TestScipyParity:
+    """The in-module DOP853 stepper takes solve_ivp's steps, up to rounding."""
+
+    def test_tableau_shapes(self):
+        # the stepper reads these public class attributes of scipy's DOP853
+        shapes = {name: getattr(DOP853, name).shape
+                  for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA")}
+        assert shapes == {
+            "A": (12, 12), "B": (12,), "C": (12,), "E3": (13,), "E5": (13,),
+            "D": (4, 16), "A_EXTRA": (3, 16), "C_EXTRA": (3,),
+        }
+
+    @staticmethod
+    def check(ivp, r_max, rtol=1e-10, atol=1e-12, k_div=1e3):
+        sol = integrate_mode(ivp, r_max, rtol=rtol, atol=atol, k_div=k_div)
+        evaluate, r_reached, diverged, nfev = scipy_mode(ivp, r_max, rtol, atol, k_div)
+        assert sol.diverged == diverged
+        assert sol.nfev == nfev  # the same steps, accepted and rejected
+        assert_allclose(sol.r_max_used, r_reached, rtol=1e-10)
+        a, da = evaluate(sol.radii[sol.radii <= r_reached])
+        n = a.size
+        assert n >= len(sol.radii) - 1
+        assert_allclose(sol.a[:n], a, rtol=1e-9)
+        assert_allclose(sol.da[:n], da, rtol=1e-9)
+        return sol
+
+    @pytest.mark.parametrize("tol", [(1e-10, 1e-12), (3e-14, 1e-16)], ids=["default", "selftest"])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 16])
+    @pytest.mark.parametrize(
+        "m,r0", [(1.0, 3.0), (1.0, 2.001), (-1.0, 1.0), (-1.0, 1e-3)],
+        ids=["m1-r3", "m1-near-horizon", "m-1-r1", "m-1-small-r0"],
+    )
+    def test_matches_solve_ivp(self, m, r0, ell, tol):
+        ivp = make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0)
+        sol = self.check(ivp, 1e6 * r0, *tol)
+        assert sol.stop == ("k_div" if sol.diverged else "r_max")
+        assert sol.nfev > sol.n_steps > 0
+
+    @pytest.mark.parametrize("ell,factor", [(1, 1e5), (2, 1e5), (16, 1e5), (1, 1e20), (2, 1e20)])
+    def test_tail_phase_matches_solve_ivp(self, ell, factor):
+        # k_div = inf runs every degree through the x = 1/r phase; at 1e20
+        # the first step-size probe lands on x = 0, where x * x = 0 (degree
+        # 16 overflows there, for solve_ivp too)
+        sol = self.check(make_ivp(P13, ell, 1.0), factor * 3.0, k_div=np.inf)
+        assert sol.r_max_used > PHASE_SWITCH * 3.0 and not sol.diverged
+
+    @pytest.mark.parametrize(
+        "a0,ell,r_max,atol",
+        [(0.0, 2, 3e20, 1e-12), (1.0, 2, 3e6, 0.0)],
+        ids=["zero-data-probe-at-x0", "pure-relative-tolerance"],
+    )
+    def test_edge_inputs_match_solve_ivp(self, a0, ell, r_max, atol):
+        # zero data makes the initial-step estimate divide by a zero
+        # derivative norm; atol = 0 makes the error scale rtol |y| alone
+        self.check(make_ivp(P13, ell, a0), r_max, atol=atol)
+
+    @pytest.mark.parametrize("m,r0", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_both_fail_at_huge_extent(self, m, r0):
+        # x * x underflows near x = 1/r_max: 0/0 in the degree-0 right-hand
+        # side makes every stage nan, and both step sizes shrink to failure
+        ivp = make_ivp(SchwarzschildParams(m=m, r0=r0), 0, 1.0)
+        with pytest.raises(RuntimeError, match="tail integration failed"):
+            integrate_mode(ivp, 1e300 * r0)
+        with pytest.raises(RuntimeError):
+            scipy_mode(ivp, 1e300 * r0, 1e-10, 1e-12, 1e3)
+
+
+class TestDiagnostics:
+    def test_flat_branch_takes_no_steps(self):
+        params = SchwarzschildParams(m=0.0, r0=1.0)
+        for ell, stop in ((0, "r_max"), (3, "k_div")):
+            sol = integrate_mode(make_ivp(params, ell, 1.0), 1e6)
+            assert (sol.n_steps, sol.nfev, sol.stop) == (0, 0, stop)
+
+    def test_verdict_carries_solver_counts(self):
+        v = verify_kernel_trivial(P13, 2)
+        sol = integrate_mode(make_ivp(P13, 2, 1.0), 1e6 * 3.0)
+        assert (v.n_steps, v.nfev, v.stop) == (sol.n_steps, sol.nfev, "k_div")
+
+
+class TestFlatBranchCrossing:
+    def test_same_crossing_on_both_sides_of_the_flat_threshold(self):
+        # m just below FLAT_MASS_RTOL * r0 takes the closed form, just above
+        # it the integrator; both must stop where |a| = k_div |a0|
+        ivps = [make_ivp(SchwarzschildParams(m=f * FLAT_MASS_RTOL, r0=1.0), 2, 1.0)
+                for f in (0.99, 1.01)]
+        sols = [integrate_mode(ivp, 1e6) for ivp in ivps]
+        assert sols[0].ivp.flat_branch and not sols[1].ivp.flat_branch
+        assert_allclose(sols[0].r_max_used, sols[1].r_max_used, rtol=1e-6)
+        for sol in sols:
+            klass = classify(sol)
+            assert klass.kind is AsymptoticKind.DIVERGES_PLUS
+            assert_allclose(klass.fitted_limit, 1e3, rtol=1e-9)
+            assert sol.radii[-1] == sol.r_max_used
 
 
 class TestClassify:
