@@ -22,6 +22,7 @@ __all__ = [
     "background_at",
     "schwarzschild_metric_chart",
     "conformal_metric_chart",
+    "conformal_metric_cartesian",
     "conformal_forward",
     "conformal_inverse",
     "deformation_forward",
@@ -119,6 +120,18 @@ def conformal_metric_chart(params: SchwarzschildParams, r, theta) -> np.ndarray:
     g[..., 1, 1] = rho2
     g[..., 2, 2] = rho2 * np.sin(theta) ** 2
     return g
+
+
+def conformal_metric_cartesian(params: SchwarzschildParams, r, normal) -> np.ndarray:
+    """Conformally flattened metric in Cartesian components: nn + (1 - 2m/r)(I - nn).
+
+    normal (..., 3) holds unit radial normals and r broadcasts against
+    normal.shape[:-1], so r of shape (n_r, 1) with n nodal normals gives
+    (n_r, n, 3, 3) samples.
+    """
+    fac = 1.0 - 2.0 * params.m / np.asarray(r, dtype=float)
+    nn = np.einsum("...i,...j->...ij", normal, normal)
+    return nn + fac[..., None, None] * (np.eye(3) - nn)
 
 
 def conformal_forward(f, metric):

@@ -60,7 +60,7 @@ class SweepConfig:
     atol: float = 1e-12
     eps_dec: float = 1e-4
     k_div: float = 1e3
-    seed: int = 0
+    seed: int = 0  # echoed into sweep.json; no verdict depends on it
 
     def __post_init__(self):
         if not self.masses:
@@ -79,6 +79,15 @@ class SweepConfig:
             raise ConfigError("decay_q must lie in (1/2, 1)")
         if not 1.0 < self.r_max_factor < np.inf:
             raise ConfigError("r_max_factor must be finite and exceed 1")
+        if not 0.0 < self.rtol < np.inf:
+            raise ConfigError("rtol must be finite and positive")
+        if not 0.0 <= self.atol < np.inf:
+            raise ConfigError("atol must be finite and nonnegative")
+        # classify already sees |a| >= k_div |a0| at r0 when k_div <= 1
+        if not 1.0 < self.k_div < np.inf:
+            raise ConfigError("k_div must be finite and exceed 1")
+        if not 0.0 < self.eps_dec < 1.0:
+            raise ConfigError("eps_dec must lie in (0, 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -338,7 +347,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--ell-max", type=int, help="override degree cap")
     sweep.add_argument("--decay-q", type=float, help="override decay exponent")
     sweep.add_argument("--r-max-factor", type=float, help="override tail extent")
-    sweep.add_argument("--seed", type=int, help="override config seed")
 
     selftest = sub.add_parser("selftest", help="run the verification suites")
     selftest.add_argument("--refine", action="store_true",
@@ -392,12 +400,10 @@ def _cmd_sweep(args) -> int:
         "ell_max": args.ell_max,
         "decay_q": args.decay_q,
         "r_max_factor": args.r_max_factor,
-        "seed": args.seed,
     }
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
         config = SweepConfig.from_dict(data)
-        config.seed = _resolved_seed(args.seed, config.seed)
     except (ConfigError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import SchwarzschildParams, background_at
+from .background import SchwarzschildParams, background_at, conformal_metric_cartesian
 from .fd import apply_radial, d1_matrix
 from .fields import DeformationField
 from .sphere_ops import SphereCalc
@@ -54,7 +54,6 @@ __all__ = [
     "linearize_at_schwarzschild",
     "adapted_frame_components",
     "ric_prime_cartesian",
-    "scalar_curvature_prime",
     "oracle_combinations",
 ]
 
@@ -119,10 +118,8 @@ def _unwrap(G):
 def schwarzschild_samples(grid: LabGrid):
     """Cartesian samples of the conformal background pair on the grid."""
     calc, r = grid.calc, grid.r
-    fac = 1.0 - 2.0 * grid.params.m / r
-    nn = np.einsum("ni,nj->nij", calc.normal, calc.normal)
-    G = nn[None] + fac[:, None, None, None] * (np.eye(3) - nn)[None]
-    U = 0.5 * np.log(fac)[:, None] * np.ones((1, calc.n_nodes))
+    G = conformal_metric_cartesian(grid.params, r[:, None], calc.normal)
+    U = 0.5 * np.log(1.0 - 2.0 * grid.params.m / r)[:, None] * np.ones((1, calc.n_nodes))
     return G, U
 
 
@@ -238,10 +235,8 @@ def boundary_data(grid: LabGrid, G, U: np.ndarray):
     nu_u = np.einsum("rni,rni->rn", nu, du)
     h_row = np.exp(U[0]) * (div[0] - 2.0 * nu_u[0])
 
-    e = np.stack([calc.theta_hat, calc.phi_hat], axis=1)  # unit-sphere frame
     r0, m = grid.params.r0, grid.params.m
-    scale = r0 / np.sqrt(r0 * (r0 - 2.0 * m))  # adapted frame e_A = scale * unit frame
-    tau = np.einsum("nij,nai,nbj->nab", G[0], e, e) * scale**2
+    _, _, tau = calc.adapted_components(G[0], r0 / np.sqrt(r0 * (r0 - 2.0 * m)))
     tau = np.exp(-2.0 * U[0])[:, None, None] * tau
     return tau, h_row
 
@@ -275,13 +270,8 @@ def adapted_frame_components(grid: LabGrid, T: np.ndarray):
     Returns dict with 'rr' (n_r, n), 'ra' (n_r, n, 2), 'ab' (n_r, n, 2, 2);
     frame vectors are d/dr and the parallel tangential frame (r/rho) * unit.
     """
-    calc = grid.calc
-    n = calc.normal
-    e = np.stack([calc.theta_hat, calc.phi_hat], axis=1)
     fac = grid.r / np.sqrt(grid.r * (grid.r - 2.0 * grid.params.m))
-    rr = np.einsum("rnij,ni,nj->rn", T, n, n)
-    ra = np.einsum("rnij,ni,naj->rna", T, n, e) * fac[:, None, None]
-    ab = np.einsum("rnij,nai,nbj->rnab", T, e, e) * fac[:, None, None, None] ** 2
+    rr, ra, ab = grid.calc.adapted_components(T, fac[:, None])
     return {"rr": rr, "ra": ra, "ab": ab}
 
 
@@ -299,18 +289,6 @@ def ric_prime_cartesian(grid: LabGrid, direction: DeformationField, lin: Lineari
         outer = np.einsum("ni,nj->nij", grad_u, calc.normal)
         corr[i] = 2.0 * bg.du_sc[i] * (outer + np.swapaxes(outer, -1, -2))
     return lin.ric_row + corr
-
-
-def scalar_curvature_prime(grid: LabGrid, ric_prime: np.ndarray) -> np.ndarray:
-    """R'(g~) = tr_inverse Ric'(g~) for transverse directions.
-
-    The correction <g~, Ric_sc> = 2 u_sc'^2 g~(dr, dr) vanishes for them.
-    """
-    calc = grid.calc
-    fac = 1.0 - 2.0 * grid.params.m / grid.r
-    nn = np.einsum("ni,nj->nij", calc.normal, calc.normal)
-    ginv = nn[None] + (1.0 / fac)[:, None, None, None] * (np.eye(3) - nn)[None]
-    return np.einsum("rnij,rnij->rn", ginv, ric_prime)
 
 
 def oracle_combinations(grid: LabGrid, direction: DeformationField, lin: LinearizedLc):
@@ -332,7 +310,6 @@ def oracle_combinations(grid: LabGrid, direction: DeformationField, lin: Lineari
 
     ric_prime = ric_prime_cartesian(grid, direction, lin)
     comps = adapted_frame_components(grid, ric_prime)
-    rprime = scalar_curvature_prime(grid, ric_prime)
 
     du_rad = np.stack([direction.u(r, 1) for r in grid.r])
     grad_u = np.stack(
@@ -341,6 +318,10 @@ def oracle_combinations(grid: LabGrid, direction: DeformationField, lin: Lineari
 
     ab = comps["ab"]
     tr_ab = ab[..., 0, 0] + ab[..., 1, 1]
+    # R'(g~) = g_sc-trace of Ric'(g~), taken in the orthonormal adapted frame;
+    # the correction <g~, Ric_sc> = 2 u_sc'^2 g~(dr, dr) vanishes for
+    # transverse directions
+    rprime = comps["rr"] + tr_ab
     traceless = ab.copy()
     traceless[..., 0, 0] -= 0.5 * tr_ab
     traceless[..., 1, 1] -= 0.5 * tr_ab

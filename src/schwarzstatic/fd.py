@@ -28,7 +28,6 @@ __all__ = [
     "d1_matrix",
     "d2_matrix",
     "apply_radial",
-    "uniform_grid",
 ]
 
 
@@ -46,12 +45,6 @@ def stencil_coefficients(offsets, order: int) -> np.ndarray:
     j = int(np.argmax(np.abs(c)))
     c[j] -= c.sum()
     return c
-
-
-def uniform_grid(a: float, b: float, n: int) -> np.ndarray:
-    if n < 7:
-        raise ValueError("need at least 7 nodes for the stencil set")
-    return np.linspace(a, b, n)
 
 
 def _derivative_matrix(n: int, h: float, order: int, edge_points: int) -> np.ndarray:

@@ -222,17 +222,8 @@ class DeformationField:
         Frame components convert through the coframe of the adapted frame:
         eps^r = n dx, eps^A = (rho/r) * unit-sphere coframe.
         """
-        calc = self.calc
-        bg = background_at(self.params, r)
-        rho_over_r = np.sqrt(bg.rho2) / r
-        n = calc.normal
-        eA = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * rho_over_r  # (n,2,3)
-        out = np.einsum("x,xi,xj->xij", self.rr(r), n, n)
-        ra = self.ra(r)
-        mixed = np.einsum("xa,xai,xj->xij", ra, eA, n)
-        out += mixed + np.swapaxes(mixed, -1, -2)
-        out += np.einsum("xab,xai,xbj->xij", self.ab(r), eA, eA)
-        return out
+        rho_over_r = np.sqrt(background_at(self.params, r).rho2) / r
+        return self.calc.from_adapted(self.rr(r), self.ra(r), self.ab(r), rho_over_r)
 
     def sample(self, r_nodes: np.ndarray) -> "DeformationPair":
         """Grid-sampled view (Cartesian g~, u~) on radial nodes."""

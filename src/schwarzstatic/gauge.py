@@ -27,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .background import SchwarzschildParams, background_at
+from .background import SchwarzschildParams, background_at, conformal_metric_cartesian
 from .fd import stencil_coefficients
 from .sphere_ops import SphereCalc
 
 __all__ = [
     "GaugeVectorField",
-    "parallel_frame",
     "build_gauge_field",
     "apply_gauge",
     "GaugedDeformation",
@@ -48,25 +47,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 def schwarzschild_cartesian(params: SchwarzschildParams, x: np.ndarray) -> np.ndarray:
     """Cartesian components of the conformal background metric at points x."""
     r = np.linalg.norm(x, axis=-1)
-    n = x / r[..., None]
-    fac = 1.0 - 2.0 * params.m / r
-    nn = np.einsum("...i,...j->...ij", n, n)
-    return nn + fac[..., None, None] * (np.eye(3) - nn)
-
-
-def parallel_frame(params: SchwarzschildParams, calc: SphereCalc, r) -> dict:
-    """Radially parallel orthonormal tangential frame at radius r.
-
-    Returns Cartesian components 'cart' (n, 2, 3), the chart scaling factor
-    'chart_scale' = rho2(r)^(-1/2) multiplying the fixed unit-sphere chart
-    frame, and the Gram matrix 'gram' (n, 2, 2) in the induced metric.
-    """
-    bg = background_at(params, r)
-    rho = np.sqrt(bg.rho2)
-    e = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * (r / rho)
-    g = schwarzschild_cartesian(params, r * calc.normal)
-    gram = np.einsum("nai,nij,nbj->nab", e, g, e)
-    return {"cart": e, "chart_scale": float(1.0 / rho), "gram": gram}
+    return conformal_metric_cartesian(params, r, x / r[..., None])
 
 
 @dataclass
@@ -108,9 +89,9 @@ class GaugeVectorField:
     def cartesian(self, r: float) -> np.ndarray:
         calc = self.calc
         rho = np.sqrt(r * (r - 2.0 * self.params.m))
-        e = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * (r / rho)
-        w = self.x_tan(r)
-        return self.x_perp(r)[:, None] * calc.normal + np.einsum("na,nai->ni", w, e)
+        return self.x_perp(r)[:, None] * calc.normal + calc.frame_to_cart_covector(
+            self.x_tan(r), r / rho
+        )
 
     def boundary_norm(self) -> float:
         return float(
@@ -189,31 +170,29 @@ class GaugedDeformation:
 
 def _metric_gradient_cart(params: SchwarzschildParams, calc: SphereCalc, r: float):
     """Analytic d_k g_ij of the conformal background at radius r."""
-    n = calc.normal
+    n, proj = calc.normal, calc.projector
     fac = 1.0 - 2.0 * params.m / r
     dfac = 2.0 * params.m / r**2
-    proj = calc.projector
-    tan = np.eye(3) - np.einsum("ni,nj->nij", n, n)
-    out = dfac * np.einsum("nk,nij->nkij", n, tan)
+    out = dfac * np.einsum("nk,nij->nkij", n, proj)
     sym = np.einsum("nki,nj->nkij", proj, n)
     out += (1.0 - fac) / r * (sym + np.swapaxes(sym, -1, -2))
     return out
 
 
-def _vector_gradient(
-    X: GaugeVectorField, calc: SphereCalc, r: float, h: float
-) -> np.ndarray:
-    """Cartesian gradient d_i X^k at radius r from small independent stencils."""
-    lo, hi = X.r0, X.r1
+def _vector_gradient(X: GaugeVectorField, r: float, h: float, xc: np.ndarray) -> np.ndarray:
+    """Cartesian gradient d_i X^k at radius r from small independent stencils.
+
+    xc is X.cartesian(r), the stencil's centre sample.
+    """
+    calc, lo, hi = X.calc, X.r0, X.r1
     offsets = np.arange(-2, 3)
     if r - 2 * h < lo:
         offsets = np.arange(0, 5)
     elif r + 2 * h > hi:
         offsets = np.arange(-4, 1)
     coeff = stencil_coefficients(offsets, 1) / h
-    dr = sum(c * X.cartesian(r + o * h) for c, o in zip(coeff, offsets))
+    dr = sum(c * (xc if o == 0 else X.cartesian(r + o * h)) for c, o in zip(coeff, offsets))
 
-    xc = X.cartesian(r)
     dt, dp = calc.angular_derivatives(np.moveaxis(xc, -1, 0))
     dang = np.einsum("ni,kn->nik", calc.theta_hat, dt) / r
     dang += np.einsum("ni,kn->nik", calc.phi_hat, dp / calc.sin_theta) / r
@@ -241,22 +220,19 @@ def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformati
 
     for i, r in enumerate(r_nodes):
         bg = background_at(params, r)
-        g = schwarzschild_cartesian(params, r * calc.normal)
+        g = conformal_metric_cartesian(params, r, calc.normal)
         dg = _metric_gradient_cart(params, calc, r)
-        dX = _vector_gradient(X, calc, r, h)
         xc = X.cartesian(r)
+        dX = _vector_gradient(X, r, h, xc)
         lie = np.einsum("nk,nkij->nij", xc, dg)
         mixed = np.einsum("nkj,nik->nij", g, dX)
         lie += mixed + np.swapaxes(mixed, -1, -2)
         lie_all[i] = lie
 
-        total = gt.cartesian(r) + lie if hasattr(gt, "cartesian") else lie
-        rho = np.sqrt(bg.rho2)
-        e = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * (r / rho)
-        rr_res[i] = np.einsum("nij,ni,nj->n", total, calc.normal, calc.normal)
-        ra_res[i] = np.einsum("nij,ni,naj->na", total, calc.normal, e)
-        ab[i] = np.einsum("nij,nai,nbj->nab", total, e, e)
-        u[i] = gt.u(r) + X.x_perp(r) * bg.du_sc if hasattr(gt, "u") else X.x_perp(r) * bg.du_sc
+        rr_res[i], ra_res[i], ab[i] = calc.adapted_components(
+            gt.cartesian(r) + lie, r / np.sqrt(bg.rho2)
+        )
+        u[i] = gt.u(r) + X.x_perp(r) * bg.du_sc
 
     return GaugedDeformation(
         r=r_nodes, ab=ab, u=u, rr_residual=rr_res, ra_residual=ra_res,
@@ -332,8 +308,9 @@ class FlowLieDeformation:
     barycentrically, since the quadrature and ODE drivers downstream request
     thousands of radii; the interpolant of these smooth components converges
     spectrally and stays far below the oracle's own flow-difference error.
-    Exposes the component interface of DeformationField (rr, ra, ab, u,
-    cartesian).
+    Exposes the part of DeformationField's component interface that the
+    gauge construction reads (rr, ra, u, cartesian); rr and ra interpolate
+    the table's unit-frame projections, since the projection is linear.
     """
 
     def __init__(
@@ -364,6 +341,7 @@ class FlowLieDeformation:
                 for r in self._nodes
             ]
         )
+        self._rr_tab, self._ra_tab, _ = calc.adapted_components(self._lie_tab)
         upern = []
         for r in self._nodes:
             y = y_fn(r * calc.normal)
@@ -382,20 +360,11 @@ class FlowLieDeformation:
         return self._interp(self._lie_tab, r)
 
     def rr(self, r: float) -> np.ndarray:
-        calc = self.calc
-        return np.einsum("nij,ni,nj->n", self.cartesian(r), calc.normal, calc.normal)
+        return self._interp(self._rr_tab, r)
 
     def ra(self, r: float) -> np.ndarray:
-        calc = self.calc
         rho = np.sqrt(r * (r - 2.0 * self.params.m))
-        e = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * (r / rho)
-        return np.einsum("nij,ni,naj->na", self.cartesian(r), calc.normal, e)
-
-    def ab(self, r: float) -> np.ndarray:
-        calc = self.calc
-        rho = np.sqrt(r * (r - 2.0 * self.params.m))
-        e = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * (r / rho)
-        return np.einsum("nij,nai,nbj->nab", self.cartesian(r), e, e)
+        return self._interp(self._ra_tab, r) * (r / rho)
 
     def u(self, r: float) -> np.ndarray:
         bg = background_at(self.params, r)

@@ -61,6 +61,7 @@ FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
 PHASE_SWITCH = 1e3  # switch from r to x = 1/r at PHASE_SWITCH * r0
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+CAUCHY_RTOL = 1e-3  # a converging tail may move by this fraction of its limit
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,6 @@ class ModeSolution:
         """Why integration ended: the |a| = k_div |a0| crossing or r_max."""
         return "k_div" if self.diverged else "r_max"
 
-    def rho2(self, r=None) -> np.ndarray:
-        r = self.radii if r is None else np.asarray(r, dtype=float)
-        return r * (r - 2.0 * self.ivp.m)
-
     @property
     def A(self) -> np.ndarray | None:
         if self.ivp.alpha0 is None:
@@ -156,8 +153,12 @@ class ModeSolution:
 
     @property
     def phi(self) -> np.ndarray | None:
+        """r(r-2m) A; inf where that exceeds the float range (r above ~1e154)."""
         A = self.A
-        return None if A is None else self.rho2() * A
+        if A is None:
+            return None
+        with np.errstate(over="ignore"):
+            return self.radii * ((self.radii - 2.0 * self.ivp.m) * A)
 
     @property
     def Phi(self) -> np.ndarray | None:
@@ -165,13 +166,14 @@ class ModeSolution:
         if A is None:
             return None
         r, m = self.radii, self.ivp.m
-        return 2.0 * (r - m) / self.rho2() * A + self.da
+        return 2.0 * (r - m) / r / (r - 2.0 * m) * A + self.da
 
     @property
     def B(self) -> np.ndarray | None:
         if self.ivp.beta0 is None:
             return None
-        return self.a - self.ivp.beta0 / self.rho2()
+        r = self.radii
+        return self.a - self.ivp.beta0 / r / (r - 2.0 * self.ivp.m)
 
     def eval(self, r) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate (a, a') at arbitrary radii within the integrated range."""
@@ -186,7 +188,8 @@ class ModeSolution:
         y[:, ~tail] = dense_r(r[~tail])
         if tail.any():
             y[:, tail] = dense_x(1.0 / r[tail])
-        return y[0], y[1] / (r * (r - 2.0 * self.ivp.m))
+        # divide twice: r(r-2m) overflows above r ~ 1e154, w / r / (r-2m) does not
+        return y[0], y[1] / r / (r - 2.0 * self.ivp.m)
 
 
 def _flat_coeffs(ivp: ModeIVP) -> tuple[float, float]:
@@ -564,7 +567,6 @@ def classify(
     decay_q: float = 0.75,
     eps_dec: float = 1e-4,
     k_div: float = 1e3,
-    cauchy_rtol: float = 1e-3,
 ) -> AsymptoticClass:
     """Asymptotic trichotomy of an integrated mode.
 
@@ -605,7 +607,7 @@ def classify(
         return AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, limit, slope, r_end)
 
     osc = a_tail.max() - a_tail.min()
-    if abs(limit) > eps_dec * scale0 and osc <= cauchy_rtol * abs(limit):
+    if abs(limit) > eps_dec * scale0 and osc <= CAUCHY_RTOL * abs(limit):
         return AsymptoticClass(AsymptoticKind.CONVERGES_NONZERO, limit, slope, r_end)
 
     return AsymptoticClass(AsymptoticKind.UNDETERMINED, limit, slope, r_end)

@@ -11,9 +11,16 @@ Intrinsic operators use the ambient projection: for tangential fields
 extended to degree-0 homogeneity, the tangential projection of the flat
 ambient derivative equals the intrinsic covariant derivative.
 
-Orthonormal frame on the unit sphere: e1 = d/dtheta, e2 = (1/sin) d/dphi.
-Frame components of smooth tensors are well defined at the (pole-free) grid
-nodes; conversions to and from Cartesian components are pointwise exact.
+Orthonormal frame on the unit sphere: e1 = d/dtheta, e2 = (1/sin) d/dphi,
+with Cartesian components `frame` = (theta_hat, phi_hat).  Frame components
+of smooth tensors are well defined at the (pole-free) grid nodes; conversions
+to and from Cartesian components are pointwise exact.
+
+This module is the one home of the adapted frame of a constant-r sphere,
+{normal, scale * frame}: the radially parallel orthonormal frame of the
+conformal background has scale = r/rho, rho = sqrt(r(r-2m)), and its coframe
+scale = rho/r.  Callers pass the scale; adapted_components projects
+Cartesian tensors onto the frame and from_adapted assembles them back.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ class SphereCalc:
         self.normal = np.column_stack([st * cp, st * sp, ct])
         self.theta_hat = np.column_stack([ct * cp, ct * sp, -st])
         self.phi_hat = np.column_stack([-sp, cp, np.zeros_like(sp)])
+        self.frame = np.stack([self.theta_hat, self.phi_hat], axis=1)  # (n, 2, 3)
         # tangential projector P = I - n n^T at each node
         self.projector = np.eye(3) - np.einsum("ni,nj->nij", self.normal, self.normal)
         self._eig = -degree_table(self.grid.l_max) * (degree_table(self.grid.l_max) + 1.0)
@@ -134,25 +142,48 @@ class SphereCalc:
 
     # -- frame conversions -----------------------------------------------
 
-    def frame_to_cart_covector(self, w: np.ndarray) -> np.ndarray:
-        """(..., n, 2) frame components -> (..., n, 3) Cartesian."""
-        return (
-            w[..., 0:1] * self.theta_hat + w[..., 1:2] * self.phi_hat
-        )
+    def frame_to_cart_covector(self, w: np.ndarray, scale=1.0) -> np.ndarray:
+        """(..., n, 2) components in the frame scale * frame -> (..., n, 3) Cartesian."""
+        e = self.frame * scale
+        return w[..., 0:1] * e[:, 0] + w[..., 1:2] * e[:, 1]
 
     def cart_to_frame_covector(self, v: np.ndarray) -> np.ndarray:
         a = np.einsum("...ni,ni->...n", v, self.theta_hat)
         b = np.einsum("...ni,ni->...n", v, self.phi_hat)
         return np.stack([a, b], axis=-1)
 
-    def frame_to_cart_sym2(self, t: np.ndarray) -> np.ndarray:
-        """(..., n, 2, 2) frame components -> (..., n, 3, 3) Cartesian."""
-        e = np.stack([self.theta_hat, self.phi_hat], axis=1)  # (n, 2, 3)
+    def frame_to_cart_sym2(self, t: np.ndarray, scale=1.0) -> np.ndarray:
+        """(..., n, 2, 2) components in the frame scale * frame -> (..., n, 3, 3) Cartesian."""
+        e = self.frame * scale
         return np.einsum("...nab,nai,nbj->...nij", t, e, e)
 
-    def cart_to_frame_sym2(self, t: np.ndarray) -> np.ndarray:
-        e = np.stack([self.theta_hat, self.phi_hat], axis=1)
-        return np.einsum("...nij,nai,nbj->...nab", t, e, e)
+    def adapted_components(self, t: np.ndarray, scale=1.0):
+        """Components (rr, ra, ab) of Cartesian 2-tensors in the adapted frame.
+
+        t has shape (..., n, 3, 3); the frame is {normal, scale * frame}, with
+        scale broadcasting against t.shape[:-2].  Returns rr (..., n),
+        ra (..., n, 2) and ab (..., n, 2, 2).
+        """
+        n, e = self.normal, self.frame
+        scale = np.asarray(scale)[..., None]
+        rr = np.einsum("...nij,ni,nj->...n", t, n, n)
+        ra = np.einsum("...nij,ni,naj->...na", t, n, e) * scale
+        ab = np.einsum("...nij,nai,nbj->...nab", t, e, e) * scale[..., None] ** 2
+        return rr, ra, ab
+
+    def from_adapted(self, rr: np.ndarray, ra: np.ndarray, ab: np.ndarray, scale) -> np.ndarray:
+        """Cartesian (n, 3, 3) symmetric tensor with adapted components rr, ra, ab.
+
+        Assembles rr nn + ra_A (eps^A n + n eps^A) + ab_AB eps^A eps^B with
+        eps^A = scale * frame_A.  Components on the parallel frame
+        (r/rho) * frame assemble through its coframe, so pass rho/r.
+        """
+        n = self.normal
+        out = np.einsum("x,xi,xj->xij", rr, n, n)
+        mixed = self.frame_to_cart_covector(ra, scale)[:, :, None] * n[:, None, :]
+        out += mixed + np.swapaxes(mixed, -1, -2)
+        out += self.frame_to_cart_sym2(ab, scale)
+        return out
 
     # -- frame-component intrinsic operators ------------------------------
 
@@ -189,7 +220,7 @@ class SphereCalc:
             sym = self.sym_grad_covector(grad)
         tr = np.einsum("...nii->...n", sym)
         sym = sym - 0.5 * tr[..., None, None] * self.projector
-        return self.cart_to_frame_sym2(sym)
+        return self.adapted_components(sym)[2]
 
     def random_band_limited(self, rng: np.random.Generator, l_band: int, scale=1.0):
         """Random band-limited scalar samples with mildly decaying spectrum."""

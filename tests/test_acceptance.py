@@ -167,8 +167,7 @@ def test_criterion_05_gauge_annihilation_and_recovery():
         y = y_fn(r * calc6.normal)
         y_perp = np.einsum("ni,ni->n", y, calc6.normal)
         rho = np.sqrt(r * (r - 2.0))
-        e_unit = np.stack([calc6.theta_hat, calc6.phi_hat], axis=1)
-        w = np.einsum("ni,nai->na", y, e_unit) * (rho / r)
+        w = np.einsum("ni,nai->na", y, calc6.frame) * (rho / r)
         worst_rec = max(
             worst_rec,
             np.abs(X.x_perp(r) + y_perp).max() / scale,

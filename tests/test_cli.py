@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,28 @@ class TestConfig:
     def test_rejects_nonfinite_r_max_factor(self, factor):
         with pytest.raises(ConfigError):
             SweepConfig(r_max_factor=factor)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(rtol=0.0), id="zero-rtol"),
+            pytest.param(dict(rtol=float("inf")), id="inf-rtol"),
+            pytest.param(dict(rtol=float("nan")), id="nan-rtol"),
+            pytest.param(dict(atol=-1.0), id="negative-atol"),
+            pytest.param(dict(atol=float("inf")), id="inf-atol"),
+            pytest.param(dict(atol=float("nan")), id="nan-atol"),
+            # k_div <= 1 would certify any mode: |a| >= k_div |a0| at r0 already
+            pytest.param(dict(k_div=0.5), id="k_div-below-one"),
+            pytest.param(dict(k_div=1.0), id="k_div-one"),
+            pytest.param(dict(k_div=float("nan")), id="nan-k_div"),
+            pytest.param(dict(eps_dec=0.0), id="zero-eps_dec"),
+            pytest.param(dict(eps_dec=1.0), id="eps_dec-one"),
+            pytest.param(dict(eps_dec=float("nan")), id="nan-eps_dec"),
+        ],
+    )
+    def test_rejects_bad_tolerances(self, overrides):
+        with pytest.raises(ConfigError):
+            SweepConfig(**overrides)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -288,6 +311,19 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
 
+    def test_subprocess_bad_tolerance_config_exit_one(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k_div": 0.5}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--config", str(config),
+             "--out-dir", str(tmp_path)],
+            capture_output=True,
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"k_div" in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "args,n_records,n_failed",
@@ -323,10 +359,12 @@ class TestInstalledEntryPoint:
             diagnostics = [rec["n_steps"], rec["nfev"], rec["stop"]]
             assert (diagnostics == [None] * 3) == (not rec["pass"])
 
-    def test_subprocess_huge_extent_classifies(self, tmp_path):
+    @pytest.mark.parametrize("factor", ["1e100", "1e160"])
+    def test_subprocess_huge_extent_classifies(self, tmp_path, factor):
         # r_max = 3e100: the limit fit must not hand LAPACK an underflowed
-        # Vandermonde matrix (it looped on the nan instead of returning)
-        common = ["--r-max-factor", "1e100", "--out-dir", str(tmp_path)]
+        # Vandermonde matrix (it looped on the nan instead of returning);
+        # r_max = 3e160: r(r-2m) overflows, so the profile must not form it
+        common = ["--r-max-factor", factor, "--out-dir", str(tmp_path)]
         mode = subprocess.run(
             [sys.executable, "-m", "schwarzstatic.cli", "mode", "--m", "1", "--r0", "3",
              "--ell", "0", *common],
@@ -334,6 +372,14 @@ class TestInstalledEntryPoint:
         )
         assert mode.returncode == 0, mode.stderr
         assert b"ConvergesNonzero" in mode.stdout
+        assert b"Warning" not in mode.stderr, mode.stderr
+        # Phi = 2(r-m) A / (r(r-2m)) + da, in exact arithmetic on the written row
+        r, _, da, A, _, Phi = map(
+            float, read_csv(tmp_path / "mode_m1_r03_l0.csv")[-1].split(",")
+        )
+        r, m = Fraction(r), 1
+        exact = 2 * (r - m) * Fraction(A) / (r * (r - 2 * m)) + Fraction(da)
+        assert abs(Fraction(Phi) - exact) <= Fraction(1, 10**12) * abs(exact)
         sweep = subprocess.run(
             [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--masses", "1",
              "--deltas", "1", "--ell-max", "0", *common],

@@ -74,10 +74,7 @@ class TestDeformationField:
         r = 4.2
         cart = field.cartesian(r)
         rho = np.sqrt(r * (r - 2.0))
-        e = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * (r / rho)
-        rr = np.einsum("nij,ni,nj->n", cart, calc.normal, calc.normal)
-        ra = np.einsum("nij,ni,naj->na", cart, calc.normal, e)
-        ab = np.einsum("nij,nai,nbj->nab", cart, e, e)
+        rr, ra, ab = calc.adapted_components(cart, r / rho)
         assert_allclose(rr, field.rr(r), atol=1e-13)
         assert_allclose(ra, field.ra(r), atol=1e-13)
         assert_allclose(ab, field.ab(r), atol=1e-13)

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schwarzstatic.background import SchwarzschildParams, background_at
+from schwarzstatic.background import (
+    SchwarzschildParams,
+    background_at,
+    conformal_metric_cartesian,
+)
 from schwarzstatic.fields import (
     DeformationField,
     boundary_vanishing_profile,
@@ -15,7 +19,6 @@ from schwarzstatic.gauge import (
     apply_gauge,
     build_gauge_field,
     flow_lie_derivative,
-    parallel_frame,
 )
 from schwarzstatic.sphere_ops import SphereCalc
 
@@ -57,26 +60,35 @@ def make_test_vector_field(params, amp=0.2, s=2.0):
     return y_fn, (p, q, w, q_mat)
 
 
+def parallel_frame(calc, r):
+    """Cartesian components (n, 2, 3) of the radially parallel frame (r/rho) * unit frame."""
+    return calc.frame * (r / np.sqrt(background_at(P13, r).rho2))
+
+
+def gram(calc, r):
+    e = parallel_frame(calc, r)
+    g = conformal_metric_cartesian(P13, r, calc.normal)
+    return np.einsum("nai,nij,nbj->nab", e, g, e)
+
+
 class TestParallelFrame:
     def test_gram_identity_at_boundary(self, calc):
-        frame = parallel_frame(P13, calc, P13.r0)
-        eye = np.broadcast_to(np.eye(2), frame["gram"].shape)
-        assert np.abs(frame["gram"] - eye).max() <= 1e-13
+        assert np.abs(gram(calc, P13.r0) - np.eye(2)).max() <= 1e-13
 
     def test_gram_identity_at_every_radius(self, calc):
         for r in [3.0, 4.5, 7.0, 11.0]:
-            frame = parallel_frame(P13, calc, r)
-            eye = np.broadcast_to(np.eye(2), frame["gram"].shape)
-            assert np.abs(frame["gram"] - eye).max() <= 1e-13
+            assert np.abs(gram(calc, r) - np.eye(2)).max() <= 1e-13
 
     def test_chart_components_scale_like_inverse_rho(self, calc):
-        # radially parallel frame: chart components scale with rho2^{-1/2}
+        # radially parallel frame: chart components scale with rho2^{-1/2};
+        # the chart vector d/dtheta has Cartesian components r * theta_hat
+        def chart_theta(r):
+            return np.einsum("ni,ni->n", parallel_frame(calc, r)[:, 0], calc.theta_hat) / r
+
         r_a, r_b = 3.5, 9.0
-        fa = parallel_frame(P13, calc, r_a)["chart_scale"]
-        fb = parallel_frame(P13, calc, r_b)["chart_scale"]
         rho2 = lambda r: r * (r - 2.0)
         expect = np.sqrt(rho2(r_b) / rho2(r_a))
-        assert_allclose(fa / fb, expect, rtol=1e-12)
+        assert_allclose(chart_theta(r_a) / chart_theta(r_b), expect, rtol=1e-12)
 
 
 class TestBuildGaugeField:
@@ -212,8 +224,7 @@ class TestFlowOracle:
         rr = np.einsum("nij,ni,nj->n", lie, calc.normal, calc.normal)
         assert_allclose(rr, 2.0 * dy, atol=5e-7)
         bg = background_at(P13, r)
-        rho = np.sqrt(bg.rho2)
-        e = np.stack([calc.theta_hat, calc.phi_hat], axis=1) * (r / rho)
+        e = parallel_frame(calc, r)
         ab = np.einsum("nij,nai,nbj->nab", lie, e, e)
         expect = y * bg.H_sc
         assert_allclose(ab[:, 0, 0], expect, atol=5e-7)
@@ -232,8 +243,7 @@ class TestFlowOracle:
             y_perp = np.einsum("ni,ni->n", y, calc.normal)
             assert np.abs(X.x_perp(r) + y_perp).max() <= 1e-6 * scale
             rho = np.sqrt(r * (r - 2.0))
-            e_unit = np.stack([calc.theta_hat, calc.phi_hat], axis=1)
-            w = np.einsum("ni,nai->na", y, e_unit) * (rho / r)
+            w = np.einsum("ni,nai->na", y, calc.frame) * (rho / r)
             assert np.abs(X.x_tan(r) + w).max() <= 1e-6 * scale
 
     def test_apply_gauge_lie_matches_flow(self):

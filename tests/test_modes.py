@@ -198,11 +198,12 @@ class TestIntegrateSchwarzschild:
         ivp = make_ivp(P13, 2, 1.0)
         sol = integrate_mode(ivp, 3e3, k_div=np.inf)
         assert_allclose(sol.A, sol.a - ivp.alpha0, rtol=1e-14)
-        assert_allclose(sol.phi, sol.rho2() * sol.A, rtol=1e-14)
-        # Phi * rho2 = phi' as derived views of the same samples
         r, m = sol.radii, 1.0
-        dphi_analytic = 2.0 * (r - m) * sol.A + sol.rho2() * sol.da
-        assert_allclose(sol.Phi * sol.rho2(), dphi_analytic, rtol=1e-9)
+        rho2 = r * (r - 2.0 * m)
+        assert_allclose(sol.phi, rho2 * sol.A, rtol=1e-14)
+        # Phi * rho2 = phi' as derived views of the same samples
+        dphi_analytic = 2.0 * (r - m) * sol.A + rho2 * sol.da
+        assert_allclose(sol.Phi * rho2, dphi_analytic, rtol=1e-9)
         # and da really is the radial derivative of a: small-step stencil
         for r in [4.0, 10.0, 100.0]:
             h = 1e-3 * r
@@ -246,7 +247,7 @@ class TestIntegrateSchwarzschild:
         ivp = make_ivp(P13, 2, 1.0)
         sol = integrate_mode(ivp, 3e3, k_div=np.inf)
         B = sol.B
-        rho2 = sol.rho2()
+        rho2 = sol.radii * (sol.radii - 2.0)
         bound = 3.0 * 1.0 / rho2 * (-0.5)
         neg = B < 0
         assert neg[0]
