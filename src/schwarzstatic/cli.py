@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
@@ -73,6 +74,10 @@ class SweepConfig:
             raise ConfigError("all boundary offsets must be positive")
         if not np.isfinite(2.0 * max(0.0, *self.masses) + max(self.r0_offsets)):
             raise ConfigError("boundary radius 2*max(0, m) + offset must be finite")
+        try:
+            operator.index(self.ell_max)
+        except TypeError:
+            raise ConfigError(f"ell_max must be an integer, got {self.ell_max!r}") from None
         if self.ell_max < 0:
             raise ConfigError("ell_max must be nonnegative")
         if not 0.5 < self.decay_q < 1.0:
@@ -266,6 +271,7 @@ def emit(report: SweepReport, out_dir: str, profile: bool = False) -> list[str]:
                     r_max_factor=report.config.r_max_factor,
                     rtol=report.config.rtol,
                     atol=report.config.atol,
+                    k_div=report.config.k_div,
                 )
             )
     return paths
@@ -279,10 +285,15 @@ def write_mode_profile(
     r_max_factor: float = 1e6,
     rtol: float = 1e-10,
     atol: float = 1e-12,
+    k_div: float = 1e3,
 ) -> str:
-    """Radial profile file mode_m<>_r0<>_l<>.csv with r,a,da,A,phi,Phi."""
+    """Radial profile file mode_m<>_r0<>_l<>.csv with r,a,da,A,phi,Phi.
+
+    The integration stops where the sweep's would: at r_max_factor * r0 or
+    once |a| crosses k_div * |a0|.
+    """
     ivp = make_ivp(params, ell, a0)
-    sol = integrate_mode(ivp, r_max_factor * params.r0, rtol=rtol, atol=atol)
+    sol = integrate_mode(ivp, r_max_factor * params.r0, rtol=rtol, atol=atol, k_div=k_div)
     return _write_profile(out_dir, params, ell, sol)
 
 
@@ -376,13 +387,17 @@ def _build_parser() -> _Parser:
 def _resolved_seed(explicit: int | None, fallback: int) -> int:
     env = os.environ.get("SCHWARZSTATIC_SEED")
     if explicit is not None:
-        return explicit
-    if env is not None:
+        seed = explicit
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"SCHWARZSTATIC_SEED is not an integer: {env!r}") from exc
-    return fallback
+    else:
+        seed = fallback
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _cmd_sweep(args) -> int:

@@ -257,9 +257,8 @@ class LinearizedLc:
 def linearize_at_schwarzschild(grid: LabGrid, direction: DeformationField) -> LinearizedLc:
     """Complex-step directional linearization at the background pair."""
     G0, U0 = schwarzschild_samples(grid)
-    dg = np.stack([direction.cartesian(r) for r in grid.r])
-    du = np.stack([direction.u(r) for r in grid.r])
-    G, U = G0 + 1j * _H * dg, U0 + 1j * _H * du
+    G = G0 + 1j * _H * direction.cartesian(grid.r)
+    U = U0 + 1j * _H * direction.u(grid.r)
     rows = (*conformal_static_residual(grid, G, U), *boundary_data(grid, G, U))
     return LinearizedLc(*(row.imag / _H for row in rows))
 
@@ -281,14 +280,9 @@ def ric_prime_cartesian(grid: LabGrid, direction: DeformationField, lin: Lineari
     The static row is Ric'(g~) - 2 du~ (x) du_sc - 2 du_sc (x) du~, so
     Ric'(g~) is recovered by adding back the analytic bilinear correction.
     """
-    calc = grid.calc
-    bg = background_at(grid.params, grid.r)
-    corr = np.empty_like(lin.ric_row)
-    for i, r in enumerate(grid.r):
-        grad_u = direction.u_gradient_cart(r)  # (n, 3)
-        outer = np.einsum("ni,nj->nij", grad_u, calc.normal)
-        corr[i] = 2.0 * bg.du_sc[i] * (outer + np.swapaxes(outer, -1, -2))
-    return lin.ric_row + corr
+    du_sc = background_at(grid.params, grid.r).du_sc[:, None, None, None]
+    outer = np.einsum("rni,nj->rnij", direction.u_gradient_cart(grid.r), grid.calc.normal)
+    return lin.ric_row + 2.0 * du_sc * (outer + np.swapaxes(outer, -1, -2))
 
 
 def oracle_combinations(grid: LabGrid, direction: DeformationField, lin: LinearizedLc):
@@ -311,10 +305,8 @@ def oracle_combinations(grid: LabGrid, direction: DeformationField, lin: Lineari
     ric_prime = ric_prime_cartesian(grid, direction, lin)
     comps = adapted_frame_components(grid, ric_prime)
 
-    du_rad = np.stack([direction.u(r, 1) for r in grid.r])
-    grad_u = np.stack(
-        [grid.calc.grad_scalar_frame(direction.u(r)) for r in grid.r]
-    ) / rho
+    du_rad = direction.u(grid.r, 1)
+    grad_u = grid.calc.grad_scalar_frame(direction.u(grid.r)) / rho
 
     ab = comps["ab"]
     tr_ab = ab[..., 0, 0] + ab[..., 1, 1]

@@ -7,6 +7,10 @@ the calculus grid.  Components live in the adapted orthonormal frame
 vectors (1/rho times the unit-sphere frame).  Cartesian metric components
 are assembled on demand for the curvature oracle.
 
+Every evaluator takes a scalar radius or a 1-D array of radii; an array adds
+a leading radial axis, so sampling a deformation on a radial x sphere grid is
+one call, f.cartesian(r) or f.u(r, order), with no per-radius loop.
+
 Angular shapes are band-limited by construction, which keeps every spectral
 derivative taken downstream exact.
 """
@@ -28,7 +32,6 @@ __all__ = [
     "boundary_vanishing_profile",
     "constant_profile",
     "DeformationField",
-    "DeformationPair",
     "single_mode_scalar",
     "random_deformation",
 ]
@@ -118,9 +121,10 @@ class DeformationField:
       ab: g~(e_A, e_B), frame tensor shape (n, 2, 2)
       u : scalar deformation shape (n,)
 
-    Evaluation at radius r returns samples over the calculus grid nodes;
-    derivative orders 0..2 come from the profiles, so no radial grid error
-    enters on the construction side.
+    Evaluation at radii r returns samples over the calculus grid nodes with
+    shape r.shape + the shapes above: a scalar gives (n, ...), an array of
+    n_r radii gives (n_r, n, ...).  Derivative orders 0..2 come from the
+    profiles, so no radial grid error enters on the construction side.
     """
 
     def __init__(self, params: SchwarzschildParams, calc: SphereCalc):
@@ -187,9 +191,9 @@ class DeformationField:
     # -- evaluation --------------------------------------------------------
 
     def _sum(self, terms, r, order, tail_shape):
-        out = np.zeros((self.calc.n_nodes,) + tail_shape)
+        out = np.zeros(np.shape(r) + (self.calc.n_nodes,) + tail_shape)
         for profile, arr in terms:
-            out += profile(r, order) * arr
+            out += np.multiply.outer(profile(r, order), arr)
         return out
 
     def rr(self, r, order: int = 0) -> np.ndarray:
@@ -209,51 +213,22 @@ class DeformationField:
         return not self.rr_terms and not self.ra_terms
 
     def u_gradient_cart(self, r) -> np.ndarray:
-        """Cartesian gradient of u~ at radius r, shape (n, 3)."""
-        out = np.zeros((self.calc.n_nodes, 3))
+        """Cartesian gradient of u~ at radii r, shape r.shape + (n, 3)."""
+        out = np.zeros(np.shape(r) + (self.calc.n_nodes, 3))
+        r_col = np.asarray(r)[..., None, None]
         for profile, arr in self.u_terms:
-            out += float(profile(r, 1)) * arr[:, None] * self.calc.normal
-            out += float(profile(r, 0)) * self.calc.tangential_derivative(arr) / r
+            out += np.multiply.outer(profile(r, 1), arr)[..., None] * self.calc.normal
+            out += np.multiply.outer(profile(r, 0), self.calc.grad_scalar(arr)) / r_col
         return out
 
     def cartesian(self, r) -> np.ndarray:
-        """Cartesian metric-deformation components at radius r, shape (n, 3, 3).
+        """Cartesian metric-deformation components at radii r, shape r.shape + (n, 3, 3).
 
         Frame components convert through the coframe of the adapted frame:
         eps^r = n dx, eps^A = (rho/r) * unit-sphere coframe.
         """
         rho_over_r = np.sqrt(background_at(self.params, r).rho2) / r
         return self.calc.from_adapted(self.rr(r), self.ra(r), self.ab(r), rho_over_r)
-
-    def sample(self, r_nodes: np.ndarray) -> "DeformationPair":
-        """Grid-sampled view (Cartesian g~, u~) on radial nodes."""
-        r_nodes = np.asarray(r_nodes, dtype=float)
-        gt = np.stack([self.cartesian(r) for r in r_nodes])
-        ut = np.stack([self.u(r) for r in r_nodes])
-        radial = max(
-            (np.abs(self.rr(r)).max() if self.rr_terms else 0.0)
-            + (np.abs(self.ra(r)).max() if self.ra_terms else 0.0)
-            for r in r_nodes
-        )
-        return DeformationPair(
-            gt=gt, ut=ut, r=r_nodes, global_geodesic_gauge=(radial <= 1e-12)
-        )
-
-
-@dataclass
-class DeformationPair:
-    """Grid samples of a metric deformation and scalar deformation."""
-
-    gt: np.ndarray  # (n_r, n_nodes, 3, 3) Cartesian components
-    ut: np.ndarray  # (n_r, n_nodes)
-    r: np.ndarray
-    global_geodesic_gauge: bool = False
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.gt)) and np.all(np.isfinite(self.ut))):
-            raise ValueError("deformation samples must be finite")
-        if np.abs(self.gt - np.swapaxes(self.gt, -1, -2)).max() > 1e-12:
-            raise ValueError("metric deformation must be symmetric")
 
 
 def single_mode_scalar(

@@ -44,6 +44,13 @@ __all__ = [
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
+def _gauss_cell(rr, a: float, b: float) -> np.ndarray:
+    """4-point Gauss rule for int_a^b rr(s) ds on node samples."""
+    nodes = a + (b - a) * 0.5 * (_GAUSS_X + 1.0)
+    w = 0.5 * (b - a) * _GAUSS_W
+    return sum(wi * rr(float(s)) for s, wi in zip(nodes, w))
+
+
 def schwarzschild_cartesian(params: SchwarzschildParams, x: np.ndarray) -> np.ndarray:
     """Cartesian components of the conformal background metric at points x."""
     r = np.linalg.norm(x, axis=-1)
@@ -72,11 +79,7 @@ class GaugeVectorField:
             raise ValueError("radius outside the gauge window")
         idx = min(int((r - self.r0) / (self._cells[1] - self._cells[0])),
                   len(self._cells) - 2)
-        a = self._cells[idx]
-        nodes = a + (r - a) * 0.5 * (_GAUSS_X + 1.0)
-        w = 0.5 * (r - a) * _GAUSS_W
-        partial = sum(wi * self._rr(float(s)) for s, wi in zip(nodes, w))
-        return self._cum[idx] - 0.5 * partial
+        return self._cum[idx] - 0.5 * _gauss_cell(self._rr, self._cells[idx], r)
 
     def x_tan(self, r: float) -> np.ndarray:
         return self._tan_sol(r).reshape(self.calc.n_nodes, 2)
@@ -121,11 +124,7 @@ def build_gauge_field(
 
     cum = np.zeros((n_cells + 1, n))
     for i in range(n_cells):
-        a, b = cells[i], cells[i + 1]
-        nodes = a + (b - a) * 0.5 * (_GAUSS_X + 1.0)
-        w = 0.5 * (b - a) * _GAUSS_W
-        cell_int = sum(wi * gt.rr(float(s)) for s, wi in zip(nodes, w))
-        cum[i + 1] = cum[i] - 0.5 * cell_int
+        cum[i + 1] = cum[i] - 0.5 * _gauss_cell(gt.rr, cells[i], cells[i + 1])
 
     field = GaugeVectorField(
         params=params, calc=calc, r0=r0, r1=r1,
@@ -335,18 +334,13 @@ class FlowLieDeformation:
         self._bary = np.where(j % 2 == 0, 1.0, -1.0)
         self._bary[0] *= 0.5
         self._bary[-1] *= 0.5
-        self._lie_tab = np.stack(
-            [
-                flow_lie_derivative(y_fn, params, r * calc.normal, eps=eps, steps=steps)
-                for r in self._nodes
-            ]
-        )
+        # all shells stacked into one point set: one flow, one field call
+        points = (self._nodes[:, None, None] * calc.normal).reshape(-1, 3)
+        lie = flow_lie_derivative(y_fn, params, points, eps=eps, steps=steps)
+        self._lie_tab = lie.reshape(n_cheb, -1, 3, 3)
         self._rr_tab, self._ra_tab, _ = calc.adapted_components(self._lie_tab)
-        upern = []
-        for r in self._nodes:
-            y = y_fn(r * calc.normal)
-            upern.append(np.einsum("ni,ni->n", y, calc.normal))
-        self._yperp_tab = np.stack(upern)
+        y = y_fn(points).reshape(n_cheb, -1, 3)
+        self._yperp_tab = np.einsum("sni,ni->sn", y, calc.normal)
 
     def _interp(self, tab: np.ndarray, r: float) -> np.ndarray:
         d = r - self._nodes

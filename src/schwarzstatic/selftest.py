@@ -56,7 +56,7 @@ class SelfTestReport:
 
     @property
     def passed(self) -> bool:
-        return all(s.passed for s in self.suites)
+        return all(suite.passed for suite in self.suites)
 
 
 def _suite_harmonics(rng) -> SuiteResult:
@@ -125,7 +125,7 @@ def _suite_conservation(rng) -> SuiteResult:
     sol = solve_ivp(rhs, (3.0, 30.0), h0, method="DOP853", rtol=1e-12, atol=1e-14,
                     dense_output=True)
     r = np.geomspace(3.0, 30.0, 40)
-    invariant = np.stack([s * (s - 2.0) * sol.sol(s) + 4.0 * field.u(s) for s in r])
+    invariant = (r * (r - 2.0))[:, None] * sol.sol(r).T + 4.0 * field.u(r)
     scale = max(np.abs(invariant[0]).max(), 1e-3)
     measured = float(np.abs(invariant - invariant[0]).max() / scale)
     return SuiteResult(
@@ -175,9 +175,7 @@ def _suite_convergence(rng) -> SuiteResult:
 
     def interior_max(n_r):
         r = np.linspace(3.0, 7.5, n_r)
-        gamma = np.stack([field.ab(s) for s in r])
-        u = np.stack([field.u(s) for s in r])
-        d = FoliationDeformation.from_samples(params, calc, r, gamma, u)
+        d = FoliationDeformation.from_samples(params, calc, r, field.ab(r), field.u(r))
         res = structure_residuals(d)
         window = (r >= 3.45) & (r <= 7.05)
         return max(np.abs(v[window]).max() for v in res.values())

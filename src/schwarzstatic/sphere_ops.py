@@ -20,7 +20,8 @@ This module is the one home of the adapted frame of a constant-r sphere,
 {normal, scale * frame}: the radially parallel orthonormal frame of the
 conformal background has scale = r/rho, rho = sqrt(r(r-2m)), and its coframe
 scale = rho/r.  Callers pass the scale; adapted_components projects
-Cartesian tensors onto the frame and from_adapted assembles them back.
+Cartesian tensors onto the frame and from_adapted assembles them back, both
+batched over leading axes (one radius per leading index).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class SphereCalc:
 
     # -- ambient tangential calculus ------------------------------------
 
-    def tangential_derivative(self, f: np.ndarray) -> np.ndarray:
+    def grad_scalar(self, f: np.ndarray) -> np.ndarray:
         """Cartesian components of the surface gradient of a scalar.
 
         Equals the ambient derivative of the degree-0 extension; for batched
@@ -94,9 +95,6 @@ class SphereCalc:
             dt[..., None] * self.theta_hat
             + (dp / self.sin_theta)[..., None] * self.phi_hat
         )
-
-    def grad_scalar(self, f: np.ndarray) -> np.ndarray:
-        return self.tangential_derivative(f)
 
     def div_vector(self, v: np.ndarray) -> np.ndarray:
         """Surface divergence of a tangential vector, Cartesian samples (..., n, 3)."""
@@ -142,10 +140,17 @@ class SphereCalc:
 
     # -- frame conversions -----------------------------------------------
 
+    def _scaled_frame(self, scale) -> np.ndarray:
+        """scale * frame, shape (..., n, 2, 3) for scale of shape (...)."""
+        return self.frame * np.asarray(scale)[..., None, None, None]
+
     def frame_to_cart_covector(self, w: np.ndarray, scale=1.0) -> np.ndarray:
-        """(..., n, 2) components in the frame scale * frame -> (..., n, 3) Cartesian."""
-        e = self.frame * scale
-        return w[..., 0:1] * e[:, 0] + w[..., 1:2] * e[:, 1]
+        """(..., n, 2) components in the frame scale * frame -> (..., n, 3) Cartesian.
+
+        scale broadcasts against the leading axes w.shape[:-2].
+        """
+        e = self._scaled_frame(scale)
+        return w[..., 0:1] * e[..., 0, :] + w[..., 1:2] * e[..., 1, :]
 
     def cart_to_frame_covector(self, v: np.ndarray) -> np.ndarray:
         a = np.einsum("...ni,ni->...n", v, self.theta_hat)
@@ -153,9 +158,12 @@ class SphereCalc:
         return np.stack([a, b], axis=-1)
 
     def frame_to_cart_sym2(self, t: np.ndarray, scale=1.0) -> np.ndarray:
-        """(..., n, 2, 2) components in the frame scale * frame -> (..., n, 3, 3) Cartesian."""
-        e = self.frame * scale
-        return np.einsum("...nab,nai,nbj->...nij", t, e, e)
+        """(..., n, 2, 2) components in the frame scale * frame -> (..., n, 3, 3) Cartesian.
+
+        scale broadcasts against the leading axes t.shape[:-3].
+        """
+        e = self._scaled_frame(scale)
+        return np.einsum("...nab,...nai,...nbj->...nij", t, e, e)
 
     def adapted_components(self, t: np.ndarray, scale=1.0):
         """Components (rr, ra, ab) of Cartesian 2-tensors in the adapted frame.
@@ -172,15 +180,17 @@ class SphereCalc:
         return rr, ra, ab
 
     def from_adapted(self, rr: np.ndarray, ra: np.ndarray, ab: np.ndarray, scale) -> np.ndarray:
-        """Cartesian (n, 3, 3) symmetric tensor with adapted components rr, ra, ab.
+        """Cartesian (..., n, 3, 3) symmetric tensor with adapted components rr, ra, ab.
 
         Assembles rr nn + ra_A (eps^A n + n eps^A) + ab_AB eps^A eps^B with
-        eps^A = scale * frame_A.  Components on the parallel frame
-        (r/rho) * frame assemble through its coframe, so pass rho/r.
+        eps^A = scale * frame_A; batched over leading axes, which scale
+        broadcasts against, as in adapted_components.  Components on the
+        parallel frame (r/rho) * frame assemble through its coframe, so pass
+        rho/r.
         """
         n = self.normal
-        out = np.einsum("x,xi,xj->xij", rr, n, n)
-        mixed = self.frame_to_cart_covector(ra, scale)[:, :, None] * n[:, None, :]
+        out = np.einsum("...x,xi,xj->...xij", rr, n, n)
+        mixed = self.frame_to_cart_covector(ra, scale)[..., None] * n[:, None, :]
         out += mixed + np.swapaxes(mixed, -1, -2)
         out += self.frame_to_cart_sym2(ab, scale)
         return out

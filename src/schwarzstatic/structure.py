@@ -84,21 +84,19 @@ class FoliationDeformation:
         if not field.is_gauge_fixed:
             raise ValueError("structure data requires a transverse deformation")
         r = np.asarray(r, dtype=float)
-        g0 = np.stack([field.ab(s, 0) for s in r])
-        g1 = np.stack([field.ab(s, 1) for s in r])
-        g2 = np.stack([field.ab(s, 2) for s in r])
+        g1, g2 = field.ab(r, 1), field.ab(r, 2)
         return cls(
             params=field.params,
             calc=field.calc,
             r=r,
-            gamma=g0,
+            gamma=field.ab(r),
             H=0.5 * _trace2(g1),
             Kring=0.5 * _traceless2(g1),
-            u=np.stack([field.u(s, 0) for s in r]),
+            u=field.u(r),
             dH=0.5 * _trace2(g2),
             dKring=0.5 * _traceless2(g2),
-            du=np.stack([field.u(s, 1) for s in r]),
-            d2u=np.stack([field.u(s, 2) for s in r]),
+            du=field.u(r, 1),
+            d2u=field.u(r, 2),
         )
 
     @classmethod

@@ -80,6 +80,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(**overrides)
 
+    @pytest.mark.parametrize("ell_max", [2.5, 2.0, "2"])
+    def test_rejects_non_integer_ell_max(self, ell_max):
+        with pytest.raises(ConfigError, match="ell_max"):
+            SweepConfig(ell_max=ell_max)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"massess": [1.0]})
@@ -167,6 +172,17 @@ class TestEmit:
         r_end, phi_end = float(last[0]), float(last[5])
         expect = 1.5 * (np.log((r_end - 2.0) / r_end) + np.log(3.0))
         assert abs(phi_end - expect) <= 1e-4
+
+    def test_sweep_profiles_end_at_record_r_max(self, tmp_path):
+        # profiles integrate with the sweep's own k_div, so each stops where
+        # its record did rather than at the default threshold
+        config = SweepConfig(masses=[1.0], r0_offsets=[1.0], ell_max=2, k_div=10.0)
+        report = run_sweep(config)
+        paths = emit(report, str(tmp_path), profile=True)
+        for rec, path in zip(report.records, paths[2:]):
+            last = read_csv(path)[-1].split(",")
+            assert float(last[0]) == rec.r_max
+        assert report.records[1].r_max < config.r_max_factor * report.records[1].r0
 
     def test_profile_filename_template(self, tmp_path):
         params = SchwarzschildParams(m=-0.25, r0=1.0)
@@ -293,6 +309,11 @@ class TestMainEntry:
         monkeypatch.setenv("SCHWARZSTATIC_SEED", "x")
         with pytest.raises(ConfigError):
             cli._resolved_seed(None, 0)
+        monkeypatch.setenv("SCHWARZSTATIC_SEED", "-1")
+        with pytest.raises(ConfigError, match="nonnegative"):
+            cli._resolved_seed(None, 0)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            cli._resolved_seed(-1, 0)
 
 
 class TestInstalledEntryPoint:
@@ -323,6 +344,39 @@ class TestInstalledEntryPoint:
         assert b"Traceback" not in proc.stderr
         assert b"k_div" in proc.stderr
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_subprocess_non_integer_ell_max_config_exit_one(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ell_max": 2.5}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--config", str(config),
+             "--out-dir", str(tmp_path)],
+            capture_output=True,
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"ell_max" in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args,env_seed",
+        [
+            pytest.param(["gauge-test", "--seed", "-1"], None, id="gauge-test-flag"),
+            pytest.param(["gauge-test"], "-1", id="gauge-test-env"),
+            pytest.param(["selftest", "--seed", "-1"], None, id="selftest-flag"),
+        ],
+    )
+    def test_subprocess_negative_seed_exit_one(self, args, env_seed):
+        env = {k: v for k, v in os.environ.items() if k != "SCHWARZSTATIC_SEED"}
+        if env_seed is not None:
+            env["SCHWARZSTATIC_SEED"] = env_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", *args],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"seed must be nonnegative" in proc.stderr
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(

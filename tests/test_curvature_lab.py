@@ -171,7 +171,7 @@ class TestLinearization:
         direction.add_rr(constant_profile(1.0), one)
         direction.add_ab_conformal(constant_profile(1.0), one)
         G, _ = schwarzschild_samples(grid)
-        gd = np.stack([direction.cartesian(r) for r in grid.r])
+        gd = direction.cartesian(grid.r)
         assert_allclose(gd, G, rtol=1e-12)  # frame components of g_sc are delta
 
         out = linearize_at_schwarzschild(grid, direction)

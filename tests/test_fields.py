@@ -89,7 +89,7 @@ class TestDeformationField:
         assert_allclose(radial, fd_rad, atol=1e-9)
         # tangential part against the spectral surface gradient
         tang = grad - radial[:, None] * calc.normal
-        expect = calc.tangential_derivative(field.u(r)) / r
+        expect = calc.grad_scalar(field.u(r)) / r
         assert_allclose(tang, expect, atol=1e-12)
 
     def test_linear_combinations(self, calc):
@@ -104,16 +104,26 @@ class TestDeformationField:
         )
         assert_allclose(combo.u(r, 1), 2.0 * f1.u(r, 1) - 0.5 * f2.u(r, 1), atol=1e-14)
 
-    def test_sample_sets_gauge_flag(self, calc):
+    @pytest.mark.parametrize(
+        "name,args",
+        [pytest.param(n, (k,), id=f"{n}-order{k}")
+         for n in ("rr", "ra", "ab", "u") for k in (0, 1, 2)]
+        + [pytest.param(n, (), id=n) for n in ("cartesian", "u_gradient_cart")],
+    )
+    def test_array_radii_match_per_radius_calls(self, calc, name, args):
+        # an array of radii adds a leading radial axis; each slice is the
+        # scalar call up to the last-bit rounding of numpy's array power
         rng = np.random.default_rng(4)
-        pair = random_deformation(rng, P13, calc, gauge_fixed=True).sample(
-            np.linspace(3.0, 6.0, 7)
+        field = random_deformation(rng, P13, calc, l_band=3, gauge_fixed=False)
+        field = field + single_mode_scalar(
+            P13, calc, 2, 1, oscillating_profile(3.0, 1.5, 4.0)
         )
-        assert pair.global_geodesic_gauge
-        pair = random_deformation(rng, P13, calc, gauge_fixed=False).sample(
-            np.linspace(3.0, 6.0, 7)
-        )
-        assert not pair.global_geodesic_gauge
+        r = np.linspace(3.0, 9.0, 13)
+        batch = getattr(field, name)(r, *args)
+        single = np.stack([getattr(field, name)(s, *args) for s in r])
+        assert batch.shape == single.shape
+        assert single.shape[1] == calc.n_nodes
+        assert np.abs(batch - single).max() <= 1e-14 * np.abs(single).max()
 
     def test_single_mode_scalar(self, calc):
         from schwarzstatic.harmonics import mode_position

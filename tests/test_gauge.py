@@ -231,6 +231,22 @@ class TestFlowOracle:
         assert_allclose(ab[:, 1, 1], expect, atol=5e-7)
         assert np.abs(ab[:, 0, 1]).max() <= 5e-7
 
+    def test_stacked_flow_table_equals_per_shell_calls(self):
+        # the table is one flow over all Chebyshev shells stacked; each
+        # point's flow is independent, so per-shell calls give the same bits
+        calc = SphereCalc(l_max=4)
+        y_fn, _ = make_test_vector_field(P13)
+        gt = FlowLieDeformation(y_fn, P13, calc)
+        per_shell = np.stack([
+            flow_lie_derivative(y_fn, P13, r * calc.normal, eps=1e-3, steps=8)
+            for r in gt._nodes
+        ])
+        assert np.array_equal(gt._lie_tab, per_shell)
+        y_perp = np.stack([
+            np.einsum("ni,ni->n", y_fn(r * calc.normal), calc.normal) for r in gt._nodes
+        ])
+        assert np.array_equal(gt._yperp_tab, y_perp)
+
     def test_recovery_of_minus_y(self):
         # uniqueness: feeding L_Y g_sc recovers X = -Y
         calc = SphereCalc(l_max=6)
