@@ -8,24 +8,34 @@ radial components anywhere.  The normal component is a radial integral,
 
 and each tangential frame component w_A = g_sc(X, e_A) solves the linear ODE
 
-    w_A' - (H_sc/2) w_A = -g~(dr, e_A) - e_A(X_perp),   w_A(r0) = 0,
+    w_A' - (H_sc/2) w_A = -src_A,   src_A = g~(dr, e_A) + e_A(X_perp),   w_A(r0) = 0,
 
 which uses that the constant-r spheres are umbilic with second fundamental
-form (H_sc/2) gamma_sc and that the frame {e_A} is radially parallel.
+form (H_sc/2) gamma_sc and that the frame {e_A} is radially parallel.  Its
+coefficient is exactly a logarithmic derivative, H_sc/2 = (r-m)/(r(r-2m)) =
+rho'/rho with rho = sqrt(r(r-2m)), so rho is an integrating factor and
 
-X_perp is built by composite 4-point Gauss quadrature per radial cell; the
-tangential ODE runs through the same adaptive integrator family as the mode
-module.  Both components evaluate at arbitrary radii, so the verification in
-apply_gauge can differentiate X with small independent stencils instead of
-reusing the construction identities.
+    w_A(r) = -rho(r) int_{r0}^{r} src_A(s) / rho(s) ds.
+
+Both components are therefore quadratures.  Each keeps a cumulative table
+over one grid of radial cells, built with a 4-point Gauss rule per cell, and
+evaluates at any radii as table entry plus a Gauss rule on the partial cell;
+the tangential integrand needs X_perp at its nodes, which comes from the
+same partial-cell rule.  Every evaluator takes a scalar radius or an array
+of radii, and an array costs one batched call into the deformation.
+
+apply_gauge differentiates X independently of these identities, with small
+radial stencils on the evaluable field and spectral tangential derivatives,
+so its audit measures the construction end to end.
 """
 
 from __future__ import annotations
 
+import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .background import SchwarzschildParams, background_at, conformal_metric_cartesian
 from .fd import stencil_coefficients
@@ -44,11 +54,17 @@ __all__ = [
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
-def _gauss_cell(rr, a: float, b: float) -> np.ndarray:
-    """4-point Gauss rule for int_a^b rr(s) ds on node samples."""
-    nodes = a + (b - a) * 0.5 * (_GAUSS_X + 1.0)
-    w = 0.5 * (b - a) * _GAUSS_W
-    return sum(wi * rr(float(s)) for s, wi in zip(nodes, w))
+def _gauss_cell(f, a, b) -> np.ndarray:
+    """4-point Gauss rule for int_a^b f(s) ds, one cell per entry of a and b.
+
+    f maps an array of radii to samples with those radii as leading axes;
+    the result has shape a.shape + the sample shape.
+    """
+    half = 0.5 * (b - a)
+    vals = f(a[..., None] + half[..., None] * (_GAUSS_X + 1.0))
+    w = half[..., None] * _GAUSS_W
+    w = w.reshape(w.shape + (1,) * (vals.ndim - w.ndim))
+    return (w * vals).sum(axis=np.ndim(a))
 
 
 def schwarzschild_cartesian(params: SchwarzschildParams, x: np.ndarray) -> np.ndarray:
@@ -57,43 +73,61 @@ def schwarzschild_cartesian(params: SchwarzschildParams, x: np.ndarray) -> np.nd
     return conformal_metric_cartesian(params, r, x / r[..., None])
 
 
+def _rho(params: SchwarzschildParams, r):
+    return np.sqrt(r * (r - 2.0 * params.m))
+
+
 @dataclass
 class GaugeVectorField:
     """Boundary-vanishing gauge vector with evaluable components.
 
     x_perp(r) and x_tan(r) return node samples of the normal component and
     the tangential frame components; cartesian(r) assembles the full vector.
+    Each takes a scalar radius or an array of radii in [r0, r1], which add
+    leading axes: x_perp gives r.shape + (n,), x_tan r.shape + (n, 2) and
+    cartesian r.shape + (n, 3).
     """
 
     params: SchwarzschildParams
     calc: SphereCalc
     r0: float
     r1: float
-    _cells: np.ndarray
-    _cum: np.ndarray  # (n_cells + 1, n_nodes) cumulative -1/2 integrals
-    _rr: object  # callable r -> (n,)
-    _tan_sol: object  # dense ODE solution
+    _cells: np.ndarray  # (n_cells + 1,) cell edges
+    _rr: object  # callable radii -> g~(dr, dr) samples
+    _ra: object  # callable radii -> g~(dr, e_A) samples
+    _perp_cum: np.ndarray  # (n_cells + 1, n) cumulative -1/2 int rr
+    _tan_cum: np.ndarray | None = None  # (n_cells + 1, n, 2) cumulative int src/rho
 
-    def x_perp(self, r: float) -> np.ndarray:
-        if r < self.r0 - 1e-12 or r > self.r1 + 1e-9:
+    def _cell_start(self, r):
+        """Radii as an array and the left edge of the cell holding each."""
+        r = np.asarray(r, dtype=float)
+        if not np.all((r >= self.r0 - 1e-12) & (r <= self.r1 + 1e-9)):
             raise ValueError("radius outside the gauge window")
-        idx = min(int((r - self.r0) / (self._cells[1] - self._cells[0])),
-                  len(self._cells) - 2)
-        return self._cum[idx] - 0.5 * _gauss_cell(self._rr, self._cells[idx], r)
+        idx = np.minimum(
+            ((r - self.r0) / (self._cells[1] - self._cells[0])).astype(int),
+            len(self._cells) - 2,
+        )
+        return r, idx, self._cells[idx]
 
-    def x_tan(self, r: float) -> np.ndarray:
-        return self._tan_sol(r).reshape(self.calc.n_nodes, 2)
+    def x_perp(self, r) -> np.ndarray:
+        r, idx, a = self._cell_start(r)
+        return self._perp_cum[idx] - 0.5 * _gauss_cell(self._rr, a, r)
 
-    def e_a_x_perp(self, r: float) -> np.ndarray:
-        """Frame components of the tangential derivative of x_perp."""
-        rho = np.sqrt(r * (r - 2.0 * self.params.m))
-        return self.calc.grad_scalar_frame(self.x_perp(r)) / rho
+    def _tan_integrand(self, s) -> np.ndarray:
+        """src_A / rho = (g~(dr, e_A) + e_A(X_perp)) / rho at radii s."""
+        rho = _rho(self.params, s)[..., None, None]
+        grad = self.calc.grad_scalar_frame(self.x_perp(s))
+        return (self._ra(s) + grad / rho) / rho
 
-    def cartesian(self, r: float) -> np.ndarray:
-        calc = self.calc
-        rho = np.sqrt(r * (r - 2.0 * self.params.m))
-        return self.x_perp(r)[:, None] * calc.normal + calc.frame_to_cart_covector(
-            self.x_tan(r), r / rho
+    def x_tan(self, r) -> np.ndarray:
+        r, idx, a = self._cell_start(r)
+        partial = _gauss_cell(self._tan_integrand, a, r)
+        return -_rho(self.params, r)[..., None, None] * (self._tan_cum[idx] + partial)
+
+    def cartesian(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return self.x_perp(r)[..., None] * self.calc.normal + self.calc.frame_to_cart_covector(
+            self.x_tan(r), r / _rho(self.params, r)
         )
 
     def boundary_norm(self) -> float:
@@ -108,42 +142,45 @@ def build_gauge_field(
     calc: SphereCalc,
     r1: float | None = None,
     n_cells: int = 48,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
+    rtol: float | None = None,
+    atol: float | None = None,
 ) -> GaugeVectorField:
-    """Solve for the unique boundary-vanishing gauge vector of a deformation.
+    """Tabulate the unique boundary-vanishing gauge vector of a deformation.
 
     gt must expose rr(r) and ra(r) returning node samples of the radial
-    components in the adapted frame (DeformationField does).
+    components in the adapted frame for arrays of radii (DeformationField
+    and FlowLieDeformation do).  The window [r0, r1] (r1 defaults to 4 r0)
+    is split into n_cells equal cells.  rtol and atol are accepted for old
+    callers and ignored: both components are quadratures with no solver
+    tolerance.
     """
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if value is not None:
+            warnings.warn(
+                f"build_gauge_field: {name} has no effect (the gauge vector is a"
+                " quadrature on n_cells cells); stop passing it",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+    if not isinstance(n_cells, numbers.Integral) or n_cells < 1:
+        raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
     r0 = params.r0
     if r1 is None:
         r1 = 4.0 * r0
+    if not (np.isfinite(r1) and r1 > r0):
+        raise ValueError(f"need a finite r1 > r0 = {r0}, got r1={r1}")
+
     cells = np.linspace(r0, r1, n_cells + 1)
-    n = calc.n_nodes
-
-    cum = np.zeros((n_cells + 1, n))
-    for i in range(n_cells):
-        cum[i + 1] = cum[i] - 0.5 * _gauss_cell(gt.rr, cells[i], cells[i + 1])
-
+    a, b = cells[:-1], cells[1:]
+    perp_cum = np.zeros((n_cells + 1, calc.n_nodes))
+    perp_cum[1:] = np.cumsum(-0.5 * _gauss_cell(gt.rr, a, b), axis=0)
     field = GaugeVectorField(
         params=params, calc=calc, r0=r0, r1=r1,
-        _cells=cells, _cum=cum, _rr=gt.rr, _tan_sol=None,
+        _cells=cells, _rr=gt.rr, _ra=gt.ra, _perp_cum=perp_cum,
     )
-
-    def rhs(r, y):
-        bg = background_at(params, r)
-        w = y.reshape(n, 2)
-        src = gt.ra(r) + field.e_a_x_perp(r)
-        return (0.5 * bg.H_sc * w - src).ravel()
-
-    sol = solve_ivp(
-        rhs, (r0, r1), np.zeros(2 * n), method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"tangential gauge ODE failed: {sol.message}")
-    field._tan_sol = sol.sol
+    tan_cum = np.zeros((n_cells + 1, calc.n_nodes, 2))
+    tan_cum[1:] = np.cumsum(_gauss_cell(field._tan_integrand, a, b), axis=0)
+    field._tan_cum = tan_cum
     return field
 
 
@@ -167,9 +204,10 @@ class GaugedDeformation:
         return self.max_radial_residual <= 1e-8
 
 
-def _metric_gradient_cart(params: SchwarzschildParams, calc: SphereCalc, r: float):
-    """Analytic d_k g_ij of the conformal background at radius r."""
+def _metric_gradient_cart(params: SchwarzschildParams, calc: SphereCalc, r: np.ndarray):
+    """Analytic d_k g_ij of the conformal background at radii r, (n_r, n, 3, 3, 3)."""
     n, proj = calc.normal, calc.projector
+    r = r[:, None, None, None, None]
     fac = 1.0 - 2.0 * params.m / r
     dfac = 2.0 * params.m / r**2
     out = dfac * np.einsum("nk,nij->nkij", n, proj)
@@ -178,24 +216,30 @@ def _metric_gradient_cart(params: SchwarzschildParams, calc: SphereCalc, r: floa
     return out
 
 
-def _vector_gradient(X: GaugeVectorField, r: float, h: float, xc: np.ndarray) -> np.ndarray:
-    """Cartesian gradient d_i X^k at radius r from small independent stencils.
+# 5-point first-derivative stencils: one-sided at the window's lower end,
+# centred inside, one-sided at its upper end
+_STENCIL_OFFSETS = np.array([np.arange(0, 5), np.arange(-2, 3), np.arange(-4, 1)])
+_STENCIL_COEFFS = np.array([stencil_coefficients(o, 1) for o in _STENCIL_OFFSETS])
 
-    xc is X.cartesian(r), the stencil's centre sample.
+
+def _vector_gradient(X: GaugeVectorField, r: np.ndarray, h: float):
+    """Samples X.cartesian(r) and the Cartesian gradient d_i X^k at radii r.
+
+    One X.cartesian call covers every radius and its radial stencil; a
+    stencil that would leave the window [r0, r1] turns one-sided.
     """
-    calc, lo, hi = X.calc, X.r0, X.r1
-    offsets = np.arange(-2, 3)
-    if r - 2 * h < lo:
-        offsets = np.arange(0, 5)
-    elif r + 2 * h > hi:
-        offsets = np.arange(-4, 1)
-    coeff = stencil_coefficients(offsets, 1) / h
-    dr = sum(c * (xc if o == 0 else X.cartesian(r + o * h)) for c, o in zip(coeff, offsets))
+    calc = X.calc
+    kind = np.where(r - 2 * h < X.r0, 0, np.where(r + 2 * h > X.r1, 2, 1))
+    offsets, coeff = _STENCIL_OFFSETS[kind], _STENCIL_COEFFS[kind] / h
+    samples = X.cartesian(r[:, None] + offsets * h)  # (n_r, 5, n, 3)
+    xc = samples[np.arange(len(r)), (offsets == 0).argmax(axis=1)]
+    dr = sum(coeff[:, k, None, None] * samples[:, k] for k in range(offsets.shape[1]))
 
     dt, dp = calc.angular_derivatives(np.moveaxis(xc, -1, 0))
-    dang = np.einsum("ni,kn->nik", calc.theta_hat, dt) / r
-    dang += np.einsum("ni,kn->nik", calc.phi_hat, dp / calc.sin_theta) / r
-    return np.einsum("ni,nk->nik", calc.normal, dr) + dang
+    r_col = r[:, None, None, None]
+    dang = np.einsum("ni,krn->rnik", calc.theta_hat, dt) / r_col
+    dang += np.einsum("ni,krn->rnik", calc.phi_hat, dp / calc.sin_theta) / r_col
+    return xc, np.einsum("ni,rnk->rnik", calc.normal, dr) + dang
 
 
 def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformation:
@@ -203,39 +247,28 @@ def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformati
 
     The Lie derivative is assembled from independently differentiated samples
     of X (small radial stencils on the evaluable field, spectral tangential
-    derivatives), not from the defining ODE, so the reported radial residuals
-    measure the construction end to end.
+    derivatives), not from the defining quadratures, so the reported radial
+    residuals measure the construction end to end.  All radii go through one
+    batched evaluation of X, gt and the background.
     """
     params, calc = X.params, X.calc
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    n = calc.n_nodes
+    r = np.asarray(r_nodes, dtype=float)
     h = 3e-4 * (X.r1 - X.r0)
 
-    ab = np.empty((len(r_nodes), n, 2, 2))
-    u = np.empty((len(r_nodes), n))
-    rr_res = np.empty((len(r_nodes), n))
-    ra_res = np.empty((len(r_nodes), n, 2))
-    lie_all = np.empty((len(r_nodes), n, 3, 3))
+    bg = background_at(params, r)
+    g = conformal_metric_cartesian(params, r[:, None], calc.normal)
+    dg = _metric_gradient_cart(params, calc, r)
+    xc, dX = _vector_gradient(X, r, h)
+    lie = np.einsum("rnk,rnkij->rnij", xc, dg)
+    mixed = np.einsum("rnkj,rnik->rnij", g, dX)
+    lie += mixed + np.swapaxes(mixed, -1, -2)
 
-    for i, r in enumerate(r_nodes):
-        bg = background_at(params, r)
-        g = conformal_metric_cartesian(params, r, calc.normal)
-        dg = _metric_gradient_cart(params, calc, r)
-        xc = X.cartesian(r)
-        dX = _vector_gradient(X, r, h, xc)
-        lie = np.einsum("nk,nkij->nij", xc, dg)
-        mixed = np.einsum("nkj,nik->nij", g, dX)
-        lie += mixed + np.swapaxes(mixed, -1, -2)
-        lie_all[i] = lie
-
-        rr_res[i], ra_res[i], ab[i] = calc.adapted_components(
-            gt.cartesian(r) + lie, r / np.sqrt(bg.rho2)
-        )
-        u[i] = gt.u(r) + X.x_perp(r) * bg.du_sc
-
+    rr_res, ra_res, ab = calc.adapted_components(
+        gt.cartesian(r) + lie, (r / np.sqrt(bg.rho2))[:, None]
+    )
+    u = gt.u(r) + X.x_perp(r) * bg.du_sc[:, None]
     return GaugedDeformation(
-        r=r_nodes, ab=ab, u=u, rr_residual=rr_res, ra_residual=ra_res,
-        lie_cart=lie_all,
+        r=r, ab=ab, u=u, rr_residual=rr_res, ra_residual=ra_res, lie_cart=lie,
     )
 
 
@@ -292,7 +325,7 @@ def flow_lie_derivative(
 
     Finite difference of phi_t^* g_sc in t with one Richardson halving; the
     flow map and its space Jacobian come from fixed-step RK4 runs, so this
-    path shares nothing with the gauge ODE construction it cross-checks.
+    path shares nothing with the gauge quadratures it cross-checks.
     """
     pullback = _flow_pullback_factory(y_fn, params, points, steps, jac_h)
     d_full = (pullback(eps) - pullback(-eps)) / (2.0 * eps)
@@ -304,12 +337,13 @@ class FlowLieDeformation:
     """Deformation pair (L_Y g_sc, Y(u_sc)) generated by flow pullback.
 
     Flow samples are taken once on Chebyshev radial nodes and interpolated
-    barycentrically, since the quadrature and ODE drivers downstream request
-    thousands of radii; the interpolant of these smooth components converges
+    barycentrically, since the gauge quadratures downstream request thousands
+    of radii; the interpolant of these smooth components converges
     spectrally and stays far below the oracle's own flow-difference error.
     Exposes the part of DeformationField's component interface that the
-    gauge construction reads (rr, ra, u, cartesian); rr and ra interpolate
-    the table's unit-frame projections, since the projection is linear.
+    gauge construction reads (rr, ra, u, cartesian), for a scalar radius or
+    an array of radii; rr and ra interpolate the table's unit-frame
+    projections, since the projection is linear.
     """
 
     def __init__(
@@ -342,24 +376,31 @@ class FlowLieDeformation:
         y = y_fn(points).reshape(n_cheb, -1, 3)
         self._yperp_tab = np.einsum("sni,ni->sn", y, calc.normal)
 
-    def _interp(self, tab: np.ndarray, r: float) -> np.ndarray:
-        d = r - self._nodes
-        hit = np.argmin(np.abs(d))
-        if abs(d[hit]) < 1e-13:
-            return tab[hit]
-        w = self._bary / d
-        return np.tensordot(w, tab, axes=(0, 0)) / w.sum()
+    def _interp(self, tab: np.ndarray, r) -> np.ndarray:
+        """Barycentric interpolant of tab at radii r, shape r.shape + tab.shape[1:].
 
-    def cartesian(self, r: float) -> np.ndarray:
+        A radius within 1e-13 of a node takes that node's sample exactly.
+        """
+        r = np.asarray(r, dtype=float)
+        d = r.reshape(-1, 1) - self._nodes
+        hit = np.abs(d) < 1e-13
+        w = self._bary / np.where(hit, 1.0, d)
+        on_node = hit.any(axis=1)
+        w[on_node] = hit[on_node]
+        out = np.tensordot(w, tab, axes=(1, 0))
+        out /= w.sum(axis=1).reshape((-1,) + (1,) * (tab.ndim - 1))
+        return out.reshape(r.shape + tab.shape[1:])
+
+    def cartesian(self, r) -> np.ndarray:
         return self._interp(self._lie_tab, r)
 
-    def rr(self, r: float) -> np.ndarray:
+    def rr(self, r) -> np.ndarray:
         return self._interp(self._rr_tab, r)
 
-    def ra(self, r: float) -> np.ndarray:
-        rho = np.sqrt(r * (r - 2.0 * self.params.m))
-        return self._interp(self._ra_tab, r) * (r / rho)
+    def ra(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return self._interp(self._ra_tab, r) * (r / _rho(self.params, r))[..., None, None]
 
-    def u(self, r: float) -> np.ndarray:
+    def u(self, r) -> np.ndarray:
         bg = background_at(self.params, r)
-        return self._interp(self._yperp_tab, r) * bg.du_sc
+        return self._interp(self._yperp_tab, r) * bg.du_sc[..., None]

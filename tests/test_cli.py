@@ -253,6 +253,19 @@ class TestMainEntry:
         assert captured.err.startswith("error: ")
         assert "pass" not in captured.out
 
+    @pytest.mark.parametrize("band", [cli.GAUGE_TEST_MAX_L_BAND + 1, 100])
+    def test_gauge_test_rejects_band_above_maximum(self, band, monkeypatch, capsys):
+        # the band is checked before any grid exists: building one would fail here
+        def no_grid(*args, **kwargs):
+            raise AssertionError("SphereCalc built for a rejected band")
+
+        monkeypatch.setattr("schwarzstatic.sphere_ops.SphereCalc", no_grid)
+        assert cli.main(["gauge-test", "--l-band", str(band)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --l-band must lie in 0..")
+        assert captured.out == ""
+
     def test_match_round_cli(self, capsys):
         assert cli.main(["match-round", "--rho", "1", "--h", "2", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)

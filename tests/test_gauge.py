@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from schwarzstatic.background import (
     SchwarzschildParams,
@@ -148,6 +149,101 @@ class TestBuildGaugeField:
             expect_t = 0.6 * x1.x_tan(r) - 2.0 * x2.x_tan(r)
             assert np.abs(xc.x_tan(r) - expect_t).max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_cells": 0},
+            {"n_cells": -3},
+            {"n_cells": 2.5},
+            {"n_cells": 8.0},
+            {"r1": float("nan")},
+            {"r1": float("inf")},
+            {"r1": 3.0},
+            {"r1": 2.5},
+        ],
+        ids=["zero-cells", "negative-cells", "fractional-cells", "float-cells",
+             "nan-r1", "inf-r1", "r1-at-r0", "r1-below-r0"],
+    )
+    def test_rejects_bad_cells_and_window(self, calc, kwargs):
+        gt = DeformationField(P13, calc)
+        gt.add_rr(constant_profile(1.0), np.ones(calc.n_nodes))
+        with pytest.raises(ValueError):
+            build_gauge_field(gt, P13, calc, **kwargs)
+
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    def test_solver_tolerances_are_deprecated_and_ignored(self, calc, name):
+        rng = np.random.default_rng(8)
+        gt = random_deformation(rng, P13, calc, l_band=2, gauge_fixed=False)
+        with pytest.warns(DeprecationWarning, match=name):
+            X = build_gauge_field(gt, P13, calc, n_cells=8, **{name: 1e-6})
+        ref = build_gauge_field(gt, P13, calc, n_cells=8)
+        radii = np.linspace(3.0, 12.0, 5)
+        assert np.array_equal(X.x_tan(radii), ref.x_tan(radii))
+
+    def test_array_radii_match_per_radius_calls(self, calc):
+        rng = np.random.default_rng(9)
+        gt = random_deformation(rng, P13, calc, l_band=4, gauge_fixed=False)
+        X = build_gauge_field(gt, P13, calc)
+        # both window ends, two cell edges, and interior points
+        radii = np.concatenate([[3.0, 12.0], X._cells[[1, 29]], rng.uniform(3.0, 12.0, 7)])
+        for method in ("x_perp", "x_tan", "cartesian"):
+            batched = getattr(X, method)(radii)
+            one_by_one = np.stack([getattr(X, method)(r) for r in radii])
+            assert batched.shape == one_by_one.shape
+            sup = np.abs(one_by_one).max()
+            assert np.abs(batched - one_by_one).max() <= 1e-14 * sup, method
+            grid = getattr(X, method)(radii[:10].reshape(2, 5))
+            assert grid.shape == (2, 5) + one_by_one.shape[1:]
+
+    def test_rejects_radius_outside_window(self, calc):
+        gt = DeformationField(P13, calc)
+        gt.add_rr(constant_profile(1.0), np.ones(calc.n_nodes))
+        X = build_gauge_field(gt, P13, calc)
+        for r in (2.9, 12.1, np.array([4.0, float("nan")])):
+            with pytest.raises(ValueError):
+                X.x_perp(r)
+
+
+def tangential_ode(gt, X, calc, radii):
+    """Frame components w_A at radii from the tangential ODE itself.
+
+    w_A' = (H_sc/2) w_A - g~(dr, e_A) - e_A(X_perp), w_A(r0) = 0, integrated
+    by scipy's DOP853: an independent route to X.x_tan, which is a quadrature
+    with the integrating factor rho.
+    """
+    def rhs(r, y):
+        bg = background_at(P13, r)
+        src = gt.ra(r) + calc.grad_scalar_frame(X.x_perp(r)) / np.sqrt(bg.rho2)
+        return (0.5 * bg.H_sc * y.reshape(-1, 2) - src).ravel()
+
+    sol = solve_ivp(
+        rhs, (X.r0, X.r1), np.zeros(2 * calc.n_nodes), method="DOP853",
+        rtol=1e-12, atol=1e-14, t_eval=radii,
+    )
+    assert sol.success
+    return sol.y.T.reshape(len(radii), calc.n_nodes, 2)
+
+
+class TestTangentialOdeRoute:
+    def test_random_deformation(self, calc):
+        rng = np.random.default_rng(12)
+        gt = random_deformation(rng, P13, calc, l_band=4, gauge_fixed=False)
+        X = build_gauge_field(gt, P13, calc)
+        radii = np.linspace(X.r0, X.r1, 10)
+        quad = X.x_tan(radii)
+        ode = tangential_ode(gt, X, calc, radii)
+        assert np.abs(quad - ode).max() <= 1e-9 * np.abs(quad).max()
+
+    def test_flow_deformation(self):
+        calc = SphereCalc(l_max=6)
+        y_fn, _ = make_test_vector_field(P13)
+        gt = FlowLieDeformation(y_fn, P13, calc)
+        X = build_gauge_field(gt, P13, calc)
+        radii = np.linspace(X.r0, X.r1, 10)
+        quad = X.x_tan(radii)
+        ode = tangential_ode(gt, X, calc, radii)
+        assert np.abs(quad - ode).max() <= 1e-9 * np.abs(quad).max()
+
 
 class TestApplyGauge:
     def test_zero_gauge_field_keeps_deformation(self, calc):
@@ -193,6 +289,26 @@ class TestApplyGauge:
         bg = background_at(P13, r)
         expect = X.x_perp(r) * bg.du_sc
         assert_allclose(out.u[0], expect, atol=1e-14)
+
+    def test_batched_radii_match_one_radius_calls(self, calc):
+        # radii within two stencil steps of r0 or r1 take one-sided stencils
+        rng = np.random.default_rng(10)
+        gt = random_deformation(rng, P13, calc, l_band=4, gauge_fixed=False)
+        X = build_gauge_field(gt, P13, calc)
+        r_nodes = np.array([3.0, 3.001, 4.7, 8.2, 11.999, 12.0])
+        out = apply_gauge(gt, X, r_nodes)
+        lie_sup = np.abs(out.lie_cart).max()
+        for i, r in enumerate(r_nodes):
+            one = apply_gauge(gt, X, np.array([r]))
+            for name, sup in (
+                ("lie_cart", lie_sup),
+                ("rr_residual", lie_sup),
+                ("ra_residual", lie_sup),
+                ("ab", np.abs(out.ab).max()),
+                ("u", np.abs(out.u).max()),
+            ):
+                diff = np.abs(getattr(out, name)[i] - getattr(one, name)[0]).max()
+                assert diff <= 1e-14 * sup, (r, name)
 
 
 class TestFlowOracle:
@@ -247,12 +363,26 @@ class TestFlowOracle:
         ])
         assert np.array_equal(gt._yperp_tab, y_perp)
 
+    def test_array_radii_match_scalar_calls(self):
+        calc = SphereCalc(l_max=4)
+        y_fn, _ = make_test_vector_field(P13)
+        gt = FlowLieDeformation(y_fn, P13, calc)
+        # exact Chebyshev nodes first, then points between them
+        radii = np.concatenate([gt._nodes[[0, 5, 16, 32]], [3.3, 4.1, 7.3, 11.9]])
+        for method in ("rr", "ra", "u", "cartesian"):
+            batched = getattr(gt, method)(radii)
+            scalar = np.stack([getattr(gt, method)(r) for r in radii])
+            assert np.array_equal(batched[:4], scalar[:4]), method
+            assert np.abs(batched - scalar).max() <= 1e-14 * np.abs(scalar).max(), method
+        assert np.array_equal(gt.rr(gt._nodes), gt._rr_tab)
+        assert np.array_equal(gt.cartesian(gt._nodes), gt._lie_tab)
+
     def test_recovery_of_minus_y(self):
         # uniqueness: feeding L_Y g_sc recovers X = -Y
         calc = SphereCalc(l_max=6)
         y_fn, _ = make_test_vector_field(P13)
         gt = FlowLieDeformation(y_fn, P13, calc)
-        X = build_gauge_field(gt, P13, calc, n_cells=24, rtol=1e-10, atol=1e-12)
+        X = build_gauge_field(gt, P13, calc, n_cells=24)
         scale = 0.2
         for r in [4.0, 6.5, 10.0]:
             y = y_fn(r * calc.normal)
@@ -268,7 +398,7 @@ class TestFlowOracle:
         calc = SphereCalc(l_max=6)
         y_fn, _ = make_test_vector_field(P13)
         gt = FlowLieDeformation(y_fn, P13, calc)
-        X = build_gauge_field(gt, P13, calc, n_cells=24, rtol=1e-10, atol=1e-12)
+        X = build_gauge_field(gt, P13, calc, n_cells=24)
         r = 5.5
         out = apply_gauge(gt, X, np.array([r]))
         flow = flow_lie_derivative(y_fn, P13, r * calc.normal, eps=1e-3, steps=8)
