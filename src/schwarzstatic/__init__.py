@@ -16,13 +16,10 @@ from .background import (
     match_round_data,
 )
 from .harmonics import (
-    HarmonicCoefficients,
     ModeIndex,
     SphereGrid,
-    analyze,
     make_grid,
     sh_eval,
-    synthesize,
 )
 from .modes import (
     AsymptoticClass,
@@ -51,13 +48,10 @@ __all__ = [
     "deformation_forward",
     "deformation_inverse",
     "match_round_data",
-    "HarmonicCoefficients",
     "ModeIndex",
     "SphereGrid",
-    "analyze",
     "make_grid",
     "sh_eval",
-    "synthesize",
     "AsymptoticClass",
     "AsymptoticKind",
     "KernelVerdict",

@@ -22,6 +22,8 @@ import numpy as np
 
 from .background import RoundData, SchwarzschildParams, match_round_data
 from .modes import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     AsymptoticClass,
     AsymptoticKind,
     ModeSolution,
@@ -60,8 +62,8 @@ class SweepConfig:
     ell_max: int = 8
     decay_q: float = 0.75
     r_max_factor: float = 1e6
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
     eps_dec: float = 1e-4
     k_div: float = 1e3
     seed: int = 0  # echoed into sweep.json; no verdict depends on it
@@ -286,8 +288,8 @@ def write_mode_profile(
     ell: int,
     a0: float = 1.0,
     r_max_factor: float = 1e6,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
     k_div: float = 1e3,
 ) -> str:
     """Radial profile file mode_m<>_r0<>_l<>.csv with r,a,da,A,phi,Phi.
@@ -475,7 +477,7 @@ def _cmd_mode(args) -> int:
 
     try:
         ivp = make_ivp(params, args.ell, args.a0)
-        sol = integrate_mode(ivp, r_max, rtol=1e-10, atol=1e-12)
+        sol = integrate_mode(ivp, r_max, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
     except (RuntimeError, ValueError) as exc:
         print(f"error: mode integration failed: {exc}", file=sys.stderr)
         return 2
@@ -514,7 +516,7 @@ def _cmd_match_round(args) -> int:
 
 def _cmd_gauge_test(args) -> int:
     from .fields import random_deformation
-    from .gauge import apply_gauge, build_gauge_field
+    from .gauge import GEODESIC_GAUGE_TOL, apply_gauge, build_gauge_field
     from .sphere_ops import SphereCalc
 
     seed = _resolved_seed(args.seed, 0)
@@ -528,10 +530,10 @@ def _cmd_gauge_test(args) -> int:
     gt = random_deformation(rng, params, calc, l_band=args.l_band, gauge_fixed=False)
     X = build_gauge_field(gt, params, calc)
     out = apply_gauge(gt, X, np.linspace(3.0, 11.5, 18))
-    ok = out.max_radial_residual <= 1e-8
+    ok = out.max_radial_residual <= GEODESIC_GAUGE_TOL
     print(
         f"gauge annihilation residual {out.max_radial_residual:.3e}"
-        f" (threshold 1e-08): {'pass' if ok else 'FAIL'}"
+        f" (threshold {GEODESIC_GAUGE_TOL:g}): {'pass' if ok else 'FAIL'}"
     )
     return 0 if ok else 2
 

@@ -1,12 +1,13 @@
 """Grid evaluation of the conformal static operator and its linearization.
 
 The nonlinear residual (Ric_g - 2 du (x) du, Lap_g u) is evaluated from
-Cartesian metric components sampled on a radial x spherical grid.  Radial
-derivatives use 4th-order stencils, applied on their band by fd.apply_radial
-(shifted slices, not a dense n_r x n_r product); angular derivatives go
-through harmonic synthesis of basis derivatives, which is exact on
-band-limited data, so the radial truncation dominates and the residual of
-the exact background converges at 4th order.
+Cartesian metric components sampled on a radial x spherical grid.  Every
+Cartesian gradient goes through gradient_components (gradient_scalar is its
+scalar case): radial derivatives use the 4th-order stencils of
+fd.apply_radial on the grid step, angular derivatives go through harmonic
+synthesis of basis derivatives, which is exact on band-limited data, so the
+radial truncation dominates and the residual of the exact background
+converges at 4th order.
 
 The linearization oracle is a complex step (Squire & Trapp, SIAM Rev. 40
 (1998) 110): the nonlinear operator T is evaluated once at q + i h d and
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import SchwarzschildParams, background_at, conformal_metric_cartesian
-from .fd import apply_radial, d1_matrix
+from .fd import apply_radial
 from .fields import DeformationField
 from .sphere_ops import SphereCalc
 
@@ -65,7 +66,6 @@ class LabGrid:
     params: SchwarzschildParams
     calc: SphereCalc
     r: np.ndarray
-    D1: np.ndarray
 
     @property
     def n_r(self) -> int:
@@ -87,8 +87,7 @@ def make_lab_grid(
         r_outer = 2.5 * params.r0
     if calc is None:
         calc = SphereCalc(l_max)
-    r = np.linspace(params.r0, r_outer, n_r)
-    return LabGrid(params, calc, r, d1_matrix(n_r, r[1] - r[0]))
+    return LabGrid(params, calc, np.linspace(params.r0, r_outer, n_r))
 
 
 @dataclass
@@ -131,15 +130,7 @@ def flat_samples(grid: LabGrid):
 
 def gradient_scalar(grid: LabGrid, f: np.ndarray) -> np.ndarray:
     """Cartesian gradient of scalar samples (n_r, n) -> (n_r, n, 3)."""
-    calc = grid.calc
-    dr = apply_radial(grid.D1, f)
-    dt, dp = calc.angular_derivatives(f)
-    inv_r = 1.0 / grid.r[:, None]
-    return (
-        dr[..., None] * calc.normal
-        + (dt * inv_r)[..., None] * calc.theta_hat
-        + (dp * inv_r / calc.sin_theta)[..., None] * calc.phi_hat
-    )
+    return gradient_components(grid, f)
 
 
 def gradient_components(grid: LabGrid, field: np.ndarray) -> np.ndarray:
@@ -147,7 +138,7 @@ def gradient_components(grid: LabGrid, field: np.ndarray) -> np.ndarray:
     tail = field.shape[2:]
     calc = grid.calc
     flat = field.reshape(grid.n_r, calc.n_nodes, -1)
-    dr = np.moveaxis(apply_radial(grid.D1, flat), -1, 0)
+    dr = np.moveaxis(apply_radial(flat, grid.h, 1), -1, 0)
     dt, dp = calc.angular_derivatives(np.moveaxis(flat, -1, 0))
     inv_r = 1.0 / grid.r[None, :, None]
     g = (
@@ -270,7 +261,7 @@ def adapted_frame_components(grid: LabGrid, T: np.ndarray):
     frame vectors are d/dr and the parallel tangential frame (r/rho) * unit.
     """
     fac = grid.r / np.sqrt(grid.r * (grid.r - 2.0 * grid.params.m))
-    rr, ra, ab = grid.calc.adapted_components(T, fac[:, None])
+    rr, ra, ab = grid.calc.adapted_components(T, fac)
     return {"rr": rr, "ra": ra, "ab": ab}
 
 

@@ -1,4 +1,4 @@
-"""Finite-difference operators on uniform radial grids.
+"""Finite-difference derivatives on uniform radial grids.
 
 Interior rows use centered 5-point stencils (4th order).  The two rows at
 each end use one-sided 6-point stencils of order 5: the extra edge order
@@ -8,25 +8,23 @@ error constants inject an h^3 term under a second differentiation.  The
 weights are the classical centred and one-sided ones (Fornberg, Math. Comp.
 51 (1988) 699).
 
-The matrices are the one source of the coefficients, but apply_radial never
-forms the dense product: it applies the interior stencil as five shifted
-slices and the two edge rows at each end as a 7-column block, each row
-summed left to right.  Every term is a real weight times a sample, so for
-complex samples the real and imaginary parts are each differentiated on
-their own, exactly as for real input; the complex-step oracle in
-curvature_lab relies on this.
+apply_radial keeps the weights in their band layout and never forms an
+n_r x n_r matrix: it applies the interior stencil as five shifted slices and
+the two edge rows at each end as a 7-column block, each row summed left to
+right.  Every term is a real weight times a sample, so for complex samples
+the real and imaginary parts are each differentiated on their own, exactly
+as for real input; the complex-step oracle in curvature_lab relies on this.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 import numpy as np
 
 __all__ = [
     "stencil_coefficients",
-    "d1_matrix",
-    "d2_matrix",
     "apply_radial",
 ]
 
@@ -47,50 +45,42 @@ def stencil_coefficients(offsets, order: int) -> np.ndarray:
     return c
 
 
-def _derivative_matrix(n: int, h: float, order: int, edge_points: int) -> np.ndarray:
-    if n < max(7, edge_points):
-        raise ValueError("grid too small for the stencil set")
-    d = np.zeros((n, n))
-    center = stencil_coefficients([-2, -1, 0, 1, 2], order) / h**order
-    for row in range(2, n - 2):
-        d[row, row - 2 : row + 3] = center
-    for row in (0, 1):
-        offs = np.arange(edge_points) - row
-        c = stencil_coefficients(offs, order) / h**order
-        d[row, row + offs.astype(int)] = c
-    for row in (n - 2, n - 1):
-        back = n - 1 - row
-        offs = -(np.arange(edge_points) - back)[::-1]
-        c = stencil_coefficients(offs, order) / h**order
-        d[row, row + offs.astype(int)] = c
-    return d
+@cache
+def _band(order: int):
+    """Weights for unit spacing: centre (5,), head and tail edge blocks (2, 7).
 
-
-def d1_matrix(n: int, h: float) -> np.ndarray:
-    """First derivative: centered 4th order inside, order-5 one-sided edges."""
-    return _derivative_matrix(n, h, order=1, edge_points=6)
-
-
-def d2_matrix(n: int, h: float) -> np.ndarray:
-    """Second derivative: centered 4th order inside, order-5 one-sided edges."""
-    return _derivative_matrix(n, h, order=2, edge_points=7)
-
-
-def apply_radial(d: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """d @ f along axis 0 for d from d1_matrix or d2_matrix, applied on its band.
-
-    The interior rows 2 .. n-3 share the centred weights d[2, :5]; the two
-    edge rows at each end reach at most 7 columns (d2's 7-point closure).
-    Every row is summed left to right, so real and complex input round alike.
+    head[i] acts on samples 0..6 for row i; tail[i] on the last seven samples
+    for row n-2+i.  The order-5 closures take order + 5 points, so the first
+    derivative's blocks carry a zero in the column farthest from the edge.
     """
+    points = order + 5
+    centre = stencil_coefficients([-2, -1, 0, 1, 2], order)
+    head, tail = np.zeros((2, 7)), np.zeros((2, 7))
+    for row in (0, 1):
+        head[row, :points] = stencil_coefficients(np.arange(points) - row, order)
+        tail[1 - row, 7 - points :] = stencil_coefficients(np.arange(1 - points, 1) + row, order)
+    return centre, head, tail
+
+
+def apply_radial(f: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Derivative of the given order (1 or 2) along axis 0 of samples spaced h.
+
+    Centred 4th-order weights on rows 2 .. n-3, order-5 one-sided closures on
+    the two rows at each end; needs at least 7 samples.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"radial derivative order must be 1 or 2, got {order}")
     n = len(f)
-    out = np.empty(f.shape, dtype=np.result_type(d, f))
+    if n < 7:
+        raise ValueError(f"radial stencils need at least 7 samples, got {n}")
+    centre, head, tail = (w / h**order for w in _band(order))
+    out = np.empty(f.shape, dtype=np.result_type(centre, f))
     body = out[2:-2]  # c0*f[:-4] + c1*f[1:-3] + ... + c4*f[4:], in place
-    np.multiply(d[2, 0], f[: n - 4], out=body)
+    np.multiply(centre[0], f[: n - 4], out=body)
     for j in range(1, 5):
-        body += d[2, j] * f[j : n - 4 + j]
-    out[:2] = _edge_rows(d[:2, :7], f[:7])
-    out[-2:] = _edge_rows(d[-2:, -7:], f[-7:])
+        body += centre[j] * f[j : n - 4 + j]
+    out[:2] = _edge_rows(head, f[:7])
+    out[-2:] = _edge_rows(tail, f[-7:])
     return out
 
 

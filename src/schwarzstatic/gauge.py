@@ -42,6 +42,7 @@ from .fd import stencil_coefficients
 from .sphere_ops import SphereCalc
 
 __all__ = [
+    "GEODESIC_GAUGE_TOL",
     "GaugeVectorField",
     "build_gauge_field",
     "apply_gauge",
@@ -50,6 +51,9 @@ __all__ = [
     "flow_lie_derivative",
     "FlowLieDeformation",
 ]
+
+# largest radial residual of apply_gauge's audit that certifies the gauge
+GEODESIC_GAUGE_TOL = 1e-8
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
@@ -201,7 +205,7 @@ class GaugedDeformation:
 
     @property
     def global_geodesic_gauge(self) -> bool:
-        return self.max_radial_residual <= 1e-8
+        return self.max_radial_residual <= GEODESIC_GAUGE_TOL
 
 
 def _metric_gradient_cart(params: SchwarzschildParams, calc: SphereCalc, r: np.ndarray):
@@ -264,7 +268,7 @@ def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformati
     lie += mixed + np.swapaxes(mixed, -1, -2)
 
     rr_res, ra_res, ab = calc.adapted_components(
-        gt.cartesian(r) + lie, (r / np.sqrt(bg.rho2))[:, None]
+        gt.cartesian(r) + lie, r / np.sqrt(bg.rho2)
     )
     u = gt.u(r) + X.x_perp(r) * bg.du_sc[:, None]
     return GaugedDeformation(

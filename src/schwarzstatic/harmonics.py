@@ -1,4 +1,4 @@
-"""Real orthonormal spherical harmonics, quadrature grids, transforms.
+"""Real orthonormal spherical harmonics, quadrature grids and transform tables.
 
 The basis is L2-orthonormal on the unit sphere with the standard area form.
 It uses unsigned associated Legendre functions (no Condon-Shortley phase in
@@ -6,9 +6,13 @@ the real basis) with cosine factors for k > 0 and sine factors for k < 0.
 Coefficients are stored flat, mode (ell, k) at position ell*ell + ell + k.
 
 Grids are Gauss-Legendre in cos(theta) tensored with uniform longitudes, so
-quadrature is exact for integrands of total degree <= 2*n_theta - 1 and the
-analysis/synthesis pair is exact on band-limited fields.  The transforms are
-direct O(L^4); no FFT path is provided.
+quadrature is exact for integrands of total degree <= 2*n_theta - 1.  A
+SphereGrid carries the synthesis matrices (Y and its angular derivatives)
+and the quadrature-weighted analysis matrix; the transforms themselves
+(sphere_ops.SphereCalc.coeffs, from_coeffs, laplacian_scalar) are direct
+O(L^4) products with them, exact on band-limited fields.  No FFT path is
+provided.  sh_eval evaluates one harmonic through scipy's lpmv, a route
+independent of the tables make_grid builds.
 """
 
 from __future__ import annotations
@@ -22,15 +26,11 @@ from scipy.special import assoc_legendre_p_all, gammaln, lpmv
 __all__ = [
     "ModeIndex",
     "SphereGrid",
-    "HarmonicCoefficients",
     "mode_position",
     "mode_list",
     "degree_table",
     "make_grid",
     "sh_eval",
-    "analyze",
-    "synthesize",
-    "laplacian_coefficients",
 ]
 
 
@@ -194,57 +194,3 @@ def make_grid(l_max: int = 8, n_theta: int | None = None, n_phi: int | None = No
         dY_dphi=dY_dp,
         analysis=analysis,
     )
-
-
-@dataclass
-class HarmonicCoefficients:
-    """Band-limited expansion of a sphere function, flat (ell, k) layout."""
-
-    l_max: int
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.shape != ((self.l_max + 1) ** 2,):
-            raise ValueError(
-                f"coefficient array must have length {(self.l_max + 1) ** 2}"
-            )
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError("coefficients must be finite")
-
-    def __getitem__(self, idx) -> float:
-        ell, k = idx
-        return float(self.c[mode_position(ell, k)])
-
-
-def analyze(field, grid: SphereGrid, l_max: int | None = None) -> HarmonicCoefficients:
-    """Project node samples onto the harmonic basis by quadrature.
-
-    Exact (to roundoff) whenever the field is band-limited at or below the
-    grid's l_max.
-    """
-    field = np.asarray(field, dtype=float)
-    if field.shape != (grid.n_nodes,):
-        raise ValueError(
-            f"field has {field.shape} samples, grid has {grid.n_nodes} nodes"
-        )
-    if l_max is None:
-        l_max = grid.l_max
-    if l_max > grid.l_max:
-        raise ValueError("requested band limit exceeds the grid band limit")
-    c = grid.analysis @ field
-    return HarmonicCoefficients(l_max=l_max, c=c[: (l_max + 1) ** 2])
-
-
-def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> np.ndarray:
-    """Evaluate the truncated expansion at the grid nodes."""
-    n = (coeffs.l_max + 1) ** 2
-    if n > grid.n_modes:
-        raise ValueError("coefficients exceed the grid band limit")
-    return grid.Y[:, :n] @ coeffs.c
-
-
-def laplacian_coefficients(coeffs: HarmonicCoefficients) -> HarmonicCoefficients:
-    """Unit-sphere Laplace-Beltrami in coefficient space: c -> -l(l+1) c."""
-    ell = degree_table(coeffs.l_max)
-    return HarmonicCoefficients(l_max=coeffs.l_max, c=-ell * (ell + 1.0) * coeffs.c)

@@ -22,7 +22,7 @@ from .curvature_lab import (
     oracle_combinations,
 )
 from .fields import random_deformation
-from .gauge import apply_gauge, build_gauge_field
+from .gauge import GEODESIC_GAUGE_TOL, apply_gauge, build_gauge_field
 from .harmonics import make_grid
 from .modes import integrate_mode, make_ivp
 from .sphere_ops import SphereCalc
@@ -85,9 +85,9 @@ def _suite_gauge(rng) -> SuiteResult:
     measured = out.max_radial_residual
     return SuiteResult(
         name="gauge annihilation of radial components",
-        passed=measured <= 1e-8,
+        passed=measured <= GEODESIC_GAUGE_TOL,
         measured=measured,
-        threshold=1e-8,
+        threshold=GEODESIC_GAUGE_TOL,
     )
 
 

@@ -169,11 +169,11 @@ class SphereCalc:
         """Components (rr, ra, ab) of Cartesian 2-tensors in the adapted frame.
 
         t has shape (..., n, 3, 3); the frame is {normal, scale * frame}, with
-        scale broadcasting against t.shape[:-2].  Returns rr (..., n),
-        ra (..., n, 2) and ab (..., n, 2, 2).
+        scale broadcasting against the leading axes t.shape[:-3].  Returns
+        rr (..., n), ra (..., n, 2) and ab (..., n, 2, 2).
         """
         n, e = self.normal, self.frame
-        scale = np.asarray(scale)[..., None]
+        scale = np.asarray(scale)[..., None, None]
         rr = np.einsum("...nij,ni,nj->...n", t, n, n)
         ra = np.einsum("...nij,ni,naj->...na", t, n, e) * scale
         ab = np.einsum("...nij,nai,nbj->...nab", t, e, e) * scale[..., None] ** 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import SchwarzschildParams, background_at
-from .fd import apply_radial, d1_matrix, d2_matrix
+from .fd import apply_radial
 from .fields import DeformationField
 from .sphere_ops import SphereCalc
 
@@ -113,10 +113,8 @@ class FoliationDeformation:
         h = r[1] - r[0]
         if np.abs(np.diff(r) - h).max() > 1e-10 * h:
             raise ValueError("sample constructor needs a uniform radial grid")
-        d1 = d1_matrix(len(r), h)
-        d2 = d2_matrix(len(r), h)
-        dg = apply_radial(d1, gamma)
-        d2g = apply_radial(d2, gamma)
+        dg = apply_radial(gamma, h, 1)
+        d2g = apply_radial(gamma, h, 2)
         return cls(
             params=params,
             calc=calc,
@@ -127,8 +125,8 @@ class FoliationDeformation:
             u=u,
             dH=0.5 * _trace2(d2g),
             dKring=0.5 * _traceless2(d2g),
-            du=apply_radial(d1, u),
-            d2u=apply_radial(d2, u),
+            du=apply_radial(u, h, 1),
+            d2u=apply_radial(u, h, 2),
         )
 
 
@@ -207,12 +205,11 @@ def decoupled_residual(
     """
     r = np.asarray(r, dtype=float)
     h = r[1] - r[0]
-    d1 = d1_matrix(len(r), h)
     if du is None:
-        du = apply_radial(d1, u)
-        d2u = apply_radial(d2_matrix(len(r), h), u)
+        du = apply_radial(u, h, 1)
+        d2u = apply_radial(u, h, 2)
     else:
-        d2u = apply_radial(d1, du)
+        d2u = apply_radial(du, h, 1)
     m, r0 = params.m, params.r0
     rho2 = (r * (r - 2.0 * m))[:, None]
     lap = calc.laplacian_scalar(u)

@@ -3,21 +3,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from schwarzstatic.harmonics import (
-    HarmonicCoefficients,
     ModeIndex,
-    analyze,
-    laplacian_coefficients,
     make_grid,
     mode_list,
     mode_position,
     sh_eval,
-    synthesize,
 )
+from schwarzstatic.sphere_ops import SphereCalc
 
 
 @pytest.fixture(scope="module")
 def grid8():
     return make_grid(8)
+
+
+@pytest.fixture(scope="module")
+def calc8():
+    return SphereCalc(l_max=8)
 
 
 class TestModeIndex:
@@ -85,55 +87,56 @@ class TestGrid:
 
 
 class TestTransforms:
-    def test_analyze_single_harmonic(self, grid8):
-        field = grid8.Y[:, mode_position(3, 2)]
-        coeffs = analyze(field, grid8)
-        expected = np.zeros(grid8.n_modes)
+    """Analysis (coeffs) and synthesis (from_coeffs) through SphereCalc."""
+
+    def test_analyze_single_harmonic(self, calc8):
+        field = calc8.grid.Y[:, mode_position(3, 2)]
+        coeffs = calc8.coeffs(field)
+        expected = np.zeros(calc8.grid.n_modes)
         expected[mode_position(3, 2)] = 1.0
-        assert np.abs(coeffs.c - expected).max() <= 1e-12
+        assert np.abs(coeffs - expected).max() <= 1e-12
 
-    def test_analyze_constant(self, grid8):
-        coeffs = analyze(np.ones(grid8.n_nodes), grid8)
-        assert_allclose(coeffs[(0, 0)], np.sqrt(4.0 * np.pi), rtol=1e-13)
-        assert np.abs(coeffs.c[1:]).max() <= 1e-12
+    def test_analyze_constant(self, calc8):
+        coeffs = calc8.coeffs(np.ones(calc8.n_nodes))
+        assert_allclose(coeffs[mode_position(0, 0)], np.sqrt(4.0 * np.pi), rtol=1e-13)
+        assert np.abs(coeffs[1:]).max() <= 1e-12
 
-    def test_analyze_size_mismatch(self, grid8):
+    def test_analyze_size_mismatch(self, calc8):
         with pytest.raises(ValueError):
-            analyze(np.ones(10), grid8)
+            calc8.coeffs(np.ones(10))
 
-    def test_synthesize_zero(self, grid8):
-        coeffs = HarmonicCoefficients(l_max=8, c=np.zeros(81))
-        assert_allclose(synthesize(coeffs, grid8), 0.0)
+    def test_synthesize_zero(self, calc8):
+        assert_allclose(calc8.from_coeffs(np.zeros(81)), 0.0)
 
-    def test_synthesize_constant(self, grid8):
+    def test_synthesize_constant(self, calc8):
         c = np.zeros(81)
         c[0] = np.sqrt(4.0 * np.pi)
-        field = synthesize(HarmonicCoefficients(l_max=8, c=c), grid8)
-        assert_allclose(field, 1.0, rtol=1e-13)
+        assert_allclose(calc8.from_coeffs(c), 1.0, rtol=1e-13)
 
-    def test_band_limited_round_trip(self, grid8):
+    def test_band_limited_round_trip(self, calc8):
         rng = np.random.default_rng(11)
         c = np.zeros(81)
         c[:36] = rng.standard_normal(36)  # band limit L = 5
-        coeffs = HarmonicCoefficients(l_max=8, c=c)
-        field = synthesize(coeffs, grid8)
-        back = analyze(field, grid8)
-        assert np.abs(back.c - c).max() <= 1e-12
-        again = synthesize(back, grid8)
+        field = calc8.from_coeffs(c)
+        back = calc8.coeffs(field)
+        assert np.abs(back - c).max() <= 1e-12
+        again = calc8.from_coeffs(back)
         assert np.abs(again - field).max() <= 1e-12
 
-    def test_parseval(self, grid8):
+    def test_parseval(self, calc8):
         rng = np.random.default_rng(5)
         c = rng.standard_normal(81)
-        field = synthesize(HarmonicCoefficients(l_max=8, c=c), grid8)
-        quad = grid8.weights @ field**2
+        field = calc8.from_coeffs(c)
+        quad = calc8.grid.weights @ field**2
         assert_allclose(quad, np.sum(c**2), rtol=1e-12)
 
     def test_coefficient_space_laplacian(self):
+        # the spectral Laplacian scales each coefficient by -l(l+1)
+        calc = SphereCalc(l_max=3)
         c = np.zeros(16)
         c[mode_position(2, -1)] = 1.5
-        out = laplacian_coefficients(HarmonicCoefficients(l_max=3, c=c))
-        assert_allclose(out[(2, -1)], -6.0 * 1.5, rtol=1e-15)
+        out = calc.coeffs(calc.laplacian_scalar(calc.from_coeffs(c)))
+        assert_allclose(out[mode_position(2, -1)], -6.0 * 1.5, rtol=1e-15)
 
 
 class TestDiscreteLaplacian:
@@ -143,8 +146,6 @@ class TestDiscreteLaplacian:
         The discrete operator is div(grad) built from basis-derivative
         synthesis, independent of the coefficient-space eigenvalue shortcut.
         """
-        from schwarzstatic.sphere_ops import SphereCalc
-
         calc = SphereCalc(l_max=12)
         for ell, k in [(0, 0), (1, 1), (4, -2), (8, 5), (8, -8)]:
             y = calc.grid.Y[:, mode_position(ell, k)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schwarzstatic.fd import apply_radial, d1_matrix, d2_matrix
+from schwarzstatic.fd import apply_radial, stencil_coefficients
 from schwarzstatic.harmonics import mode_position
 from schwarzstatic.sphere_ops import SphereCalc
 
@@ -16,35 +16,49 @@ def harmonic(calc, ell, k):
     return calc.grid.Y[:, mode_position(ell, k)]
 
 
+def dense_derivative(n, h, order):
+    """The n x n matrix apply_radial applies on its band, built row by row."""
+    points = order + 5
+    d = np.zeros((n, n))
+    centre = stencil_coefficients([-2, -1, 0, 1, 2], order) / h**order
+    for row in range(2, n - 2):
+        d[row, row - 2 : row + 3] = centre
+    for row in (0, 1):
+        d[row, :points] = stencil_coefficients(np.arange(points) - row, order) / h**order
+        d[n - 1 - row, n - points :] = (
+            stencil_coefficients(np.arange(1 - points, 1) + row, order) / h**order
+        )
+    return d
+
+
 class TestRadialStencils:
     def test_first_derivative_exact_on_quartics(self):
         r = np.linspace(1.0, 3.0, 24)
-        d1 = d1_matrix(len(r), r[1] - r[0])
         for p in range(5):
-            assert_allclose(d1 @ r**p, p * r ** max(p - 1, 0) * (p > 0), atol=1e-10)
+            d1 = apply_radial(r**p, r[1] - r[0], 1)
+            assert_allclose(d1, p * r ** max(p - 1, 0) * (p > 0), atol=1e-10)
 
     def test_second_derivative_exact_on_quintics(self):
         r = np.linspace(1.0, 3.0, 24)
-        d2 = d2_matrix(len(r), r[1] - r[0])
         for p in range(6):
             expect = p * (p - 1) * r ** max(p - 2, 0) if p >= 2 else np.zeros_like(r)
-            assert_allclose(d2 @ r**p, expect, atol=1e-8)
+            assert_allclose(apply_radial(r**p, r[1] - r[0], 2), expect, atol=1e-8)
 
     def test_fourth_order_convergence(self):
         def err(n):
             r = np.linspace(1.0, 2.0, n)
-            d1 = d1_matrix(n, r[1] - r[0])
-            return np.abs(d1 @ np.exp(r) - np.exp(r)).max()
+            return np.abs(apply_radial(np.exp(r), r[1] - r[0], 1) - np.exp(r)).max()
 
         ratio = err(33) / err(65)
         assert 12.0 < ratio < 22.0
 
-    @pytest.mark.parametrize("make", [d1_matrix, d2_matrix])
-    def test_apply_radial_matches_dense_product(self, make):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_apply_radial_matches_dense_product(self, order):
         rng = np.random.default_rng(3)
         for n in range(7, 41):
             r = np.linspace(1.0, 3.0, n)
-            d = make(n, r[1] - r[0])
+            h = r[1] - r[0]
+            d = dense_derivative(n, h, order)
             for shape in [(n,), (n, 5), (n, 4, 3, 3)]:
                 re, im = rng.standard_normal((2, *shape))
                 for f in (re, re + 1j * im):
@@ -52,10 +66,20 @@ class TestRadialStencils:
                     # rounding of two summation orders is bounded by the
                     # sum of the absolute terms, not by the (cancelling) result
                     bound = np.einsum("ab,b...->a...", np.abs(d), np.abs(f))
-                    assert np.all(np.abs(apply_radial(d, f) - dense) <= 1e-14 * bound)
-                banded = apply_radial(d, re + 1j * im)
-                assert_allclose(banded.real, apply_radial(d, re), rtol=1e-14, atol=0)
-                assert_allclose(banded.imag, apply_radial(d, im), rtol=1e-14, atol=0)
+                    assert np.all(np.abs(apply_radial(f, h, order) - dense) <= 1e-14 * bound)
+                banded = apply_radial(re + 1j * im, h, order)
+                assert_allclose(banded.real, apply_radial(re, h, order), rtol=1e-14, atol=0)
+                assert_allclose(banded.imag, apply_radial(im, h, order), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_rejects_short_grid(self, n):
+        with pytest.raises(ValueError, match="at least 7"):
+            apply_radial(np.ones(n), 0.1, 1)
+
+    @pytest.mark.parametrize("order", [0, 3, -1])
+    def test_rejects_unsupported_order(self, order):
+        with pytest.raises(ValueError, match="1 or 2"):
+            apply_radial(np.ones(9), 0.1, order)
 
 
 class TestScalarOps:
@@ -95,6 +119,25 @@ class TestTensorOps:
         rr, ra, back = calc.adapted_components(calc.frame_to_cart_sym2(t))
         assert_allclose(back, t, atol=1e-13)
         assert np.abs(rr).max() <= 1e-13 and np.abs(ra).max() <= 1e-13
+
+    def test_adapted_scale_broadcasts_against_leading_axes(self):
+        # one radius per leading index: with as many radii as nodes, a scale
+        # broadcast along the node axis would go unnoticed by its shape
+        calc = SphereCalc(l_max=2)
+        n = calc.n_nodes
+        rng = np.random.default_rng(7)
+        for n_r in (n, 4):
+            t = rng.standard_normal((n_r, n, 3, 3))
+            scale = rng.uniform(0.5, 2.0, n_r)
+            rr, ra, ab = calc.adapted_components(t, scale)
+            for i in range(n_r):
+                rr_i, ra_i, ab_i = calc.adapted_components(t[i], scale[i])
+                assert_allclose(rr[i], rr_i, rtol=1e-15, atol=0)
+                assert_allclose(ra[i], ra_i, rtol=1e-15, atol=0)
+                assert_allclose(ab[i], ab_i, rtol=1e-15, atol=0)
+            sym = 0.5 * (t + np.swapaxes(t, -1, -2))
+            back = calc.from_adapted(*calc.adapted_components(sym, scale), 1.0 / scale)
+            assert_allclose(back, sym, atol=1e-13)
 
     def test_tt_tensors_are_traceless(self, calc):
         rng = np.random.default_rng(2)

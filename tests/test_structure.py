@@ -116,6 +116,13 @@ class TestStructureResiduals:
         assert fine <= 1e-4
         assert 10.0 < coarse / fine < 26.0
 
+    def test_from_samples_rejects_six_radii(self, calc):
+        # the radial stencils need seven samples
+        field = mass_variation_field(P13, calc)
+        r = np.linspace(3.0, 4.0, 6)
+        with pytest.raises(ValueError, match="at least 7"):
+            FoliationDeformation.from_samples(P13, calc, r, field.ab(r), field.u(r))
+
     def test_single_mode_with_conserved_H(self, calc):
         # u~ = a(r) Y_{kl}, H~ built from the radial conservation law with
         # the boundary slope; dg2 and dg1 must vanish to integrator accuracy
