@@ -28,8 +28,8 @@ from .modes import (
     ModeIVP,
     ModeSolution,
     classify,
-    comparison_positivity,
     integrate_mode,
+    integrate_modes,
     make_ivp,
     verify_kernel_trivial,
 )
@@ -58,8 +58,8 @@ __all__ = [
     "ModeIVP",
     "ModeSolution",
     "classify",
-    "comparison_positivity",
     "integrate_mode",
+    "integrate_modes",
     "make_ivp",
     "verify_kernel_trivial",
     "__version__",

@@ -4,7 +4,15 @@ Exit codes: 0 all verified, 1 configuration or usage error, 2 verification
 failure (a decaying or undetermined mode anywhere, or a failed self-test
 suite).  Output files use shortest round-trip float formatting, UTF-8, LF,
 and a fixed record order, so identical configurations reproduce identical
-bytes up to the measured wall_time_s fields.
+bytes up to the measured times (wall_time_s, integrate_s, classify_s).
+
+A sweep integrates its modes in batches: one integrate_modes call per
+contiguous chunk of the task list, one chunk per job.  A record's
+wall_time_s is therefore not the time of that mode alone.  It is the sum
+of integrate_s, the record's share of its batch's stepping time weighted
+by the mode's right-hand-side evaluations (nfev), and classify_s, the
+measured time of the mode's own sampling and classification.  The records
+of a batch add up to the batch's wall time.
 """
 
 from __future__ import annotations
@@ -13,12 +21,14 @@ import argparse
 import json
 import operator
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy
 
 from .background import RoundData, SchwarzschildParams, match_round_data
 from .modes import (
@@ -26,11 +36,12 @@ from .modes import (
     DEFAULT_RTOL,
     AsymptoticClass,
     AsymptoticKind,
+    KernelVerdict,
     ModeSolution,
     classify,
     integrate_mode,
+    integrate_modes,
     make_ivp,
-    verify_kernel_trivial,
 )
 
 __all__ = [
@@ -42,7 +53,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 CSV_HEADER = "m,r0,ell,class,fitted_limit,fitted_exponent,r_max,pass,wall_time_s"
 # gauge-test's grid has l_max = l_band + 2 and dense (nodes x modes) tables,
 # which grow like l_max^4: about 2 MB each at band 16, 1.8 GB at band 100
@@ -127,11 +138,18 @@ class VerdictRecord:
     fitted_exponent: float
     r_max: float
     passed: bool
-    wall_time_s: float
+    # the record's share of its batch's stepping time, and its own sampling
+    # and classification time (see the module docstring)
+    integrate_s: float
+    classify_s: float
     # solver diagnostics (sweep.json only); None for a solver failure
     n_steps: int | None = None
     nfev: int | None = None
     stop: str | None = None
+
+    @property
+    def wall_time_s(self) -> float:
+        return self.integrate_s + self.classify_s
 
     def csv_row(self) -> str:
         return ",".join(
@@ -166,52 +184,90 @@ class SweepReport:
         return f"{self.n_passed}/{len(self.records)} modes verified non-decaying"
 
 
-def _sweep_task(args) -> VerdictRecord:
-    """One record; a solver failure is recorded as Undetermined, not raised."""
-    config_fields, m, r0, ell = args
+def _sweep_chunk(args) -> list[VerdictRecord]:
+    """The records of one batch; a solver failure is recorded as Undetermined."""
+    cfg, tasks = args
     t0 = time.perf_counter()
-    try:
-        verdict = verify_kernel_trivial(
-            SchwarzschildParams(m=m, r0=r0),
-            ell,
-            decay_q=config_fields["decay_q"],
-            r_max_factor=config_fields["r_max_factor"],
-            rtol=config_fields["rtol"],
-            atol=config_fields["atol"],
-            eps_dec=config_fields["eps_dec"],
-            k_div=config_fields["k_div"],
-        )
-        klass, passed = verdict.klass, verdict.passed
-        diagnostics = {"n_steps": verdict.n_steps, "nfev": verdict.nfev, "stop": verdict.stop}
-    except (RuntimeError, ValueError):
-        nan = float("nan")
-        klass = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan)
-        passed = False
-        diagnostics = {}
-    wall = time.perf_counter() - t0
-    return VerdictRecord(
-        m=m,
-        r0=r0,
-        ell=ell,
-        class_name=klass.kind.value,
-        fitted_limit=klass.fitted_limit,
-        fitted_exponent=klass.fitted_exponent,
-        r_max=klass.r_max,
-        passed=passed,
-        wall_time_s=wall,
-        **diagnostics,
+    sols: list = [None] * len(tasks)  # a ModeSolution, or the error that ended the mode
+    ivps = {}
+    for k, (m, r0, ell) in enumerate(tasks):
+        try:
+            ivps[k] = make_ivp(SchwarzschildParams(m=m, r0=r0), ell, a0=1.0)
+        except ValueError as exc:
+            sols[k] = exc
+    batch = integrate_modes(
+        list(ivps.values()), [cfg["r_max_factor"] * ivp.r0 for ivp in ivps.values()],
+        rtol=cfg["rtol"], atol=cfg["atol"], k_div=cfg["k_div"],
     )
+    for k, sol in zip(ivps, batch):
+        sols[k] = sol
+
+    verdicts, own_s = [], []  # own_s: each mode's sampling and classification
+    for sol in sols:
+        t = time.perf_counter()
+        verdict = None
+        if isinstance(sol, ModeSolution):
+            try:
+                klass = classify(sol, decay_q=cfg["decay_q"], eps_dec=cfg["eps_dec"],
+                                 k_div=cfg["k_div"])
+                verdict = KernelVerdict.of(sol, klass)
+            except (RuntimeError, ValueError):
+                pass
+            t -= sol.sample_s
+        verdicts.append(verdict)
+        own_s.append(time.perf_counter() - t)
+
+    # the rest of the batch's time is its stepping, shared out by nfev
+    stepping_s = time.perf_counter() - t0 - sum(own_s)
+    weights = [sol.nfev if isinstance(sol, ModeSolution) else 0 for sol in sols]
+    if sum(weights) == 0:
+        weights = [1] * len(sols)
+    records = []
+    for (m, r0, ell), verdict, w, own in zip(tasks, verdicts, weights, own_s):
+        if verdict is None:
+            nan = float("nan")
+            klass, passed = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan), False
+            diagnostics = {}
+        else:
+            klass, passed = verdict.klass, verdict.passed
+            diagnostics = {"n_steps": verdict.n_steps, "nfev": verdict.nfev, "stop": verdict.stop}
+        records.append(VerdictRecord(
+            m=m, r0=r0, ell=ell, class_name=klass.kind.value,
+            fitted_limit=klass.fitted_limit, fitted_exponent=klass.fitted_exponent,
+            r_max=klass.r_max, passed=passed,
+            integrate_s=stepping_s * w / sum(weights), classify_s=own, **diagnostics,
+        ))
+    return records
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
-    """One verdict per (m, r0, ell), deterministic order by task index."""
+    """One verdict per (m, r0, ell), deterministic order by task index.
+
+    The task list is split into `jobs` contiguous chunks, each integrated as
+    one batch; min(jobs, usable CPUs, chunks) worker processes share them.
+    With one worker the whole list is one batch in this process.
+    """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     cfg = asdict(config)
-    tasks = [(cfg, m, r0, ell) for _, m, r0, ell in config.tasks()]
-    if jobs <= 1:
-        records = [_sweep_task(t) for t in tasks]
+    tasks = [(m, r0, ell) for _, m, r0, ell in config.tasks()]
+    n_chunks = min(jobs, len(tasks))
+    workers = min(n_chunks, _usable_cpus())
+    if workers <= 1:
+        records = _sweep_chunk((cfg, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_sweep_task, tasks, chunksize=4))
+        size, extra = divmod(len(tasks), n_chunks)
+        bounds = np.cumsum([0] + [size + (k < extra) for k in range(n_chunks)])
+        chunks = [(cfg, tasks[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = [rec for part in pool.map(_sweep_chunk, chunks) for rec in part]
     return SweepReport(config=config, records=records)
 
 
@@ -233,6 +289,11 @@ def emit(report: SweepReport, out_dir: str, profile: bool = False) -> list[str]:
     json_path = os.path.join(out_dir, "sweep.json")
     payload = {
         "schema_version": SCHEMA_VERSION,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "config": asdict(report.config),
         "records": [
             {
@@ -245,6 +306,8 @@ def emit(report: SweepReport, out_dir: str, profile: bool = False) -> list[str]:
                 "r_max": rec.r_max,
                 "pass": rec.passed,
                 "wall_time_s": rec.wall_time_s,
+                "integrate_s": rec.integrate_s,
+                "classify_s": rec.classify_s,
                 "n_steps": rec.n_steps,
                 "nfev": rec.nfev,
                 "stop": rec.stop,
@@ -430,7 +493,7 @@ def _cmd_sweep(args) -> int:
         return 1
 
     t0 = time.perf_counter()
-    report = run_sweep(config, jobs=max(1, args.jobs))
+    report = run_sweep(config, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
     paths = emit(report, args.out_dir, profile=args.profile)
     for rec in report.records:

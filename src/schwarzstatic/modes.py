@@ -18,10 +18,11 @@ c1 r^(-l-1) + c2 r^l, used directly and flagged; its stop is the root of
 the closed form, so both branches stop at the same crossing.
 
 Both phases use DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
-stepped on the float pair (a, w) in this module, with scipy's tableau and
-scipy's step control, so the steps are solve_ivp's up to rounding.  On a
-two-component system solve_ivp's per-step array handling costs about three
-times the method itself; the tests keep solve_ivp as the independent check.
+in this module, with scipy's tableau and scipy's step control, so the steps
+are solve_ivp's up to rounding.  integrate_modes steps a batch of modes in
+lockstep, one lane of numpy arrays per mode; each lane rounds exactly as it
+would alone, and integrate_mode is a batch of one.  The tests keep
+solve_ivp as the independent check.
 
 Substitution constants (m != 0): alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a(r0),
 beta0 = 4 m^2 alpha0 / (l(l+1)-2) for l != 1.  Derived views: A = a - alpha0,
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .background import SchwarzschildParams
@@ -49,12 +50,11 @@ __all__ = [
     "AsymptoticKind",
     "AsymptoticClass",
     "KernelVerdict",
-    "PositivityReport",
     "make_ivp",
     "integrate_mode",
+    "integrate_modes",
     "classify",
     "verify_kernel_trivial",
-    "comparison_positivity",
 ]
 
 FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
@@ -137,6 +137,7 @@ class ModeSolution:
     flat_coeffs: tuple[float, float] | None = None  # (c1, c2) of the Euler solution
     n_steps: int = 0  # accepted DOP853 steps over both phases (0 on the flat branch)
     nfev: int = 0  # right-hand-side evaluations over both phases
+    sample_s: float = 0.0  # seconds spent sampling radii, a and a' (the closed form, if flat)
     # (interpolant in r, interpolant in x = 1/r or None, switch radius)
     _dense: tuple | None = field(default=None, repr=False)
 
@@ -232,108 +233,192 @@ def integrate_mode(
     """Integrate the first-order system (a, w = r(r-2m) a') out to r_max.
 
     Integration terminates early once |a| crosses k_div * |a(r0)| (the mode
-    has certifiably diverged); r_max_used records the reached radius.
+    has certifiably diverged); r_max_used records the reached radius.  This
+    is integrate_modes on a batch of one; a failed lane is raised.
     """
-    if r_max <= ivp.r0:
-        raise ValueError("r_max must exceed r0")
-    scale0 = abs(ivp.a0) if ivp.a0 != 0.0 else 1.0
-    threshold = k_div * scale0
+    sol = integrate_modes([ivp], [r_max], rtol, atol, k_div, force_generic)[0]
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
-    if ivp.flat_branch and not force_generic:
-        coeffs = _flat_coeffs(ivp)
-        radii = _sample_radii(ivp.r0, r_max)
-        a, da = _flat_eval(ivp, coeffs, radii)
-        above = np.abs(a) >= threshold
-        div = bool(above.any())
-        if div:
-            stop = int(np.argmax(above))
-            if stop == 0:
-                radii, a, da = radii[:1], a[:1], da[:1]
-            else:
-                # the crossing itself, as the generic branch's event finds it
-                r_cross = brentq(
-                    lambda r: abs(_flat_eval(ivp, coeffs, np.float64(r))[0]) - threshold,
-                    radii[stop - 1], radii[stop], xtol=4 * _EPS, rtol=4 * _EPS,
-                )
-                radii = _sample_radii(ivp.r0, r_cross)
-                a, da = _flat_eval(ivp, coeffs, radii)
-        return ModeSolution(
-            ivp=ivp, radii=radii, a=a, da=da,
-            r_max_used=float(radii[-1]), diverged=div, flat_coeffs=coeffs,
-        )
 
-    m, r0, S = float(ivp.m), float(ivp.r0), float(ivp.source)
-    ll1 = ivp.ell * (ivp.ell + 1.0)
+def integrate_modes(
+    ivps: list[ModeIVP],
+    r_max,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+    k_div: float = 1e3,
+    force_generic: bool = False,
+) -> list[ModeSolution | Exception]:
+    """Integrate many modes at once, one DOP853 lane per mode.
 
-    def rhs_r(r, a, w):
-        rho2 = r * (r - 2.0 * m)
-        return w / rho2, (4.0 * m * m / rho2 + ll1) * a - S / rho2
+    r_max holds each mode's outer radius.  The lanes step in lockstep on
+    numpy arrays, but each keeps its own step size, rejections, k_div event
+    and failure, and rounds exactly as it would alone: a lane's solution
+    does not depend on the other lanes of the batch.  Returns, in the order
+    of ivps, a ModeSolution or the ValueError or RuntimeError that ended the
+    lane.  Flat-branch modes take the closed form unless force_generic.
 
-    def rhs_x(x, a, w):
-        omx = 1.0 - 2.0 * m * x
-        return -w / omx, -(4.0 * m * m / omx) * a - ll1 * a / (x * x) + S / omx
+    Raises ValueError for a negative atol; as in solve_ivp, rtol is raised
+    to 100 eps with a warning.
+    """
+    r_max = [float(r) for r in r_max]
+    if len(r_max) != len(ivps):
+        raise ValueError("need one r_max per mode")
+    if atol < 0:
+        raise ValueError("atol must be nonnegative")
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rtol is too small; using rtol = {100 * _EPS}", stacklevel=2)
+    rtol, atol = max(float(rtol), 100 * _EPS), float(atol)
 
-    y0 = (float(ivp.a0), r0 * (r0 - 2.0 * m) * float(ivp.da0))
-    r_switch = min(float(r_max), PHASE_SWITCH * r0)
-    x_switch, x_max = 1.0 / r_switch, 1.0 / float(r_max)
-    try:
-        run = _dop853(rhs_r, r0, y0, r_switch, rtol, atol, threshold)
-    except RuntimeError as exc:
-        raise RuntimeError(f"mode integration failed: {exc}") from None
-    diverged, r_reached = run.crossed, run.t
-    n_steps, nfev = run.n_steps, run.nfev
-    dense_x = None
-    if not diverged and x_max < x_switch:
-        try:
-            tail = _dop853(rhs_x, x_switch, run.y, x_max, rtol, atol, threshold)
-        except RuntimeError as exc:
-            raise RuntimeError(f"tail integration failed: {exc}") from None
-        diverged, r_reached = tail.crossed, 1.0 / tail.t
-        n_steps, nfev = n_steps + tail.n_steps, nfev + tail.nfev
-        dense_x = tail.dense
+    out: list = [None] * len(ivps)
+    idx, y0, r_end = [], [], []  # the modes to step: index, initial (a, w), r_max
+    for i, (ivp, rm) in enumerate(zip(ivps, r_max)):
+        m, r0 = float(ivp.m), float(ivp.r0)
+        a0, w0 = float(ivp.a0), r0 * (r0 - 2.0 * m) * float(ivp.da0)
+        if not rm > r0:
+            out[i] = ValueError("r_max must exceed r0")
+        elif ivp.flat_branch and not force_generic:
+            t0 = time.perf_counter()
+            out[i] = _flat_solution(ivp, rm, k_div * _scale0(ivp))
+            out[i].sample_s = time.perf_counter() - t0
+        elif not (math.isfinite(a0) and math.isfinite(w0)):
+            out[i] = ValueError("All components of the initial state y0 must be finite.")
+        else:
+            idx.append(i)
+            y0.append((a0, w0))
+            r_end.append(rm)
+    if not idx:
+        return out
 
-    radii = _sample_radii(r0, r_reached)
+    lanes = [ivps[i] for i in idx]
+    m = np.array([float(ivp.m) for ivp in lanes])
+    r0 = np.array([float(ivp.r0) for ivp in lanes])
+    ll1 = np.array([ivp.ell * (ivp.ell + 1.0) for ivp in lanes])
+    S = np.array([float(ivp.source) for ivp in lanes])
+    params = np.stack([2.0 * m, 4.0 * m * m, ll1, S])
+    threshold = k_div * np.array([_scale0(ivp) for ivp in lanes])
+    r_end = np.array(r_end)
+    r_switch = np.where(PHASE_SWITCH * r0 < r_end, PHASE_SWITCH * r0, r_end)
+    inner = _lockstep(_rhs_r, params, r0, np.array(y0).T, r_switch, 1.0, rtol, atol, threshold)
+    x_switch, x_max = 1.0 / r_switch, 1.0 / r_end
+    tail = [j for j, run in enumerate(inner)
+            if isinstance(run, _Run) and not run.crossed and x_max[j] < x_switch[j]]
+    outer = dict(zip(tail, _lockstep(
+        _rhs_x, params[:, tail], x_switch[tail], np.array([inner[j].y for j in tail]).T,
+        x_max[tail], -1.0, rtol, atol, threshold[tail],
+    ))) if tail else {}
+
+    for j, i in enumerate(idx):
+        run, run_x = inner[j], outer.get(j)
+        if isinstance(run, RuntimeError):
+            out[i] = RuntimeError(f"mode integration failed: {run}")
+        elif isinstance(run_x, RuntimeError):
+            out[i] = RuntimeError(f"tail integration failed: {run_x}")
+        elif isinstance(run, Exception) or isinstance(run_x, Exception):
+            out[i] = run if isinstance(run, Exception) else run_x
+        else:
+            t0 = time.perf_counter()
+            out[i] = _sampled(lanes[j], run, run_x, float(r_switch[j]))
+            out[i].sample_s = time.perf_counter() - t0
+    return out
+
+
+def _scale0(ivp: ModeIVP) -> float:
+    """|a(r0)|, or 1 for zero data: the k_div threshold is k_div times this."""
+    return abs(ivp.a0) if ivp.a0 != 0.0 else 1.0
+
+
+def _flat_solution(ivp: ModeIVP, r_max: float, threshold: float) -> ModeSolution:
+    """The Euler closed form, stopped where |a| first reaches threshold."""
+    coeffs = _flat_coeffs(ivp)
+    radii = _sample_radii(ivp.r0, r_max)
+    a, da = _flat_eval(ivp, coeffs, radii)
+    above = np.abs(a) >= threshold
+    div = bool(above.any())
+    if div:
+        stop = int(np.argmax(above))
+        if stop == 0:
+            radii, a, da = radii[:1], a[:1], da[:1]
+        else:
+            # the crossing itself, as the generic branch's event finds it
+            r_cross = brentq(
+                lambda r: abs(_flat_eval(ivp, coeffs, np.float64(r))[0]) - threshold,
+                radii[stop - 1], radii[stop], xtol=4 * _EPS, rtol=4 * _EPS,
+            )
+            radii = _sample_radii(ivp.r0, r_cross)
+            a, da = _flat_eval(ivp, coeffs, radii)
+    return ModeSolution(
+        ivp=ivp, radii=radii, a=a, da=da,
+        r_max_used=float(radii[-1]), diverged=div, flat_coeffs=coeffs,
+    )
+
+
+def _sampled(ivp: ModeIVP, run: "_Run", run_x: "_Run | None", r_switch: float) -> ModeSolution:
+    """The stepped solution sampled on its radii, from the phases' dense output."""
+    last = run if run_x is None else run_x
+    r_reached = run.t if run_x is None else 1.0 / run_x.t
+    radii = _sample_radii(ivp.r0, r_reached)
     out = ModeSolution(
         ivp=ivp, radii=radii, a=np.empty_like(radii), da=np.empty_like(radii),
-        r_max_used=r_reached, diverged=diverged, n_steps=n_steps, nfev=nfev,
-        _dense=(run.dense, dense_x, r_switch),
+        r_max_used=r_reached, diverged=last.crossed,
+        n_steps=run.n_steps + (run_x.n_steps if run_x else 0),
+        nfev=run.nfev + (run_x.nfev if run_x else 0),
+        _dense=(run.dense, run_x.dense if run_x else None, r_switch),
     )
     out.a, out.da = out.eval(radii)
     return out
 
 
-# -- DOP853 on the pair (a, w) ----------------------------------------------
+# -- DOP853 in lockstep -------------------------------------------------------
 #
-# solve_ivp spends nearly all of a mode's time in per-step numpy calls on
-# length-2 arrays.  _dop853 runs the same method on Python floats: the
-# tableau is scipy's (the public DOP853 class attributes) and the step
-# control is scipy's (initial step, error norm, step factors, min_step,
-# t_bound clipping, terminal event by brentq on the step's dense output),
-# so it takes the steps solve_ivp(method="DOP853") takes, up to rounding.
-# A stage that is not finite makes the error norm nan and the step is
-# rejected, as in scipy; the run fails once the step drops below min_step.
+# One lane per mode, lanes on the last axis of every array.  The tableau is
+# scipy's (the public DOP853 class attributes) and the step control is
+# scipy's (initial step, error norm, step factors, min_step, t_bound
+# clipping, terminal event by brentq on the step's dense output), per lane,
+# so each lane takes the steps solve_ivp(method="DOP853") takes, up to
+# rounding.  Stage sums run left to right over every tableau entry, zeros
+# included (0 * inf is nan), as elementwise array operations: no tensordot
+# or BLAS, which would reorder the sums.  A stage that is not finite makes
+# the error norm nan and the step is rejected, as in scipy; the lane fails
+# once its step drops below min_step.  The step factors take Python's float
+# ** per lane: np.power rounds differently from C's pow on some arguments.
 
 _N_STAGES = DOP853.n_stages
-# (A[s, :s], C[s]) for the stages after the first, then for the three
-# extra stages of the dense output
+# (A[s, :s], C[s]) for the stages after the first, then for the three extra
+# stages of the dense output; weights shaped (k, 1, 1) to broadcast over the
+# stage values K[j], shape (2, lanes)
 _STAGES = tuple(
-    (tuple(map(float, DOP853.A[s, :s])), float(DOP853.C[s])) for s in range(1, _N_STAGES)
+    (DOP853.A[s, :s, None, None], float(DOP853.C[s])) for s in range(1, _N_STAGES)
 )
 _EXTRA_STAGES = tuple(
-    (tuple(map(float, row[:s])), float(c))
+    (row[:s, None, None], float(c))
     for s, (row, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_N_STAGES + 1)
 )
-_B = tuple(map(float, DOP853.B))
-_E3 = tuple(map(float, DOP853.E3))
-_E5 = tuple(map(float, DOP853.E5))
-_D = tuple(tuple(map(float, row)) for row in DOP853.D)
+_B = DOP853.B[:, None, None]
+_E53 = np.array([DOP853.E5, DOP853.E3])[:, :, None, None]  # the two error estimators
+_D = DOP853.D[:, :, None, None]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = float(np.finfo(float).eps)
 
 
+def _rhs_r(p, r, y):
+    """(a, w)' in r; p holds 2m, 4m^2, l(l+1) and S per lane."""
+    two_m, four_mm, ll1, S = p
+    rho2 = r * (r - two_m)
+    return y[1] / rho2, (four_mm / rho2 + ll1) * y[0] - S / rho2
+
+
+def _rhs_x(p, x, y):
+    """(a, w)' in x = 1/r."""
+    two_m, four_mm, ll1, S = p
+    omx = 1.0 - two_m * x
+    return -y[1] / omx, -(four_mm / omx) * y[0] - ll1 * y[0] / (x * x) + S / omx
+
+
 class _Dop853Dense:
-    """Piecewise dense output of one run, evaluated as scipy's OdeSolution.
+    """Piecewise dense output of one lane, evaluated as scipy's OdeSolution.
 
     Segment k covers [ts[k], ts[k+1]] (the last one may end at an event
     root inside its step) with scipy's Dop853DenseOutput polynomial: with
@@ -342,11 +427,11 @@ class _Dop853Dense:
     """
 
     def __init__(self, ts, t_old, h, y_old, F):
-        self.ts = np.array(ts)
-        self.t_old = np.array(t_old)
-        self.h = np.array(h)
-        self.y_old = np.array(y_old)
-        self.F = np.array(F).reshape(-1, 2, 7).transpose(0, 2, 1)  # [k, row, component]
+        self.ts = ts
+        self.t_old = t_old
+        self.h = h
+        self.y_old = y_old  # [k, component]
+        self.F = F  # [k, row, component]
 
     def __call__(self, t) -> np.ndarray:
         """(a, w) at the points t, shape (2, len(t))."""
@@ -376,54 +461,68 @@ class _Run:
     nfev: int
 
 
-def _ieee(fun):
-    """fun with IEEE results (inf, nan) where Python float arithmetic raises.
+class _Lanes:
+    """The per-lane arrays of a lockstep run, lanes on the last axis."""
 
-    scipy evaluates the right-hand side on numpy scalars, where x / 0 is inf
-    or nan; the step that meets it is rejected rather than aborted.
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask):
+        for name, value in vars(self).items():
+            setattr(self, name, value[..., mask])
+
+
+def _combine(weights, K):
+    """sum(w[j] * K[j]) added left to right from 0.0, every term included.
+
+    One rounding per product and per addition, in a fixed order, so a lane's
+    sum does not depend on the other lanes.  weights has shape (..., k, 1, 1):
+    one row of weights, or several rows summed side by side.  0.0 + p is
+    computed as p + 0.0 (+0.0 where p is -0.0).
     """
-
-    def safe(t, a, w):
-        try:
-            return fun(t, a, w)
-        except ZeroDivisionError:
-            with np.errstate(all="ignore"):
-                da, dw = fun(np.float64(t), np.float64(a), np.float64(w))
-            return float(da), float(dw)
-
-    return safe
+    terms = weights * K[:weights.shape[-3]]
+    acc = terms[..., 0, :, :] + 0.0
+    for j in range(1, terms.shape[-3]):
+        acc += terms[..., j, :, :]
+    return acc
 
 
-def _rms(u, v):
-    return math.sqrt(u * u + v * v) / math.sqrt(2.0)
+def _rms(u):
+    return np.sqrt(u[0] * u[0] + u[1] * u[1]) / math.sqrt(2.0)
 
 
-def _ratio(u, v):
-    """u / v with IEEE results for v = 0."""
-    if v:
-        return u / v
-    return math.nan if u == 0 or u != u else math.copysign(math.inf, u) * math.copysign(1.0, v)
-
-
-def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
-    """scipy's select_initial_step for an order-7 error estimator."""
-    length = abs(t_bound - t0)
-    if length == 0.0:
-        return 0.0
-    (a, w), (fa, fw) = y0, f0
-    sa, sw = atol + abs(a) * rtol, atol + abs(w) * rtol
-    d0 = _rms(_ratio(a, sa), _ratio(w, sw))
-    d1 = _rms(_ratio(fa, sa), _ratio(fw, sw))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
+def _initial_step(rhs, p, t0, y0, f0, t_bound, direction, rtol, atol):
+    """scipy's select_initial_step for an order-7 error estimator, per lane."""
+    length = np.abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.where(length < h0, length, h0)
     step = h0 * direction
-    ga, gw = fun(t0 + step, a + step * fa, w + step * fw)
-    d2 = _rms(_ratio(ga - fa, sa), _ratio(gw - fw, sw)) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = _ratio(0.01, max(d1, d2)) ** (1.0 / (DOP853.error_estimator_order + 1))
-    return min(100 * h0, h1, length)
+    f1 = np.array(rhs(p, t0 + step, y0 + step * f0))
+    d2 = _rms((f1 - f0) / scale) / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.array([
+        max(1e-6, h * 1e-3) if small else q**-_ERROR_EXPONENT
+        for h, small, q in zip(h0.tolist(), flat.tolist(),
+                               (0.01 / np.where(d2 > d1, d2, d1)).tolist())
+    ])
+    h = 100 * h0
+    h = np.where(h1 < h, h1, h)
+    return np.where(length == 0, 0.0, np.where(length < h, length, h))
+
+
+def _event_root(F, t_old, h, y_old, threshold, t_new):
+    """Root of |a| = threshold in a step's dense output, and (a, w) there."""
+    Fa, Fw = F[:, 0].tolist(), F[:, 1].tolist()
+    a_old, w_old = float(y_old[0]), float(y_old[1])
+    t_old, h = float(t_old), float(h)
+    root = brentq(
+        lambda s: abs(_horner(Fa, (s - t_old) / h) + a_old) - threshold,
+        t_old, float(t_new), xtol=4 * _EPS, rtol=4 * _EPS,
+    )
+    x = (root - t_old) / h
+    return root, _horner(Fa, x) + a_old, _horner(Fw, x) + w_old
 
 
 def _horner(F, x):
@@ -434,124 +533,141 @@ def _horner(F, x):
     return y
 
 
-def _dop853(fun, t0, y0, t_bound, rtol, atol, threshold) -> _Run:
-    """Integrate (a, w)' = fun(t, a, w) from t0 to t_bound by DOP853.
+def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold) -> list:
+    """DOP853 on every lane of y0 (shape (2, n)) from t0 towards t_bound.
 
-    Stops at the first root of |a| = threshold, located by brentq on the
-    step's dense output with xtol = rtol = 4 eps.  As in scipy, rtol is
-    raised to 100 eps with a warning.  Raises ValueError for a negative
-    atol or a non-finite initial state, and RuntimeError when the step size
-    drops below 10 ulp of t.
+    Lane j integrates y' = rhs(p[:, j], t, y) and stops at t_bound[j] or at
+    the first root of |y[0]| = threshold[j], located by brentq on the
+    step's dense output with xtol = rtol = 4 eps.  direction is the sign of
+    t_bound - t0, the same for every lane.  Returns per lane a _Run, or the
+    exception that ended it: a RuntimeError when the step size drops below
+    10 ulp of t, or brentq's ValueError.
     """
-    a, w = map(float, y0)
-    if not (math.isfinite(a) and math.isfinite(w)):
-        raise ValueError("All components of the initial state y0 must be finite.")
-    if atol < 0:
-        raise ValueError("atol must be nonnegative")
-    if rtol < 100 * _EPS:
-        warnings.warn(f"rtol is too small; using rtol = {100 * _EPS}", stacklevel=3)
-    rtol, atol = max(float(rtol), 100 * _EPS), float(atol)
-    fun = _ieee(fun)
-    t, t_bound = float(t0), float(t_bound)
-    direction = 1.0 if t_bound >= t else -1.0
-    fa, fw = fun(t, a, w)
-    h_abs = _initial_step(fun, t, (a, w), (fa, fw), t_bound, direction, rtol, atol)
-    nfev, n_steps, g, crossed = 2, 0, abs(a) - threshold, False
-    ts, t_olds, hs, y_olds, Fs = [t], [], [], [], []
+    n = t0.size
+    results: list = [None] * n
+    with np.errstate(all="ignore"):
+        f0 = np.array(rhs(p, t0, y0))
+        s = _Lanes(
+            lane=np.arange(n), p=p, t=t0, y=y0, f=f0, t_bound=t_bound, threshold=threshold,
+            h_abs=_initial_step(rhs, p, t0, y0, f0, t_bound, direction, rtol, atol),
+            min_step=np.zeros(n), g=np.abs(y0[0]) - threshold,
+            fresh=np.ones(n, dtype=bool), rejected=np.zeros(n, dtype=bool),
+            nfev=np.full(n, 2), n_steps=np.zeros(n, dtype=int), n_kept=np.zeros(n, dtype=int),
+        )
+        segments = []  # (lane, t_old, h, y_old, F, t_end) of each step's kept segments
+        final = np.empty((3, n))  # t, a, w where each lane stopped
+        crossed = np.zeros(n, dtype=bool)
+        counts = np.zeros((2, n), dtype=int)  # n_steps, nfev
 
-    while direction * (t - t_bound) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise RuntimeError("Required step size is less than spacing between numbers.")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
+        while s.lane.size:
+            if s.fresh.any():  # lanes starting a new step
+                ms = 10 * np.abs(np.nextafter(s.t, direction * np.inf) - s.t)
+                s.min_step = np.where(s.fresh, ms, s.min_step)
+                s.h_abs = np.where(s.fresh & (s.min_step > s.h_abs), s.min_step, s.h_abs)
+                s.rejected &= ~s.fresh
+            small = ~(s.h_abs >= s.min_step)
+            if small.any():
+                for j in s.lane[small]:
+                    results[j] = RuntimeError(
+                        "Required step size is less than spacing between numbers.")
+                s.keep(~small)
+                if not s.lane.size:
+                    break
+
+            p, t, y, f = s.p, s.t, s.y, s.f
+            t_new = t + s.h_abs * direction
+            t_new = np.where(direction * (t_new - s.t_bound) > 0, s.t_bound, t_new)
             h = t_new - t
-            h_abs = abs(h)
+            h_abs = np.abs(h)
+            K = np.empty((_N_STAGES + 1 + len(_EXTRA_STAGES), 2, t.size))
+            K[0] = f
+            for i, (row, c) in enumerate(_STAGES, start=1):
+                K[i] = rhs(p, t + c * h, y + _combine(row, K) * h)
+            y_new = y + h * _combine(_B, K)
+            K[_N_STAGES] = rhs(p, t + h, y_new)
 
-            ka, kw = [fa], [fw]
-            for row, c in _STAGES:
-                da, dw = fun(t + c * h, a + sum(map(mul, row, ka)) * h,
-                             w + sum(map(mul, row, kw)) * h)
-                ka.append(da)
-                kw.append(dw)
-            a_new = a + h * sum(map(mul, _B, ka))
-            w_new = w + h * sum(map(mul, _B, kw))
-            fa_new, fw_new = fun(t + h, a_new, w_new)
-            ka.append(fa_new)
-            kw.append(fw_new)
-            nfev += _N_STAGES
+            ay, ay_new = np.abs(y), np.abs(y_new)
+            scale = atol + np.where(ay_new > ay, ay_new, ay) * rtol
+            e5, e3 = _combine(_E53, K) / scale
+            n5 = e5[0] * e5[0] + e5[1] * e5[1]
+            n3 = e3[0] * e3[0] + e3[1] * e3[1]
+            err = h_abs * n5 / np.sqrt((n5 + 0.01 * n3) * 2)
+            err[(n5 == 0) & (n3 == 0)] = 0.0
+            # a zero scale (atol = 0 and a zero state) makes the norm nan in scipy
+            err[(scale == 0).any(axis=0)] = np.nan
+            accept = err < 1
+            # 0 ** (-1/8) is inf, where Python's ** raises
+            factor = _SAFETY * np.array(
+                [e**_ERROR_EXPONENT if e != 0 else math.inf for e in err.tolist()])
+            grow = np.where(factor < _MAX_FACTOR, factor, _MAX_FACTOR)
+            grow = np.where(s.rejected & ~(grow < 1), 1.0, grow)
+            shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
+            s.h_abs = h_abs * np.where(accept, grow, shrink)
+            s.rejected |= ~accept
+            s.fresh = accept
+            s.nfev += _N_STAGES
+            if not accept.any():
+                continue
 
-            try:
-                sa = atol + max(abs(a), abs(a_new)) * rtol
-                sw = atol + max(abs(w), abs(w_new)) * rtol
-                e5a, e5w = sum(map(mul, _E5, ka)) / sa, sum(map(mul, _E5, kw)) / sw
-                e3a, e3w = sum(map(mul, _E3, ka)) / sa, sum(map(mul, _E3, kw)) / sw
-            except ZeroDivisionError:  # atol = 0 and a zero state: nan in scipy
-                e5a = e5w = e3a = e3w = math.nan
-            n5, n3 = e5a * e5a + e5w * e5w, e3a * e3a + e3w * e3w
-            if n5 == 0 and n3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
+            for i, (row, c) in enumerate(_EXTRA_STAGES, start=_N_STAGES + 1):
+                K[i] = rhs(p, t + c * h, y + _combine(row, K) * h)
+            dy = y_new - y
+            F = np.empty((3 + len(_D), 2, t.size))
+            F[0] = dy
+            F[1] = h * f - dy
+            F[2] = 2 * dy - h * (K[_N_STAGES] + f)
+            F[3:] = h * _combine(_D, K)
+            s.nfev += len(_EXTRA_STAGES) * accept
+            s.n_steps += accept
+            s.t = np.where(accept, t_new, t)
+            s.y = np.where(accept, y_new, y)
+            s.f = np.where(accept, K[_N_STAGES], f)
 
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-            rejected = True
+            g_new = np.abs(s.y[0]) - s.threshold
+            cross = accept & (((s.g <= 0) & (0 <= g_new)) | ((s.g >= 0) & (0 >= g_new)))
+            s.g = np.where(accept, g_new, s.g)
+            failed = np.zeros(t.size, dtype=bool)
+            for j in np.flatnonzero(cross):
+                try:
+                    s.t[j], s.y[0, j], s.y[1, j] = _event_root(
+                        F[:, :, j], t[j], h[j], y[:, j], float(s.threshold[j]), t_new[j])
+                except ValueError as exc:
+                    results[s.lane[j]] = exc
+                    failed[j] = True
+            # an event root on the step's start ends the lane at the last segment
+            kept = accept & ~((s.n_kept > 0) & (s.t == t))
+            segments.append((s.lane[kept], t[kept], h[kept], y[:, kept], F[:, :, kept], s.t[kept]))
+            s.n_kept += kept
 
-        for row, c in _EXTRA_STAGES:
-            da, dw = fun(t + c * h, a + sum(map(mul, row, ka)) * h,
-                         w + sum(map(mul, row, kw)) * h)
-            ka.append(da)
-            kw.append(dw)
-        nfev += len(_EXTRA_STAGES)
-        n_steps += 1
-        F = []
-        pairs = ((a, a_new, fa, fa_new, ka), (w, w_new, fw, fw_new, kw))
-        for y_old, y_new, f_old, f_new, k in pairs:
-            dy = y_new - y_old
-            F.extend((dy, h * f_old - dy, 2 * dy - h * (f_new + f_old)))
-            F.extend(h * sum(map(mul, row, k)) for row in _D)
-        t_olds.append(t)
-        hs.append(h)
-        y_olds.append((a, w))
-        Fs.append(F)
+            done = accept & ~failed & (cross | ~(direction * (s.t - s.t_bound) < 0))
+            ended = s.lane[done]
+            final[0, ended], final[1:, ended] = s.t[done], s.y[:, done]
+            crossed[ended] = cross[done]
+            counts[:, ended] = s.n_steps[done], s.nfev[done]
+            if (done | failed).any():
+                s.keep(~(done | failed))
 
-        t_old, a_old, w_old = t, a, w
-        t, a, w, fa, fw = t_new, a_new, w_new, fa_new, fw_new
-        g_new = abs(a) - threshold
-        if g <= 0 <= g_new or g >= 0 >= g_new:
-            Fa, Fw = F[:7], F[7:]
-            t = brentq(
-                lambda s: abs(_horner(Fa, (s - t_old) / h) + a_old) - threshold,
-                t_old, t, xtol=4 * _EPS, rtol=4 * _EPS,
-            )
-            x = (t - t_old) / h
-            a, w = _horner(Fa, x) + a_old, _horner(Fw, x) + w_old
-            crossed = True
-        g = g_new
-        if len(ts) > 1 and t == ts[-1]:  # an event root on the last breakpoint
-            del t_olds[-1], hs[-1], y_olds[-1], Fs[-1]
-        else:
-            ts.append(t)
-        if crossed:
-            break
-
-    return _Run(
-        dense=_Dop853Dense(ts, t_olds, hs, y_olds, Fs), t=t, y=(a, w), crossed=crossed,
-        n_steps=n_steps, nfev=nfev,
-    )
+    if all(r is not None for r in results):
+        return results
+    lane, t_old, h, y_old, F, t_end = (
+        np.concatenate([seg[k] for seg in segments], axis=-1) for k in range(6))
+    order = np.argsort(lane, kind="stable")
+    t_old, h, t_end = t_old[order], h[order], t_end[order]
+    y_old, F = y_old[:, order].T, F[:, :, order].transpose(2, 0, 1)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(lane, minlength=n))])
+    for j in range(n):
+        if results[j] is not None:
+            continue
+        lo, hi = bounds[j], bounds[j + 1]
+        dense = _Dop853Dense(
+            np.concatenate([t0[j:j + 1], t_end[lo:hi]]), t_old[lo:hi], h[lo:hi],
+            y_old[lo:hi], F[lo:hi],
+        )
+        results[j] = _Run(
+            dense=dense, t=float(final[0, j]), y=(float(final[1, j]), float(final[2, j])),
+            crossed=bool(crossed[j]), n_steps=int(counts[0, j]), nfev=int(counts[1, j]),
+        )
+    return results
 
 
 def _tail(sol: ModeSolution):
@@ -645,6 +761,16 @@ class KernelVerdict:
     nfev: int | None = None
     stop: str | None = None
 
+    @classmethod
+    def of(cls, sol: ModeSolution, klass: AsymptoticClass) -> "KernelVerdict":
+        """The verdict on a classified mode: any class but a decaying or
+        undetermined one certifies it."""
+        passed = klass.kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
+        return cls(
+            params=sol.ivp.params, ell=sol.ivp.ell, klass=klass, passed=passed,
+            flat_branch=sol.ivp.flat_branch, n_steps=sol.n_steps, nfev=sol.nfev, stop=sol.stop,
+        )
+
     @property
     def failure_kind(self) -> str | None:
         if self.passed:
@@ -672,64 +798,4 @@ def verify_kernel_trivial(
     """
     ivp = make_ivp(params, ell, a0=1.0)
     sol = integrate_mode(ivp, r_max_factor * params.r0, rtol=rtol, atol=atol, k_div=k_div)
-    klass = classify(sol, decay_q=decay_q, eps_dec=eps_dec, k_div=k_div)
-    passed = klass.kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
-    return KernelVerdict(
-        params=params, ell=ell, klass=klass, passed=passed, flat_branch=ivp.flat_branch,
-        n_steps=sol.n_steps, nfev=sol.nfev, stop=sol.stop,
-    )
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    positive: bool
-    increasing: bool
-    first_violation: float | None
-    immediately_positive: bool
-    b_end: float
-    db_end: float
-
-    @property
-    def monotone_positive(self) -> bool:
-        return self.positive and self.increasing
-
-
-def comparison_positivity(
-    h, p, B0: float, dB0: float, r0: float, r_max: float,
-    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL, n_samples: int = 2000,
-) -> PositivityReport:
-    """Integrate (h B')' = p B and audit strict positivity of B and B'.
-
-    h and p are callables, positive on [r0, r_max]; B(r0), B'(r0) >= 0 and
-    not both zero.  The comparison statement says B and B' stay strictly
-    positive for r > r0; the report records the first violation if the
-    numerics ever disagree.
-    """
-    if B0 < 0 or dB0 < 0 or (B0 == 0 and dB0 == 0):
-        raise ValueError("need B0 >= 0, dB0 >= 0, not both zero")
-
-    def rhs(r, y):
-        return [y[1] / h(r), p(r) * y[0]]
-
-    sol = solve_ivp(
-        rhs, (r0, r_max), [B0, h(r0) * dB0], method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"comparison integration failed: {sol.message}")
-
-    r = np.linspace(r0, r_max, n_samples)[1:]
-    y = sol.sol(r)
-    B, dB = y[0], y[1] / h(r)
-    bad = (B <= 0) | (dB <= 0)
-    first = float(r[np.argmax(bad)]) if bad.any() else None
-    delta = 1e-6 * r0
-    yd = sol.sol(r0 + delta)
-    return PositivityReport(
-        positive=bool(np.all(B > 0)),
-        increasing=bool(np.all(dB > 0)),
-        first_violation=first,
-        immediately_positive=bool(yd[0] > 0 and yd[1] / h(r0 + delta) > 0),
-        b_end=float(B[-1]),
-        db_end=float(dB[-1]),
-    )
+    return KernelVerdict.of(sol, classify(sol, decay_q=decay_q, eps_dec=eps_dec, k_div=k_div))

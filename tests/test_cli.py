@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from schwarzstatic.cli import (
     write_mode_profile,
 )
 from schwarzstatic.background import SchwarzschildParams
-from schwarzstatic.modes import AsymptoticClass, AsymptoticKind, KernelVerdict
+from schwarzstatic.modes import AsymptoticClass, AsymptoticKind
 
 SMALL = dict(masses=[1.0], r0_offsets=[1.0], ell_max=2, r_max_factor=1e4)
 
@@ -107,6 +109,59 @@ class TestRunSweep:
         assert report.records[0].class_name == "ConvergesNonzero"
         assert_allclose(report.records[0].fitted_limit, 1.0, rtol=1e-9)
 
+    def test_default_sweep_matches_fixture(self, tmp_path):
+        # sweep.csv without wall_time_s as the per-mode stepper wrote it before
+        # the lockstep batch replaced it: batching changes no byte
+        fixture = (Path(__file__).parent / "data" / "default_sweep.csv").read_text()
+        emit(run_sweep(SweepConfig()), str(tmp_path))
+        rows = [ln.rsplit(",", 1)[0] for ln in read_csv(tmp_path / "sweep.csv")]
+        assert rows == fixture.splitlines()
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,workers",
+        [(1, 8, None), (2, 8, 2), (64, 2, 2), (64, 8, 3), (4, 1, None)],
+    )
+    def test_pool_size(self, monkeypatch, jobs, cpus, workers):
+        # never more workers than min(jobs, usable CPUs, chunks); one runs in process
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        config = SweepConfig(**SMALL)  # three modes
+        report = run_sweep(config, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+
+        def key(rec):
+            return rec.class_name, rec.fitted_limit, rec.r_max, rec.n_steps, rec.nfev
+
+        assert [key(r) for r in report.records] == [key(r) for r in run_sweep(config).records]
+
+    def test_record_times_add_up(self):
+        t0 = time.perf_counter()
+        report = run_sweep(SweepConfig(**SMALL))
+        elapsed = time.perf_counter() - t0
+        recs = report.records
+        for rec in recs:
+            assert rec.integrate_s >= 0.0 and rec.classify_s > 0.0
+            assert rec.wall_time_s == rec.integrate_s + rec.classify_s
+        # the batch's stepping time is shared by right-hand-side evaluations
+        assert_allclose([r.integrate_s / r.nfev for r in recs], recs[0].integrate_s / recs[0].nfev,
+                        rtol=1e-9)
+        assert sum(r.wall_time_s for r in recs) <= elapsed
+
     def test_parallel_matches_serial(self):
         config = SweepConfig(**SMALL)
         serial = run_sweep(config, jobs=1)
@@ -125,13 +180,24 @@ class TestEmit:
         assert lines[0] == cli.CSV_HEADER
         assert len(lines) == len(report.records) + 1
         data = json.loads(open(paths[1], encoding="utf-8").read())
-        assert data["schema_version"] == "2"
+        assert data["schema_version"] == "3"
+        assert set(data["environment"]) == {"python", "numpy", "scipy"}
+        assert data["environment"]["numpy"] == np.__version__
         assert data["config"]["masses"] == [1.0]
         assert len(data["records"]) == 3
         for rec in data["records"]:  # degrees 0, 1, 2 at (m, r0) = (1, 3)
             assert rec["n_steps"] > 0 and rec["nfev"] > rec["n_steps"]
+            assert rec["wall_time_s"] == rec["integrate_s"] + rec["classify_s"]
         assert [rec["stop"] for rec in data["records"]] == ["r_max", "k_div", "k_div"]
         assert data["summary"]["all_passed"] is True
+
+    def test_sweep_starts_no_subprocess(self, tmp_path, monkeypatch):
+        # the environment block comes from the running interpreter, not from tools
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("subprocess started on the sweep path")
+
+        monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+        emit(run_sweep(SweepConfig(**SMALL)), str(tmp_path))
 
     def test_determinism_modulo_wall_time(self, tmp_path):
         config = SweepConfig(**SMALL)
@@ -148,7 +214,8 @@ class TestEmit:
         def strip_json(path):
             data = json.loads(open(path, encoding="utf-8").read())
             for rec in data["records"]:
-                rec.pop("wall_time_s")
+                for key in ("wall_time_s", "integrate_s", "classify_s"):
+                    rec.pop(key)
             return data
 
         assert strip_json(tmp_path / "a" / "sweep.json") == strip_json(
@@ -230,18 +297,22 @@ class TestMainEntry:
         assert data["config"]["ell_max"] == 0
 
     def test_failing_record_gives_exit_two(self, tmp_path, monkeypatch):
-        params = SchwarzschildParams(m=1.0, r0=3.0)
-        fake = KernelVerdict(
-            params=params, ell=0,
-            klass=AsymptoticClass(AsymptoticKind.UNDETERMINED, 0.0, 0.0, 1.0),
-            passed=False, flat_branch=False,
-        )
-        monkeypatch.setattr(cli, "verify_kernel_trivial", lambda *a, **k: fake)
+        fake = AsymptoticClass(AsymptoticKind.UNDETERMINED, 0.0, 0.0, 1.0)
+        monkeypatch.setattr(cli, "classify", lambda *a, **k: fake)
         code = cli.main(
             ["sweep", "--masses", "1.0", "--deltas", "1.0", "--ell-max", "0",
              "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        code = cli.main(["sweep", "--masses", "1.0", "--deltas", "1.0", "--ell-max", "0",
+                         "--jobs", jobs, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --jobs") and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_match_round_rejects_nan(self, capsys):
         assert cli.main(["match-round", "--rho", "nan", "--h", "1"]) == 1

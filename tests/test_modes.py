@@ -1,5 +1,10 @@
+import functools
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
 
@@ -8,9 +13,11 @@ from schwarzstatic.modes import (
     FLAT_MASS_RTOL,
     PHASE_SWITCH,
     AsymptoticKind,
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     classify,
-    comparison_positivity,
     integrate_mode,
+    integrate_modes,
     make_ivp,
     verify_kernel_trivial,
 )
@@ -78,6 +85,61 @@ def scipy_mode(ivp, r_max, rtol, atol, k_div):
         return y[0], y[1] / (r * (r - 2.0 * m))
 
     return evaluate, r_reached, diverged, nfev
+
+
+@dataclass(frozen=True)
+class PositivityReport:
+    positive: bool
+    increasing: bool
+    first_violation: float | None
+    immediately_positive: bool
+    b_end: float
+    db_end: float
+
+    @property
+    def monotone_positive(self) -> bool:
+        return self.positive and self.increasing
+
+
+def comparison_positivity(
+    h, p, B0: float, dB0: float, r0: float, r_max: float,
+    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL, n_samples: int = 2000,
+) -> PositivityReport:
+    """Integrate (h B')' = p B and audit strict positivity of B and B'.
+
+    h and p are callables, positive on [r0, r_max]; B(r0), B'(r0) >= 0 and
+    not both zero.  The comparison statement says B and B' stay strictly
+    positive for r > r0; the report records the first violation if the
+    numerics ever disagree.
+    """
+    if B0 < 0 or dB0 < 0 or (B0 == 0 and dB0 == 0):
+        raise ValueError("need B0 >= 0, dB0 >= 0, not both zero")
+
+    def rhs(r, y):
+        return [y[1] / h(r), p(r) * y[0]]
+
+    sol = solve_ivp(
+        rhs, (r0, r_max), [B0, h(r0) * dB0], method="DOP853",
+        rtol=rtol, atol=atol, dense_output=True,
+    )
+    if not sol.success:
+        raise RuntimeError(f"comparison integration failed: {sol.message}")
+
+    r = np.linspace(r0, r_max, n_samples)[1:]
+    y = sol.sol(r)
+    B, dB = y[0], y[1] / h(r)
+    bad = (B <= 0) | (dB <= 0)
+    first = float(r[np.argmax(bad)]) if bad.any() else None
+    delta = 1e-6 * r0
+    yd = sol.sol(r0 + delta)
+    return PositivityReport(
+        positive=bool(np.all(B > 0)),
+        increasing=bool(np.all(dB > 0)),
+        first_violation=first,
+        immediately_positive=bool(yd[0] > 0 and yd[1] / h(r0 + delta) > 0),
+        b_end=float(B[-1]),
+        db_end=float(dB[-1]),
+    )
 
 
 class TestMakeIVP:
@@ -334,6 +396,62 @@ class TestScipyParity:
             integrate_mode(ivp, 1e300 * r0)
         with pytest.raises(RuntimeError):
             scipy_mode(ivp, 1e300 * r0, 1e-10, 1e-12, 1e3)
+
+
+# lanes for the batch-composition property, covering each way a lane ends
+LANES = (
+    (make_ivp(P13, 0, 1.0), 3e6),  # converges through the x = 1/r phase
+    (make_ivp(P13, 2, 1.0), 3e6),  # crosses k_div in r
+    (make_ivp(P13, 0, 1.0), 1e170 * 3.0),  # fails in the x = 1/r phase
+    (replace(make_ivp(P13, 2, 1e-9), da0=1.0), 3e6),  # crosses k_div on its first step
+    (make_ivp(P13, 0, 1.0), 0.05 * PHASE_SWITCH * 3.0),  # ends before the phase switch
+    (make_ivp(SchwarzschildParams(m=-1.0, r0=1e-3), 0, 1.0), 1e3),  # near-horizon tail
+    (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),
+    (make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0), 1e6),  # flat closed form
+    (make_ivp(P13, 2, 0.0), 3e20),  # zero data: the first step-size probe lands on x = 0
+    (make_ivp(P13, 1, 1.0), 2.0),  # r_max below r0
+)
+FAILING, FIRST_STEP, SHORT = 2, 3, 4
+
+
+@functools.cache
+def lane_alone(k):
+    ivp, r_max = LANES[k]
+    return integrate_modes([ivp], [r_max])[0]
+
+
+def same_lane(batched, alone):
+    if isinstance(alone, Exception):
+        assert type(batched) is type(alone) and str(batched) == str(alone)
+        return
+    for name in ("a", "da", "radii"):
+        assert getattr(batched, name).tobytes() == getattr(alone, name).tobytes(), name
+    for name in ("r_max_used", "n_steps", "nfev", "stop"):
+        assert getattr(batched, name) == getattr(alone, name), name
+
+
+class TestBatchComposition:
+    def test_lanes_end_as_intended(self):
+        assert isinstance(lane_alone(FAILING), RuntimeError)
+        assert lane_alone(FIRST_STEP).diverged and lane_alone(FIRST_STEP).n_steps == 1
+        short = lane_alone(SHORT)
+        assert not short.diverged and short.r_max_used < PHASE_SWITCH * short.ivp.r0
+        assert isinstance(lane_alone(len(LANES) - 1), ValueError)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.sampled_from(range(len(LANES))), min_size=1, max_size=len(LANES),
+                    unique=True))
+    @example([0, FAILING, 1])
+    @example([FIRST_STEP, 6, SHORT, 5])
+    @example([SHORT, 1, FIRST_STEP])
+    def test_a_lane_is_the_same_in_any_batch(self, order):
+        batch = integrate_modes([LANES[k][0] for k in order], [LANES[k][1] for k in order])
+        for k, sol in zip(order, batch):
+            same_lane(sol, lane_alone(k))
+
+    def test_integrate_mode_is_a_batch_of_one(self):
+        for k in (0, 1, FIRST_STEP):
+            same_lane(integrate_mode(*LANES[k]), lane_alone(k))
 
 
 class TestDiagnostics:
