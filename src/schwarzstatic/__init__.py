@@ -24,14 +24,12 @@ from .harmonics import (
 from .modes import (
     AsymptoticClass,
     AsymptoticKind,
-    KernelVerdict,
     ModeIVP,
     ModeSolution,
     classify,
     integrate_mode,
     integrate_modes,
     make_ivp,
-    verify_kernel_trivial,
 )
 
 __version__ = "0.1.0"
@@ -54,13 +52,11 @@ __all__ = [
     "sh_eval",
     "AsymptoticClass",
     "AsymptoticKind",
-    "KernelVerdict",
     "ModeIVP",
     "ModeSolution",
     "classify",
     "integrate_mode",
     "integrate_modes",
     "make_ivp",
-    "verify_kernel_trivial",
     "__version__",
 ]

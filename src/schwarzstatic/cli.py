@@ -36,7 +36,6 @@ from .modes import (
     DEFAULT_RTOL,
     AsymptoticClass,
     AsymptoticKind,
-    KernelVerdict,
     ModeSolution,
     classify,
     integrate_mode,
@@ -185,8 +184,13 @@ class SweepReport:
 
 
 def _sweep_chunk(args) -> list[VerdictRecord]:
-    """The records of one batch; a solver failure is recorded as Undetermined."""
-    cfg, tasks = args
+    """The records of one batch; a solver failure is recorded as Undetermined.
+
+    With a profile directory, every mode whose integration succeeded also
+    gets its profile, written from the solution its record was classified
+    on and after the batch's time accounting.
+    """
+    cfg, tasks, profile_dir = args
     t0 = time.perf_counter()
     sols: list = [None] * len(tasks)  # a ModeSolution, or the error that ended the mode
     ivps = {}
@@ -202,19 +206,20 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     for k, sol in zip(ivps, batch):
         sols[k] = sol
 
-    verdicts, own_s = [], []  # own_s: each mode's sampling and classification
+    nan = float("nan")
+    undetermined = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan)
+    classes, own_s = [], []  # own_s: each mode's sampling and classification
     for sol in sols:
         t = time.perf_counter()
-        verdict = None
+        klass = undetermined
         if isinstance(sol, ModeSolution):
             try:
                 klass = classify(sol, decay_q=cfg["decay_q"], eps_dec=cfg["eps_dec"],
                                  k_div=cfg["k_div"])
-                verdict = KernelVerdict.of(sol, klass)
             except (RuntimeError, ValueError):
                 pass
             t -= sol.sample_s
-        verdicts.append(verdict)
+        classes.append(klass)
         own_s.append(time.perf_counter() - t)
 
     # the rest of the batch's time is its stepping, shared out by nfev
@@ -223,20 +228,22 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     if sum(weights) == 0:
         weights = [1] * len(sols)
     records = []
-    for (m, r0, ell), verdict, w, own in zip(tasks, verdicts, weights, own_s):
-        if verdict is None:
-            nan = float("nan")
-            klass, passed = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan), False
-            diagnostics = {}
-        else:
-            klass, passed = verdict.klass, verdict.passed
-            diagnostics = {"n_steps": verdict.n_steps, "nfev": verdict.nfev, "stop": verdict.stop}
+    for (m, r0, ell), sol, klass, w, own in zip(tasks, sols, classes, weights, own_s):
+        # a mode is certified by any class but a decaying or undetermined one
+        passed = klass.kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
+        # a mode that failed to integrate or to classify has no solver diagnostics
+        diagnostics = ({"n_steps": sol.n_steps, "nfev": sol.nfev, "stop": sol.stop}
+                       if klass is not undetermined else {})
         records.append(VerdictRecord(
             m=m, r0=r0, ell=ell, class_name=klass.kind.value,
             fitted_limit=klass.fitted_limit, fitted_exponent=klass.fitted_exponent,
             r_max=klass.r_max, passed=passed,
             integrate_s=stepping_s * w / sum(weights), classify_s=own, **diagnostics,
         ))
+    if profile_dir is not None:
+        for sol in sols:
+            if isinstance(sol, ModeSolution):
+                _write_profile(profile_dir, sol)
     return records
 
 
@@ -247,12 +254,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
+def run_sweep(
+    config: SweepConfig, jobs: int = 1, profile_dir: str | None = None
+) -> SweepReport:
     """One verdict per (m, r0, ell), deterministic order by task index.
 
     The task list is split into `jobs` contiguous chunks, each integrated as
     one batch; min(jobs, usable CPUs, chunks) worker processes share them.
-    With one worker the whole list is one batch in this process.
+    With one worker the whole list is one batch in this process.  Given an
+    existing profile_dir, each integrated mode's profile is written there.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
@@ -261,30 +271,25 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     n_chunks = min(jobs, len(tasks))
     workers = min(n_chunks, _usable_cpus())
     if workers <= 1:
-        records = _sweep_chunk((cfg, tasks))
+        records = _sweep_chunk((cfg, tasks, profile_dir))
     else:
         size, extra = divmod(len(tasks), n_chunks)
         bounds = np.cumsum([0] + [size + (k < extra) for k in range(n_chunks)])
-        chunks = [(cfg, tasks[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        chunks = [(cfg, tasks[lo:hi], profile_dir) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for part in pool.map(_sweep_chunk, chunks) for rec in part]
     return SweepReport(config=config, records=records)
 
 
-def emit(report: SweepReport, out_dir: str, profile: bool = False) -> list[str]:
-    """Write sweep.csv and sweep.json (and per-mode profiles on request)."""
+def emit(report: SweepReport, out_dir: str) -> list[str]:
+    """Write sweep.csv and sweep.json; an OSError means a write failed."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
 
     csv_path = os.path.join(out_dir, "sweep.csv")
-    try:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for rec in report.records:
-                fh.write(rec.csv_row() + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {csv_path}: {exc}") from exc
-    paths.append(csv_path)
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for rec in report.records:
+            fh.write(rec.csv_row() + "\n")
 
     json_path = os.path.join(out_dir, "sweep.json")
     payload = {
@@ -320,57 +325,16 @@ def emit(report: SweepReport, out_dir: str, profile: bool = False) -> list[str]:
             "all_passed": report.all_passed,
         },
     }
-    try:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {json_path}: {exc}") from exc
-    paths.append(json_path)
-
-    if profile:
-        for rec in report.records:
-            paths.append(
-                write_mode_profile(
-                    out_dir,
-                    SchwarzschildParams(m=rec.m, r0=rec.r0),
-                    rec.ell,
-                    a0=1.0,
-                    r_max_factor=report.config.r_max_factor,
-                    rtol=report.config.rtol,
-                    atol=report.config.atol,
-                    k_div=report.config.k_div,
-                )
-            )
-    return paths
+    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return [csv_path, json_path]
 
 
-def write_mode_profile(
-    out_dir: str,
-    params: SchwarzschildParams,
-    ell: int,
-    a0: float = 1.0,
-    r_max_factor: float = 1e6,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    k_div: float = 1e3,
-) -> str:
-    """Radial profile file mode_m<>_r0<>_l<>.csv with r,a,da,A,phi,Phi.
-
-    The integration stops where the sweep's would: at r_max_factor * r0 or
-    once |a| crosses k_div * |a0|.
-    """
-    ivp = make_ivp(params, ell, a0)
-    sol = integrate_mode(ivp, r_max_factor * params.r0, rtol=rtol, atol=atol, k_div=k_div)
-    return _write_profile(out_dir, params, ell, sol)
-
-
-def _write_profile(
-    out_dir: str, params: SchwarzschildParams, ell: int, sol: ModeSolution
-) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    name = f"mode_m{params.m:g}_r0{params.r0:g}_l{ell}.csv"
-    path = os.path.join(out_dir, name)
+def _write_profile(out_dir: str, sol: ModeSolution) -> str:
+    """Radial profile file mode_m<>_r0<>_l<>.csv with r,a,da,A,phi,Phi."""
+    params = sol.ivp.params
+    path = os.path.join(out_dir, f"mode_m{params.m:g}_r0{params.r0:g}_l{sol.ivp.ell}.csv")
     nancol = np.full_like(sol.a, np.nan)
     cols = [
         sol.radii,
@@ -380,14 +344,18 @@ def _write_profile(
         sol.phi if sol.phi is not None else nancol,
         sol.Phi if sol.Phi is not None else nancol,
     ]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r,a,da,A,phi,Phi\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("r,a,da,A,phi,Phi\n")
+        for row in zip(*cols):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return path
+
+
+def _make_out_dir(path: str) -> None:
+    """Create the output directory; OSError if files cannot be written there."""
+    os.makedirs(path, exist_ok=True)
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(f"directory is not writable: {path!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -492,16 +460,22 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    t0 = time.perf_counter()
-    report = run_sweep(config, jobs=args.jobs)
-    elapsed = time.perf_counter() - t0
-    paths = emit(report, args.out_dir, profile=args.profile)
+    try:
+        _make_out_dir(args.out_dir)
+        t0 = time.perf_counter()
+        report = run_sweep(config, jobs=args.jobs,
+                           profile_dir=args.out_dir if args.profile else None)
+        elapsed = time.perf_counter() - t0
+        paths = emit(report, args.out_dir)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     for rec in report.records:
         if not rec.passed:
             print(
                 f"FAIL m={rec.m:g} r0={rec.r0:g} ell={rec.ell}: {rec.class_name}"
             )
-    print(f"{report.summary()} in {elapsed:.1f}s; wrote {', '.join(paths[:2])}")
+    print(f"{report.summary()} in {elapsed:.1f}s; wrote {', '.join(paths)}")
     return 0 if report.all_passed else 2
 
 
@@ -545,7 +519,12 @@ def _cmd_mode(args) -> int:
         print(f"error: mode integration failed: {exc}", file=sys.stderr)
         return 2
     klass = classify(sol)
-    path = _write_profile(args.out_dir, params, args.ell, sol)
+    try:
+        _make_out_dir(args.out_dir)
+        path = _write_profile(args.out_dir, sol)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     print(
         f"mode (m={args.m:g}, r0={args.r0:g}, ell={args.ell}): {klass.kind.value}"
         f" fitted_limit={klass.fitted_limit:.6g}"

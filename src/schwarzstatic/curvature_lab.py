@@ -41,7 +41,6 @@ from .sphere_ops import SphereCalc
 
 __all__ = [
     "LabGrid",
-    "MetricField",
     "make_lab_grid",
     "schwarzschild_samples",
     "flat_samples",
@@ -88,30 +87,6 @@ def make_lab_grid(
     if calc is None:
         calc = SphereCalc(l_max)
     return LabGrid(params, calc, np.linspace(params.r0, r_outer, n_r))
-
-
-@dataclass
-class MetricField:
-    """Validated Cartesian metric samples on a lab grid.
-
-    components has shape (n_r, n_nodes, 3, 3); construction rejects
-    asymmetric or non-positive-definite samples.
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if c.ndim != 4 or c.shape[-2:] != (3, 3):
-            raise ValueError("metric samples must have shape (n_r, n, 3, 3)")
-        if np.abs(c - np.swapaxes(c, -1, -2)).max() > 1e-12:
-            raise ValueError("metric samples must be symmetric")
-        _check_metric(c)
-        self.components = c
-
-
-def _unwrap(G):
-    return G.components if isinstance(G, MetricField) else G
 
 
 def schwarzschild_samples(grid: LabGrid):
@@ -181,13 +156,12 @@ def _check_metric(G: np.ndarray):
         raise ValueError("metric not positive definite at some node") from exc
 
 
-def conformal_static_residual(grid: LabGrid, G, U: np.ndarray):
+def conformal_static_residual(grid: LabGrid, G: np.ndarray, U: np.ndarray):
     """(Ric_g - 2 du (x) du, Lap_g u) on the grid.
 
-    Accepts a MetricField or a raw component array; raises ValueError if the
+    G holds the metric components (n_r, n, 3, 3); raises ValueError if the
     metric loses positive definiteness.
     """
-    G = _unwrap(G)
     _check_metric(G)
     ric, gamma, ginv = ricci_tensor(grid, G)
     du = gradient_scalar(grid, U)
@@ -199,7 +173,7 @@ def conformal_static_residual(grid: LabGrid, G, U: np.ndarray):
     return ric_row, lap
 
 
-def boundary_data(grid: LabGrid, G, U: np.ndarray):
+def boundary_data(grid: LabGrid, G: np.ndarray, U: np.ndarray):
     """Transformed boundary rows at r = r0.
 
     Returns (tau, h): tau are frame components of e^(-2u) g restricted to the
@@ -207,7 +181,6 @@ def boundary_data(grid: LabGrid, G, U: np.ndarray):
     foliation pointing to infinity and H_g its g-divergence.
     """
     calc = grid.calc
-    G = _unwrap(G)
     ginv = np.linalg.inv(G)
     raw = np.einsum("rnij,nj->rni", ginv, calc.normal)
     norm = np.sqrt(np.einsum("rni,ni->rn", raw, calc.normal))

@@ -1,4 +1,4 @@
-"""Per-mode radial ODE: integration, substitutions, classification, verdicts.
+"""Per-mode radial ODE: integration, substitutions, classification.
 
 Each spherical-harmonic coefficient a(r) of the scalar deformation obeys
 
@@ -49,12 +49,10 @@ __all__ = [
     "ModeSolution",
     "AsymptoticKind",
     "AsymptoticClass",
-    "KernelVerdict",
     "make_ivp",
     "integrate_mode",
     "integrate_modes",
     "classify",
-    "verify_kernel_trivial",
 ]
 
 FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
@@ -747,55 +745,3 @@ def _loglog_slope(r_tail, a_tail) -> float:
     if good.sum() < 2:
         return float("nan")
     return float(np.polyfit(np.log(r_tail[good]), np.log(mag[good]), 1)[0])
-
-
-@dataclass(frozen=True)
-class KernelVerdict:
-    params: SchwarzschildParams
-    ell: int
-    klass: AsymptoticClass
-    passed: bool
-    flat_branch: bool
-    # solver diagnostics of the integrated mode (see ModeSolution)
-    n_steps: int | None = None
-    nfev: int | None = None
-    stop: str | None = None
-
-    @classmethod
-    def of(cls, sol: ModeSolution, klass: AsymptoticClass) -> "KernelVerdict":
-        """The verdict on a classified mode: any class but a decaying or
-        undetermined one certifies it."""
-        passed = klass.kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
-        return cls(
-            params=sol.ivp.params, ell=sol.ivp.ell, klass=klass, passed=passed,
-            flat_branch=sol.ivp.flat_branch, n_steps=sol.n_steps, nfev=sol.nfev, stop=sol.stop,
-        )
-
-    @property
-    def failure_kind(self) -> str | None:
-        if self.passed:
-            return None
-        if self.klass.kind is AsymptoticKind.DECAYS_TO_ZERO:
-            return "decaying-mode"
-        return "undetermined"
-
-
-def verify_kernel_trivial(
-    params: SchwarzschildParams,
-    ell: int,
-    decay_q: float = 0.75,
-    r_max_factor: float = 1e6,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    eps_dec: float = 1e-4,
-    k_div: float = 1e3,
-) -> KernelVerdict:
-    """Certify that the unit-data mode of degree ell does not decay.
-
-    A decaying class would be a linearized-kernel candidate; any other class
-    certifies triviality for this mode.  Undetermined is reported as a
-    failure to verify, not as a counterexample.
-    """
-    ivp = make_ivp(params, ell, a0=1.0)
-    sol = integrate_mode(ivp, r_max_factor * params.r0, rtol=rtol, atol=atol, k_div=k_div)
-    return KernelVerdict.of(sol, classify(sol, decay_q=decay_q, eps_dec=eps_dec, k_div=k_div))

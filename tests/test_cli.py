@@ -16,12 +16,11 @@ from schwarzstatic.cli import (
     SweepConfig,
     emit,
     run_sweep,
-    write_mode_profile,
 )
-from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.modes import AsymptoticClass, AsymptoticKind
 
 SMALL = dict(masses=[1.0], r0_offsets=[1.0], ell_max=2, r_max_factor=1e4)
+ONE_MODE = ["--masses", "1", "--deltas", "1", "--ell-max", "0"]
 
 
 def read_csv(path):
@@ -228,33 +227,59 @@ class TestEmit:
         line = read_csv(paths[0])[1].split(",")
         assert float(line[4]) == report.records[0].fitted_limit
 
-    def test_profile_file(self, tmp_path):
-        # l=1 profile: the final Phi value matches the log closed form
-        # Phi(r) = alpha0 (l(l+1)/2m = 1/m here) [ln((r-2m)/r) - ln((r0-2m)/r0)]
-        params = SchwarzschildParams(m=1.0, r0=3.0)
-        path = write_mode_profile(str(tmp_path), params, ell=1)
-        lines = read_csv(path)
-        assert lines[0] == "r,a,da,A,phi,Phi"
-        last = lines[-1].split(",")
+    def test_sweep_profiles_end_at_record_r_max(self, tmp_path, monkeypatch):
+        # each profile is the solution its record was classified on: one batch
+        # integrates every mode once, and each file has the bytes the mode
+        # subcommand writes for the same mode; the config has a flat-branch
+        # mass, generic masses of both signs and k_div-stopped degrees
+        config = SweepConfig(masses=[0.0, -0.25, 1.0], r0_offsets=[1.0], ell_max=3)
+        batches = []
+        integrate_modes = cli.integrate_modes
+
+        def counting(*args, **kwargs):
+            batches.append(args)
+            return integrate_modes(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep integrated a mode on its own")
+
+        sweep_dir, mode_dir = tmp_path / "sweep", tmp_path / "mode"
+        sweep_dir.mkdir()
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "integrate_modes", counting)
+            mp.setattr(cli, "integrate_mode", forbidden)
+            report = run_sweep(config, profile_dir=str(sweep_dir))
+        assert len(batches) == 1
+        names = [f"mode_m{rec.m:g}_r0{rec.r0:g}_l{rec.ell}.csv" for rec in report.records]
+        assert sorted(os.listdir(sweep_dir)) == sorted(names)
+        assert "mode_m-0.25_r01_l3.csv" in names
+        for rec, name in zip(report.records, names):
+            assert cli.main(["mode", f"--m={rec.m!r}", f"--r0={rec.r0!r}", f"--ell={rec.ell}",
+                             "--out-dir", str(mode_dir)]) == 0
+            profile = (sweep_dir / name).read_bytes()
+            assert profile == (mode_dir / name).read_bytes()
+            lines = profile.decode("utf-8").splitlines()
+            assert lines[0] == "r,a,da,A,phi,Phi"
+            assert float(lines[-1].split(",")[0]) == rec.r_max
+
+        # (m, r0, ell) = (1, 3, 1) stops at k_div; its final Phi matches the
+        # log closed form Phi(r) = alpha0 (l(l+1)/2m = 1/m here)
+        # [ln((r-2m)/r) - ln((r0-2m)/r0)]
+        rec = report.records[9]
+        assert (rec.m, rec.r0, rec.ell) == (1.0, 3.0, 1)
+        assert rec.r_max < config.r_max_factor * rec.r0
+        last = read_csv(sweep_dir / names[9])[-1].split(",")
         r_end, phi_end = float(last[0]), float(last[5])
         expect = 1.5 * (np.log((r_end - 2.0) / r_end) + np.log(3.0))
         assert abs(phi_end - expect) <= 1e-4
 
-    def test_sweep_profiles_end_at_record_r_max(self, tmp_path):
-        # profiles integrate with the sweep's own k_div, so each stops where
-        # its record did rather than at the default threshold
+        # a non-default k_div stops the profiles where it stopped the records
         config = SweepConfig(masses=[1.0], r0_offsets=[1.0], ell_max=2, k_div=10.0)
-        report = run_sweep(config)
-        paths = emit(report, str(tmp_path), profile=True)
-        for rec, path in zip(report.records, paths[2:]):
-            last = read_csv(path)[-1].split(",")
+        report = run_sweep(config, jobs=2, profile_dir=str(tmp_path))
+        for rec in report.records:
+            last = read_csv(tmp_path / f"mode_m1_r03_l{rec.ell}.csv")[-1].split(",")
             assert float(last[0]) == rec.r_max
         assert report.records[1].r_max < config.r_max_factor * report.records[1].r0
-
-    def test_profile_filename_template(self, tmp_path):
-        params = SchwarzschildParams(m=-0.25, r0=1.0)
-        path = write_mode_profile(str(tmp_path), params, ell=3, r_max_factor=1e3)
-        assert os.path.basename(path) == "mode_m-0.25_r01_l3.csv"
 
 
 class TestMainEntry:
@@ -304,6 +329,18 @@ class TestMainEntry:
              "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+    def test_unusable_out_dir_stops_before_integrating(self, tmp_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before the output directory was checked")
+
+        monkeypatch.setattr(cli, "integrate_modes", forbidden)
+        (tmp_path / "file").write_text("")
+        code = cli.main(["sweep", "--masses", "1.0", "--deltas", "1.0", "--ell-max", "0",
+                         "--out-dir", str(tmp_path / "file" / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
@@ -496,6 +533,52 @@ class TestInstalledEntryPoint:
         for rec in records:
             diagnostics = [rec["n_steps"], rec["nfev"], rec["stop"]]
             assert (diagnostics == [None] * 3) == (not rec["pass"])
+
+    def test_subprocess_solver_failure_under_profile(self, tmp_path):
+        # the failed record is written, and has no profile: nothing integrates it again
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--masses=-1e308",
+             "--deltas", "1", "--ell-max", "0", "--profile", "--out-dir", str(tmp_path)],
+            capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["sweep.csv", "sweep.json"]
+        (row,) = [line.split(",") for line in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert row[3:8] == ["Undetermined", "nan", "nan", "nan", "false"]
+        (rec,) = json.loads((tmp_path / "sweep.json").read_text())["records"]
+        assert rec["class"] == "Undetermined"
+
+    @pytest.mark.parametrize(
+        "args,blocked",
+        [
+            pytest.param(["sweep", *ONE_MODE], None, id="sweep-out-dir-below-a-file"),
+            pytest.param(["mode", "--m", "1", "--r0", "3", "--ell", "0"], None,
+                         id="mode-out-dir-below-a-file"),
+            pytest.param(["sweep", *ONE_MODE], "sweep.csv", id="sweep-csv-write"),
+            pytest.param(["sweep", *ONE_MODE, "--masses", "1,-1", "--profile", "--jobs", "2"],
+                         "mode_m1_r03_l0.csv", id="sweep-profile-write"),
+            pytest.param(["mode", "--m", "1", "--r0", "3", "--ell", "0"],
+                         "mode_m1_r03_l0.csv", id="mode-profile-write"),
+        ],
+    )
+    def test_subprocess_unwritable_output_exit_one(self, tmp_path, args, blocked):
+        # blocked None: --out-dir lies below a regular file; otherwise a
+        # directory sits where the named output file would be written
+        if blocked is None:
+            (tmp_path / "file").write_text("")
+            out_dir = tmp_path / "file" / "x"
+        else:
+            (tmp_path / blocked).mkdir()
+            out_dir = tmp_path
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", *args, "--out-dir", str(out_dir)],
+            capture_output=True,
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"error: cannot write output")
+        assert proc.stderr.count(b"\n") == 1
 
     @pytest.mark.parametrize("factor", ["1e100", "1e160"])
     def test_subprocess_huge_extent_classifies(self, tmp_path, factor):

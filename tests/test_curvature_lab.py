@@ -102,22 +102,6 @@ class TestNonlinearResidual:
         with pytest.raises(ValueError):
             conformal_static_residual(grid, bad, U)
 
-    def test_metric_field_validation(self, grid):
-        from schwarzstatic.curvature_lab import MetricField
-
-        G, U = schwarzschild_samples(grid)
-        wrapped = MetricField(G)
-        ric_row, lap = conformal_static_residual(grid, wrapped, U)
-        assert np.isfinite(ric_row).all()
-        asym = G.copy()
-        asym[0, 0, 0, 1] += 1e-6
-        with pytest.raises(ValueError):
-            MetricField(asym)
-        indef = G.copy()
-        indef[2, 3] = -np.eye(3)
-        with pytest.raises(ValueError):
-            MetricField(indef)
-
 
 class TestBoundaryData:
     def test_background_boundary_rows(self, grid):

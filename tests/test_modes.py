@@ -19,10 +19,19 @@ from schwarzstatic.modes import (
     integrate_mode,
     integrate_modes,
     make_ivp,
-    verify_kernel_trivial,
 )
+from schwarzstatic.cli import SweepConfig, run_sweep
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
+
+
+def sweep_record(params, ell):
+    """The sweep's record of the unit-data mode (params, ell), default settings."""
+    config = SweepConfig(masses=[params.m], r0_offsets=[params.r0 - 2.0 * max(0.0, params.m)],
+                         ell_max=ell)
+    rec = run_sweep(config).records[ell]
+    assert (rec.m, rec.r0, rec.ell) == (params.m, params.r0, ell)
+    return rec
 
 
 def euler_coefficients(ell, r0, a0):
@@ -462,9 +471,9 @@ class TestDiagnostics:
             assert (sol.n_steps, sol.nfev, sol.stop) == (0, 0, stop)
 
     def test_verdict_carries_solver_counts(self):
-        v = verify_kernel_trivial(P13, 2)
+        rec = sweep_record(P13, 2)
         sol = integrate_mode(make_ivp(P13, 2, 1.0), 1e6 * 3.0)
-        assert (v.n_steps, v.nfev, v.stop) == (sol.n_steps, sol.nfev, "k_div")
+        assert (rec.n_steps, rec.nfev, rec.stop) == (sol.n_steps, sol.nfev, "k_div")
 
 
 class TestFlatBranchCrossing:
@@ -532,24 +541,22 @@ class TestClassify:
 
 class TestVerify:
     def test_schwarzschild_l0(self):
-        v = verify_kernel_trivial(P13, 0)
-        assert v.passed
-        assert v.klass.kind is AsymptoticKind.CONVERGES_NONZERO
-        assert_allclose(v.klass.fitted_limit, 1.0, rtol=1e-6)
+        rec = sweep_record(P13, 0)
+        assert rec.passed
+        assert rec.class_name == AsymptoticKind.CONVERGES_NONZERO.value
+        assert_allclose(rec.fitted_limit, 1.0, rtol=1e-6)
 
     def test_flat_l5(self):
-        v = verify_kernel_trivial(SchwarzschildParams(m=0.0, r0=1.0), 5)
-        assert v.passed
-        assert v.klass.kind is AsymptoticKind.DIVERGES_PLUS
-        assert v.flat_branch
+        params = SchwarzschildParams(m=0.0, r0=1.0)
+        rec = sweep_record(params, 5)
+        assert rec.passed
+        assert rec.class_name == AsymptoticKind.DIVERGES_PLUS.value
+        assert make_ivp(params, 5, 1.0).flat_branch
+        assert (rec.n_steps, rec.nfev) == (0, 0)  # the closed form, not the stepper
 
     def test_negative_mass(self):
-        v = verify_kernel_trivial(SchwarzschildParams(m=-1.0, r0=1.0), 2)
-        assert v.passed
-
-    def test_failure_kind_names(self):
-        v = verify_kernel_trivial(P13, 0)
-        assert v.failure_kind is None
+        rec = sweep_record(SchwarzschildParams(m=-1.0, r0=1.0), 2)
+        assert rec.passed
 
 
 class TestComparisonPositivity:
