@@ -281,6 +281,23 @@ class TestEmit:
             assert float(last[0]) == rec.r_max
         assert report.records[1].r_max < config.r_max_factor * report.records[1].r0
 
+    def test_profile_file(self, tmp_path):
+        # l=1 profile: the final Phi value matches the log closed form
+        # Phi(r) = alpha0 (l(l+1)/2m = 1/m here) [ln((r-2m)/r) - ln((r0-2m)/r0)]
+        assert cli.main(["mode", "--m=1.0", "--r0=3.0", "--ell=1",
+                         "--out-dir", str(tmp_path)]) == 0
+        lines = read_csv(tmp_path / "mode_m1_r03_l1.csv")
+        assert lines[0] == "r,a,da,A,phi,Phi"
+        last = lines[-1].split(",")
+        r_end, phi_end = float(last[0]), float(last[5])
+        expect = 1.5 * (np.log((r_end - 2.0) / r_end) + np.log(3.0))
+        assert abs(phi_end - expect) <= 1e-4
+
+    def test_profile_filename_template(self, tmp_path):
+        assert cli.main(["mode", "--m=-0.25", "--r0=1.0", "--ell=3",
+                         "--r-max-factor=1e3", "--out-dir", str(tmp_path)]) == 0
+        assert os.listdir(tmp_path) == ["mode_m-0.25_r01_l3.csv"]
+
 
 class TestMainEntry:
     def test_sweep_exit_zero(self, tmp_path, capsys):
