@@ -331,10 +331,17 @@ def emit(report: SweepReport, out_dir: str) -> list[str]:
     return [csv_path, json_path]
 
 
+def _profile_label(x: float) -> str:
+    """Short form of x for a file name, exact enough to name x alone."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _write_profile(out_dir: str, sol: ModeSolution) -> str:
     """Radial profile file mode_m<>_r0<>_l<>.csv with r,a,da,A,phi,Phi."""
     params = sol.ivp.params
-    path = os.path.join(out_dir, f"mode_m{params.m:g}_r0{params.r0:g}_l{sol.ivp.ell}.csv")
+    m, r0 = _profile_label(params.m), _profile_label(params.r0)
+    path = os.path.join(out_dir, f"mode_m{m}_r0{r0}_l{sol.ivp.ell}.csv")
     nancol = np.full_like(sol.a, np.nan)
     cols = [
         sol.radii,
@@ -400,6 +407,8 @@ def _build_parser() -> _Parser:
                           help="add the grid-refinement convergence suite")
     selftest.add_argument("--mutate", help="plant a known fault (e.g. dg4-sign)")
     selftest.add_argument("--seed", type=int, default=None)
+    selftest.add_argument("--json", action="store_true",
+                          help="print one JSON object with every suite and its wall time")
 
     mode = sub.add_parser("mode", help="single-mode radial profile")
     mode.add_argument("--m", type=float, required=True)
@@ -488,9 +497,16 @@ def _cmd_selftest(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for suite in report.suites:
-        print(suite.line())
-    print(f"selftest {'passed' if report.passed else 'FAILED'} in {report.wall_time_s:.1f}s")
+    if args.json:
+        print(json.dumps({
+            "passed": report.passed,
+            "wall_time_s": report.wall_time_s,
+            "suites": [suite.as_dict() for suite in report.suites],
+        }))
+    else:
+        for suite in report.suites:
+            print(suite.line())
+        print(f"selftest {'passed' if report.passed else 'FAILED'} in {report.wall_time_s:.1f}s")
     return 0 if report.passed else 2
 
 

@@ -2,12 +2,21 @@
 
 The nonlinear residual (Ric_g - 2 du (x) du, Lap_g u) is evaluated from
 Cartesian metric components sampled on a radial x spherical grid.  Every
-Cartesian gradient goes through gradient_components (gradient_scalar is its
-scalar case): radial derivatives use the 4th-order stencils of
-fd.apply_radial on the grid step, angular derivatives go through harmonic
-synthesis of basis derivatives, which is exact on band-limited data, so the
-radial truncation dominates and the residual of the exact background
-converges at 4th order.
+derivative is taken along the grid's directions: radial derivatives use the
+4th-order stencils of fd.apply_radial on the grid step, angular derivatives
+go through harmonic synthesis of basis derivatives, which is exact on
+band-limited data, so the radial truncation dominates and the residual of
+the exact background converges at 4th order.  gradient_components
+(gradient_scalar is its scalar case) assembles them into Cartesian
+gradients.
+
+The Ricci tensor forms only the contractions it needs.  christoffel
+differentiates the 6 distinct metric components g_(ij).  ricci_tensor
+differentiates the 18 distinct Gamma^a_(ij) and contracts each derivative
+direction with the upper index as soon as it is formed, giving the
+divergence d_a Gamma^a_ij without the 81-component gradient of all 27
+Gamma^a_ij; the trace Gamma^a_aj gets a gradient of its own.  The
+Gamma Gamma terms are batched matrix products.
 
 The linearization oracle is a complex step (Squire & Trapp, SIAM Rev. 40
 (1998) 110): the nonlinear operator T is evaluated once at q + i h d and
@@ -18,10 +27,12 @@ positive-definiteness check runs its Cholesky factorization on G.real (a
 complex Cholesky would test the Hermitian matrix, not the symmetric one),
 and boundary_data takes the log-determinant as logabsdet + log(sign), since
 for complex input slogdet moves the phase of det into sign.  The banded
-radial stencils only multiply samples by real weights and add them, so they
-act on the real and imaginary parts separately and keep T analytic.  This
-path never touches the hand-coded structure equations, which it exists to
-check.
+radial stencils and the harmonic transforms only multiply samples by real
+weights and add them, so they act on the real and imaginary parts
+separately and keep T analytic.  The boundary rows sit on row 0, whose
+one-sided stencil reads the first 7 radii only, so the linearization
+evaluates boundary_data on those 7 radii.  This path never touches the
+hand-coded structure equations, which it exists to check.
 
 oracle_combinations recombines a linearization into the values the five
 hand-coded structure residuals must take, staying on the oracle side of the
@@ -56,6 +67,11 @@ __all__ = [
     "ric_prime_cartesian",
     "oracle_combinations",
 ]
+
+# symmetric storage of a 3 x 3 symmetric tensor: entry p holds (_I[p], _J[p]),
+# the upper triangle, and _PAIR[i, j] is the entry that holds (i, j)
+_I, _J = np.triu_indices(3)
+_PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 @dataclass
@@ -125,26 +141,55 @@ def gradient_components(grid: LabGrid, field: np.ndarray) -> np.ndarray:
     return g.reshape(grid.n_r, calc.n_nodes, *tail, 3)
 
 
-def christoffel(grid: LabGrid, G: np.ndarray, dG: np.ndarray | None = None):
-    """Christoffel symbols (n_r, n, a, i, j) of metric samples."""
+def christoffel(grid: LabGrid, G: np.ndarray):
+    """Christoffel symbols (n_r, n, a, i, j) of metric samples.
+
+    Only the 6 distinct components g_(ij) (the upper triangle) are
+    differentiated.
+    """
     ginv = np.linalg.inv(G)
-    if dG is None:
-        dG = gradient_components(grid, G)  # [..., i, j, k] = d_k g_ij
+    dG = gradient_components(grid, G[..., _I, _J])[..., _PAIR, :]  # [..., i, j, k] = d_k g_ij
     di_gbj = np.einsum("...bji->...bij", dG)
     dj_gbi = dG  # [..., b, i, j] = d_j g_bi
     db_gij = np.einsum("...ijb->...bij", dG)
-    gamma = 0.5 * np.einsum("...ab,...bij->...aij", ginv, di_gbj + dj_gbi - db_gij)
-    return gamma, ginv
+    gamma = 0.5 * (ginv @ (di_gbj + dj_gbi - db_gij).reshape(*G.shape[:-2], 3, 9))
+    return gamma.reshape(dG.shape), ginv
+
+
+def _christoffel_divergence(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
+    """d_a Gamma^a_ij (n_r, n, 6) in symmetric storage, from (n_r, n, a, i, j).
+
+    The 18 distinct Gamma^a_(ij) are differentiated once; each derivative
+    direction (d/dr along the normal, d/dtheta / r along theta_hat and
+    d/dphi / (r sin theta) along phi_hat) is contracted with the a slot as
+    soon as it is formed, so no (..., 3) gradient axis is ever stored.
+    """
+    calc = grid.calc
+    sym = gamma[..., _I, _J]  # (n_r, n, a, p)
+    flat = sym.reshape(grid.n_r, calc.n_nodes, 18)
+    dr = apply_radial(flat, grid.h, 1).reshape(sym.shape)
+    dt, dp = calc.angular_derivatives(np.moveaxis(flat, -1, 0))
+    dt, dp = dt.reshape(3, 6, *flat.shape[:2]), dp.reshape(3, 6, *flat.shape[:2])
+    n, th, ph = calc.normal, calc.theta_hat, calc.phi_hat / calc.sin_theta[:, None]
+    div = sum(dr[:, :, a] * n[:, a, None] for a in range(3))
+    tangential = sum(dt[a] * th[:, a] + dp[a] * ph[:, a] for a in range(3))  # (p, n_r, n)
+    return div + np.moveaxis(tangential, 0, -1) / grid.r[:, None, None]
 
 
 def ricci_tensor(grid: LabGrid, G: np.ndarray):
-    """Ricci tensor (n_r, n, 3, 3) of metric samples, and the Christoffels."""
+    """Ricci tensor (n_r, n, 3, 3) of metric samples, and the Christoffels.
+
+    Ric_ij = d_a Gamma^a_ij - d_(i Gamma^a_|a|j) + Gamma^a_ab Gamma^b_ij
+    - Gamma^a_ib Gamma^b_aj: only the divergence of the Christoffels and the
+    gradient of their trace are formed, never the full gradient.
+    """
     gamma, ginv = christoffel(grid, G)
-    dgamma = gradient_components(grid, gamma)  # [..., a, i, j, k] = d_k Gamma^a_ij
-    ric = np.einsum("...aija->...ij", dgamma)
-    ric -= np.einsum("...aaji->...ij", dgamma)
-    ric += np.einsum("...aab,...bij->...ij", gamma, gamma)
-    ric -= np.einsum("...aib,...baj->...ij", gamma, gamma)
+    trace = np.einsum("...aaj->...j", gamma)  # Gamma^a_aj
+    dtrace = gradient_components(grid, trace)  # [..., j, i] = d_i Gamma^a_aj
+    ric = _christoffel_divergence(grid, gamma)[..., _PAIR] - dtrace
+    ric += (trace[..., None, :] @ gamma.reshape(*G.shape[:-2], 3, 9)).reshape(G.shape)
+    s = np.swapaxes(gamma, -3, -2).copy()  # s[..., i, a, b] = Gamma^a_ib
+    ric -= s.reshape(*G.shape[:-2], 3, 9) @ s.reshape(*G.shape[:-2], 9, 3)
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))  # mixed-partial symmetrization
     return ric, gamma, ginv
 
@@ -206,6 +251,7 @@ def boundary_data(grid: LabGrid, G: np.ndarray, U: np.ndarray):
 
 
 _H = 1e-20  # complex step: no cancellation, so it need not balance truncation
+_EDGE_ROWS = 7  # the boundary rows sit on row 0, whose fd.apply_radial edge block reads f[:7]
 
 
 @dataclass
@@ -223,7 +269,11 @@ def linearize_at_schwarzschild(grid: LabGrid, direction: DeformationField) -> Li
     G0, U0 = schwarzschild_samples(grid)
     G = G0 + 1j * _H * direction.cartesian(grid.r)
     U = U0 + 1j * _H * direction.u(grid.r)
-    rows = (*conformal_static_residual(grid, G, U), *boundary_data(grid, G, U))
+    edge = LabGrid(grid.params, grid.calc, grid.r[:_EDGE_ROWS])
+    rows = (
+        *conformal_static_residual(grid, G, U),
+        *boundary_data(edge, G[:_EDGE_ROWS], U[:_EDGE_ROWS]),
+    )
     return LinearizedLc(*(row.imag / _H for row in rows))
 
 

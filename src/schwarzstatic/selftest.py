@@ -40,6 +40,7 @@ class SuiteResult:
     measured: float
     threshold: float
     detail: str = ""
+    wall_time_s: float = 0.0
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -47,6 +48,15 @@ class SuiteResult:
             f"[{status}] {self.name}: measured {self.measured:.3e}"
             f" vs threshold {self.threshold:.1e} {self.detail}".rstrip()
         )
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "measured": self.measured,
+            "threshold": self.threshold,
+            "passed": bool(self.passed),  # the suites compare numpy floats; json rejects np.bool_
+            "wall_time_s": self.wall_time_s,
+        }
 
 
 @dataclass
@@ -200,16 +210,22 @@ def run_selftest(
         structure.MUTATIONS.add(mutate)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    runners = [
+        _suite_harmonics,
+        _suite_gauge,
+        _suite_structure_oracle,
+        _suite_conservation,
+        _suite_mode_pde,
+    ]
+    if refine:
+        runners.append(_suite_convergence)
+    suites = []
     try:
-        suites = [
-            _suite_harmonics(rng),
-            _suite_gauge(rng),
-            _suite_structure_oracle(rng),
-            _suite_conservation(rng),
-            _suite_mode_pde(rng),
-        ]
-        if refine:
-            suites.append(_suite_convergence(rng))
+        for run in runners:
+            start = time.perf_counter()
+            suite = run(rng)
+            suite.wall_time_s = time.perf_counter() - start
+            suites.append(suite)
     finally:
         if mutate is not None:
             structure.MUTATIONS.discard(mutate)

@@ -298,6 +298,15 @@ class TestEmit:
                          "--r-max-factor=1e3", "--out-dir", str(tmp_path)]) == 0
         assert os.listdir(tmp_path) == ["mode_m-0.25_r01_l3.csv"]
 
+    def test_profile_names_tell_close_masses_apart(self, tmp_path):
+        # six significant digits would give both records the file
+        # mode_m1_r03_l0.csv, the later write replacing the earlier
+        assert cli.main(["sweep", "--masses", "1.0000001,1.0000002", "--deltas", "1",
+                         "--ell-max", "0", "--profile", "--out-dir", str(tmp_path)]) == 0
+        profiles = sorted(name for name in os.listdir(tmp_path) if name.startswith("mode_"))
+        assert profiles == ["mode_m1.0000001_r03.0000002_l0.csv",
+                            "mode_m1.0000002_r03.0000004_l0.csv"]
+
 
 class TestMainEntry:
     def test_sweep_exit_zero(self, tmp_path, capsys):

@@ -4,10 +4,12 @@ from numpy.testing import assert_allclose
 
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.curvature_lab import (
+    LabGrid,
     adapted_frame_components,
     boundary_data,
     conformal_static_residual,
     flat_samples,
+    gradient_components,
     linearize_at_schwarzschild,
     make_lab_grid,
     ricci_tensor,
@@ -21,6 +23,38 @@ from schwarzstatic.fields import (
 )
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
+H_STEP = 1e-20  # the complex step of linearize_at_schwarzschild
+
+
+def reference_ricci(grid, G):
+    """Ricci tensor from the full Cartesian gradients of all 9 g_ij and 27 Gamma^a_ij.
+
+    The textbook route, kept as the oracle for the contraction-only
+    ricci_tensor: every component is differentiated in every direction and
+    the divergence and trace gradient are read off the full gradient.
+    """
+    ginv = np.linalg.inv(G)
+    dG = gradient_components(grid, G)  # [..., i, j, k] = d_k g_ij
+    di_gbj = np.einsum("...bji->...bij", dG)
+    db_gij = np.einsum("...ijb->...bij", dG)
+    gamma = 0.5 * np.einsum("...ab,...bij->...aij", ginv, di_gbj + dG - db_gij)
+    dgamma = gradient_components(grid, gamma)  # [..., a, i, j, k] = d_k Gamma^a_ij
+    ric = np.einsum("...aija->...ij", dgamma)
+    ric -= np.einsum("...aaji->...ij", dgamma)
+    ric += np.einsum("...aab,...bij->...ij", gamma, gamma)
+    ric -= np.einsum("...aib,...baj->...ij", gamma, gamma)
+    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
+
+
+def complex_step_samples(grid, direction):
+    """Background samples plus i * H_STEP times the direction, as the oracle forms them."""
+    G, U = schwarzschild_samples(grid)
+    return G + 1j * H_STEP * direction.cartesian(grid.r), U + 1j * H_STEP * direction.u(grid.r)
+
+
+def random_direction(grid, seed):
+    rng = np.random.default_rng(seed)
+    return random_deformation(rng, grid.params, grid.calc, l_band=3, gauge_fixed=False)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +129,23 @@ class TestNonlinearResidual:
         ric, _, _ = ricci_tensor(g, G)
         assert np.abs(ric).max() <= 2e-12
 
+    def test_ricci_matches_full_gradient_reference(self, grid):
+        G, _ = schwarzschild_samples(grid)
+        ric, _, _ = ricci_tensor(grid, G)
+        expect = reference_ricci(grid, G)
+        assert np.abs(ric - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ricci_matches_full_gradient_reference_complex_step(self, grid, seed):
+        # the real part is the background, the imaginary part H_STEP times the
+        # linearization: each must agree on its own scale
+        G, _ = complex_step_samples(grid, random_direction(grid, seed))
+        ric, _, _ = ricci_tensor(grid, G)
+        expect = reference_ricci(grid, G)
+        for part in (np.real, np.imag):
+            scale = np.abs(part(expect)).max()
+            assert np.abs(part(ric) - part(expect)).max() <= 1e-10 * scale
+
     def test_rejects_degenerate_metric(self, grid):
         G, U = schwarzschild_samples(grid)
         bad = G.copy()
@@ -115,6 +166,20 @@ class TestBoundaryData:
         assert np.abs(tau[:, 0, 1]).max() <= 1e-9
         expect_h = 2.0 / P13.r0 * np.sqrt(f2)
         assert_allclose(h_row, expect_h, rtol=1e-6)
+
+    def test_edge_prefix_rows_are_bitwise_equal(self, grid):
+        # the rows sit on row 0, whose one-sided stencil reads samples 0..6
+        # only, so the 7-radius prefix that linearize_at_schwarzschild passes
+        # must give the full grid's rows exactly
+        direction = random_direction(grid, 2)
+        G, U = complex_step_samples(grid, direction)
+        edge = LabGrid(grid.params, grid.calc, grid.r[:7])
+        full = boundary_data(grid, G, U)
+        for whole, prefix in zip(full, boundary_data(edge, G[:7], U[:7])):
+            assert np.array_equal(whole, prefix)
+        lin = linearize_at_schwarzschild(grid, direction)
+        assert np.array_equal(lin.boundary_tau, full[0].imag / H_STEP)
+        assert np.array_equal(lin.boundary_h, full[1].imag / H_STEP)
 
     def test_flat_boundary_mean_curvature(self):
         g = make_lab_grid(SchwarzschildParams(m=0.0, r0=1.0), n_r=33, l_max=6)

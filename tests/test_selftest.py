@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from schwarzstatic import cli
@@ -50,6 +52,30 @@ class TestSelfTestCli:
     def test_cli_mutation_exit_two(self, capsys):
         assert cli.main(["selftest", "--mutate", "dg4-sign"]) == 2
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_cli_json_reports_each_suite(self, capsys):
+        assert cli.main(["selftest", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert cli.main(["selftest", "--seed", "3", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["passed"] is True
+        suites = data["suites"]
+        assert len(suites) == len(lines) == 5
+        for suite, line in zip(suites, lines):
+            assert set(suite) == {"name", "measured", "threshold", "passed", "wall_time_s"}
+            expect = (f"[pass] {suite['name']}: measured {suite['measured']:.3e}"
+                      f" vs threshold {suite['threshold']:.1e}")
+            assert line == expect
+            assert suite["passed"] is True and suite["wall_time_s"] > 0.0
+        assert sum(s["wall_time_s"] for s in suites) <= data["wall_time_s"]
+
+    def test_cli_json_mutation_exit_two(self, capsys):
+        assert cli.main(["selftest", "--json", "--mutate", "dg4-sign"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["passed"] is False
+        assert [s["name"] for s in data["suites"] if not s["passed"]] == [
+            "structure equations vs linearization oracle"
+        ]
 
     def test_cli_unknown_mutation_exit_one(self):
         assert cli.main(["selftest", "--mutate", "bogus"]) == 1
