@@ -25,11 +25,14 @@ no cancellation and h = 1e-20 needs no tuning.  This needs T to be analytic
 in the samples, which shapes two steps of the nonlinear path: the
 positive-definiteness check runs its Cholesky factorization on G.real (a
 complex Cholesky would test the Hermitian matrix, not the symmetric one),
-and boundary_data takes the log-determinant as logabsdet + log(sign), since
-for complex input slogdet moves the phase of det into sign.  The banded
-radial stencils and the harmonic transforms only multiply samples by real
-weights and add them, so they act on the real and imaginary parts
-separately and keep T analytic.  The boundary rows sit on row 0, whose
+and the metric is inverted by cofactors, the adjugate over the determinant,
+which is rational in the samples: no pivoting, no abs and no conj.  The
+same determinant gives boundary_data its log-determinant as log(det), the
+principal branch, analytic near the positive real axis where every sampled
+metric's determinant lies.  The banded radial stencils, the harmonic
+transforms and the frame conversions only multiply samples by real weights
+and add them, so they act on the real and imaginary parts separately and
+keep T analytic.  The boundary rows sit on row 0, whose
 one-sided stencil reads the first 7 radii only, so the linearization
 evaluates boundary_data on those 7 radii.  This path never touches the
 hand-coded structure equations, which it exists to check.
@@ -141,13 +144,31 @@ def gradient_components(grid: LabGrid, field: np.ndarray) -> np.ndarray:
     return g.reshape(grid.n_r, calc.n_nodes, *tail, 3)
 
 
+def _inverse_sym3(G: np.ndarray):
+    """Inverse and determinant of symmetric 3 x 3 samples (..., 3, 3).
+
+    The adjugate over the determinant, read from the upper triangle: rational
+    in the entries, so a complex step through it stays analytic.  Raises
+    ValueError before dividing where Re det <= 0.
+    """
+    a, b, c, d, e, f = np.moveaxis(G[..., _I, _J], -1, 0)
+    cof = np.stack(
+        [d * f - e * e, c * e - b * f, b * e - c * d, a * f - c * c, b * c - a * e, a * d - b * b],
+        axis=-1,
+    )
+    det = a * cof[..., 0] + b * cof[..., 1] + c * cof[..., 2]
+    if np.any(det.real <= 0):
+        raise ValueError("metric lost positive definiteness")
+    return (cof / det[..., None])[..., _PAIR], det
+
+
 def christoffel(grid: LabGrid, G: np.ndarray):
     """Christoffel symbols (n_r, n, a, i, j) of metric samples.
 
     Only the 6 distinct components g_(ij) (the upper triangle) are
     differentiated.
     """
-    ginv = np.linalg.inv(G)
+    ginv, _ = _inverse_sym3(G)
     dG = gradient_components(grid, G[..., _I, _J])[..., _PAIR, :]  # [..., i, j, k] = d_k g_ij
     di_gbj = np.einsum("...bji->...bij", dG)
     dj_gbi = dG  # [..., b, i, j] = d_j g_bi
@@ -226,15 +247,12 @@ def boundary_data(grid: LabGrid, G: np.ndarray, U: np.ndarray):
     foliation pointing to infinity and H_g its g-divergence.
     """
     calc = grid.calc
-    ginv = np.linalg.inv(G)
+    ginv, det = _inverse_sym3(G)
     raw = np.einsum("rnij,nj->rni", ginv, calc.normal)
     norm = np.sqrt(np.einsum("rni,ni->rn", raw, calc.normal))
     nu = raw / norm[..., None]
 
-    sign, logabsdet = np.linalg.slogdet(G)
-    if np.any(sign.real <= 0):
-        raise ValueError("metric lost positive definiteness")
-    logdet = logabsdet + np.log(sign)
+    logdet = np.log(det)
     dnu = gradient_components(grid, nu)  # [..., i, k] = d_k nu^i
     div = np.einsum("rnii->rn", dnu)
     dhalf = gradient_scalar(grid, 0.5 * logdet)

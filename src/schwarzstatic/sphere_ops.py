@@ -22,6 +22,12 @@ conformal background has scale = r/rho, rho = sqrt(r(r-2m)), and its coframe
 scale = rho/r.  Callers pass the scale; adapted_components projects
 Cartesian tensors onto the frame and from_adapted assembles them back, both
 batched over leading axes (one radius per leading index).
+
+Every 2-tensor conversion is one batched matrix product against a per-node
+table of the outer products e_a (x) e_b of the unit basis (normal,
+theta_hat, phi_hat), built once per grid: a tensor flattened to a row of 9
+(or, tangential only, 4) components times that node's table.  The scale
+multiplies the components, not the table.
 """
 
 from __future__ import annotations
@@ -49,6 +55,14 @@ class SphereCalc:
         self.frame = np.stack([self.theta_hat, self.phi_hat], axis=1)  # (n, 2, 3)
         # tangential projector P = I - n n^T at each node
         self.projector = np.eye(3) - np.einsum("ni,nj->nij", self.normal, self.normal)
+        # outer products of the unit adapted basis e = (normal, theta_hat,
+        # phi_hat): _to_cart[n, 3a + b, 3i + j] = e_a^i e_b^j, so a row of
+        # adapted components times it gives Cartesian components and a row of
+        # Cartesian components times its transpose gives adapted ones
+        basis = np.stack([self.normal, self.theta_hat, self.phi_hat], axis=1)
+        self._to_cart = np.einsum("nai,nbj->nabij", basis, basis).reshape(-1, 9, 9)
+        self._to_adapted = np.ascontiguousarray(np.swapaxes(self._to_cart, -1, -2))
+        self._frame_to_cart = self._to_cart[:, [4, 5, 7, 8]]  # rows 3a + b, a and b tangential
         self._eig = -degree_table(self.grid.l_max) * (degree_table(self.grid.l_max) + 1.0)
         self._AT = self.grid.analysis.T  # (n_nodes, n_modes)
         self._YT = self.grid.Y.T
@@ -111,12 +125,12 @@ class SphereCalc:
         slot first: out[..., p, q] = (grad w)_{p q}.
         """
         dt, dp = self.angular_derivatives(np.moveaxis(w, -1, 0))
-        dps = dp / self.sin_theta
-        # ambient derivative d_p w_q
-        amb = np.einsum("np,q...n->...npq", self.theta_hat, dt)
-        amb += np.einsum("np,q...n->...npq", self.phi_hat, dps)
-        # project the value slot back to the tangent space
-        return np.einsum("...npq,nqr->...npr", amb, self.projector)
+        # derivatives along theta_hat and phi_hat, value slot projected back
+        # to the tangent space: d - (d . n) n
+        d = np.moveaxis(np.stack([dt, dp / self.sin_theta]), 1, -1)  # (2, ..., n, q)
+        d = d - self._normal_part(d)
+        # ambient derivative d_p w_q = theta_hat_p d_0q + phi_hat_p d_1q
+        return np.swapaxes(self.frame, -1, -2) @ np.moveaxis(d, 0, -2)
 
     def sym_grad_covector(self, w: np.ndarray) -> np.ndarray:
         g = self.grad_covector(w)
@@ -133,23 +147,23 @@ class SphereCalc:
         """
         comps = np.moveaxis(np.moveaxis(t, -1, 0), -1, 0)  # (p, q, ..., n)
         dt, dp = self.angular_derivatives(comps)
-        dps = dp / self.sin_theta
-        div = np.einsum("np,pq...n->...nq", self.theta_hat, dt)
-        div += np.einsum("np,pq...n->...nq", self.phi_hat, dps)
-        return np.einsum("...nq,nqr->...nr", div, self.projector)
+        th, ph = self.theta_hat, self.phi_hat / self.sin_theta[:, None]
+        div = sum(dt[p] * th[:, p] + dp[p] * ph[:, p] for p in range(3))  # (q, ..., n)
+        div = np.moveaxis(div, 0, -1)
+        return div - self._normal_part(div)
+
+    def _normal_part(self, v: np.ndarray) -> np.ndarray:
+        """(v . n) n of Cartesian vectors v (..., n, 3)."""
+        return np.einsum("...ni,ni->...n", v, self.normal)[..., None] * self.normal
 
     # -- frame conversions -----------------------------------------------
-
-    def _scaled_frame(self, scale) -> np.ndarray:
-        """scale * frame, shape (..., n, 2, 3) for scale of shape (...)."""
-        return self.frame * np.asarray(scale)[..., None, None, None]
 
     def frame_to_cart_covector(self, w: np.ndarray, scale=1.0) -> np.ndarray:
         """(..., n, 2) components in the frame scale * frame -> (..., n, 3) Cartesian.
 
         scale broadcasts against the leading axes w.shape[:-2].
         """
-        e = self._scaled_frame(scale)
+        e = self.frame * np.asarray(scale)[..., None, None, None]
         return w[..., 0:1] * e[..., 0, :] + w[..., 1:2] * e[..., 1, :]
 
     def cart_to_frame_covector(self, v: np.ndarray) -> np.ndarray:
@@ -162,8 +176,9 @@ class SphereCalc:
 
         scale broadcasts against the leading axes t.shape[:-3].
         """
-        e = self._scaled_frame(scale)
-        return np.einsum("...nab,...nai,...nbj->...nij", t, e, e)
+        t = t * np.asarray(scale)[..., None, None, None] ** 2
+        out = t.reshape(*t.shape[:-2], 1, 4) @ self._frame_to_cart
+        return out.reshape(*t.shape[:-2], 3, 3)
 
     def adapted_components(self, t: np.ndarray, scale=1.0):
         """Components (rr, ra, ab) of Cartesian 2-tensors in the adapted frame.
@@ -172,12 +187,10 @@ class SphereCalc:
         scale broadcasting against the leading axes t.shape[:-3].  Returns
         rr (..., n), ra (..., n, 2) and ab (..., n, 2, 2).
         """
-        n, e = self.normal, self.frame
+        m = (t.reshape(*t.shape[:-2], 1, 9) @ self._to_adapted).reshape(t.shape)
         scale = np.asarray(scale)[..., None, None]
-        rr = np.einsum("...nij,ni,nj->...n", t, n, n)
-        ra = np.einsum("...nij,ni,naj->...na", t, n, e) * scale
-        ab = np.einsum("...nij,nai,nbj->...nab", t, e, e) * scale[..., None] ** 2
-        return rr, ra, ab
+        # rr is copied so that it does not keep all 9 components of m alive
+        return m[..., 0, 0].copy(), m[..., 0, 1:] * scale, m[..., 1:, 1:] * scale[..., None] ** 2
 
     def from_adapted(self, rr: np.ndarray, ra: np.ndarray, ab: np.ndarray, scale) -> np.ndarray:
         """Cartesian (..., n, 3, 3) symmetric tensor with adapted components rr, ra, ab.
@@ -188,12 +201,13 @@ class SphereCalc:
         parallel frame (r/rho) * frame assemble through its coframe, so pass
         rho/r.
         """
-        n = self.normal
-        out = np.einsum("...x,xi,xj->...xij", rr, n, n)
-        mixed = self.frame_to_cart_covector(ra, scale)[..., None] * n[:, None, :]
-        out += mixed + np.swapaxes(mixed, -1, -2)
-        out += self.frame_to_cart_sym2(ab, scale)
-        return out
+        scale = np.asarray(scale)[..., None, None]
+        m = np.empty((*rr.shape, 3, 3), dtype=np.result_type(rr, ra, ab, scale))
+        m[..., 0, 0] = rr
+        m[..., 0, 1:] = ra * scale
+        m[..., 1:, 0] = m[..., 0, 1:]
+        m[..., 1:, 1:] = ab * scale[..., None] ** 2
+        return (m.reshape(*rr.shape, 1, 9) @ self._to_cart).reshape(m.shape)
 
     # -- frame-component intrinsic operators ------------------------------
 

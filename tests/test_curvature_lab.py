@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.curvature_lab import (
     LabGrid,
+    _inverse_sym3,
     adapted_frame_components,
     boundary_data,
     conformal_static_residual,
@@ -154,7 +155,32 @@ class TestNonlinearResidual:
             conformal_static_residual(grid, bad, U)
 
 
+class TestMetricInverse:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cofactor_inverse_matches_lapack_complex_step(self, grid, seed):
+        G, _ = complex_step_samples(grid, random_direction(grid, seed))
+        ginv, det = _inverse_sym3(G)
+        expect = np.linalg.inv(G)
+        # real part: the background inverse; imaginary part: H_STEP times its
+        # linearization, so each is compared on its own scale
+        for part in (np.real, np.imag):
+            scale = np.abs(part(expect)).max()
+            assert np.abs(part(ginv) - part(expect)).max() <= 1e-14 * scale
+        expect_det = np.linalg.det(G)
+        for part in (np.real, np.imag):
+            scale = np.abs(part(expect_det)).max()
+            assert np.abs(part(det) - part(expect_det)).max() <= 1e-14 * scale
+
+
 class TestBoundaryData:
+    def test_rejects_degenerate_metric(self, grid):
+        G, U = schwarzschild_samples(grid)
+        bad = G.copy()
+        bad[3, 5] = 0.0
+        with pytest.raises(ValueError, match="positive definiteness"):
+            boundary_data(grid, bad, U)
+
+
     def test_background_boundary_rows(self, grid):
         G, U = schwarzschild_samples(grid)
         tau, h_row = boundary_data(grid, G, U)

@@ -16,6 +16,30 @@ def harmonic(calc, ell, k):
     return calc.grid.Y[:, mode_position(ell, k)]
 
 
+def reference_frame_to_cart_sym2(calc, t, scale=1.0):
+    """The three-operand contraction t_ab (scale e_a)^i (scale e_b)^j, node by node."""
+    e = calc.frame * np.asarray(scale)[..., None, None, None]
+    return np.einsum("...nab,...nai,...nbj->...nij", t, e, e)
+
+
+def reference_adapted_components(calc, t, scale=1.0):
+    """(rr, ra, ab) by three-operand contractions with normal and scale * frame."""
+    n, e = calc.normal, calc.frame
+    scale = np.asarray(scale)[..., None, None]
+    rr = np.einsum("...nij,ni,nj->...n", t, n, n)
+    ra = np.einsum("...nij,ni,naj->...na", t, n, e) * scale
+    ab = np.einsum("...nij,nai,nbj->...nab", t, e, e) * scale[..., None] ** 2
+    return rr, ra, ab
+
+
+def assert_close_on_scale(got, expect, rtol):
+    # elementwise rtol fails on entries that cancel to near zero; the bound
+    # is relative to the largest entry, for real and imaginary parts apart
+    for part in (np.real, np.imag):
+        scale = np.abs(part(expect)).max()
+        assert np.abs(part(got) - part(expect)).max() <= rtol * scale
+
+
 def dense_derivative(n, h, order):
     """The n x n matrix apply_radial applies on its band, built row by row."""
     points = order + 5
@@ -138,6 +162,29 @@ class TestTensorOps:
             sym = 0.5 * (t + np.swapaxes(t, -1, -2))
             back = calc.from_adapted(*calc.adapted_components(sym, scale), 1.0 / scale)
             assert_allclose(back, sym, atol=1e-13)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_frame_conversions_match_three_operand_contractions(self, calc, complex_input):
+        rng = np.random.default_rng(11)
+        n_r = 5
+
+        def sample(*shape):
+            out = rng.standard_normal(shape)
+            return out + 1j * rng.standard_normal(shape) if complex_input else out
+
+        t2, t3 = sample(n_r, calc.n_nodes, 2, 2), sample(n_r, calc.n_nodes, 3, 3)
+        for scale in (1.0, 1.7, rng.uniform(0.5, 2.0, n_r)):
+            assert_close_on_scale(
+                calc.frame_to_cart_sym2(t2, scale),
+                reference_frame_to_cart_sym2(calc, t2, scale),
+                1e-14,
+            )
+            for got, expect in zip(
+                calc.adapted_components(t3, scale),
+                reference_adapted_components(calc, t3, scale),
+            ):
+                assert got.shape == expect.shape
+                assert_close_on_scale(got, expect, 1e-14)
 
     def test_tt_tensors_are_traceless(self, calc):
         rng = np.random.default_rng(2)
