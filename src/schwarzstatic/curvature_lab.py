@@ -32,10 +32,10 @@ principal branch, analytic near the positive real axis where every sampled
 metric's determinant lies.  The banded radial stencils, the harmonic
 transforms and the frame conversions only multiply samples by real weights
 and add them, so they act on the real and imaginary parts separately and
-keep T analytic.  The boundary rows sit on row 0, whose
-one-sided stencil reads the first 7 radii only, so the linearization
-evaluates boundary_data on those 7 radii.  This path never touches the
-hand-coded structure equations, which it exists to check.
+keep T analytic.  The boundary rows sit on row 0, whose one-sided stencil
+reads the first 7 radii only, so the linearization evaluates boundary_data
+on those 7 radii.  This path never touches the hand-coded structure
+equations, which it exists to check.
 
 oracle_combinations recombines a linearization into the values the five
 hand-coded structure residuals must take, staying on the oracle side of the

@@ -180,7 +180,6 @@ class TestBoundaryData:
         with pytest.raises(ValueError, match="positive definiteness"):
             boundary_data(grid, bad, U)
 
-
     def test_background_boundary_rows(self, grid):
         G, U = schwarzschild_samples(grid)
         tau, h_row = boundary_data(grid, G, U)
