@@ -27,6 +27,7 @@ from .modes import (
     ModeIVP,
     ModeSolution,
     classify,
+    classify_modes,
     integrate_mode,
     integrate_modes,
     make_ivp,
@@ -55,6 +56,7 @@ __all__ = [
     "ModeIVP",
     "ModeSolution",
     "classify",
+    "classify_modes",
     "integrate_mode",
     "integrate_modes",
     "make_ivp",

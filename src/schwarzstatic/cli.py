@@ -6,19 +6,23 @@ suite).  Output files use shortest round-trip float formatting, UTF-8, LF,
 and a fixed record order, so identical configurations reproduce identical
 bytes up to the measured times (wall_time_s, integrate_s, classify_s).
 
-A sweep integrates its modes in batches: one integrate_modes call per
-contiguous chunk of the task list, one chunk per job.  A record's
+A sweep integrates its modes in batches: one contiguous chunk of the task
+list per job, and per chunk one integrate_modes call (stepping, then one
+sampling pass over all modes) and one classify_modes call.  A record's
 wall_time_s is therefore not the time of that mode alone.  It is the sum
 of integrate_s, the record's share of its batch's stepping time weighted
-by the mode's right-hand-side evaluations (nfev), and classify_s, the
-measured time of the mode's own sampling and classification.  The records
-of a batch add up to the batch's wall time.
+by the mode's right-hand-side evaluations (nfev), and classify_s, an equal
+share of its batch's sampling and classification time.  The records of a
+batch add up to the batch's wall time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.metadata
 import json
+import math
 import operator
 import os
 import platform
@@ -28,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy
 
 from .background import RoundData, SchwarzschildParams, match_round_data
 from .modes import (
@@ -38,6 +41,7 @@ from .modes import (
     AsymptoticKind,
     ModeSolution,
     classify,
+    classify_modes,
     integrate_mode,
     integrate_modes,
     make_ivp,
@@ -137,8 +141,8 @@ class VerdictRecord:
     fitted_exponent: float
     r_max: float
     passed: bool
-    # the record's share of its batch's stepping time, and its own sampling
-    # and classification time (see the module docstring)
+    # the record's shares of its batch's stepping time and of its batch's
+    # sampling and classification time (see the module docstring)
     integrate_s: float
     classify_s: float
     # solver diagnostics (sweep.json only); None for a solver failure
@@ -206,29 +210,29 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     for k, sol in zip(ivps, batch):
         sols[k] = sol
 
+    # one classification pass over the batch; a mode that failed to integrate
+    # or whose fit failed is Undetermined
     nan = float("nan")
     undetermined = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan)
-    classes, own_s = [], []  # own_s: each mode's sampling and classification
-    for sol in sols:
-        t = time.perf_counter()
-        klass = undetermined
-        if isinstance(sol, ModeSolution):
-            try:
-                klass = classify(sol, decay_q=cfg["decay_q"], eps_dec=cfg["eps_dec"],
-                                 k_div=cfg["k_div"])
-            except (RuntimeError, ValueError):
-                pass
-            t -= sol.sample_s
-        classes.append(klass)
-        own_s.append(time.perf_counter() - t)
+    classes = [undetermined] * len(sols)
+    solved = [k for k, sol in enumerate(sols) if isinstance(sol, ModeSolution)]
+    t = time.perf_counter()
+    verdicts = classify_modes([sols[k] for k in solved], decay_q=cfg["decay_q"],
+                              eps_dec=cfg["eps_dec"], k_div=cfg["k_div"])
+    for k, klass in zip(solved, verdicts):
+        if isinstance(klass, AsymptoticClass):
+            classes[k] = klass
+    # each record's share of the batch's sampling and classification
+    own = (time.perf_counter() - t + sum(sols[k].sample_s for k in solved)) / len(sols)
 
     # the rest of the batch's time is its stepping, shared out by nfev
-    stepping_s = time.perf_counter() - t0 - sum(own_s)
+    stepping_s = time.perf_counter() - t0 - own * len(sols)
     weights = [sol.nfev if isinstance(sol, ModeSolution) else 0 for sol in sols]
     if sum(weights) == 0:
         weights = [1] * len(sols)
+    total = sum(weights)
     records = []
-    for (m, r0, ell), sol, klass, w, own in zip(tasks, sols, classes, weights, own_s):
+    for (m, r0, ell), sol, klass, w in zip(tasks, sols, classes, weights):
         # a mode is certified by any class but a decaying or undetermined one
         passed = klass.kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
         # a mode that failed to integrate or to classify has no solver diagnostics
@@ -238,7 +242,7 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
             m=m, r0=r0, ell=ell, class_name=klass.kind.value,
             fitted_limit=klass.fitted_limit, fitted_exponent=klass.fitted_exponent,
             r_max=klass.r_max, passed=passed,
-            integrate_s=stepping_s * w / sum(weights), classify_s=own, **diagnostics,
+            integrate_s=stepping_s * w / total, classify_s=own, **diagnostics,
         ))
     if profile_dir is not None:
         for sol in sols:
@@ -292,12 +296,19 @@ def emit(report: SweepReport, out_dir: str) -> list[str]:
             fh.write(rec.csv_row() + "\n")
 
     json_path = os.path.join(out_dir, "sweep.json")
-    payload = {
+    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_json_text(_sweep_payload(report)) + "\n")
+    return [csv_path, json_path]
+
+
+def _sweep_payload(report: SweepReport) -> dict:
+    """The content of sweep.json."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         "config": asdict(report.config),
         "records": [
@@ -325,10 +336,56 @@ def emit(report: SweepReport, out_dir: str) -> list[str]:
             "all_passed": report.all_passed,
         },
     }
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return [csv_path, json_path]
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """The installed scipy's version, read from its metadata without importing it."""
+    return importlib.metadata.version("scipy")
+
+
+# the values json writes without nesting
+_JSON_SCALARS = {float, int, bool, str, type(None)}
+# json's C encoder with one value per line: no encoded value holds a newline
+_LINE_ENCODER = json.JSONEncoder(separators=("\n", ": "))
+
+
+def _json_text(payload: dict) -> str:
+    """The text of json.dumps(payload, indent=2), written faster.
+
+    json runs its pure-Python encoder whenever indent is set.  Here each
+    top-level value is dumped on its own and indented, except a list of
+    records: dicts of scalars with the same keys, the sweep's records.
+    Their values go through json's C encoder in one call, one value per
+    line, and fill a template of the record's indent=2 layout.
+    """
+    items = []
+    for key, value in payload.items():
+        text = _records_text(value) if isinstance(value, list) and value else None
+        if text is None:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _records_text(records: list) -> str | None:
+    """A list of records as json.dumps writes it at depth 1 with indent=2, or
+    None if the list is not records."""
+    first = records[0]
+    if not (type(first) is dict and first):
+        return None
+    keys = tuple(first)
+    if not all(type(rec) is dict and tuple(rec) == keys for rec in records):
+        return None
+    values = [v for rec in records for v in rec.values()]
+    if not set(map(type, values)) <= _JSON_SCALARS:
+        return None
+    lines = _LINE_ENCODER.encode(values)[1:-1].split("\n")
+    record = "    {\n" + ",\n".join(
+        f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys) + "\n    }"
+    n = len(keys)
+    return "[\n" + ",\n".join(
+        record % tuple(lines[i:i + n]) for i in range(0, len(lines), n)) + "\n  ]"
 
 
 def _profile_label(x: float) -> str:

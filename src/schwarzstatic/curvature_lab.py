@@ -11,7 +11,8 @@ the exact background converges at 4th order.  gradient_components
 gradients.
 
 The Ricci tensor forms only the contractions it needs.  christoffel
-differentiates the 6 distinct metric components g_(ij).  ricci_tensor
+differentiates the 6 distinct metric components g_(ij) and returns the 18
+distinct Gamma^a_(ij) in symmetric storage.  ricci_tensor
 differentiates the 18 distinct Gamma^a_(ij) and contracts each derivative
 direction with the upper index as soon as it is formed, giving the
 divergence d_a Gamma^a_ij without the 81-component gradient of all 27
@@ -163,22 +164,29 @@ def _inverse_sym3(G: np.ndarray):
 
 
 def christoffel(grid: LabGrid, G: np.ndarray):
-    """Christoffel symbols (n_r, n, a, i, j) of metric samples.
+    """Christoffel symbols Gamma^a_(ij) (n_r, n, a, 6) of metric samples, in
+    symmetric storage, and the inverse metric.
 
     Only the 6 distinct components g_(ij) (the upper triangle) are
-    differentiated.
+    differentiated, and only the 6 distinct columns (ij) of
+    d_i g_bj + d_j g_bi - d_b g_ij are formed and raised.
     """
     ginv, _ = _inverse_sym3(G)
-    dG = gradient_components(grid, G[..., _I, _J])[..., _PAIR, :]  # [..., i, j, k] = d_k g_ij
-    di_gbj = np.einsum("...bji->...bij", dG)
-    dj_gbi = dG  # [..., b, i, j] = d_j g_bi
-    db_gij = np.einsum("...ijb->...bij", dG)
-    gamma = 0.5 * (ginv @ (di_gbj + dj_gbi - db_gij).reshape(*G.shape[:-2], 3, 9))
-    return gamma.reshape(dG.shape), ginv
+    dG = gradient_components(grid, G[..., _I, _J])  # [..., q, k] = d_k g_q
+    lower = (dG[..., _DI_GBJ[0], _DI_GBJ[1]] + dG[..., _DJ_GBI[0], _DJ_GBI[1]]
+             - dG[..., _DB_GIJ[0], _DB_GIJ[1]])  # [..., b, p]
+    return 0.5 * (ginv @ lower), ginv
 
 
-def _christoffel_divergence(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
-    """d_a Gamma^a_ij (n_r, n, 6) in symmetric storage, from (n_r, n, a, i, j).
+# (component, direction) in the gradient of g_(q) of the three terms of
+# Gamma_b(ij), row b, column p = (i, j): d_i g_bj, d_j g_bi and d_b g_ij
+_DI_GBJ = (_PAIR[:, _J], np.broadcast_to(_I, (3, 6)))
+_DJ_GBI = (_PAIR[:, _I], np.broadcast_to(_J, (3, 6)))
+_DB_GIJ = (np.broadcast_to(np.arange(6), (3, 6)), np.arange(3)[:, None].repeat(6, axis=1))
+
+
+def _christoffel_divergence(grid: LabGrid, sym: np.ndarray) -> np.ndarray:
+    """d_a Gamma^a_ij (n_r, n, 6) in symmetric storage, from (n_r, n, a, 6).
 
     The 18 distinct Gamma^a_(ij) are differentiated once; each derivative
     direction (d/dr along the normal, d/dtheta / r along theta_hat and
@@ -186,7 +194,6 @@ def _christoffel_divergence(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
     soon as it is formed, so no (..., 3) gradient axis is ever stored.
     """
     calc = grid.calc
-    sym = gamma[..., _I, _J]  # (n_r, n, a, p)
     flat = sym.reshape(grid.n_r, calc.n_nodes, 18)
     dr = apply_radial(flat, grid.h, 1).reshape(sym.shape)
     dt, dp = calc.angular_derivatives(np.moveaxis(flat, -1, 0))
@@ -198,16 +205,20 @@ def _christoffel_divergence(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
 
 
 def ricci_tensor(grid: LabGrid, G: np.ndarray):
-    """Ricci tensor (n_r, n, 3, 3) of metric samples, and the Christoffels.
+    """Ricci tensor (n_r, n, 3, 3) of metric samples, the Christoffels
+    (n_r, n, a, i, j) and the inverse metric.
 
     Ric_ij = d_a Gamma^a_ij - d_(i Gamma^a_|a|j) + Gamma^a_ab Gamma^b_ij
     - Gamma^a_ib Gamma^b_aj: only the divergence of the Christoffels and the
-    gradient of their trace are formed, never the full gradient.
+    gradient of their trace are formed, never the full gradient.  The
+    Christoffels are expanded from symmetric storage for the trace and the
+    Gamma Gamma terms only.
     """
-    gamma, ginv = christoffel(grid, G)
+    sym, ginv = christoffel(grid, G)
+    gamma = sym[..., _PAIR]
     trace = np.einsum("...aaj->...j", gamma)  # Gamma^a_aj
     dtrace = gradient_components(grid, trace)  # [..., j, i] = d_i Gamma^a_aj
-    ric = _christoffel_divergence(grid, gamma)[..., _PAIR] - dtrace
+    ric = _christoffel_divergence(grid, sym)[..., _PAIR] - dtrace
     ric += (trace[..., None, :] @ gamma.reshape(*G.shape[:-2], 3, 9)).reshape(G.shape)
     s = np.swapaxes(gamma, -3, -2).copy()  # s[..., i, a, b] = Gamma^a_ib
     ric -= s.reshape(*G.shape[:-2], 3, 9) @ s.reshape(*G.shape[:-2], 9, 3)

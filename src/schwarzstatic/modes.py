@@ -24,6 +24,17 @@ lockstep, one lane of numpy arrays per mode; each lane rounds exactly as it
 would alone, and integrate_mode is a batch of one.  The tests keep
 solve_ivp as the independent check.
 
+Sampling and classification are array passes over the whole batch too.
+integrate_modes forms every mode's sample radii in one vectorised
+geomspace and evaluates all stepped modes in one lookup and one Horner pass
+over a single segment table of both phases of every lane; flat-branch modes
+evaluate their closed form on their concatenated radii, and only their
+crossings are located mode by mode.  classify_modes applies the tail masks
+and the divergence, smallness and oscillation tests to the concatenated
+samples of all modes and runs only the least-squares fits per mode.  Both
+reproduce the per-mode computations bit for bit: ModeSolution.eval,
+integrate_mode and classify are batches of one.
+
 Substitution constants (m != 0): alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a(r0),
 beta0 = 4 m^2 alpha0 / (l(l+1)-2) for l != 1.  Derived views: A = a - alpha0,
 phi = r(r-2m) A, Phi = 2(r-m) A / (r(r-2m)) + A', B = a - beta0/(r(r-2m)).
@@ -53,6 +64,7 @@ __all__ = [
     "integrate_mode",
     "integrate_modes",
     "classify",
+    "classify_modes",
 ]
 
 FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
@@ -135,8 +147,8 @@ class ModeSolution:
     flat_coeffs: tuple[float, float] | None = None  # (c1, c2) of the Euler solution
     n_steps: int = 0  # accepted DOP853 steps over both phases (0 on the flat branch)
     nfev: int = 0  # right-hand-side evaluations over both phases
-    sample_s: float = 0.0  # seconds spent sampling radii, a and a' (the closed form, if flat)
-    # (interpolant in r, interpolant in x = 1/r or None, switch radius)
+    sample_s: float = 0.0  # this mode's share of its batch's one sampling pass
+    # (batch dense output, group in r, group in x = 1/r or -1, switch radius)
     _dense: tuple | None = field(default=None, repr=False)
 
     @property
@@ -175,20 +187,17 @@ class ModeSolution:
         return self.a - self.ivp.beta0 / r / (r - 2.0 * self.ivp.m)
 
     def eval(self, r) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate (a, a') at arbitrary radii within the integrated range."""
+        """Evaluate (a, a') at arbitrary radii within the integrated range.
+
+        The batch's own evaluator on a batch of one mode.
+        """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < self.ivp.r0) or np.any(r > self.r_max_used * (1 + 1e-12)):
             raise ValueError("evaluation outside the integrated range")
         if self.flat_coeffs is not None:
-            return _flat_eval(self.ivp, self.flat_coeffs, r)
-        dense_r, dense_x, r_switch = self._dense
-        tail = r > r_switch if dense_x is not None else np.zeros(r.shape, dtype=bool)
-        y = np.empty((2, r.size))
-        y[:, ~tail] = dense_r(r[~tail])
-        if tail.any():
-            y[:, tail] = dense_x(1.0 / r[tail])
-        # divide twice: r(r-2m) overflows above r ~ 1e154, w / r / (r-2m) does not
-        return y[0], y[1] / r / (r - 2.0 * self.ivp.m)
+            return _flat_eval(self.ivp.ell, *self.flat_coeffs, r)
+        dense, inner, tail, r_switch = self._dense
+        return dense.eval(inner, tail, r_switch, 2.0 * self.ivp.m, r)
 
 
 def _flat_coeffs(ivp: ModeIVP) -> tuple[float, float]:
@@ -206,18 +215,36 @@ def _flat_coeffs(ivp: ModeIVP) -> tuple[float, float]:
     return float(c1), float(c2)
 
 
-def _flat_eval(ivp: ModeIVP, coeffs, r):
-    c1, c2 = coeffs
-    ell = ivp.ell
+def _flat_eval(ell: int, c1, c2, r):
+    """The Euler solution c1 r^(-l-1) + c2 r^l and its derivative at r.
+
+    c1 and c2 are numbers, or arrays that pair with r; the exponents are
+    the same for every point, so modes of one degree evaluate together.
+    """
     a = c1 * r ** (-ell - 1.0) + c2 * r ** (1.0 * ell)
     da = -(ell + 1.0) * c1 * r ** (-ell - 2.0) + ell * c2 * r ** (ell - 1.0)
     return a, da
 
 
-def _sample_radii(r0, r_max, per_decade=48):
-    decades = np.log10(r_max / r0)
-    n = max(64, int(np.ceil(per_decade * decades)) + 1)
-    return np.geomspace(r0, r_max, n)
+def _sample_radii(r0, r_end, per_decade=48):
+    """Every mode's sample radii, concatenated, with each mode's first index and count.
+
+    Mode j gets np.geomspace(r0[j], r_end[j], n) with
+    n = max(64, ceil(per_decade * decades) + 1), computed as geomspace
+    computes it: y = i * step + log10(r0), the last y set to log10(r_end),
+    then 10 ** y, then both ends set exactly.
+    """
+    log0, log1 = np.log10(r0), np.log10(r_end)
+    count = np.maximum(64, np.ceil(per_decade * np.log10(r_end / r0)).astype(int) + 1)
+    first = np.cumsum(count) - count
+    last = first + count - 1
+    lane = np.repeat(np.arange(count.size), count)
+    i = (np.arange(lane.size) - first[lane]).astype(float)
+    y = i * ((log1 - log0) / (count - 1))[lane] + log0[lane]
+    y[last] = log1
+    radii = 10.0 ** y
+    radii[first], radii[last] = r0, r_end
+    return radii, first, count
 
 
 def integrate_mode(
@@ -256,6 +283,8 @@ def integrate_modes(
     does not depend on the other lanes of the batch.  Returns, in the order
     of ivps, a ModeSolution or the ValueError or RuntimeError that ended the
     lane.  Flat-branch modes take the closed form unless force_generic.
+    All modes are then sampled in one pass over the batch's dense output
+    (and closed forms); each solution's sample_s is its share of that pass.
 
     Raises ValueError for a negative atol; as in solve_ivp, rtol is raised
     to 100 eps with a warning.
@@ -270,55 +299,83 @@ def integrate_modes(
     rtol, atol = max(float(rtol), 100 * _EPS), float(atol)
 
     out: list = [None] * len(ivps)
-    idx, y0, r_end = [], [], []  # the modes to step: index, initial (a, w), r_max
+    flat, idx, y0, r_end = [], [], [], []  # idx, y0, r_end: the modes to step
     for i, (ivp, rm) in enumerate(zip(ivps, r_max)):
         m, r0 = float(ivp.m), float(ivp.r0)
         a0, w0 = float(ivp.a0), r0 * (r0 - 2.0 * m) * float(ivp.da0)
         if not rm > r0:
             out[i] = ValueError("r_max must exceed r0")
         elif ivp.flat_branch and not force_generic:
-            t0 = time.perf_counter()
-            out[i] = _flat_solution(ivp, rm, k_div * _scale0(ivp))
-            out[i].sample_s = time.perf_counter() - t0
+            flat.append(i)
         elif not (math.isfinite(a0) and math.isfinite(w0)):
             out[i] = ValueError("All components of the initial state y0 must be finite.")
         else:
             idx.append(i)
             y0.append((a0, w0))
             r_end.append(rm)
-    if not idx:
-        return out
 
-    lanes = [ivps[i] for i in idx]
-    m = np.array([float(ivp.m) for ivp in lanes])
-    r0 = np.array([float(ivp.r0) for ivp in lanes])
-    ll1 = np.array([ivp.ell * (ivp.ell + 1.0) for ivp in lanes])
-    S = np.array([float(ivp.source) for ivp in lanes])
-    params = np.stack([2.0 * m, 4.0 * m * m, ll1, S])
-    threshold = k_div * np.array([_scale0(ivp) for ivp in lanes])
-    r_end = np.array(r_end)
-    r_switch = np.where(PHASE_SWITCH * r0 < r_end, PHASE_SWITCH * r0, r_end)
-    inner = _lockstep(_rhs_r, params, r0, np.array(y0).T, r_switch, 1.0, rtol, atol, threshold)
-    x_switch, x_max = 1.0 / r_switch, 1.0 / r_end
-    tail = [j for j, run in enumerate(inner)
-            if isinstance(run, _Run) and not run.crossed and x_max[j] < x_switch[j]]
-    outer = dict(zip(tail, _lockstep(
-        _rhs_x, params[:, tail], x_switch[tail], np.array([inner[j].y for j in tail]).T,
-        x_max[tail], -1.0, rtol, atol, threshold[tail],
-    ))) if tail else {}
+    t0 = time.perf_counter()
+    if flat:
+        sols = _flat_solutions([ivps[i] for i in flat], [r_max[i] for i in flat], k_div)
+        for i, sol in zip(flat, sols):
+            out[i] = sol
+    sample_s = time.perf_counter() - t0
+    sampled = list(flat)
 
-    for j, i in enumerate(idx):
-        run, run_x = inner[j], outer.get(j)
-        if isinstance(run, RuntimeError):
-            out[i] = RuntimeError(f"mode integration failed: {run}")
-        elif isinstance(run_x, RuntimeError):
-            out[i] = RuntimeError(f"tail integration failed: {run_x}")
-        elif isinstance(run, Exception) or isinstance(run_x, Exception):
-            out[i] = run if isinstance(run, Exception) else run_x
-        else:
+    if idx:
+        lanes = [ivps[i] for i in idx]
+        m = np.array([float(ivp.m) for ivp in lanes])
+        r0 = np.array([float(ivp.r0) for ivp in lanes])
+        ll1 = np.array([ivp.ell * (ivp.ell + 1.0) for ivp in lanes])
+        S = np.array([float(ivp.source) for ivp in lanes])
+        params = np.stack([2.0 * m, 4.0 * m * m, ll1, S])
+        threshold = k_div * np.array([_scale0(ivp) for ivp in lanes])
+        r_end = np.array(r_end)
+        r_switch = np.where(PHASE_SWITCH * r0 < r_end, PHASE_SWITCH * r0, r_end)
+        inner, segs = _lockstep(_rhs_r, params, r0, np.array(y0).T, r_switch, 1.0, rtol, atol,
+                                threshold)
+        x_switch, x_max = 1.0 / r_switch, 1.0 / r_end
+        tail = [j for j, run in enumerate(inner)
+                if isinstance(run, _Run) and not run.crossed and x_max[j] < x_switch[j]]
+        phases = [(1.0, segs)]
+        outer = {}
+        if tail:
+            runs_x, segs_x = _lockstep(
+                _rhs_x, params[:, tail], x_switch[tail], np.array([inner[j].y for j in tail]).T,
+                x_max[tail], -1.0, rtol, atol, threshold[tail],
+            )
+            outer = dict(zip(tail, runs_x))
+            phases.append((-1.0, segs_x))
+
+        done = []  # the lanes that reached their end
+        for j, i in enumerate(idx):
+            run, run_x = inner[j], outer.get(j)
+            if isinstance(run, RuntimeError):
+                out[i] = RuntimeError(f"mode integration failed: {run}")
+            elif isinstance(run_x, RuntimeError):
+                out[i] = RuntimeError(f"tail integration failed: {run_x}")
+            elif isinstance(run, Exception) or isinstance(run_x, Exception):
+                out[i] = run if isinstance(run, Exception) else run_x
+            else:
+                done.append(j)
+        if done:
             t0 = time.perf_counter()
-            out[i] = _sampled(lanes[j], run, run_x, float(r_switch[j]))
-            out[i].sample_s = time.perf_counter() - t0
+            # lane j's phase in r is group j of the table, the tail of tail[k]
+            # is group len(idx) + k
+            dense = _Dense([phase for phase in phases if phase[1] is not None])
+            tail_group = np.full(len(idx), -1)
+            tail_group[tail] = len(idx) + np.arange(len(tail))
+            sols = _sampled(
+                [lanes[j] for j in done], [inner[j] for j in done], [outer.get(j) for j in done],
+                dense, np.array(done), tail_group[done], r_switch[done],
+            )
+            for j, sol in zip(done, sols):
+                out[idx[j]] = sol
+            sample_s += time.perf_counter() - t0
+            sampled += [idx[j] for j in done]
+
+    for i in sampled:
+        out[i].sample_s = sample_s / len(sampled)
     return out
 
 
@@ -327,44 +384,86 @@ def _scale0(ivp: ModeIVP) -> float:
     return abs(ivp.a0) if ivp.a0 != 0.0 else 1.0
 
 
-def _flat_solution(ivp: ModeIVP, r_max: float, threshold: float) -> ModeSolution:
-    """The Euler closed form, stopped where |a| first reaches threshold."""
-    coeffs = _flat_coeffs(ivp)
-    radii = _sample_radii(ivp.r0, r_max)
-    a, da = _flat_eval(ivp, coeffs, radii)
-    above = np.abs(a) >= threshold
-    div = bool(above.any())
-    if div:
-        stop = int(np.argmax(above))
+def _flat_values(ell, coeffs, radii, lane):
+    """(a, a') of the Euler solutions at radii; mode lane[k] owns radii[k]."""
+    a, da = np.empty_like(radii), np.empty_like(radii)
+    ell = ell[lane]
+    for degree in np.unique(ell).tolist():
+        at = np.flatnonzero(ell == degree)
+        c = coeffs[lane[at]]
+        a[at], da[at] = _flat_eval(degree, c[:, 0], c[:, 1], radii[at])
+    return a, da
+
+
+def _flat_solutions(ivps: list[ModeIVP], r_max: list[float], k_div: float) -> list[ModeSolution]:
+    """The Euler closed forms, each stopped where |a| first reaches k_div |a0|.
+
+    All modes are sampled and evaluated together; each crossing is located
+    by brentq on its own mode, and the crossing modes are sampled again,
+    together, up to their crossings.
+    """
+    coeffs = [_flat_coeffs(ivp) for ivp in ivps]
+    table = np.array(coeffs)
+    ell = np.array([ivp.ell for ivp in ivps])
+    r0 = np.array([float(ivp.r0) for ivp in ivps])
+    threshold = [k_div * _scale0(ivp) for ivp in ivps]
+    radii, first, count = _sample_radii(r0, np.array(r_max))
+    lane = np.repeat(np.arange(len(ivps)), count)
+    a, da = _flat_values(ell, table, radii, lane)
+    hits = np.flatnonzero(np.abs(a) >= np.array(threshold)[lane])
+    hit_lanes, at = np.unique(lane[hits], return_index=True)
+    stops = dict(zip(hit_lanes.tolist(), (hits[at] - first[hit_lanes]).tolist()))
+
+    samples = [(radii[lo:lo + n], a[lo:lo + n], da[lo:lo + n])
+               for lo, n in zip(first.tolist(), count.tolist())]
+    crossing, r_cross = [], []
+    for j, stop in stops.items():
+        lo = first[j]
         if stop == 0:
-            radii, a, da = radii[:1], a[:1], da[:1]
-        else:
-            # the crossing itself, as the generic branch's event finds it
-            r_cross = brentq(
-                lambda r: abs(_flat_eval(ivp, coeffs, np.float64(r))[0]) - threshold,
-                radii[stop - 1], radii[stop], xtol=4 * _EPS, rtol=4 * _EPS,
-            )
-            radii = _sample_radii(ivp.r0, r_cross)
-            a, da = _flat_eval(ivp, coeffs, radii)
-    return ModeSolution(
-        ivp=ivp, radii=radii, a=a, da=da,
-        r_max_used=float(radii[-1]), diverged=div, flat_coeffs=coeffs,
-    )
+            samples[j] = (radii[lo:lo + 1], a[lo:lo + 1], da[lo:lo + 1])
+            continue
+        # the crossing itself, as the generic branch's event finds it
+        ell_j, (c1, c2), level = ivps[j].ell, coeffs[j], threshold[j]
+        crossing.append(j)
+        r_cross.append(brentq(
+            lambda r: abs(_flat_eval(ell_j, c1, c2, np.float64(r))[0]) - level,
+            radii[lo + stop - 1], radii[lo + stop], xtol=4 * _EPS, rtol=4 * _EPS,
+        ))
+    if crossing:
+        radii, first, count = _sample_radii(r0[crossing], np.array(r_cross))
+        lane = np.repeat(np.array(crossing), count)
+        a, da = _flat_values(ell, table, radii, lane)
+        for j, lo, n in zip(crossing, first.tolist(), count.tolist()):
+            samples[j] = (radii[lo:lo + n], a[lo:lo + n], da[lo:lo + n])
+    return [
+        ModeSolution(ivp=ivp, radii=r, a=a, da=da, r_max_used=float(r[-1]),
+                     diverged=j in stops, flat_coeffs=coeffs[j])
+        for j, (ivp, (r, a, da)) in enumerate(zip(ivps, samples))
+    ]
 
 
-def _sampled(ivp: ModeIVP, run: "_Run", run_x: "_Run | None", r_switch: float) -> ModeSolution:
-    """The stepped solution sampled on its radii, from the phases' dense output."""
-    last = run if run_x is None else run_x
-    r_reached = run.t if run_x is None else 1.0 / run_x.t
-    radii = _sample_radii(ivp.r0, r_reached)
-    out = ModeSolution(
-        ivp=ivp, radii=radii, a=np.empty_like(radii), da=np.empty_like(radii),
-        r_max_used=r_reached, diverged=last.crossed,
-        n_steps=run.n_steps + (run_x.n_steps if run_x else 0),
-        nfev=run.nfev + (run_x.nfev if run_x else 0),
-        _dense=(run.dense, run_x.dense if run_x else None, r_switch),
-    )
-    out.a, out.da = out.eval(radii)
+def _sampled(ivps, runs, runs_x, dense: "_Dense", inner, tail, r_switch) -> list[ModeSolution]:
+    """The stepped solutions sampled on their radii, in one pass over the dense output.
+
+    Mode j's phase in r is group inner[j] of dense, its phase in x = 1/r
+    group tail[j] (-1 for none), entered beyond r_switch[j].
+    """
+    r_reached = [run.t if run_x is None else 1.0 / run_x.t for run, run_x in zip(runs, runs_x)]
+    r0 = np.array([float(ivp.r0) for ivp in ivps])
+    two_m = np.array([2.0 * float(ivp.m) for ivp in ivps])
+    radii, first, count = _sample_radii(r0, np.array(r_reached))
+    lane = np.repeat(np.arange(len(ivps)), count)
+    a, da = dense.eval(inner[lane], tail[lane], r_switch[lane], two_m[lane], radii)
+    out = []
+    for j, (ivp, run, run_x) in enumerate(zip(ivps, runs, runs_x)):
+        lo, hi = first[j], first[j] + count[j]
+        out.append(ModeSolution(
+            ivp=ivp, radii=radii[lo:hi], a=a[lo:hi], da=da[lo:hi],
+            r_max_used=r_reached[j], diverged=(run if run_x is None else run_x).crossed,
+            n_steps=run.n_steps + (run_x.n_steps if run_x else 0),
+            nfev=run.nfev + (run_x.nfev if run_x else 0),
+            _dense=(dense, int(inner[j]), int(tail[j]), float(r_switch[j])),
+        ))
     return out
 
 
@@ -415,43 +514,87 @@ def _rhs_x(p, x, y):
     return -y[1] / omx, -(four_mm / omx) * y[0] - ll1 * y[0] / (x * x) + S / omx
 
 
-class _Dop853Dense:
-    """Piecewise dense output of one lane, evaluated as scipy's OdeSolution.
+@dataclass(frozen=True)
+class _Segments:
+    """The kept steps of a lockstep run, sorted by lane.
 
-    Segment k covers [ts[k], ts[k+1]] (the last one may end at an event
-    root inside its step) with scipy's Dop853DenseOutput polynomial: with
-    x = (t - t_old[k]) / h[k], Horner over the rows of F[k] from the last,
-    multiplying alternately by x and 1 - x, plus y_old[k].
+    Lane j owns rows bounds[j]:bounds[j + 1].  Segment k starts at t_old[k]
+    with step h[k] and state y_old[k] (shape (2,)), ends at t_end[k] (an
+    event root may end it inside its step) and has scipy's
+    Dop853DenseOutput coefficients F[k] (shape (rows, 2)).
     """
 
-    def __init__(self, ts, t_old, h, y_old, F):
-        self.ts = ts
-        self.t_old = t_old
-        self.h = h
-        self.y_old = y_old  # [k, component]
-        self.F = F  # [k, row, component]
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+    t_end: np.ndarray
+    bounds: np.ndarray
 
-    def __call__(self, t) -> np.ndarray:
-        """(a, w) at the points t, shape (2, len(t))."""
-        n = len(self.h)
-        if self.ts[-1] >= self.ts[0]:
-            seg = np.searchsorted(self.ts, t, side="left") - 1
-        else:
-            seg = n - np.searchsorted(self.ts[::-1], t, side="right")
-        seg = np.clip(seg, 0, n - 1)
-        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        F = self.F[seg]
-        y = np.zeros((len(seg), 2))
-        for i in range(F.shape[1]):
-            y += F[:, -1 - i]
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old[seg]
-        return y.T
+
+class _Dense:
+    """The dense output of every phase of a batch, evaluated as scipy's OdeSolution.
+
+    A group is one phase of one lane; groups are numbered on through the
+    phases, lane by lane.  Each segment has the key g + i s t_end (complex,
+    so numpy orders keys by group, then by s t_end), with s = +1 in r and
+    -1 in x = 1/r so that keys increase within a group.  One searchsorted
+    of g + i s t over the keys, clipped to the group's last segment, finds
+    the segment scipy's OdeSolution picks for t.  The polynomial is scipy's:
+    with x = (t - t_old) / h, Horner over the rows of F from the last,
+    multiplying alternately by x and 1 - x, plus y_old.
+    """
+
+    def __init__(self, phases):
+        """phases: (s, _Segments) per phase, in group order."""
+        keys, last, groups, rows = [], [], 0, 0
+        for sign, seg in phases:
+            lanes = len(seg.bounds) - 1
+            group = np.repeat(np.arange(groups, groups + lanes), np.diff(seg.bounds))
+            keys.append(_complex(group, sign * seg.t_end))
+            last.append(rows + seg.bounds[1:] - 1)
+            groups, rows = groups + lanes, rows + seg.bounds[-1]
+        self.keys, self.last = np.concatenate(keys), np.concatenate(last)
+        self.t_old, self.h = (np.concatenate([getattr(seg, name) for _, seg in phases])
+                              for name in ("t_old", "h"))
+        # per component: y_old as (segments,), F as (rows, segments)
+        self.y_old = np.concatenate([seg.y_old for _, seg in phases]).T.copy()
+        self.F = np.concatenate([seg.F for _, seg in phases]).transpose(2, 1, 0).copy()
+
+    def __call__(self, group, key, t) -> tuple[np.ndarray, np.ndarray]:
+        """(a, w) at the points t of the given groups; key = s t."""
+        seg = np.searchsorted(self.keys, _complex(group, key))
+        seg = np.minimum(seg, self.last[group])
+        x = (t - self.t_old.take(seg)) / self.h.take(seg)
+        return tuple(self._horner(self.F[c], x, seg) + self.y_old[c].take(seg) for c in (0, 1))
+
+    @staticmethod
+    def _horner(F, x, seg):
+        y = np.zeros(len(seg))
+        one_minus_x = 1 - x
+        for i in range(len(F)):
+            y += F[-1 - i].take(seg)
+            y *= x if i % 2 == 0 else one_minus_x
+        return y
+
+    def eval(self, inner, tail, r_switch, two_m, r) -> tuple[np.ndarray, np.ndarray]:
+        """(a, a') at the radii r: per radius its group in r, its group in x = 1/r
+        (-1 for none), the switch radius and 2m, or one of each for all."""
+        in_tail = (tail >= 0) & (r > r_switch)
+        t = np.where(in_tail, 1.0 / r, r)
+        a, w = self(np.where(in_tail, tail, inner), np.where(in_tail, -t, t), t)
+        # divide twice: r(r-2m) overflows above r ~ 1e154, w / r / (r-2m) does not
+        return a, w / r / (r - two_m)
+
+
+def _complex(real, imag) -> np.ndarray:
+    z = np.empty(np.shape(real), dtype=complex)
+    z.real, z.imag = real, imag
+    return z
 
 
 @dataclass(frozen=True)
 class _Run:
-    dense: _Dop853Dense
     t: float  # t_bound, or the root of the event
     y: tuple[float, float]
     crossed: bool  # stopped where |a| = threshold
@@ -531,7 +674,7 @@ def _horner(F, x):
     return y
 
 
-def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold) -> list:
+def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
     """DOP853 on every lane of y0 (shape (2, n)) from t0 towards t_bound.
 
     Lane j integrates y' = rhs(p[:, j], t, y) and stops at t_bound[j] or at
@@ -539,7 +682,8 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold) -> list
     step's dense output with xtol = rtol = 4 eps.  direction is the sign of
     t_bound - t0, the same for every lane.  Returns per lane a _Run, or the
     exception that ended it: a RuntimeError when the step size drops below
-    10 ulp of t, or brentq's ValueError.
+    10 ulp of t, or brentq's ValueError; and the lanes' kept steps as
+    _Segments (None when every lane failed).
     """
     n = t0.size
     results: list = [None] * n
@@ -646,34 +790,22 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold) -> list
                 s.keep(~(done | failed))
 
     if all(r is not None for r in results):
-        return results
+        return results, None
     lane, t_old, h, y_old, F, t_end = (
         np.concatenate([seg[k] for seg in segments], axis=-1) for k in range(6))
     order = np.argsort(lane, kind="stable")
-    t_old, h, t_end = t_old[order], h[order], t_end[order]
-    y_old, F = y_old[:, order].T, F[:, :, order].transpose(2, 0, 1)
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(lane, minlength=n))])
+    table = _Segments(
+        t_old=t_old[order], h=h[order], y_old=y_old[:, order].T,
+        F=F[:, :, order].transpose(2, 0, 1), t_end=t_end[order],
+        bounds=np.concatenate([[0], np.cumsum(np.bincount(lane, minlength=n))]),
+    )
     for j in range(n):
-        if results[j] is not None:
-            continue
-        lo, hi = bounds[j], bounds[j + 1]
-        dense = _Dop853Dense(
-            np.concatenate([t0[j:j + 1], t_end[lo:hi]]), t_old[lo:hi], h[lo:hi],
-            y_old[lo:hi], F[lo:hi],
-        )
-        results[j] = _Run(
-            dense=dense, t=float(final[0, j]), y=(float(final[1, j]), float(final[2, j])),
-            crossed=bool(crossed[j]), n_steps=int(counts[0, j]), nfev=int(counts[1, j]),
-        )
-    return results
-
-
-def _tail(sol: ModeSolution):
-    mask = sol.radii >= sol.radii[-1] / 10.0
-    if mask.sum() < 8:
-        mask = np.zeros_like(mask)
-        mask[-8:] = True
-    return sol.radii[mask], sol.a[mask]
+        if results[j] is None:
+            results[j] = _Run(
+                t=float(final[0, j]), y=(float(final[1, j]), float(final[2, j])),
+                crossed=bool(crossed[j]), n_steps=int(counts[0, j]), nfev=int(counts[1, j]),
+            )
+    return results, table
 
 
 def classify(
@@ -688,60 +820,153 @@ def classify(
     decay slope at least as steep as -decay_q; divergence requires crossing
     k_div with a consistent sign and increasing trend; convergence requires a
     Cauchy tail with limit above the decay threshold.  Anything else is
-    Undetermined.
+    Undetermined.  This is classify_modes on a batch of one; a failed fit
+    is raised.
+    """
+    klass = classify_modes([sol], decay_q, eps_dec, k_div)[0]
+    if isinstance(klass, Exception):
+        raise klass
+    return klass
+
+
+def classify_modes(
+    sols: list[ModeSolution],
+    decay_q: float = 0.75,
+    eps_dec: float = 1e-4,
+    k_div: float = 1e3,
+) -> list[AsymptoticClass | Exception]:
+    """classify for every solution at once.
+
+    The tail (the samples beyond a tenth of the last radius, at least the
+    last 8), the divergence tests on the last 6 samples, the smallness tests
+    and the oscillation run on the concatenated samples of all modes.  Only
+    the least-squares fits run per mode, each on exactly np.polyfit's
+    column-scaled Vandermonde, so every class equals the one the mode gets
+    alone.  Returns, in the order of sols, an AsymptoticClass or the
+    LinAlgError of a failed fit.
     """
     if not 0.0 < decay_q < 1.0:
         raise ValueError("decay_q must lie in (0, 1)")
-    a0 = sol.ivp.a0
-    scale0 = abs(a0) if a0 != 0.0 else max(np.abs(sol.a).max(), 1.0)
-    r_tail, a_tail = _tail(sol)
-    r_end = float(sol.r_max_used)
+    if not sols:
+        return []
+    n_modes = len(sols)
+    count = np.array([len(sol.radii) for sol in sols])
+    first = np.cumsum(count) - count
+    last = first + count - 1
+    lane = np.repeat(np.arange(n_modes), count)
+    from_end = last[lane] - np.arange(lane.size)  # 0 at each mode's last sample
+    r = np.concatenate([sol.radii for sol in sols])
+    a = np.concatenate([sol.a for sol in sols])
+    a0 = np.array([float(sol.ivp.a0) for sol in sols])
 
-    if sol.diverged or np.abs(sol.a).max() >= k_div * scale0:
-        last = sol.a[-min(6, len(sol.a)):]
-        growing = np.all(np.diff(np.abs(last)) >= 0)
-        sign_ok = np.all(np.sign(last) == np.sign(last[-1])) and last[-1] != 0
-        slope = _loglog_slope(r_tail, a_tail)
-        if growing and sign_ok:
-            kind = (
-                AsymptoticKind.DIVERGES_PLUS
-                if last[-1] > 0
-                else AsymptoticKind.DIVERGES_MINUS
-            )
-            return AsymptoticClass(kind, float(sol.a[-1]), slope, r_end)
-        return AsymptoticClass(AsymptoticKind.UNDETERMINED, float(sol.a[-1]), slope, r_end)
+    with np.errstate(invalid="ignore"):
+        abs_a = np.abs(a)
+        peak = np.maximum.reduceat(abs_a, first)
+        scale0 = np.where(a0 != 0.0, np.abs(a0), np.where(1.0 > peak, 1.0, peak))
+        near = r >= (r[last] / 10.0)[lane]
+        in_tail = np.where((np.bincount(lane[near], minlength=n_modes) >= 8)[lane],
+                           near, from_end < 8)
+        r_tail, a_tail, tail_lane = r[in_tail], a[in_tail], lane[in_tail]
+        tail_count = np.bincount(tail_lane, minlength=n_modes)
+        tail_first = np.cumsum(tail_count) - tail_count
+        mag = np.abs(a_tail)
 
-    if np.abs(a_tail).max() == 0.0:
-        return AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, 0.0, float("nan"), r_end)
+        # divergence: the last 6 samples grow in size and keep the last one's sign
+        diverging = np.array([sol.diverged for sol in sols]) | (peak >= k_div * scale0)
+        last6 = from_end < 6
+        shrinks = last6[:-1] & (from_end[:-1] > 0) & ~(np.diff(abs_a) >= 0)
+        growing = np.bincount(lane[:-1][shrinks], minlength=n_modes) == 0
+        sign = np.sign(a)
+        flips = last6 & ~(sign == sign[last][lane])
+        sign_ok = (np.bincount(lane[flips], minlength=n_modes) == 0) & (a[last] != 0)
 
-    limit = _limit_fit(r_tail, a_tail)
-    slope = _loglog_slope(r_tail, a_tail)
+        zero = ~diverging & (np.maximum.reduceat(mag, tail_first) == 0.0)
+        osc = np.maximum.reduceat(a_tail, tail_first) - np.minimum.reduceat(a_tail, tail_first)
 
-    if abs(sol.a[-1]) < eps_dec * scale0 and slope <= -decay_q:
-        return AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, limit, slope, r_end)
-
-    osc = a_tail.max() - a_tail.min()
-    if abs(limit) > eps_dec * scale0 and osc <= CAUCHY_RTOL * abs(limit):
-        return AsymptoticClass(AsymptoticKind.CONVERGES_NONZERO, limit, slope, r_end)
-
-    return AsymptoticClass(AsymptoticKind.UNDETERMINED, limit, slope, r_end)
-
-
-def _limit_fit(r_tail, a_tail) -> float:
-    """Quadratic-in-1/r extrapolation of the tail to infinity.
-
-    The fit variable is t = min(r_tail) / r_tail in (0, 1], not 1/r: at huge
-    radii the Vandermonde column 1/r^2 underflows, polyfit's column scaling
-    divides by zero and LAPACK's lstsq loops on the resulting nan.
-    """
-    t = r_tail.min() / r_tail
-    deg = 2 if len(r_tail) > 6 else 1
-    return float(np.polyval(np.polyfit(t, a_tail, deg), 0.0))
-
-
-def _loglog_slope(r_tail, a_tail) -> float:
-    mag = np.abs(a_tail)
+    errors: list = [None] * n_modes
+    # log-log decay slope, on the tail samples with a != 0
+    slope = [math.nan] * n_modes
     good = mag > 0
-    if good.sum() < 2:
-        return float("nan")
-    return float(np.polyfit(np.log(r_tail[good]), np.log(mag[good]), 1)[0])
+    fit = ~zero & (np.bincount(tail_lane[good], minlength=n_modes) >= 2)
+    pts = good & fit[tail_lane]
+    fits = _polyfits(np.log(r_tail[pts]), np.log(mag[pts]),
+                     np.bincount(tail_lane[pts], minlength=n_modes), 1)
+    for j, c in enumerate(fits):
+        if isinstance(c, Exception):
+            errors[j] = c
+        elif c is not None:
+            slope[j] = float(c[0])
+    # limit: quadratic (linear for 6 samples or fewer) extrapolation in
+    # t = min(r_tail) / r_tail to t = 0, as np.polyval(coefficients, 0.0)
+    limit = [math.nan] * n_modes
+    t = np.minimum.reduceat(r_tail, tail_first)[tail_lane] / r_tail
+    for deg in (1, 2):
+        pts = (~diverging & ~zero & ((tail_count > 6) == (deg == 2)))[tail_lane]
+        for j, c in enumerate(_polyfits(t[pts], a_tail[pts],
+                                        np.bincount(tail_lane[pts], minlength=n_modes), deg)):
+            if isinstance(c, Exception):
+                errors[j] = c  # the limit is fitted first
+            elif c is not None:
+                y = 0.0
+                for pv in c.tolist():
+                    y = y * 0.0 + pv
+                limit[j] = y
+
+    out: list = []
+    a_end, r_end = a[last].tolist(), [float(sol.r_max_used) for sol in sols]
+    for j in range(n_modes):
+        scale = float(scale0[j])
+        if errors[j] is not None:
+            klass = errors[j]
+        elif diverging[j]:
+            kind = AsymptoticKind.UNDETERMINED
+            if growing[j] and sign_ok[j]:
+                kind = (AsymptoticKind.DIVERGES_PLUS if a_end[j] > 0
+                        else AsymptoticKind.DIVERGES_MINUS)
+            klass = AsymptoticClass(kind, a_end[j], slope[j], r_end[j])
+        elif zero[j]:
+            klass = AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, 0.0, math.nan, r_end[j])
+        elif abs(a_end[j]) < eps_dec * scale and slope[j] <= -decay_q:
+            klass = AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, limit[j], slope[j], r_end[j])
+        elif abs(limit[j]) > eps_dec * scale and osc[j] <= CAUCHY_RTOL * abs(limit[j]):
+            klass = AsymptoticClass(AsymptoticKind.CONVERGES_NONZERO, limit[j], slope[j], r_end[j])
+        else:
+            klass = AsymptoticClass(AsymptoticKind.UNDETERMINED, limit[j], slope[j], r_end[j])
+        out.append(klass)
+    return out
+
+
+def _polyfits(x, y, count, deg: int) -> list:
+    """np.polyfit(x_j, y_j, deg) for consecutive runs of count[j] points.
+
+    Returns per run the coefficients, the LinAlgError of a failed fit, or
+    None for an empty run.  The Vandermonde matrix, its column norms (summed
+    point by point, as polyfit's sum(axis=0) adds them) and the scaling are
+    formed for all runs at once; np.linalg.lstsq runs per run, on exactly
+    polyfit's matrix and rcond, so the coefficients are polyfit's.
+    """
+    order = deg + 1
+    x, y = x + 0.0, y + 0.0
+    first = np.cumsum(count) - count
+    run = np.repeat(np.arange(count.size), count)
+    lhs = np.empty((x.size, order))
+    lhs[:, -1] = 1.0
+    for k in range(1, order):  # x, x * x, ... as np.vander builds them
+        lhs[:, -1 - k] = x if k == 1 else lhs[:, -k] * x
+    squares = np.zeros((count.max(initial=0), count.size, order))
+    squares[np.arange(x.size) - first[run], run] = lhs * lhs
+    scale = np.sqrt(squares.sum(axis=0))
+    lhs /= scale[run]
+    out: list = [None] * count.size
+    for j in np.flatnonzero(count).tolist():
+        lo, hi = first[j], first[j] + count[j]
+        try:
+            c, _, rank, _ = np.linalg.lstsq(lhs[lo:hi], y[lo:hi], count[j] * _EPS)
+        except np.linalg.LinAlgError as exc:
+            out[j] = exc
+            continue
+        if rank != order:
+            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                          stacklevel=3)
+        out[j] = c / scale[j]
+    return out

@@ -349,7 +349,7 @@ class TestMainEntry:
 
     def test_failing_record_gives_exit_two(self, tmp_path, monkeypatch):
         fake = AsymptoticClass(AsymptoticKind.UNDETERMINED, 0.0, 0.0, 1.0)
-        monkeypatch.setattr(cli, "classify", lambda *a, **k: fake)
+        monkeypatch.setattr(cli, "classify_modes", lambda sols, **k: [fake] * len(sols))
         code = cli.main(
             ["sweep", "--masses", "1.0", "--deltas", "1.0", "--ell-max", "0",
              "--out-dir", str(tmp_path)]
@@ -643,3 +643,83 @@ class TestInstalledEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 1
+
+
+def report_with_failures():
+    """A small sweep's report plus a solver-failure record and non-finite fits."""
+    report = run_sweep(SweepConfig(**SMALL))
+    nan, inf = float("nan"), float("inf")
+    report.records += [
+        cli.VerdictRecord(m=1.0, r0=3.0, ell=3, class_name="Undetermined", fitted_limit=nan,
+                          fitted_exponent=nan, r_max=nan, passed=False, integrate_s=0.0,
+                          classify_s=2.5e-6),
+        cli.VerdictRecord(m=-0.25, r0=1e-300, ell=4, class_name="DivergesMinus",
+                          fitted_limit=-inf, fitted_exponent=inf, r_max=1.5e300, passed=True,
+                          integrate_s=1e-3, classify_s=1e-4, n_steps=7, nfev=93, stop="k_div"),
+    ]
+    return report
+
+
+class TestJsonWriter:
+    def test_sweep_payload_text_is_json_dumps_with_indent(self):
+        payload = cli._sweep_payload(report_with_failures())
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    def test_emitted_json_is_json_dumps_with_indent(self, tmp_path):
+        report = report_with_failures()
+        emit(report, str(tmp_path))
+        text = (tmp_path / "sweep.json").read_text(encoding="utf-8")
+        assert text == json.dumps(cli._sweep_payload(report), indent=2) + "\n"
+        failed, extreme = json.loads(text)["records"][-2:]
+        assert [failed[k] for k in ("n_steps", "nfev", "stop")] == [None, None, None]
+        assert all(np.isnan(failed[k]) for k in ("fitted_limit", "fitted_exponent", "r_max"))
+        assert '"fitted_limit": NaN,' in text and '"fitted_limit": -Infinity,' in text
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param([], id="no-records"),
+            pytest.param([{"a": 1.0, "b": None}, {"b": None, "a": 1.0}], id="key-order-differs"),
+            pytest.param([{"a": [1.0, 2.0]}, {"a": []}], id="nested-values"),
+            pytest.param([{"a": "é\n\"", "b%s": True, "c": -0.0, "d": 10**20}], id="scalars"),
+            pytest.param([{}], id="empty-record"),
+            pytest.param([1.0, {"a": 1}], id="not-records"),
+            pytest.param([{"a": np.float64(0.1), "b": 1}], id="float-subclass"),
+        ],
+    )
+    def test_any_payload_is_json_dumps_with_indent(self, value):
+        payload = {"head": {"x": [1, 2], "y": {}}, "records": value, "tail": "%s"}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    def test_scipy_version_read_without_import(self):
+        import scipy
+
+        assert cli._sweep_payload(run_sweep(SweepConfig(**SMALL)))["environment"]["scipy"] == (
+            scipy.__version__)
+        assert "scipy" not in vars(cli)
+
+
+class TestBatchTimes:
+    def test_classify_share_is_even_and_the_batch_adds_up(self):
+        cfg = {"r_max_factor": 1e4, "rtol": cli.DEFAULT_RTOL, "atol": cli.DEFAULT_ATOL,
+               "k_div": 1e3, "decay_q": 0.75, "eps_dec": 1e-4}
+        tasks = [(1.0, 3.0, ell) for ell in range(4)] + [(0.0, 1.0, 2), (-1e308, 1.0, 0)]
+        t0 = time.perf_counter()
+        records = cli._sweep_chunk((cfg, tasks, None))
+        elapsed = time.perf_counter() - t0
+        assert len({rec.classify_s for rec in records}) == 1 and records[0].classify_s > 0.0
+        for rec in records:
+            assert rec.wall_time_s == rec.integrate_s + rec.classify_s
+        total = sum(rec.wall_time_s for rec in records)
+        assert 0.5 * elapsed <= total <= elapsed
+        assert records[-1].class_name == "Undetermined" and records[-1].nfev is None
+
+    def test_failed_fit_is_an_undetermined_record(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+        report = run_sweep(SweepConfig(**SMALL))
+        for rec in report.records:
+            assert (rec.class_name, rec.passed, rec.stop) == ("Undetermined", False, None)
+            assert np.isnan(rec.fitted_limit)

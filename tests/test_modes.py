@@ -1,4 +1,5 @@
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.modes import (
@@ -15,7 +17,10 @@ from schwarzstatic.modes import (
     AsymptoticKind,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    ModeSolution,
+    _flat_coeffs,
     classify,
+    classify_modes,
     integrate_mode,
     integrate_modes,
     make_ivp,
@@ -584,3 +589,307 @@ class TestComparisonPositivity:
         one = lambda r: 1.0
         with pytest.raises(ValueError):
             comparison_positivity(one, one, B0=0.0, dB0=0.0, r0=1.0, r_max=2.0)
+
+
+# -- per-mode references of the batched sampler and classifier ---------------
+#
+# The code each mode ran on its own before sampling and classification became
+# array passes over a whole batch: np.geomspace per mode, scipy's OdeSolution
+# lookup per phase, the closed form with its crossing per flat mode, and
+# np.polyfit per fit.  The batch must reproduce them bit for bit.
+
+def reference_radii(r0, r_max, per_decade=48):
+    decades = np.log10(r_max / r0)
+    n = max(64, int(np.ceil(per_decade * decades)) + 1)
+    return np.geomspace(r0, r_max, n)
+
+
+class ReferenceDense:
+    """One phase of one mode, evaluated as scipy's OdeSolution.
+
+    Segment k covers [ts[k], ts[k+1]] with scipy's Dop853DenseOutput
+    polynomial: with x = (t - t_old[k]) / h[k], Horner over the rows of F[k]
+    from the last, multiplying alternately by x and 1 - x, plus y_old[k].
+    """
+
+    def __init__(self, ts, t_old, h, y_old, F):
+        self.ts, self.t_old, self.h, self.y_old, self.F = ts, t_old, h, y_old, F
+
+    def __call__(self, t):
+        n = len(self.h)
+        if self.ts[-1] >= self.ts[0]:
+            seg = np.searchsorted(self.ts, t, side="left") - 1
+        else:
+            seg = n - np.searchsorted(self.ts[::-1], t, side="right")
+        seg = np.clip(seg, 0, n - 1)
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        F = self.F[seg]
+        y = np.zeros((len(seg), 2))
+        for i in range(F.shape[1]):
+            y += F[:, -1 - i]
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[seg]
+        return y.T
+
+
+def reference_phases(sol):
+    """The mode's phases in r and in x = 1/r (or None), cut from its batch's table."""
+    dense, inner, tail, r_switch = sol._dense
+
+    def phase(group, t0):
+        rows = np.flatnonzero(dense.keys.real == group)
+        ts = np.concatenate([[t0], np.abs(dense.keys.imag[rows])])
+        return ReferenceDense(ts, dense.t_old[rows], dense.h[rows], dense.y_old[:, rows].T,
+                              dense.F[:, :, rows].transpose(2, 1, 0))
+
+    return phase(inner, sol.ivp.r0), phase(tail, 1.0 / r_switch) if tail >= 0 else None, r_switch
+
+
+def reference_eval(sol, r):
+    dense_r, dense_x, r_switch = reference_phases(sol)
+    tail = r > r_switch if dense_x is not None else np.zeros(r.shape, dtype=bool)
+    y = np.empty((2, r.size))
+    y[:, ~tail] = dense_r(r[~tail])
+    if tail.any():
+        y[:, tail] = dense_x(1.0 / r[tail])
+    return y[0], y[1] / r / (r - 2.0 * sol.ivp.m)
+
+
+def reference_flat(ivp, r_max, k_div):
+    """(radii, a, da, diverged) of the closed form, stopped at its crossing."""
+    (c1, c2), ell = _flat_coeffs(ivp), ivp.ell
+    threshold = k_div * (abs(ivp.a0) if ivp.a0 != 0.0 else 1.0)
+
+    def closed_form(r):
+        a = c1 * r ** (-ell - 1.0) + c2 * r ** (1.0 * ell)
+        return a, -(ell + 1.0) * c1 * r ** (-ell - 2.0) + ell * c2 * r ** (ell - 1.0)
+
+    radii = reference_radii(ivp.r0, r_max)
+    a, da = closed_form(radii)
+    above = np.abs(a) >= threshold
+    if not above.any():
+        return radii, a, da, False
+    stop = int(np.argmax(above))
+    if stop == 0:
+        return radii[:1], a[:1], da[:1], True
+    eps = np.finfo(float).eps
+    r_cross = brentq(lambda r: abs(closed_form(np.float64(r))[0]) - threshold,
+                     radii[stop - 1], radii[stop], xtol=4 * eps, rtol=4 * eps)
+    radii = reference_radii(ivp.r0, r_cross)
+    return (radii, *closed_form(radii), True)
+
+
+def reference_classify(sol, decay_q=0.75, eps_dec=1e-4, k_div=1e3):
+    """classify of one mode with np.polyfit for the limit and the slope."""
+    from schwarzstatic.modes import CAUCHY_RTOL, AsymptoticClass
+
+    def slope_of(r_tail, a_tail):
+        mag = np.abs(a_tail)
+        good = mag > 0
+        if good.sum() < 2:
+            return float("nan")
+        return float(np.polyfit(np.log(r_tail[good]), np.log(mag[good]), 1)[0])
+
+    a0 = sol.ivp.a0
+    scale0 = abs(a0) if a0 != 0.0 else max(np.abs(sol.a).max(), 1.0)
+    mask = sol.radii >= sol.radii[-1] / 10.0
+    if mask.sum() < 8:
+        mask = np.zeros_like(mask)
+        mask[-8:] = True
+    r_tail, a_tail = sol.radii[mask], sol.a[mask]
+    r_end = float(sol.r_max_used)
+    if sol.diverged or np.abs(sol.a).max() >= k_div * scale0:
+        last = sol.a[-min(6, len(sol.a)):]
+        growing = np.all(np.diff(np.abs(last)) >= 0)
+        sign_ok = np.all(np.sign(last) == np.sign(last[-1])) and last[-1] != 0
+        slope = slope_of(r_tail, a_tail)
+        kind = AsymptoticKind.UNDETERMINED
+        if growing and sign_ok:
+            kind = AsymptoticKind.DIVERGES_PLUS if last[-1] > 0 else AsymptoticKind.DIVERGES_MINUS
+        return AsymptoticClass(kind, float(sol.a[-1]), slope, r_end)
+    if np.abs(a_tail).max() == 0.0:
+        return AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, 0.0, float("nan"), r_end)
+    t = r_tail.min() / r_tail
+    limit = float(np.polyval(np.polyfit(t, a_tail, 2 if len(r_tail) > 6 else 1), 0.0))
+    slope = slope_of(r_tail, a_tail)
+    if abs(sol.a[-1]) < eps_dec * scale0 and slope <= -decay_q:
+        return AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, limit, slope, r_end)
+    if abs(limit) > eps_dec * scale0 and a_tail.max() - a_tail.min() <= CAUCHY_RTOL * abs(limit):
+        return AsymptoticClass(AsymptoticKind.CONVERGES_NONZERO, limit, slope, r_end)
+    return AsymptoticClass(AsymptoticKind.UNDETERMINED, limit, slope, r_end)
+
+
+def same_class(got, want):
+    """Equal classes, NaN equal to NaN, every float bit for bit."""
+    assert got.kind is want.kind
+    for name in ("fitted_limit", "fitted_exponent", "r_max"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert type(g) is float and (g == w or (math.isnan(g) and math.isnan(w))), name
+        assert math.copysign(1.0, g) == math.copysign(1.0, w), name
+
+
+@functools.cache
+def step_start_k_div():
+    """A k_div at which (m, r0, l) = (1, 3, 2) finds its crossing on a step's start.
+
+    Just above |a| at the start of a step, the event lies inside the step
+    before in exact arithmetic, and brentq returns the step's start: the
+    lane ends there and keeps only the steps before.
+    """
+    ivp = make_ivp(P13, 2, 1.0)
+    free = integrate_mode(ivp, 3e3, k_div=np.inf)
+    dense, group = free._dense[:2]
+    rows = np.flatnonzero(dense.keys.real == group)
+    k = rows[np.argmax(np.abs(dense.y_old[0, rows]) > 500.0)]
+    k_div = float(np.nextafter(abs(dense.y_old[0, k]), np.inf))
+    sol = integrate_mode(ivp, 3e3, k_div=k_div)
+    assert sol.diverged and sol.r_max_used == dense.t_old[k]
+    assert np.count_nonzero(sol._dense[0].keys.real == sol._dense[1]) == k - rows[0]
+    return k_div
+
+
+def mixed_batch():
+    """One batch with a lane for each way sampling can go, at one k_div."""
+    flat = SchwarzschildParams(m=0.0, r0=1.0)
+    lanes = [
+        (make_ivp(flat, 0, 1.0), 1e6),  # flat, no crossing
+        (make_ivp(flat, 3, 1.0), 1e6),  # flat, crossing
+        (make_ivp(flat, 2, -2.0), 1e5),  # flat, crossing below zero
+        (make_ivp(P13, 2, 1.0), 3e3),  # crossing on a step's start
+        (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),  # crossing in r
+        (make_ivp(P13, 1, 1.0), 3e6),  # crossing in r, far out
+        (make_ivp(P13, 0, 1.0), 3e6),  # through the x = 1/r tail
+        (make_ivp(SchwarzschildParams(m=-1.0, r0=1e-3), 0, 1.0), 1e3),  # near-horizon tail
+        (make_ivp(P13, 2, 0.0), 3e20),  # zero data, tail
+        (make_ivp(P13, 0, 1.0), 0.05 * PHASE_SWITCH * 3.0),  # ends before the switch
+        (make_ivp(P13, 1, 1.0), 2.0),  # r_max below r0
+        (make_ivp(SchwarzschildParams(m=-1e308, r0=1.0), 0, 1.0), 1e6),  # overflowing state
+    ]
+    k_div = step_start_k_div()
+    ivps, r_max = zip(*lanes)
+    return list(ivps), list(r_max), k_div, integrate_modes(list(ivps), list(r_max), k_div=k_div)
+
+
+class TestBatchedSampling:
+    def test_mixed_batch_matches_per_mode_references(self):
+        ivps, r_max, k_div, batch = mixed_batch()
+        kinds = {"flat", "flat-crossing", "tail", "r-crossing"}
+        seen = set()
+        for ivp, rm, sol in zip(ivps, r_max, batch):
+            if not rm > ivp.r0:
+                assert isinstance(sol, ValueError) and "r_max" in str(sol)
+                continue
+            if ivp.m == -1e308:
+                assert isinstance(sol, ValueError) and "finite" in str(sol)
+                continue
+            assert isinstance(sol, ModeSolution)
+            if ivp.flat_branch:
+                radii, a, da, diverged = reference_flat(ivp, rm, k_div)
+                assert sol.diverged == diverged and sol.r_max_used == float(radii[-1])
+                seen.add("flat-crossing" if diverged else "flat")
+            else:
+                radii = reference_radii(ivp.r0, sol.r_max_used)
+                a, da = reference_eval(sol, radii)
+                seen.add("tail" if sol._dense[2] >= 0 else "r-crossing" if sol.diverged else "r")
+            for got, want in ((sol.radii, radii), (sol.a, a), (sol.da, da)):
+                assert got.tobytes() == want.tobytes()
+        assert kinds <= seen
+
+    def test_eval_is_the_batch_evaluator_on_one_mode(self):
+        _, _, _, batch = mixed_batch()
+        rng = np.random.default_rng(5)
+        for sol in batch:
+            if not isinstance(sol, ModeSolution) or sol.flat_coeffs is not None:
+                continue
+            r = np.sort(np.exp(rng.uniform(np.log(sol.ivp.r0), np.log(sol.r_max_used), 300)))
+            r = np.concatenate([[sol.ivp.r0], r, [sol.r_max_used]])
+            for got, want in zip(sol.eval(r), reference_eval(sol, r)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_sample_time_is_shared_by_the_sampled_modes(self):
+        _, _, _, batch = mixed_batch()
+        shares = {sol.sample_s for sol in batch if isinstance(sol, ModeSolution)}
+        assert len(shares) == 1 and shares.pop() > 0.0
+
+
+def classify_cases():
+    """The hand-built solutions of TestClassify, and a few edge cases of the tail."""
+    flat = SchwarzschildParams(m=0.0, r0=1.0)
+    sols = [
+        integrate_mode(make_ivp(P13, 0, 1.0), 3e6),
+        integrate_mode(make_ivp(P13, 1, 1.0), 3e6),
+        *(integrate_mode(make_ivp(flat, ell, 1.0), 1e6) for ell in range(1, 9)),
+        integrate_mode(make_ivp(flat, 0, 1.0), 1e6),
+        integrate_mode(make_ivp(P13, 2, 0.0), 3e4),
+        integrate_mode(make_ivp(P13, 2, -1.0), 3e6),
+    ]
+    decaying = integrate_mode(make_ivp(P13, 2, 1.0), 3e4, k_div=np.inf)
+    decaying.a = (3.0 / decaying.radii) ** 1.5
+    decaying.da = -1.5 * decaying.a / decaying.radii
+    decaying.diverged = False
+    sols.append(decaying)
+    # five samples: a linear limit fit and a short divergence window
+    short = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
+    short.radii, short.a, short.da = short.radii[-5:], short.a[-5:], short.da[-5:]
+    sols.append(short)
+    # a sign change in the last six samples of a diverged mode
+    flipped = integrate_mode(make_ivp(P13, 2, 1.0), 3e6)
+    flipped.a = flipped.a.copy()
+    flipped.a[-3] *= -1.0
+    sols.append(flipped)
+    return sols
+
+
+class TestBatchedClassify:
+    def test_batch_of_one_is_the_batch_entry(self):
+        sols = classify_cases()
+        batch = classify_modes(sols)
+        assert len(batch) == len(sols)
+        for sol, klass in zip(sols, batch):
+            same_class(classify(sol), klass)
+
+    def test_batch_matches_polyfit_reference(self):
+        sols = classify_cases()
+        _, _, k_div, mixed = mixed_batch()
+        for sol, klass in zip(sols, classify_modes(sols)):
+            same_class(klass, reference_classify(sol))
+        mixed = [sol for sol in mixed if isinstance(sol, ModeSolution)]
+        for sol, klass in zip(mixed, classify_modes(mixed, k_div=k_div)):
+            same_class(klass, reference_classify(sol, k_div=k_div))
+
+    def test_sweep_records_match_polyfit_reference(self):
+        config = SweepConfig(masses=[-4.0, -0.3, 1e-12, 0.7], r0_offsets=[1e-3, 0.3, 90.0],
+                             ell_max=4)
+        tasks = [(m, r0, ell) for _, m, r0, ell in config.tasks()]
+        ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0) for m, r0, ell in tasks]
+        sols = integrate_modes(ivps, [config.r_max_factor * ivp.r0 for ivp in ivps])
+        assert all(isinstance(sol, ModeSolution) for sol in sols)
+        kinds = set()
+        for sol, klass in zip(sols, classify_modes(sols)):
+            same_class(klass, reference_classify(sol))
+            kinds.add(klass.kind)
+        assert AsymptoticKind.UNDETERMINED in kinds and AsymptoticKind.DIVERGES_PLUS in kinds
+
+    def test_nan_in_the_tail_matches_reference(self):
+        sol = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
+        sol.a = sol.a.copy()
+        sol.a[-2] = np.nan
+        same_class(classify_modes([sol])[0], reference_classify(sol))
+
+    def test_failed_fit_is_returned_and_raised(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        fitted = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
+        zero = integrate_mode(make_ivp(P13, 2, 0.0), 3e4)  # decays with no fit
+        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+        got = classify_modes([fitted, zero])
+        assert isinstance(got[0], np.linalg.LinAlgError)
+        assert got[1].kind is AsymptoticKind.DECAYS_TO_ZERO
+        with pytest.raises(np.linalg.LinAlgError):
+            classify(fitted)
+
+    def test_rejects_bad_decay_q_for_the_batch(self):
+        with pytest.raises(ValueError):
+            classify_modes([], decay_q=0.0)
+        assert classify_modes([]) == []
