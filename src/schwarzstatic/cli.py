@@ -22,7 +22,6 @@ import argparse
 import functools
 import importlib.metadata
 import json
-import math
 import operator
 import os
 import platform
