@@ -16,10 +16,8 @@ from .background import (
     match_round_data,
 )
 from .harmonics import (
-    ModeIndex,
     SphereGrid,
     make_grid,
-    sh_eval,
 )
 from .modes import (
     AsymptoticClass,
@@ -47,10 +45,8 @@ __all__ = [
     "deformation_forward",
     "deformation_inverse",
     "match_round_data",
-    "ModeIndex",
     "SphereGrid",
     "make_grid",
-    "sh_eval",
     "AsymptoticClass",
     "AsymptoticKind",
     "ModeIVP",

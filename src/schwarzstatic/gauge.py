@@ -27,6 +27,12 @@ of radii, and an array costs one batched call into the deformation.
 apply_gauge differentiates X independently of these identities, with small
 radial stencils on the evaluable field and spectral tangential derivatives,
 so its audit measures the construction end to end.
+
+flow_lie_derivative is the oracle for uniqueness: it forms L_Y g_sc for a
+closed-form field Y from the pullback of g_sc along one RK4 step of Y's flow
+per flow time, with difference Jacobians and no derivative of Y, and
+FlowLieDeformation tabulates it on Chebyshev shells so that the gauge built
+from it can be checked to be X = -Y.
 """
 
 from __future__ import annotations
@@ -276,45 +282,10 @@ def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformati
     )
 
 
-def _rk4_flow(y_fn, x0: np.ndarray, t: float, steps: int) -> np.ndarray:
-    dt = t / steps
-    x = x0.copy()
-    for _ in range(steps):
-        k1 = y_fn(x)
-        k2 = y_fn(x + 0.5 * dt * k1)
-        k3 = y_fn(x + 0.5 * dt * k2)
-        k4 = y_fn(x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
-
-
+# 4-point central difference for the flow map's space Jacobian
+_JAC_H = 1e-3
 _JAC_OFFS = (-2.0, -1.0, 1.0, 2.0)
 _JAC_COEF = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
-
-
-def _flow_pullback_factory(y_fn, params, points, steps, jac_h):
-    """Returns pullback(t) = (phi_t^* g_sc)(points) with a 4th-order Jacobian."""
-    npts = len(points)
-    probes = [points]
-    for j in range(3):
-        for o in _JAC_OFFS:
-            shifted = points.copy()
-            shifted[:, j] += o * jac_h
-            probes.append(shifted)
-    stacked = np.concatenate(probes, axis=0)
-
-    def pullback(t):
-        flowed = _rk4_flow(y_fn, stacked, t, steps)
-        base = flowed[:npts]
-        jac = np.zeros((npts, 3, 3))
-        for j in range(3):
-            for idx, c in enumerate(_JAC_COEF):
-                block = flowed[(1 + 4 * j + idx) * npts : (2 + 4 * j + idx) * npts]
-                jac[:, :, j] += c / jac_h * block  # d phi^k / d x^j
-        gval = schwarzschild_cartesian(params, base)
-        return np.einsum("nki,nlj,nkl->nij", jac, jac, gval)
-
-    return pullback
 
 
 def flow_lie_derivative(
@@ -322,16 +293,53 @@ def flow_lie_derivative(
     params: SchwarzschildParams,
     points: np.ndarray,
     eps: float = 1e-4,
-    steps: int = 16,
-    jac_h: float = 1e-3,
 ) -> np.ndarray:
     """Lie derivative of the background metric along Y by flow pullback.
 
-    Finite difference of phi_t^* g_sc in t with one Richardson halving; the
-    flow map and its space Jacobian come from fixed-step RK4 runs, so this
-    path shares nothing with the gauge quadratures it cross-checks.
+    Finite difference of phi_t^* g_sc in t at t = +-eps and +-eps/2 with one
+    Richardson halving.  The flow map phi_t is one classical RK4 step of
+    dx/dt = Y(x) from each point and from its 12 Jacobian probes (4-point
+    differences with spacing _JAC_H along each axis), so this path uses no
+    derivative of Y and shares nothing with the gauge quadratures it
+    cross-checks.  The first stage Y(probes) is the same for every t, which
+    leaves 13 calls of y_fn, each on all 13 * N probes at once.
+
+    One step is enough: its local error O(eps^5) becomes O(eps^4), about
+    1e-12 at eps = 1e-3, after the difference in t.  The floor is roundoff,
+    about ulp(|x|) / (_JAC_H * eps), near 1e-8 for |x| ~ 12 at eps = 1e-3;
+    more RK4 steps per flow time do not lower it.
+
+    points has shape (N, 3); the result has shape (N, 3, 3).
     """
-    pullback = _flow_pullback_factory(y_fn, params, points, steps, jac_h)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), got {points.shape}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"need a finite eps > 0, got eps={eps}")
+    npts = len(points)
+    probes = [points]
+    for j in range(3):
+        for o in _JAC_OFFS:
+            shifted = points.copy()
+            shifted[:, j] += o * _JAC_H
+            probes.append(shifted)
+    stacked = np.concatenate(probes, axis=0)
+    k1 = y_fn(stacked)
+
+    def pullback(t):
+        k2 = y_fn(stacked + 0.5 * t * k1)
+        k3 = y_fn(stacked + 0.5 * t * k2)
+        k4 = y_fn(stacked + t * k3)
+        flowed = stacked + t / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        base = flowed[:npts]
+        jac = np.zeros((npts, 3, 3))
+        for j in range(3):
+            for idx, c in enumerate(_JAC_COEF):
+                block = flowed[(1 + 4 * j + idx) * npts : (2 + 4 * j + idx) * npts]
+                jac[:, :, j] += c / _JAC_H * block  # d phi^k / d x^j
+        gval = schwarzschild_cartesian(params, base)
+        return np.einsum("nki,nlj,nkl->nij", jac, jac, gval)
+
     d_full = (pullback(eps) - pullback(-eps)) / (2.0 * eps)
     d_half = (pullback(0.5 * eps) - pullback(-0.5 * eps)) / eps
     return (4.0 * d_half - d_full) / 3.0
@@ -340,10 +348,13 @@ def flow_lie_derivative(
 class FlowLieDeformation:
     """Deformation pair (L_Y g_sc, Y(u_sc)) generated by flow pullback.
 
-    Flow samples are taken once on Chebyshev radial nodes and interpolated
-    barycentrically, since the gauge quadratures downstream request thousands
-    of radii; the interpolant of these smooth components converges
-    spectrally and stays far below the oracle's own flow-difference error.
+    Flow samples are taken once on n_cheb Chebyshev radial nodes in
+    [r0, r1] (r1 defaults to 4 r0) and interpolated barycentrically, since
+    the gauge quadratures downstream request thousands of radii; the
+    interpolant of these smooth components converges spectrally and stays
+    far below the oracle's own flow-difference error.  All shells go through
+    one flow_lie_derivative call (13 calls of y_fn) and one more y_fn call
+    for the Y(u_sc) table.
     Exposes the part of DeformationField's component interface that the
     gauge construction reads (rr, ra, u, cartesian), for a scalar radius or
     an array of radii; rr and ra interpolate the table's unit-frame
@@ -358,23 +369,26 @@ class FlowLieDeformation:
         r1: float | None = None,
         n_cheb: int = 33,
         eps: float = 1e-3,
-        steps: int = 8,
     ):
-        self.y_fn = y_fn
-        self.params = params
-        self.calc = calc
+        if not isinstance(n_cheb, numbers.Integral) or n_cheb < 2:
+            raise ValueError(f"n_cheb must be an integer >= 2, got {n_cheb!r}")
         r0 = params.r0
         if r1 is None:
             r1 = 4.0 * r0
+        if not (np.isfinite(r1) and r1 > r0):
+            raise ValueError(f"need a finite r1 > r0 = {r0}, got r1={r1}")
+        self.y_fn = y_fn
+        self.params = params
+        self.calc = calc
         j = np.arange(n_cheb)
         x = np.cos(np.pi * j / (n_cheb - 1))
         self._nodes = 0.5 * (r0 + r1) + 0.5 * (r1 - r0) * x[::-1]
         self._bary = np.where(j % 2 == 0, 1.0, -1.0)
         self._bary[0] *= 0.5
         self._bary[-1] *= 0.5
-        # all shells stacked into one point set: one flow, one field call
+        # all shells stacked into one point set: one flow
         points = (self._nodes[:, None, None] * calc.normal).reshape(-1, 3)
-        lie = flow_lie_derivative(y_fn, params, points, eps=eps, steps=steps)
+        lie = flow_lie_derivative(y_fn, params, points, eps=eps)
         self._lie_tab = lie.reshape(n_cheb, -1, 3, 3)
         self._rr_tab, self._ra_tab, _ = calc.adapted_components(self._lie_tab)
         y = y_fn(points).reshape(n_cheb, -1, 3)

@@ -11,8 +11,8 @@ SphereGrid carries the synthesis matrices (Y and its angular derivatives)
 and the quadrature-weighted analysis matrix; the transforms themselves
 (sphere_ops.SphereCalc.coeffs, from_coeffs, laplacian_scalar) are direct
 O(L^4) products with them, exact on band-limited fields.  No FFT path is
-provided.  sh_eval evaluates one harmonic through scipy's lpmv, a route
-independent of the tables make_grid builds.
+provided.  The tests check the tables against a point evaluator of their
+own, built on scipy's lpmv.
 """
 
 from __future__ import annotations
@@ -21,29 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import assoc_legendre_p_all, gammaln, lpmv
+from scipy.special import assoc_legendre_p_all, gammaln
 
 __all__ = [
-    "ModeIndex",
     "SphereGrid",
     "mode_position",
     "mode_list",
     "degree_table",
     "make_grid",
-    "sh_eval",
 ]
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Degree ell >= 0 and order k with |k| <= ell."""
-
-    ell: int
-    k: int
-
-    def __post_init__(self):
-        if self.ell < 0 or abs(self.k) > self.ell:
-            raise IndexError(f"invalid harmonic index (ell={self.ell}, k={self.k})")
 
 
 def mode_position(ell: int, k: int) -> int:
@@ -70,26 +56,6 @@ def _norm(ell: np.ndarray, k: np.ndarray) -> np.ndarray:
         / (4.0 * np.pi)
         * np.exp(gammaln(ell - k + 1.0) - gammaln(ell + k + 1.0))
     )
-
-
-def sh_eval(idx: ModeIndex, theta, phi):
-    """Evaluate one real orthonormal harmonic at (theta, phi).
-
-    Accepts scalars or broadcastable arrays.  The longitude factor is
-    sqrt(2) cos(k phi) for k > 0 and sqrt(2) sin(|k| phi) for k < 0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    ka = abs(idx.k)
-    # lpmv, not assoc_legendre_p_all: the tests check make_grid's tables against this route.
-    # lpmv carries the Condon-Shortley factor (-1)^k; remove it.
-    p = (-1.0) ** ka * lpmv(ka, idx.ell, np.cos(theta))
-    val = _norm(np.float64(idx.ell), np.float64(ka)) * p
-    if idx.k > 0:
-        val = np.sqrt(2.0) * val * np.cos(ka * phi)
-    elif idx.k < 0:
-        val = np.sqrt(2.0) * val * np.sin(ka * phi)
-    return val
 
 
 def _legendre_tables(l_max: int, x: np.ndarray):

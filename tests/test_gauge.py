@@ -20,6 +20,7 @@ from schwarzstatic.gauge import (
     apply_gauge,
     build_gauge_field,
     flow_lie_derivative,
+    schwarzschild_cartesian,
 )
 from schwarzstatic.sphere_ops import SphereCalc
 
@@ -59,6 +60,56 @@ def make_test_vector_field(params, amp=0.2, s=2.0):
         )
 
     return y_fn, (p, q, w, q_mat)
+
+
+def reference_flow_lie_derivative(y_fn, params, points, eps, steps, jac_h=1e-3):
+    """The flow oracle with `steps` RK4 sub-steps per flow time.
+
+    Each flow time runs its own fixed-step RK4 from the stacked probes; at
+    steps=1 this is flow_lie_derivative's arithmetic, with the first stage
+    recomputed per flow time.
+    """
+    offs = (-2.0, -1.0, 1.0, 2.0)
+    coef = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+    npts = len(points)
+    probes = [points]
+    for j in range(3):
+        for o in offs:
+            shifted = points.copy()
+            shifted[:, j] += o * jac_h
+            probes.append(shifted)
+    stacked = np.concatenate(probes, axis=0)
+
+    def pullback(t):
+        dt = t / steps
+        x = stacked.copy()
+        for _ in range(steps):
+            k1 = y_fn(x)
+            k2 = y_fn(x + 0.5 * dt * k1)
+            k3 = y_fn(x + 0.5 * dt * k2)
+            k4 = y_fn(x + dt * k3)
+            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        jac = np.zeros((npts, 3, 3))
+        for j in range(3):
+            for idx, c in enumerate(coef):
+                block = x[(1 + 4 * j + idx) * npts : (2 + 4 * j + idx) * npts]
+                jac[:, :, j] += c / jac_h * block
+        gval = schwarzschild_cartesian(params, x[:npts])
+        return np.einsum("nki,nlj,nkl->nij", jac, jac, gval)
+
+    d_full = (pullback(eps) - pullback(-eps)) / (2.0 * eps)
+    d_half = (pullback(0.5 * eps) - pullback(-0.5 * eps)) / eps
+    return (4.0 * d_half - d_full) / 3.0
+
+
+def counting(y_fn):
+    """y_fn wrapped to count its calls in `.calls`."""
+    def wrapped(x):
+        wrapped.calls += 1
+        return y_fn(x)
+
+    wrapped.calls = 0
+    return wrapped
 
 
 def parallel_frame(calc, r):
@@ -354,7 +405,7 @@ class TestFlowOracle:
         y_fn, _ = make_test_vector_field(P13)
         gt = FlowLieDeformation(y_fn, P13, calc)
         per_shell = np.stack([
-            flow_lie_derivative(y_fn, P13, r * calc.normal, eps=1e-3, steps=8)
+            flow_lie_derivative(y_fn, P13, r * calc.normal, eps=1e-3)
             for r in gt._nodes
         ])
         assert np.array_equal(gt._lie_tab, per_shell)
@@ -401,5 +452,73 @@ class TestFlowOracle:
         X = build_gauge_field(gt, P13, calc, n_cells=24)
         r = 5.5
         out = apply_gauge(gt, X, np.array([r]))
-        flow = flow_lie_derivative(y_fn, P13, r * calc.normal, eps=1e-3, steps=8)
+        flow = flow_lie_derivative(y_fn, P13, r * calc.normal, eps=1e-3)
         assert np.abs(out.lie_cart[0] + flow).max() <= 1e-6
+
+    def test_one_step_matches_multistep_reference(self):
+        # one RK4 step per flow time: the table is the steps=1 reference bit
+        # for bit and within the oracle's roundoff floor of the steps=8 one
+        calc = SphereCalc(l_max=6)
+        y_fn, _ = make_test_vector_field(P13)
+        gt = FlowLieDeformation(y_fn, P13, calc)
+        points = (gt._nodes[:, None, None] * calc.normal).reshape(-1, 3)
+        table = gt._lie_tab.reshape(-1, 3, 3)
+        one = reference_flow_lie_derivative(y_fn, P13, points, eps=1e-3, steps=1)
+        assert np.array_equal(table, one)
+        eight = reference_flow_lie_derivative(y_fn, P13, points, eps=1e-3, steps=8)
+        assert np.abs(table - eight).max() <= 2e-7
+
+    def test_field_call_counts(self):
+        calc = SphereCalc(l_max=4)
+        y_fn, _ = make_test_vector_field(P13)
+        y_count = counting(y_fn)
+        flow_lie_derivative(y_count, P13, 5.0 * calc.normal)
+        assert y_count.calls == 13
+        y_count = counting(y_fn)
+        FlowLieDeformation(y_count, P13, calc)
+        assert y_count.calls == 14
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps": 0.0},
+            {"eps": -1e-3},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"n_cheb": 1},
+            {"n_cheb": 0},
+            {"n_cheb": 16.5},
+            {"n_cheb": 33.0},
+            {"r1": 2.0},
+            {"r1": 3.0},
+            {"r1": float("nan")},
+            {"r1": float("inf")},
+        ],
+        ids=["zero-eps", "negative-eps", "nan-eps", "inf-eps", "one-node",
+             "zero-nodes", "fractional-nodes", "float-nodes", "r1-on-horizon",
+             "r1-at-r0", "nan-r1", "inf-r1"],
+    )
+    def test_flow_deformation_rejects_bad_inputs(self, kwargs):
+        calc = SphereCalc(l_max=4)
+        y_fn, _ = make_test_vector_field(P13)
+        y_count = counting(y_fn)
+        with pytest.raises(ValueError):
+            FlowLieDeformation(y_count, P13, calc, **kwargs)
+        assert y_count.calls == 0
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (5, 2), (2, 4, 3), (4, 4)], ids=["vector", "two-columns",
+                                                        "three-axes", "four-columns"],
+    )
+    def test_oracle_rejects_points_not_n_by_3(self, shape):
+        y_fn, _ = make_test_vector_field(P13)
+        y_count = counting(y_fn)
+        with pytest.raises(ValueError, match="shape"):
+            flow_lie_derivative(y_count, P13, np.full(shape, 4.0))
+        assert y_count.calls == 0
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_oracle_rejects_bad_eps(self, calc, eps):
+        y_fn, _ = make_test_vector_field(P13)
+        with pytest.raises(ValueError, match="eps"):
+            flow_lie_derivative(y_fn, P13, 4.0 * calc.normal, eps=eps)

@@ -1,15 +1,50 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import lpmv
 
 from schwarzstatic.harmonics import (
-    ModeIndex,
+    _norm,
     make_grid,
     mode_list,
     mode_position,
-    sh_eval,
 )
 from schwarzstatic.sphere_ops import SphereCalc
+
+
+@dataclass(frozen=True)
+class ModeIndex:
+    """Degree ell >= 0 and order k with |k| <= ell."""
+
+    ell: int
+    k: int
+
+    def __post_init__(self):
+        if self.ell < 0 or abs(self.k) > self.ell:
+            raise IndexError(f"invalid harmonic index (ell={self.ell}, k={self.k})")
+
+
+def sh_eval(idx: ModeIndex, theta, phi):
+    """Evaluate one real orthonormal harmonic at (theta, phi).
+
+    A point evaluator independent of the tables make_grid builds: it goes
+    through scipy's lpmv, not assoc_legendre_p_all.  Accepts scalars or
+    broadcastable arrays.  The longitude factor is sqrt(2) cos(k phi) for
+    k > 0 and sqrt(2) sin(|k| phi) for k < 0.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    ka = abs(idx.k)
+    # lpmv carries the Condon-Shortley factor (-1)^k; remove it.
+    p = (-1.0) ** ka * lpmv(ka, idx.ell, np.cos(theta))
+    val = _norm(np.float64(idx.ell), np.float64(ka)) * p
+    if idx.k > 0:
+        val = np.sqrt(2.0) * val * np.cos(ka * phi)
+    elif idx.k < 0:
+        val = np.sqrt(2.0) * val * np.sin(ka * phi)
+    return val
 
 
 @pytest.fixture(scope="module")
