@@ -62,13 +62,14 @@ def make_test_vector_field(params, amp=0.2, s=2.0):
     return y_fn, (p, q, w, q_mat)
 
 
-def reference_flow_lie_derivative(y_fn, params, points, eps, steps, jac_h=1e-3):
+def reference_flow_lie_derivative(y_fn, params, points, eps, steps):
     """The flow oracle with `steps` RK4 sub-steps per flow time.
 
     Each flow time runs its own fixed-step RK4 from the stacked probes; at
     steps=1 this is flow_lie_derivative's arithmetic, with the first stage
     recomputed per flow time.
     """
+    jac_h = 1e-3
     offs = (-2.0, -1.0, 1.0, 2.0)
     coef = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
     npts = len(points)
