@@ -292,7 +292,7 @@ def flow_lie_derivative(
     y_fn,
     params: SchwarzschildParams,
     points: np.ndarray,
-    eps: float = 1e-4,
+    eps: float = 1e-3,
 ) -> np.ndarray:
     """Lie derivative of the background metric along Y by flow pullback.
 

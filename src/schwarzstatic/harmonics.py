@@ -5,6 +5,9 @@ It uses unsigned associated Legendre functions (no Condon-Shortley phase in
 the real basis) with cosine factors for k > 0 and sine factors for k < 0.
 Coefficients are stored flat, mode (ell, k) at position ell*ell + ell + k.
 
+The Legendre tables come from scipy.special.assoc_legendre_p_all, with
+degree and derivative in one call, and the normalisation from gammaln.
+
 Grids are Gauss-Legendre in cos(theta) tensored with uniform longitudes, so
 quadrature is exact for integrands of total degree <= 2*n_theta - 1.  A
 SphereGrid carries the synthesis matrices (Y and its angular derivatives)
@@ -12,7 +15,7 @@ and the quadrature-weighted analysis matrix; the transforms themselves
 (sphere_ops.SphereCalc.coeffs, from_coeffs, laplacian_scalar) are direct
 O(L^4) products with them, exact on band-limited fields.  No FFT path is
 provided.  The tests check the tables against a point evaluator of their
-own, built on scipy's lpmv.
+own, built on scipy's lpmv rather than on assoc_legendre_p_all.
 """
 
 from __future__ import annotations

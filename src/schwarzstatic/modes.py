@@ -18,11 +18,15 @@ c1 r^(-l-1) + c2 r^l, used directly and flagged; its stop is the root of
 the closed form, so both branches stop at the same crossing.
 
 Both phases use DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
-in this module, with scipy's tableau and scipy's step control, so the steps
-are solve_ivp's up to rounding.  integrate_modes steps a batch of modes in
-lockstep, one lane of numpy arrays per mode; each lane rounds exactly as it
-would alone, and integrate_mode is a batch of one.  The tests keep
-solve_ivp as the independent check.
+in this module, with scipy's tableau (vendored in _dop853) and scipy's step
+control, so the steps are solve_ivp's up to rounding.  integrate_modes steps
+a batch of modes in lockstep, one lane of numpy arrays per mode; each lane
+rounds exactly as it would alone, and integrate_mode is a batch of one.
+Every k_div crossing is located by _brentq, a statement-for-statement port
+of scipy's brentq (Brent, Algorithms for Minimization without Derivatives,
+1973), which returns scipy's root bit for bit.  The package imports neither
+scipy.integrate nor scipy.optimize; the tests keep solve_ivp and brentq as
+the independent checks.
 
 Sampling and classification are array passes over the whole batch too.
 integrate_modes forms every mode's sample radii in one vectorised
@@ -49,9 +53,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
+from ._dop853 import DOP853
 from .background import SchwarzschildParams
 
 __all__ = [
@@ -399,7 +402,7 @@ def _flat_solutions(ivps: list[ModeIVP], r_max: list[float], k_div: float) -> li
     """The Euler closed forms, each stopped where |a| first reaches k_div |a0|.
 
     All modes are sampled and evaluated together; each crossing is located
-    by brentq on its own mode, and the crossing modes are sampled again,
+    by _brentq on its own mode, and the crossing modes are sampled again,
     together, up to their crossings.
     """
     coeffs = [_flat_coeffs(ivp) for ivp in ivps]
@@ -425,7 +428,7 @@ def _flat_solutions(ivps: list[ModeIVP], r_max: list[float], k_div: float) -> li
         # the crossing itself, as the generic branch's event finds it
         ell_j, (c1, c2), level = ivps[j].ell, coeffs[j], threshold[j]
         crossing.append(j)
-        r_cross.append(brentq(
+        r_cross.append(_brentq(
             lambda r: abs(_flat_eval(ell_j, c1, c2, np.float64(r))[0]) - level,
             radii[lo + stop - 1], radii[lo + stop], xtol=4 * _EPS, rtol=4 * _EPS,
         ))
@@ -470,15 +473,15 @@ def _sampled(ivps, runs, runs_x, dense: "_Dense", inner, tail, r_switch) -> list
 # -- DOP853 in lockstep -------------------------------------------------------
 #
 # One lane per mode, lanes on the last axis of every array.  The tableau is
-# scipy's (the public DOP853 class attributes) and the step control is
-# scipy's (initial step, error norm, step factors, min_step, t_bound
-# clipping, terminal event by brentq on the step's dense output), per lane,
-# so each lane takes the steps solve_ivp(method="DOP853") takes, up to
-# rounding.  Stage sums run left to right over every tableau entry, zeros
-# included (0 * inf is nan), as elementwise array operations: no tensordot
-# or BLAS, which would reorder the sums.  A stage that is not finite makes
-# the error norm nan and the step is rejected, as in scipy; the lane fails
-# once its step drops below min_step.  The step factors take Python's float
+# scipy's (its DOP853 class attributes, vendored in _dop853) and the step
+# control is scipy's (initial step, error norm, step factors, min_step,
+# t_bound clipping, terminal event by brentq on the step's dense output),
+# per lane, so each lane takes the steps solve_ivp(method="DOP853") takes, up
+# to rounding.  Stage sums run left to right over every tableau entry, zeros
+# included (0 * inf is nan), as one np.add.reduce over the stage axis (see
+# _combine): no tensordot or BLAS, which would reorder the sums.  A stage
+# that is not finite makes the error norm nan and the step is rejected, as
+# in scipy; the lane fails once its step drops below min_step.  The step factors take Python's float
 # ** per lane: np.power rounds differently from C's pow on some arguments.
 
 _N_STAGES = DOP853.n_stages
@@ -618,14 +621,13 @@ def _combine(weights, K):
 
     One rounding per product and per addition, in a fixed order, so a lane's
     sum does not depend on the other lanes.  weights has shape (..., k, 1, 1):
-    one row of weights, or several rows summed side by side.  0.0 + p is
-    computed as p + 0.0 (+0.0 where p is -0.0).
+    one row of weights, or several rows summed side by side.  The sum is one
+    np.add.reduce over the term axis, which is not the last axis: numpy then
+    adds whole rows in turn, from the initial 0.0, as a loop over the terms
+    would.  That order is an implementation detail, not part of numpy's API;
+    TestScipyParity and the tests/data/default_sweep.csv fixture pin it.
     """
-    terms = weights * K[:weights.shape[-3]]
-    acc = terms[..., 0, :, :] + 0.0
-    for j in range(1, terms.shape[-3]):
-        acc += terms[..., j, :, :]
-    return acc
+    return np.add.reduce(weights * K[:weights.shape[-3]], axis=-3, initial=0.0)
 
 
 def _rms(u):
@@ -658,7 +660,7 @@ def _event_root(F, t_old, h, y_old, threshold, t_new):
     Fa, Fw = F[:, 0].tolist(), F[:, 1].tolist()
     a_old, w_old = float(y_old[0]), float(y_old[1])
     t_old, h = float(t_old), float(h)
-    root = brentq(
+    root = _brentq(
         lambda s: abs(_horner(Fa, (s - t_old) / h) + a_old) - threshold,
         t_old, float(t_new), xtol=4 * _EPS, rtol=4 * _EPS,
     )
@@ -674,15 +676,83 @@ def _horner(F, x):
     return y
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of f in [xa, xb] by Brent's method: scipy.optimize.brentq, bit for bit.
+
+    A statement-for-statement port of scipy's brentq.c, in Python floats
+    (IEEE doubles, as in C); f(x) is converted to float as scipy's wrapper
+    converts it.  Raises as scipy does: ValueError when f(xa) and f(xb)
+    have the same sign or f returns nan, RuntimeError after maxiter
+    iterations.  A zero denominator in the extrapolation, which gives an
+    infinite or nan trial step in C and so a bisection, bisects here too.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # signbit(f) is f < 0 for the nonzero, non-nan values compared here
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+            else:
+                limit = 3 * abs(sbis) - delta
+                if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                    spre, scur = scur, stry  # good short step
+                    bisect = False
+        if bisect:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
     """DOP853 on every lane of y0 (shape (2, n)) from t0 towards t_bound.
 
     Lane j integrates y' = rhs(p[:, j], t, y) and stops at t_bound[j] or at
-    the first root of |y[0]| = threshold[j], located by brentq on the
+    the first root of |y[0]| = threshold[j], located by _brentq on the
     step's dense output with xtol = rtol = 4 eps.  direction is the sign of
     t_bound - t0, the same for every lane.  Returns per lane a _Run, or the
     exception that ended it: a RuntimeError when the step size drops below
-    10 ulp of t, or brentq's ValueError; and the lanes' kept steps as
+    10 ulp of t, or _brentq's ValueError; and the lanes' kept steps as
     _Segments (None when every lane failed).
     """
     n = t0.size

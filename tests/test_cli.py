@@ -645,6 +645,57 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 1
 
 
+# Run in a fresh interpreter; each prints the scipy.integrate and
+# scipy.optimize modules loaded at its checkpoints, one list per line.
+LOADED = (
+    "import sys\n"
+    "def loaded():\n"
+    "    print(sorted(m for m in sys.modules\n"
+    "                 if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+)
+STARTUP_SCRIPTS = {
+    "cli-sweep": (
+        "from schwarzstatic import cli\n"
+        "loaded()\n"
+        "rc = cli.main(['sweep', '--masses', '1,0', '--deltas', '1', '--ell-max', '2',\n"
+        "               '--r-max-factor', '1e4', '--out-dir', sys.argv[1]])\n"
+        "assert rc == 0, rc\n"
+        "loaded()\n"
+    ),
+    "gauge": "import schwarzstatic.gauge\nloaded()\n",
+    "selftest-conservation": (
+        "import numpy as np\n"
+        "from schwarzstatic import selftest\n"
+        "loaded()\n"
+        "assert selftest._suite_conservation(np.random.default_rng(0)).passed\n"
+        "loaded()\n"
+    ),
+}
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize("script", sorted(STARTUP_SCRIPTS))
+    def test_scipy_integrate_and_optimize_load_only_for_selftest(self, tmp_path, script):
+        # the package loads scipy.special alone; solve_ivp is imported inside
+        # selftest's conservation suite, and only when that suite runs
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED + STARTUP_SCRIPTS[script], str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        checkpoints = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+        assert checkpoints[0] == "[]"
+        if script == "selftest-conservation":
+            assert "'scipy.integrate'" in checkpoints[1]
+        else:
+            assert checkpoints == ["[]"] * len(checkpoints)
+        if script == "cli-sweep":
+            # both root-finding paths ran: the stepped and the flat k_div crossings
+            records = json.loads((tmp_path / "sweep.json").read_text())["records"]
+            crossed = {(rec["m"], rec["ell"]) for rec in records if rec["stop"] == "k_div"}
+            assert crossed == {(1.0, 1), (1.0, 2), (0.0, 1), (0.0, 2)}
+
+
 def report_with_failures():
     """A small sweep's report plus a solver-failure record and non-finite fits."""
     report = run_sweep(SweepConfig(**SMALL))

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
+from schwarzstatic import _dop853, modes
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.modes import (
     FLAT_MASS_RTOL,
@@ -18,7 +19,10 @@ from schwarzstatic.modes import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     ModeSolution,
+    _brentq,
     _flat_coeffs,
+    _flat_eval,
+    _horner,
     classify,
     classify_modes,
     integrate_mode,
@@ -410,6 +414,122 @@ class TestScipyParity:
             integrate_mode(ivp, 1e300 * r0)
         with pytest.raises(RuntimeError):
             scipy_mode(ivp, 1e300 * r0, 1e-10, 1e-12, 1e3)
+
+
+EPS = float(np.finfo(float).eps)
+TABLEAU = ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA")
+
+
+def inside(ends):
+    """A level strictly between the objective's two ends, so the bracket changes sign."""
+    lo, hi = sorted(ends)
+    frac = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return frac.map(lambda q: lo + q * (hi - lo)).filter(lambda v: lo < v < hi)
+
+
+@st.composite
+def horner_brackets(draw):
+    """_event_root's objective on one step, with the step as its bracket.
+
+    |a| on the step's dense output minus a threshold drawn between |a| at
+    the step's two ends.
+    """
+    F = draw(st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7))
+    a_old = draw(st.floats(-1e3, 1e3))
+    t_old = draw(st.floats(1e-3, 1e6))
+    h = t_old * draw(st.floats(1e-6, 10.0))
+    t_new = t_old + h
+    threshold = draw(inside([abs(_horner(F, (t - t_old) / h) + a_old) for t in (t_old, t_new)]))
+
+    def f(s):
+        return abs(_horner(F, (s - t_old) / h) + a_old) - threshold
+
+    return f, t_old, t_new
+
+
+@st.composite
+def flat_brackets(draw):
+    """_flat_solutions' objective: |c1 r^(-l-1) + c2 r^l| minus a level."""
+    ell = draw(st.integers(0, 16))
+    c1, c2 = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 10.0))
+    lo = draw(st.floats(1e-2, 1e3))
+    hi = lo * draw(st.floats(1.0 + 1e-6, 1e3))
+    level = draw(inside([abs(_flat_eval(ell, c1, c2, np.float64(r))[0]) for r in (lo, hi)]))
+    return (lambda r: abs(_flat_eval(ell, c1, c2, np.float64(r))[0]) - level), lo, hi
+
+
+@st.composite
+def smooth_brackets(draw):
+    """A smooth monotone objective, with its root drawn inside the bracket."""
+    root = draw(st.floats(-1e3, 1e3))
+    k = draw(st.floats(1e-3, 1e3))
+    a, b = root - draw(st.floats(1e-9, 1e3)), root + draw(st.floats(1e-9, 1e3))
+    f = draw(st.sampled_from([
+        lambda x: math.tanh(k * (x - root)),
+        lambda x: math.atan(k * (x - root)) + 0.1 * k * (x - root),
+        lambda x: (x - root) ** 3 + k * (x - root),
+    ]))
+    return (f, a, b) if draw(st.booleans()) else ((lambda x: -f(x)), a, b)
+
+
+class TestVendoredPrimitives:
+    """The vendored tableau and the brentq port are scipy's, bit for bit."""
+
+    def test_tableau_is_scipys(self):
+        for name in TABLEAU:
+            ours, theirs = getattr(_dop853.DOP853, name), getattr(DOP853, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+            assert np.array_equal(ours, theirs) and ours.tobytes() == theirs.tobytes(), name
+        for name in ("n_stages", "error_estimator_order"):
+            assert getattr(_dop853.DOP853, name) == getattr(DOP853, name), name
+
+    def test_stepper_reads_scipys_tableau(self):
+        # the stepper's tables, rebuilt from scipy's class as the module built them
+        n = DOP853.n_stages
+        stages = [(DOP853.A[s, :s, None, None], float(DOP853.C[s])) for s in range(1, n)]
+        extra = [(row[:s, None, None], float(c))
+                 for s, (row, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n + 1)]
+        for (ours, c), (theirs, c_scipy) in zip(modes._STAGES + modes._EXTRA_STAGES,
+                                                stages + extra, strict=True):
+            assert ours.tobytes() == theirs.tobytes() and ours.shape == theirs.shape
+            assert c == c_scipy
+        assert modes._B.tobytes() == DOP853.B[:, None, None].tobytes()
+        e53 = np.array([DOP853.E5, DOP853.E3])[:, :, None, None]
+        assert modes._E53.tobytes() == e53.tobytes() and modes._E53.shape == e53.shape
+        assert modes._D.tobytes() == DOP853.D[:, :, None, None].tobytes()
+        assert modes._ERROR_EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(horner_brackets(), flat_brackets(), smooth_brackets()))
+    def test_brentq_returns_scipys_root(self, bracket):
+        f, a, b = bracket
+        try:
+            want = brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS)
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc)):
+                _brentq(f, a, b, 4 * EPS, 4 * EPS)
+            return
+        got = _brentq(f, a, b, 4 * EPS, 4 * EPS)
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize(
+        "f,a,b,maxiter,error",
+        [
+            pytest.param(lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError, id="same-sign"),
+            pytest.param(lambda x: math.nan, 0.0, 1.0, 100, ValueError, id="nan-at-an-end"),
+            pytest.param(lambda x: x - 0.3 if x < 0.4 else math.nan, 0.0, 1.0, 100, ValueError,
+                         id="nan-inside"),
+            pytest.param(lambda x: x**3 - 2.0, 0.0, 5.0, 3, RuntimeError, id="maxiter"),
+        ],
+    )
+    def test_brentq_raises_as_scipy_does(self, f, a, b, maxiter, error):
+        with pytest.raises(error) as theirs:
+            brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=maxiter)
+        with pytest.raises(error) as ours:
+            _brentq(f, a, b, 4 * EPS, 4 * EPS, maxiter)
+        if error is ValueError:
+            assert str(ours.value) == str(theirs.value)
 
 
 # lanes for the batch-composition property, covering each way a lane ends
