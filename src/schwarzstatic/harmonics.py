@@ -5,8 +5,9 @@ It uses unsigned associated Legendre functions (no Condon-Shortley phase in
 the real basis) with cosine factors for k > 0 and sine factors for k < 0.
 Coefficients are stored flat, mode (ell, k) at position ell*ell + ell + k.
 
-The Legendre tables come from scipy.special.assoc_legendre_p_all, with
-degree and derivative in one call, and the normalisation from gammaln.
+The Legendre tables come from scipy.special.assoc_legendre_p_all, every
+degree, order and first derivative in one call, and the normalisation from
+gammaln.
 
 Grids are Gauss-Legendre in cos(theta) tensored with uniform longitudes, so
 quadrature is exact for integrands of total degree <= 2*n_theta - 1.  A

@@ -676,7 +676,7 @@ STARTUP_SCRIPTS = {
 class TestStartupImports:
     @pytest.mark.parametrize("script", sorted(STARTUP_SCRIPTS))
     def test_scipy_integrate_and_optimize_load_only_for_selftest(self, tmp_path, script):
-        # the package loads scipy.special alone; solve_ivp is imported inside
+        # no package import loads them; solve_ivp is imported inside
         # selftest's conservation suite, and only when that suite runs
         proc = subprocess.run(
             [sys.executable, "-c", LOADED + STARTUP_SCRIPTS[script], str(tmp_path)],
