@@ -254,23 +254,21 @@ def random_deformation(
     calc: SphereCalc,
     l_band: int = 4,
     gauge_fixed: bool = True,
-    scale: float = 1.0,
-    decay: float = 1.5,
 ) -> DeformationField:
     """Random band-limited deformation with decaying radial profiles."""
     r0 = params.r0
     field = DeformationField(params, calc)
 
     def prof():
-        s = decay + rng.uniform(0.0, 1.5)
-        return power_profile(r0, s, amp=scale * rng.uniform(0.5, 1.0))
+        s = 1.5 + rng.uniform(0.0, 1.5)
+        return power_profile(r0, s, amp=rng.uniform(0.5, 1.0))
 
-    field.add_ab_conformal(prof(), calc.random_band_limited(rng, l_band, scale))
-    field.add_ab_tt(prof(), calc.random_band_limited(rng, l_band, scale), odd=False)
-    field.add_ab_tt(prof(), calc.random_band_limited(rng, l_band, scale), odd=True)
-    field.add_u(prof(), calc.random_band_limited(rng, l_band, scale))
+    field.add_ab_conformal(prof(), calc.random_band_limited(rng, l_band))
+    field.add_ab_tt(prof(), calc.random_band_limited(rng, l_band), odd=False)
+    field.add_ab_tt(prof(), calc.random_band_limited(rng, l_band), odd=True)
+    field.add_u(prof(), calc.random_band_limited(rng, l_band))
     if not gauge_fixed:
-        field.add_rr(prof(), calc.random_band_limited(rng, l_band, scale))
-        field.add_ra(prof(), calc.random_band_limited(rng, l_band, scale), odd=False)
-        field.add_ra(prof(), calc.random_band_limited(rng, l_band, scale), odd=True)
+        field.add_rr(prof(), calc.random_band_limited(rng, l_band))
+        field.add_ra(prof(), calc.random_band_limited(rng, l_band), odd=False)
+        field.add_ra(prof(), calc.random_band_limited(rng, l_band), odd=True)
     return field

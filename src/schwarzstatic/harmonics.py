@@ -5,18 +5,22 @@ It uses unsigned associated Legendre functions (no Condon-Shortley phase in
 the real basis) with cosine factors for k > 0 and sine factors for k < 0.
 Coefficients are stored flat, mode (ell, k) at position ell*ell + ell + k.
 
-The Legendre tables come from scipy.special.assoc_legendre_p_all, every
-degree, order and first derivative in one call, and the normalisation from
-gammaln.
+The Legendre tables come from the normalised three-term recurrence (Holmes
+& Featherstone, J. Geodesy 76 (2002) 279), in numpy only.  It yields the
+orthonormal functions directly, sqrt(2) of the k != 0 modes included, so no
+factorial or gamma function is ever formed; the theta derivative follows
+from the degree-lowering identity, divided by sin(theta), which never
+vanishes at a Gauss-Legendre node.
 
-Grids are Gauss-Legendre in cos(theta) tensored with uniform longitudes, so
-quadrature is exact for integrands of total degree <= 2*n_theta - 1.  A
-SphereGrid carries the synthesis matrices (Y and its angular derivatives)
-and the quadrature-weighted analysis matrix; the transforms themselves
+Grids are Gauss-Legendre in cos(theta) tensored with uniform longitudes:
+l_max + 1 latitudes and 2 l_max + 1 longitudes, the smallest grid on which
+quadrature is exact for products of two harmonics up to l_max.  A SphereGrid
+carries the synthesis matrices (Y and its angular derivatives) and the
+quadrature-weighted analysis matrix; the transforms themselves
 (sphere_ops.SphereCalc.coeffs, from_coeffs, laplacian_scalar) are direct
 O(L^4) products with them, exact on band-limited fields.  No FFT path is
-provided.  The tests check the tables against a point evaluator of their
-own, built on scipy's lpmv rather than on assoc_legendre_p_all.
+provided.  The tests check the tables against scipy's assoc_legendre_p_all
+and against a point evaluator of their own, built on scipy's lpmv.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import assoc_legendre_p_all, gammaln
 
 __all__ = [
     "SphereGrid",
@@ -53,21 +56,36 @@ def degree_table(l_max: int) -> np.ndarray:
     return np.array([ell for ell, _ in mode_list(l_max)], dtype=float)
 
 
-def _norm(ell: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Orthonormalization constant sqrt((2l+1)/(4 pi) * (l-k)!/(l+k)!)."""
-    return np.sqrt(
-        (2.0 * ell + 1.0)
-        / (4.0 * np.pi)
-        * np.exp(gammaln(ell - k + 1.0) - gammaln(ell + k + 1.0))
-    )
-
-
 def _legendre_tables(l_max: int, x: np.ndarray):
-    """Unsigned P_l^k(x) and d/dx P_l^k(x) tables, shape (len(x), L+1, L+1)."""
-    sign = (-1.0) ** np.arange(l_max + 1)  # cancel the Condon-Shortley phase
-    tab = assoc_legendre_p_all(l_max, l_max, x, diff_n=1)
-    p = np.moveaxis(tab[0][:, : l_max + 1], -1, 0) * sign
-    dp = np.moveaxis(tab[1][:, : l_max + 1], -1, 0) * sign
+    """Orthonormal P_l^k(cos theta) and d/dtheta, shape (len(x), L+1, L+1).
+
+    Entry [:, ell, k] (k <= ell) carries sqrt((2l+1)/(4 pi) (l-k)!/(l+k)!),
+    times sqrt(2) for k > 0.  Each degree comes from the two below it, one
+    array operation over its orders.
+    """
+    sin_th = np.sqrt(1.0 - x * x)
+    p = np.zeros((x.size, l_max + 1, l_max + 1))
+    dp = np.zeros_like(p)
+    p[:, 0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for ell in range(1, l_max + 1):
+        k = np.arange(ell)
+        # the sectoral term; sqrt(2) enters with the first nonzero order
+        sectoral = np.sqrt((2.0 * ell + 1.0) / (2.0 * ell) * (2.0 if ell == 1 else 1.0))
+        p[:, ell, ell] = sectoral * sin_th * p[:, ell - 1, ell - 1]
+        a = np.sqrt((2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - k) * (ell + k)))
+        p[:, ell, :ell] = a * x[:, None] * p[:, ell - 1, :ell]
+        if ell >= 2:
+            b = np.sqrt(
+                (2.0 * ell + 1.0) * (ell + k - 1.0) * (ell - k - 1.0)
+                / ((ell - k) * (ell + k) * (2.0 * ell - 3.0))
+            )
+            p[:, ell, :ell] -= b * p[:, ell - 2, :ell]
+        # sin * dP/dtheta = ell cos P_l^k - sqrt((2l+1)/(2l-1) (l^2-k^2)) P_{l-1}^k
+        k = np.arange(ell + 1)
+        f = np.sqrt((2.0 * ell + 1.0) / (2.0 * ell - 1.0) * (ell * ell - k * k))
+        dp[:, ell, : ell + 1] = (
+            ell * x[:, None] * p[:, ell, : ell + 1] - f * p[:, ell - 1, : ell + 1]
+        ) / sin_th[:, None]
     return p, dp
 
 
@@ -81,10 +99,6 @@ class SphereGrid:
     """
 
     l_max: int
-    n_theta: int
-    n_phi: int
-    theta: np.ndarray
-    phi: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     Y: np.ndarray
@@ -101,66 +115,38 @@ class SphereGrid:
         return (self.l_max + 1) ** 2
 
 
-def make_grid(l_max: int = 8, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
+def make_grid(l_max: int) -> SphereGrid:
     """Build a quadrature grid exact for products of harmonics up to l_max."""
     if l_max < 0:
         raise ValueError("l_max must be nonnegative")
-    if n_theta is None:
-        n_theta = l_max + 1
-    if n_phi is None:
-        n_phi = 2 * l_max + 1
-    if n_theta < l_max + 1 or n_phi < 2 * l_max + 1:
-        raise ValueError("grid too small for exact transforms at this l_max")
+    n_theta, n_phi = l_max + 1, 2 * l_max + 1
 
     x, w_gl = leggauss(n_theta)
     order = np.argsort(-x)  # theta increasing from the north pole
     x, w_gl = x[order], w_gl[order]
-    theta = np.arccos(x)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-
-    th_nodes = np.repeat(theta, n_phi)
-    ph_nodes = np.tile(phi, n_theta)
-    nodes = np.column_stack([th_nodes, ph_nodes])
+    nodes = np.column_stack([np.repeat(np.arccos(x), n_phi), np.tile(phi, n_theta)])
     weights = np.repeat(w_gl, n_phi) * (2.0 * np.pi / n_phi)
 
+    # per mode: Legendre factor on the latitudes, trig factor on the longitudes
+    ell, k = np.array(mode_list(l_max)).T
+    ka = np.abs(k)
     p, dp = _legendre_tables(l_max, x)
-    n_modes = (l_max + 1) ** 2
-    n_nodes = n_theta * n_phi
-    Y = np.zeros((n_nodes, n_modes))
-    dY_dt = np.zeros((n_nodes, n_modes))
-    dY_dp = np.zeros((n_nodes, n_modes))
-    sin_th = np.sin(th_nodes)
+    p, dp = p[:, ell, ka], dp[:, ell, ka]
+    angle = ka * phi[:, None]
+    trig = np.where(k < 0, np.sin(angle), np.cos(angle))
+    dtrig = np.where(k < 0, ka * np.cos(angle), -ka * np.sin(angle))
 
-    for ell in range(l_max + 1):
-        for k in range(-ell, ell + 1):
-            ka = abs(k)
-            col = mode_position(ell, k)
-            norm = _norm(np.float64(ell), np.float64(ka))
-            if k != 0:
-                norm = norm * np.sqrt(2.0)
-            pv = np.repeat(p[:, ell, ka], n_phi)
-            dpv = np.repeat(dp[:, ell, ka], n_phi)
-            if k > 0:
-                trig, dtrig = np.cos(ka * ph_nodes), -ka * np.sin(ka * ph_nodes)
-            elif k < 0:
-                trig, dtrig = np.sin(ka * ph_nodes), ka * np.cos(ka * ph_nodes)
-            else:
-                trig, dtrig = np.ones(n_nodes), np.zeros(n_nodes)
-            Y[:, col] = norm * pv * trig
-            dY_dt[:, col] = norm * (-sin_th) * dpv * trig
-            dY_dp[:, col] = norm * pv * dtrig
+    def tensor(lat, lon):
+        return (lat[:, None, :] * lon[None, :, :]).reshape(n_theta * n_phi, -1)
 
-    analysis = (Y * weights[:, None]).T
+    Y = tensor(p, trig)
     return SphereGrid(
         l_max=l_max,
-        n_theta=n_theta,
-        n_phi=n_phi,
-        theta=theta,
-        phi=phi,
         nodes=nodes,
         weights=weights,
         Y=Y,
-        dY_dtheta=dY_dt,
-        dY_dphi=dY_dp,
-        analysis=analysis,
+        dY_dtheta=tensor(dp, trig),
+        dY_dphi=tensor(p, dtrig),
+        analysis=(Y * weights[:, None]).T,
     )

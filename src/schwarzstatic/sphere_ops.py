@@ -42,8 +42,8 @@ __all__ = ["SphereCalc"]
 class SphereCalc:
     """Calculus engine bound to one quadrature grid."""
 
-    def __init__(self, l_max: int, n_theta: int | None = None, n_phi: int | None = None):
-        self.grid: SphereGrid = make_grid(l_max, n_theta, n_phi)
+    def __init__(self, l_max: int):
+        self.grid: SphereGrid = make_grid(l_max)
         th = self.grid.nodes[:, 0]
         ph = self.grid.nodes[:, 1]
         st, ct = np.sin(th), np.cos(th)
@@ -246,7 +246,7 @@ class SphereCalc:
         sym = sym - 0.5 * tr[..., None, None] * self.projector
         return self.adapted_components(sym)[2]
 
-    def random_band_limited(self, rng: np.random.Generator, l_band: int, scale=1.0):
+    def random_band_limited(self, rng: np.random.Generator, l_band: int):
         """Random band-limited scalar samples with mildly decaying spectrum."""
         if l_band < 0:
             raise ValueError(f"band must be nonnegative, got l_band={l_band}")
@@ -255,5 +255,5 @@ class SphereCalc:
         c = np.zeros(self.grid.n_modes)
         n = (l_band + 1) ** 2
         ell = degree_table(self.grid.l_max)[:n]
-        c[:n] = rng.standard_normal(n) * scale / (1.0 + ell) ** 2
+        c[:n] = rng.standard_normal(n) / (1.0 + ell) ** 2
         return self.from_coeffs(c)

@@ -645,13 +645,12 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 1
 
 
-# Run in a fresh interpreter; each prints the scipy.integrate and
-# scipy.optimize modules loaded at its checkpoints, one list per line.
+# Run in a fresh interpreter; each prints the scipy modules loaded at its
+# checkpoints, one list per line.
 LOADED = (
     "import sys\n"
     "def loaded():\n"
-    "    print(sorted(m for m in sys.modules\n"
-    "                 if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+    "    print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
 )
 STARTUP_SCRIPTS = {
     "cli-sweep": (
@@ -662,12 +661,31 @@ STARTUP_SCRIPTS = {
         "assert rc == 0, rc\n"
         "loaded()\n"
     ),
+    "cli-mode": (
+        "from schwarzstatic import cli\n"
+        "rc = cli.main(['mode', '--m', '1', '--r0', '3', '--ell', '2', '--out-dir', sys.argv[1]])\n"
+        "assert rc == 0, rc\n"
+        "loaded()\n"
+    ),
+    "cli-match-round": (
+        "from schwarzstatic import cli\n"
+        "assert cli.main(['match-round', '--rho', '3', '--h', '0.5']) == 0\n"
+        "loaded()\n"
+    ),
+    "cli-gauge-test": (
+        "from schwarzstatic import cli\n"
+        "assert cli.main(['gauge-test', '--seed', '0']) == 0\n"
+        "loaded()\n"
+    ),
     "gauge": "import schwarzstatic.gauge\nloaded()\n",
     "selftest-conservation": (
         "import numpy as np\n"
         "from schwarzstatic import selftest\n"
         "loaded()\n"
-        "assert selftest._suite_conservation(np.random.default_rng(0)).passed\n"
+        "rng = np.random.default_rng(0)\n"
+        "assert selftest._suite_harmonics(rng).passed and selftest._suite_gauge(rng).passed\n"
+        "loaded()\n"
+        "assert selftest._suite_conservation(rng).passed\n"
         "loaded()\n"
     ),
 }
@@ -676,17 +694,18 @@ STARTUP_SCRIPTS = {
 class TestStartupImports:
     @pytest.mark.parametrize("script", sorted(STARTUP_SCRIPTS))
     def test_scipy_integrate_and_optimize_load_only_for_selftest(self, tmp_path, script):
-        # no package import loads them; solve_ivp is imported inside
-        # selftest's conservation suite, and only when that suite runs
+        # no package import and no command but selftest loads any scipy
+        # module; solve_ivp is imported inside selftest's conservation suite,
+        # and only when that suite runs
         proc = subprocess.run(
             [sys.executable, "-c", LOADED + STARTUP_SCRIPTS[script], str(tmp_path)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         checkpoints = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-        assert checkpoints[0] == "[]"
         if script == "selftest-conservation":
-            assert "'scipy.integrate'" in checkpoints[1]
+            assert checkpoints[:2] == ["[]", "[]"]
+            assert "'scipy.integrate'" in checkpoints[2]
         else:
             assert checkpoints == ["[]"] * len(checkpoints)
         if script == "cli-sweep":

