@@ -8,11 +8,6 @@ from .background import (
     RoundDataMatch,
     SchwarzschildParams,
     background_at,
-    bartnik_data,
-    conformal_forward,
-    conformal_inverse,
-    deformation_forward,
-    deformation_inverse,
     match_round_data,
 )
 from .harmonics import (
@@ -39,11 +34,6 @@ __all__ = [
     "RoundDataMatch",
     "SchwarzschildParams",
     "background_at",
-    "bartnik_data",
-    "conformal_forward",
-    "conformal_inverse",
-    "deformation_forward",
-    "deformation_inverse",
     "match_round_data",
     "SphereGrid",
     "make_grid",

@@ -1,4 +1,4 @@
-"""Exact Schwarzschild background quantities, conformal transforms, Bartnik data.
+"""Exact Schwarzschild background quantities and the round-data match.
 
 Geometric units G = c = 1; masses and lengths share one unit.  Negative mass
 is allowed everywhere; the exterior region starts at r > 2*max(0, m), so for
@@ -20,14 +20,7 @@ __all__ = [
     "RoundData",
     "RoundDataMatch",
     "background_at",
-    "schwarzschild_metric_chart",
-    "conformal_metric_chart",
     "conformal_metric_cartesian",
-    "conformal_forward",
-    "conformal_inverse",
-    "deformation_forward",
-    "deformation_inverse",
-    "bartnik_data",
     "match_round_data",
 ]
 
@@ -96,32 +89,6 @@ def background_at(params: SchwarzschildParams, r) -> BackgroundAt:
     )
 
 
-def schwarzschild_metric_chart(params: SchwarzschildParams, r, theta) -> np.ndarray:
-    """Original metric in the (r, theta, phi) chart: diag(f^-2, r^2, r^2 sin^2)."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(r.shape, theta.shape)
-    g = np.zeros(shape + (3, 3))
-    rr = np.broadcast_to(1.0 / (1.0 - 2.0 * params.m / r), shape)
-    g[..., 0, 0] = rr
-    g[..., 1, 1] = np.broadcast_to(r * r, shape)
-    g[..., 2, 2] = np.broadcast_to(r * r, shape) * np.sin(theta) ** 2
-    return g
-
-
-def conformal_metric_chart(params: SchwarzschildParams, r, theta) -> np.ndarray:
-    """Conformally flattened metric in the chart: diag(1, rho2, rho2 sin^2)."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(r.shape, theta.shape)
-    rho2 = np.broadcast_to(r * (r - 2.0 * params.m), shape)
-    g = np.zeros(shape + (3, 3))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = rho2
-    g[..., 2, 2] = rho2 * np.sin(theta) ** 2
-    return g
-
-
 def conformal_metric_cartesian(params: SchwarzschildParams, r, normal) -> np.ndarray:
     """Conformally flattened metric in Cartesian components: nn + (1 - 2m/r)(I - nn).
 
@@ -132,54 +99,6 @@ def conformal_metric_cartesian(params: SchwarzschildParams, r, normal) -> np.nda
     fac = 1.0 - 2.0 * params.m / np.asarray(r, dtype=float)
     nn = np.einsum("...i,...j->...ij", normal, normal)
     return nn + fac[..., None, None] * (np.eye(3) - nn)
-
-
-def conformal_forward(f, metric):
-    """Map a pair (potential f, metric) to the conformal picture (f^2*metric, ln f).
-
-    f must be positive at every sample; raises ValueError otherwise.
-    """
-    f = np.asarray(f, dtype=float)
-    metric = np.asarray(metric, dtype=float)
-    if np.any(f <= 0.0):
-        raise ValueError("static potential must be positive at every sample")
-    g = f[..., None, None] ** 2 * metric
-    return g, np.log(f)
-
-
-def conformal_inverse(g, u):
-    """Inverse of conformal_forward: (exp(-2u)*g, exp(u))."""
-    g = np.asarray(g, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return np.exp(-2.0 * u)[..., None, None] * g, np.exp(u)
-
-
-def deformation_forward(gamma_t, f_t, params: SchwarzschildParams, r, theta):
-    """Push an original-picture deformation to the conformal picture.
-
-    Given samples (gamma_t, f_t) of a metric/potential deformation at chart
-    points (r, theta), returns (g_t, u_t) with
-
-        g_t = f_sc^2 * gamma_t + 2 f_t f_sc * metric_sc,   u_t = f_t / f_sc.
-    """
-    gamma_t = np.asarray(gamma_t, dtype=float)
-    f_t = np.asarray(f_t, dtype=float)
-    bg = background_at(params, r)
-    gsc = schwarzschild_metric_chart(params, r, theta)
-    fsc = np.broadcast_to(bg.f_sc, f_t.shape)
-    g_t = fsc[..., None, None] ** 2 * gamma_t + 2.0 * (f_t * fsc)[..., None, None] * gsc
-    return g_t, f_t / fsc
-
-
-def deformation_inverse(g_t, u_t, params: SchwarzschildParams, r, theta):
-    """Inverse of deformation_forward: gamma_t = f_sc^-2 g_t - 2 u_t metric_sc."""
-    g_t = np.asarray(g_t, dtype=float)
-    u_t = np.asarray(u_t, dtype=float)
-    bg = background_at(params, r)
-    gsc = schwarzschild_metric_chart(params, r, theta)
-    fsc = np.broadcast_to(bg.f_sc, u_t.shape)
-    gamma_t = g_t / fsc[..., None, None] ** 2 - 2.0 * u_t[..., None, None] * gsc
-    return gamma_t, fsc * u_t
 
 
 @dataclass(frozen=True)
@@ -194,12 +113,6 @@ class RoundData:
             raise ValueError(f"round data must be finite, got rho={self.rho}, h={self.h}")
         if self.rho <= 0:
             raise ValueError(f"area radius must be positive, got rho={self.rho}")
-
-
-def bartnik_data(params: SchwarzschildParams) -> RoundData:
-    """Round Bartnik data induced on the boundary sphere r = r0."""
-    bg = background_at(params, params.r0)
-    return RoundData(rho=params.r0, h=float(2.0 * bg.f_sc / params.r0))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import argparse
 import functools
 import importlib.metadata
 import json
-import operator
+import numbers
 import os
 import platform
 import sys
@@ -66,6 +66,16 @@ class ConfigError(ValueError):
     """Invalid sweep configuration (maps to exit code 1)."""
 
 
+def _config_float(key: str, value) -> float:
+    """A config number as a float; JSON true/false are rejected, not read as 1/0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}") from None
+
+
 @dataclass
 class SweepConfig:
     """Sweep parameters; r0 = 2*max(0, m) + offset for each offset."""
@@ -86,16 +96,22 @@ class SweepConfig:
             raise ConfigError("mass list must not be empty")
         if not self.r0_offsets:
             raise ConfigError("offset list must not be empty")
+        # stored as floats, so a config file and the equivalent flags write
+        # the same sweep.csv
+        self.masses = [_config_float("masses", x) for x in self.masses]
+        self.r0_offsets = [_config_float("r0_offsets", x) for x in self.r0_offsets]
+        for key in ("decay_q", "r_max_factor", "rtol", "atol", "eps_dec", "k_div"):
+            setattr(self, key, _config_float(key, getattr(self, key)))
+        for key in ("ell_max", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not np.isfinite([*self.masses, *self.r0_offsets]).all():
             raise ConfigError("masses and boundary offsets must be finite")
         if any(d <= 0 for d in self.r0_offsets):
             raise ConfigError("all boundary offsets must be positive")
         if not np.isfinite(2.0 * max(0.0, *self.masses) + max(self.r0_offsets)):
             raise ConfigError("boundary radius 2*max(0, m) + offset must be finite")
-        try:
-            operator.index(self.ell_max)
-        except TypeError:
-            raise ConfigError(f"ell_max must be an integer, got {self.ell_max!r}") from None
         if self.ell_max < 0:
             raise ConfigError("ell_max must be nonnegative")
         if not 0.5 < self.decay_q < 1.0:
@@ -121,13 +137,12 @@ class SweepConfig:
         return cls(**data)
 
     def tasks(self):
-        idx = 0
+        """(m, r0, ell) of every mode, in record order."""
         for m in self.masses:
             for delta in self.r0_offsets:
                 r0 = 2.0 * max(0.0, m) + delta
                 for ell in range(self.ell_max + 1):
-                    yield idx, m, r0, ell
-                    idx += 1
+                    yield m, r0, ell
 
 
 @dataclass
@@ -270,7 +285,7 @@ def run_sweep(
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     cfg = asdict(config)
-    tasks = [(m, r0, ell) for _, m, r0, ell in config.tasks()]
+    tasks = list(config.tasks())
     n_chunks = min(jobs, len(tasks))
     workers = min(n_chunks, _usable_cpus())
     if workers <= 1:
@@ -510,6 +525,9 @@ def _cmd_sweep(args) -> int:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+            return 1
+        if not isinstance(data, dict):
+            print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
             return 1
     overrides = {
         "masses": args.masses,

@@ -58,7 +58,6 @@ __all__ = [
     "LabGrid",
     "make_lab_grid",
     "schwarzschild_samples",
-    "flat_samples",
     "gradient_scalar",
     "gradient_components",
     "christoffel",
@@ -99,13 +98,11 @@ def make_lab_grid(
     params: SchwarzschildParams,
     r_outer: float | None = None,
     n_r: int = 97,
-    l_max: int = 16,
-    calc: SphereCalc | None = None,
+    *,
+    calc: SphereCalc,
 ) -> LabGrid:
     if r_outer is None:
         r_outer = 2.5 * params.r0
-    if calc is None:
-        calc = SphereCalc(l_max)
     return LabGrid(params, calc, np.linspace(params.r0, r_outer, n_r))
 
 
@@ -114,12 +111,6 @@ def schwarzschild_samples(grid: LabGrid):
     calc, r = grid.calc, grid.r
     G = conformal_metric_cartesian(grid.params, r[:, None], calc.normal)
     U = 0.5 * np.log(1.0 - 2.0 * grid.params.m / r)[:, None] * np.ones((1, calc.n_nodes))
-    return G, U
-
-
-def flat_samples(grid: LabGrid):
-    G = np.broadcast_to(np.eye(3), (grid.n_r, grid.calc.n_nodes, 3, 3)).copy()
-    U = np.zeros((grid.n_r, grid.calc.n_nodes))
     return G, U
 
 

@@ -28,11 +28,7 @@ from .sphere_ops import SphereCalc
 __all__ = [
     "RadialProfile",
     "power_profile",
-    "oscillating_profile",
-    "boundary_vanishing_profile",
-    "constant_profile",
     "DeformationField",
-    "single_mode_scalar",
     "random_deformation",
 ]
 
@@ -68,46 +64,6 @@ def power_profile(r0: float, s: float, amp: float = 1.0) -> RadialProfile:
         f=lambda r: amp * (r0 / r) ** s,
         df=lambda r: -amp * s * (r0 / r) ** s / r,
         d2f=lambda r: amp * s * (s + 1.0) * (r0 / r) ** s / r**2,
-    )
-
-
-def oscillating_profile(r0: float, s: float, k: float, amp: float = 1.0) -> RadialProfile:
-    """amp * (r0/r)^s * cos(k (r/r0 - 1)); rich high derivatives for order tests."""
-    w = k / r0
-
-    def f(r):
-        return amp * (r0 / r) ** s * np.cos(w * (r - r0))
-
-    def df(r):
-        p = (r0 / r) ** s
-        return amp * p * (-s / r * np.cos(w * (r - r0)) - w * np.sin(w * (r - r0)))
-
-    def d2f(r):
-        p = (r0 / r) ** s
-        c, sn = np.cos(w * (r - r0)), np.sin(w * (r - r0))
-        return amp * p * (
-            (s * (s + 1.0) / r**2 - w * w) * c + 2.0 * s * w / r * sn
-        )
-
-    return RadialProfile(f=f, df=df, d2f=d2f)
-
-
-def boundary_vanishing_profile(r0: float, s: float, amp: float = 1.0) -> RadialProfile:
-    """amp * (1 - r0/r) * (r0/r)^s; vanishes at r0, decays like r^-s."""
-    base = power_profile(r0, s, amp)
-    extra = power_profile(r0, s + 1.0, amp)
-    return RadialProfile(
-        f=lambda r: base.f(r) - extra.f(r),
-        df=lambda r: base.df(r) - extra.df(r),
-        d2f=lambda r: base.d2f(r) - extra.d2f(r),
-    )
-
-
-def constant_profile(c: float) -> RadialProfile:
-    return RadialProfile(
-        f=lambda r: c * np.ones_like(np.asarray(r, dtype=float)),
-        df=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        d2f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
     )
 
 
@@ -229,23 +185,6 @@ class DeformationField:
         """
         rho_over_r = np.sqrt(background_at(self.params, r).rho2) / r
         return self.calc.from_adapted(self.rr(r), self.ra(r), self.ab(r), rho_over_r)
-
-
-def single_mode_scalar(
-    params: SchwarzschildParams,
-    calc: SphereCalc,
-    ell: int,
-    k: int,
-    profile: RadialProfile,
-) -> DeformationField:
-    """u~ = a(r) Y_{k ell} with no metric part."""
-    from .harmonics import mode_position
-
-    c = np.zeros(calc.grid.n_modes)
-    c[mode_position(ell, k)] = 1.0
-    field = DeformationField(params, calc)
-    field.add_u(profile, calc.from_coeffs(c))
-    return field
 
 
 def random_deformation(

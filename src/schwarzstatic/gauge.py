@@ -32,7 +32,8 @@ flow_lie_derivative is the oracle for uniqueness: it forms L_Y g_sc for a
 closed-form field Y from the pullback of g_sc along one RK4 step of Y's flow
 per flow time, with difference Jacobians and no derivative of Y, and
 FlowLieDeformation tabulates it on Chebyshev shells so that the gauge built
-from it can be checked to be X = -Y.
+from it can be checked to be X = -Y.  The flow time (1e-3) and the shells
+(33 of them on [r0, 4 r0]) are module constants.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ class GaugeVectorField:
         r = np.asarray(r, dtype=float)
         return self.x_perp(r)[..., None] * self.calc.normal + self.calc.frame_to_cart_covector(
             self.x_tan(r), r / _rho(self.params, r)
-        )
-
-    def boundary_norm(self) -> float:
-        return float(
-            max(np.abs(self.x_perp(self.r0)).max(), np.abs(self.x_tan(self.r0)).max())
         )
 
 
@@ -286,23 +282,28 @@ def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformati
 _JAC_H = 1e-3
 _JAC_OFFS = (-2.0, -1.0, 1.0, 2.0)
 _JAC_COEF = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+# flow time of the pullback difference
+_FLOW_EPS = 1e-3
+# FlowLieDeformation's Chebyshev shells on [r0, _FLOW_R1 * r0]
+_FLOW_SHELLS = 33
+_FLOW_R1 = 4.0
 
 
 def flow_lie_derivative(
     y_fn,
     params: SchwarzschildParams,
     points: np.ndarray,
-    eps: float = 1e-3,
 ) -> np.ndarray:
     """Lie derivative of the background metric along Y by flow pullback.
 
     Finite difference of phi_t^* g_sc in t at t = +-eps and +-eps/2 with one
-    Richardson halving.  The flow map phi_t is one classical RK4 step of
-    dx/dt = Y(x) from each point and from its 12 Jacobian probes (4-point
-    differences with spacing _JAC_H along each axis), so this path uses no
-    derivative of Y and shares nothing with the gauge quadratures it
-    cross-checks.  The first stage Y(probes) is the same for every t, which
-    leaves 13 calls of y_fn, each on all 13 * N probes at once.
+    Richardson halving, eps = _FLOW_EPS.  The flow map phi_t is one
+    classical RK4 step of dx/dt = Y(x) from each point and from its 12
+    Jacobian probes (4-point differences with spacing _JAC_H along each
+    axis), so this path uses no derivative of Y and shares nothing with the
+    gauge quadratures it cross-checks.  The first stage Y(probes) is the
+    same for every t, which leaves 13 calls of y_fn, each on all 13 * N
+    probes at once.
 
     One step is enough: its local error O(eps^5) becomes O(eps^4), about
     1e-12 at eps = 1e-3, after the difference in t.  The floor is roundoff,
@@ -314,8 +315,7 @@ def flow_lie_derivative(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"need a finite eps > 0, got eps={eps}")
+    eps = _FLOW_EPS
     npts = len(points)
     probes = [points]
     for j in range(3):
@@ -348,50 +348,37 @@ def flow_lie_derivative(
 class FlowLieDeformation:
     """Deformation pair (L_Y g_sc, Y(u_sc)) generated by flow pullback.
 
-    Flow samples are taken once on n_cheb Chebyshev radial nodes in
-    [r0, r1] (r1 defaults to 4 r0) and interpolated barycentrically, since
-    the gauge quadratures downstream request thousands of radii; the
-    interpolant of these smooth components converges spectrally and stays
-    far below the oracle's own flow-difference error.  All shells go through
-    one flow_lie_derivative call (13 calls of y_fn) and one more y_fn call
-    for the Y(u_sc) table.
+    Flow samples are taken once on _FLOW_SHELLS = 33 Chebyshev radial nodes
+    in [r0, 4 r0] and interpolated barycentrically, since the gauge
+    quadratures downstream request thousands of radii; the interpolant of
+    these smooth components converges spectrally and stays far below the
+    oracle's own flow-difference error.  All shells go through one
+    flow_lie_derivative call (13 calls of y_fn) and one more y_fn call for
+    the Y(u_sc) table.
     Exposes the part of DeformationField's component interface that the
     gauge construction reads (rr, ra, u, cartesian), for a scalar radius or
     an array of radii; rr and ra interpolate the table's unit-frame
     projections, since the projection is linear.
     """
 
-    def __init__(
-        self,
-        y_fn,
-        params: SchwarzschildParams,
-        calc: SphereCalc,
-        r1: float | None = None,
-        n_cheb: int = 33,
-        eps: float = 1e-3,
-    ):
-        if not isinstance(n_cheb, numbers.Integral) or n_cheb < 2:
-            raise ValueError(f"n_cheb must be an integer >= 2, got {n_cheb!r}")
+    def __init__(self, y_fn, params: SchwarzschildParams, calc: SphereCalc):
         r0 = params.r0
-        if r1 is None:
-            r1 = 4.0 * r0
-        if not (np.isfinite(r1) and r1 > r0):
-            raise ValueError(f"need a finite r1 > r0 = {r0}, got r1={r1}")
+        r1 = _FLOW_R1 * r0
         self.y_fn = y_fn
         self.params = params
         self.calc = calc
-        j = np.arange(n_cheb)
-        x = np.cos(np.pi * j / (n_cheb - 1))
+        j = np.arange(_FLOW_SHELLS)
+        x = np.cos(np.pi * j / (_FLOW_SHELLS - 1))
         self._nodes = 0.5 * (r0 + r1) + 0.5 * (r1 - r0) * x[::-1]
         self._bary = np.where(j % 2 == 0, 1.0, -1.0)
         self._bary[0] *= 0.5
         self._bary[-1] *= 0.5
         # all shells stacked into one point set: one flow
         points = (self._nodes[:, None, None] * calc.normal).reshape(-1, 3)
-        lie = flow_lie_derivative(y_fn, params, points, eps=eps)
-        self._lie_tab = lie.reshape(n_cheb, -1, 3, 3)
+        lie = flow_lie_derivative(y_fn, params, points)
+        self._lie_tab = lie.reshape(_FLOW_SHELLS, -1, 3, 3)
         self._rr_tab, self._ra_tab, _ = calc.adapted_components(self._lie_tab)
-        y = y_fn(points).reshape(n_cheb, -1, 3)
+        y = y_fn(points).reshape(_FLOW_SHELLS, -1, 3)
         self._yperp_tab = np.einsum("sni,ni->sn", y, calc.normal)
 
     def _interp(self, tab: np.ndarray, r) -> np.ndarray:

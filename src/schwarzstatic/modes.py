@@ -256,7 +256,6 @@ def integrate_mode(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     k_div: float = 1e3,
-    force_generic: bool = False,
 ) -> ModeSolution:
     """Integrate the first-order system (a, w = r(r-2m) a') out to r_max.
 
@@ -264,7 +263,7 @@ def integrate_mode(
     has certifiably diverged); r_max_used records the reached radius.  This
     is integrate_modes on a batch of one; a failed lane is raised.
     """
-    sol = integrate_modes([ivp], [r_max], rtol, atol, k_div, force_generic)[0]
+    sol = integrate_modes([ivp], [r_max], rtol, atol, k_div)[0]
     if isinstance(sol, Exception):
         raise sol
     return sol
@@ -276,7 +275,6 @@ def integrate_modes(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     k_div: float = 1e3,
-    force_generic: bool = False,
 ) -> list[ModeSolution | Exception]:
     """Integrate many modes at once, one DOP853 lane per mode.
 
@@ -285,7 +283,7 @@ def integrate_modes(
     and failure, and rounds exactly as it would alone: a lane's solution
     does not depend on the other lanes of the batch.  Returns, in the order
     of ivps, a ModeSolution or the ValueError or RuntimeError that ended the
-    lane.  Flat-branch modes take the closed form unless force_generic.
+    lane.  Flat-branch modes (ivp.flat_branch) take the closed form.
     All modes are then sampled in one pass over the batch's dense output
     (and closed forms); each solution's sample_s is its share of that pass.
 
@@ -308,7 +306,7 @@ def integrate_modes(
         a0, w0 = float(ivp.a0), r0 * (r0 - 2.0 * m) * float(ivp.da0)
         if not rm > r0:
             out[i] = ValueError("r_max must exceed r0")
-        elif ivp.flat_branch and not force_generic:
+        elif ivp.flat_branch:
             flat.append(i)
         elif not (math.isfinite(a0) and math.isfinite(w0)):
             out[i] = ValueError("All components of the initial state y0 must be finite.")

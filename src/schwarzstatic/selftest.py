@@ -101,10 +101,10 @@ def _suite_gauge(rng) -> SuiteResult:
     )
 
 
-def _suite_structure_oracle(rng, n_r: int = 129) -> SuiteResult:
+def _suite_structure_oracle(rng) -> SuiteResult:
     params = SchwarzschildParams(m=1.0, r0=3.0)
     calc = SphereCalc(l_max=12)
-    grid = make_lab_grid(params, r_outer=4.5, n_r=n_r, calc=calc)
+    grid = make_lab_grid(params, r_outer=4.5, n_r=129, calc=calc)
     field = random_deformation(rng, params, calc, l_band=3, gauge_fixed=True)
     d = FoliationDeformation.from_field(field, grid.r)
     res = structure_residuals(d)

@@ -136,10 +136,6 @@ class SphereCalc:
         g = self.grad_covector(w)
         return 0.5 * (g + np.swapaxes(g, -1, -2))
 
-    def hess_scalar(self, f: np.ndarray) -> np.ndarray:
-        """Intrinsic Hessian of a scalar, Cartesian components (..., n, 3, 3)."""
-        return self.sym_grad_covector(self.grad_scalar(f))
-
     def div_sym2(self, t: np.ndarray) -> np.ndarray:
         """Surface divergence of a tangential symmetric 2-tensor.
 

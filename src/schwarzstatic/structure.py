@@ -39,7 +39,6 @@ __all__ = [
     "boundary_residuals",
     "linearized_scalar_curvature",
     "decoupled_residual",
-    "boundary_identity_residual",
 ]
 
 # fault-injection hooks for the self-test machinery; normal runs leave empty
@@ -222,13 +221,3 @@ def decoupled_residual(
         + 2.0 * m / rho2 * source[None, :]
     )
 
-
-def boundary_identity_residual(
-    params: SchwarzschildParams, ell: int, a0: float, da0: float
-) -> float:
-    """Per-mode boundary identity: 2 r0 (r0-2m) a' - r0 l(l+1) a + 2m a.
-
-    Vanishes exactly when (a0, da0) satisfy the mode initial-slope relation.
-    """
-    m, r0 = params.m, params.r0
-    return 2.0 * r0 * (r0 - 2.0 * m) * da0 - r0 * ell * (ell + 1.0) * a0 + 2.0 * m * a0

@@ -1,0 +1,75 @@
+"""Reference helpers shared by several test modules.
+
+None of these is on a path that the package's commands run: they build test
+inputs (radial profiles, single-mode fields) or invert package results
+(the round Bartnik data of a Schwarzschild sphere).  pytest does not collect
+this module; the test modules import it as `reference`.
+"""
+
+import numpy as np
+
+from schwarzstatic.background import RoundData, SchwarzschildParams, background_at
+from schwarzstatic.fields import DeformationField, RadialProfile, power_profile
+from schwarzstatic.harmonics import mode_position
+from schwarzstatic.sphere_ops import SphereCalc
+
+
+def bartnik_data(params: SchwarzschildParams) -> RoundData:
+    """Round Bartnik data induced on the boundary sphere r = r0."""
+    bg = background_at(params, params.r0)
+    return RoundData(rho=params.r0, h=float(2.0 * bg.f_sc / params.r0))
+
+
+def oscillating_profile(r0: float, s: float, k: float, amp: float = 1.0) -> RadialProfile:
+    """amp * (r0/r)^s * cos(k (r/r0 - 1)); rich high derivatives for order tests."""
+    w = k / r0
+
+    def f(r):
+        return amp * (r0 / r) ** s * np.cos(w * (r - r0))
+
+    def df(r):
+        p = (r0 / r) ** s
+        return amp * p * (-s / r * np.cos(w * (r - r0)) - w * np.sin(w * (r - r0)))
+
+    def d2f(r):
+        p = (r0 / r) ** s
+        c, sn = np.cos(w * (r - r0)), np.sin(w * (r - r0))
+        return amp * p * (
+            (s * (s + 1.0) / r**2 - w * w) * c + 2.0 * s * w / r * sn
+        )
+
+    return RadialProfile(f=f, df=df, d2f=d2f)
+
+
+def boundary_vanishing_profile(r0: float, s: float, amp: float = 1.0) -> RadialProfile:
+    """amp * (1 - r0/r) * (r0/r)^s; vanishes at r0, decays like r^-s."""
+    base = power_profile(r0, s, amp)
+    extra = power_profile(r0, s + 1.0, amp)
+    return RadialProfile(
+        f=lambda r: base.f(r) - extra.f(r),
+        df=lambda r: base.df(r) - extra.df(r),
+        d2f=lambda r: base.d2f(r) - extra.d2f(r),
+    )
+
+
+def constant_profile(c: float) -> RadialProfile:
+    return RadialProfile(
+        f=lambda r: c * np.ones_like(np.asarray(r, dtype=float)),
+        df=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        d2f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+    )
+
+
+def single_mode_scalar(
+    params: SchwarzschildParams,
+    calc: SphereCalc,
+    ell: int,
+    k: int,
+    profile: RadialProfile,
+) -> DeformationField:
+    """u~ = a(r) Y_{k ell} with no metric part."""
+    c = np.zeros(calc.grid.n_modes)
+    c[mode_position(ell, k)] = 1.0
+    field = DeformationField(params, calc)
+    field.add_u(profile, calc.from_coeffs(c))
+    return field

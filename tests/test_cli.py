@@ -90,6 +90,45 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"massess": [1.0]})
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("masses", [1.0, True]),
+            ("r0_offsets", [False]),
+            ("ell_max", True),
+            ("decay_q", True),
+            ("r_max_factor", True),
+            ("rtol", True),
+            ("atol", False),
+            ("eps_dec", True),
+            ("k_div", True),
+            ("seed", False),
+        ],
+    )
+    def test_rejects_booleans(self, key, value):
+        # JSON true/false are Python bools, which would pass as 1 and 0
+        with pytest.raises(ConfigError, match=key):
+            SweepConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key", ["masses", "r0_offsets", "decay_q", "rtol"])
+    def test_rejects_strings(self, key):
+        value = ["1"] if key in ("masses", "r0_offsets") else "0.7"
+        with pytest.raises(ConfigError, match=key):
+            SweepConfig.from_dict({key: value})
+
+    def test_integers_are_stored_as_floats(self):
+        config = SweepConfig.from_dict({"masses": [1, -2], "r0_offsets": [3], "k_div": 100})
+        assert config.masses == [1.0, -2.0] and config.r0_offsets == [3.0]
+        assert all(type(x) is float for x in (*config.masses, *config.r0_offsets))
+        assert type(config.k_div) is float
+        assert type(config.ell_max) is int
+
+    def test_tasks_are_mass_offset_degree_triples(self):
+        config = SweepConfig(masses=[-1.0, 1.0], r0_offsets=[0.5], ell_max=1)
+        assert list(config.tasks()) == [
+            (-1.0, 0.5, 0), (-1.0, 0.5, 1), (1.0, 2.5, 0), (1.0, 2.5, 1),
+        ]
+
 
 class TestRunSweep:
     def test_small_sweep_passes(self):
@@ -329,6 +368,13 @@ class TestMainEntry:
         cfg.write_text("{not json")
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("text", ["[1.0]", '"masses"', "3"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"masss": [1.0]}))
@@ -346,6 +392,42 @@ class TestMainEntry:
         assert code == 0
         data = json.loads((tmp_path / "sweep.json").read_text())
         assert data["config"]["ell_max"] == 0
+
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ({"masses": [True], "r0_offsets": [1], "ell_max": 0, "rtol": True}, "masses"),
+            ({"masses": [1], "r0_offsets": [1], "ell_max": 0, "rtol": True}, "rtol"),
+        ],
+        ids=["bool-mass", "bool-rtol"],
+    )
+    def test_boolean_config_is_usage_error(self, tmp_path, capsys, data, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_writes_the_flags_csv(self, tmp_path):
+        # integers in a config file are floats, as the flags parse them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"masses": [1, -1], "r0_offsets": [1, 2], "ell_max": 1, "r_max_factor": 10000}
+        ))
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(from_file)]) == 0
+        assert cli.main(
+            ["sweep", "--masses", "1,-1", "--deltas", "1,2", "--ell-max", "1",
+             "--r-max-factor", "10000", "--out-dir", str(from_flags)]
+        ) == 0
+
+        def without_wall_time(path):
+            return [row.rsplit(",", 1)[0] for row in read_csv(path / "sweep.csv")]
+
+        rows = without_wall_time(from_file)
+        assert rows == without_wall_time(from_flags)
+        assert rows[1].startswith("1.0,3.0,0,")  # r0 = 2 m + 1
 
     def test_failing_record_gives_exit_two(self, tmp_path, monkeypatch):
         fake = AsymptoticClass(AsymptoticKind.UNDETERMINED, 0.0, 0.0, 1.0)

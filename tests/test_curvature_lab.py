@@ -9,7 +9,6 @@ from schwarzstatic.curvature_lab import (
     adapted_frame_components,
     boundary_data,
     conformal_static_residual,
-    flat_samples,
     gradient_components,
     linearize_at_schwarzschild,
     make_lab_grid,
@@ -19,12 +18,21 @@ from schwarzstatic.curvature_lab import (
 from schwarzstatic.fields import (
     DeformationField,
     RadialProfile,
-    constant_profile,
     random_deformation,
 )
+from schwarzstatic.sphere_ops import SphereCalc
+
+from reference import constant_profile
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 H_STEP = 1e-20  # the complex step of linearize_at_schwarzschild
+
+
+def flat_samples(grid):
+    """The Euclidean pair (delta_ij, 0) on the grid."""
+    G = np.broadcast_to(np.eye(3), (grid.n_r, grid.calc.n_nodes, 3, 3)).copy()
+    U = np.zeros((grid.n_r, grid.calc.n_nodes))
+    return G, U
 
 
 def reference_ricci(grid, G):
@@ -60,7 +68,7 @@ def random_direction(grid, seed):
 
 @pytest.fixture(scope="module")
 def grid():
-    return make_lab_grid(P13, r_outer=4.5, n_r=97, l_max=10)
+    return make_lab_grid(P13, r_outer=4.5, n_r=97, calc=SphereCalc(l_max=10))
 
 
 def mass_variation_direction(params, calc):
@@ -85,7 +93,9 @@ def mass_variation_direction(params, calc):
 
 class TestNonlinearResidual:
     def test_flat_pair_is_static_to_roundoff(self):
-        flat_grid = make_lab_grid(SchwarzschildParams(m=0.0, r0=1.0), n_r=33, l_max=6)
+        flat_grid = make_lab_grid(
+            SchwarzschildParams(m=0.0, r0=1.0), n_r=33, calc=SphereCalc(l_max=6)
+        )
         G, U = flat_samples(flat_grid)
         ric_row, lap = conformal_static_residual(flat_grid, G, U)
         assert np.abs(ric_row).max() <= 2e-12
@@ -97,7 +107,7 @@ class TestNonlinearResidual:
         # the grid refines, and the closure-transition rows carry one order
         # less under operator composition
         def window_resid(n_r):
-            g = make_lab_grid(P13, n_r=n_r, l_max=10)
+            g = make_lab_grid(P13, n_r=n_r, calc=SphereCalc(l_max=10))
             ric_row, lap = conformal_static_residual(g, *schwarzschild_samples(g))
             mask = (g.r >= 3.3) & (g.r <= 7.0)
             return max(np.abs(ric_row[mask]).max(), np.abs(lap[mask]).max())
@@ -125,7 +135,8 @@ class TestNonlinearResidual:
         assert_allclose(comps["rr"][:, 0], 2.0 * du**2, atol=1e-6)
 
     def test_flat_ricci_vanishes(self):
-        g = make_lab_grid(SchwarzschildParams(m=0.0, r0=2.0), n_r=33, l_max=6)
+        g = make_lab_grid(SchwarzschildParams(m=0.0, r0=2.0), n_r=33,
+                          calc=SphereCalc(l_max=6))
         G, _ = flat_samples(g)
         ric, _, _ = ricci_tensor(g, G)
         assert np.abs(ric).max() <= 2e-12
@@ -207,7 +218,8 @@ class TestBoundaryData:
         assert np.array_equal(lin.boundary_h, full[1].imag / H_STEP)
 
     def test_flat_boundary_mean_curvature(self):
-        g = make_lab_grid(SchwarzschildParams(m=0.0, r0=1.0), n_r=33, l_max=6)
+        g = make_lab_grid(SchwarzschildParams(m=0.0, r0=1.0), n_r=33,
+                          calc=SphereCalc(l_max=6))
         _, h_row = boundary_data(g, *flat_samples(g))
         assert_allclose(h_row, 2.0, rtol=1e-9)
 

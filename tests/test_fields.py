@@ -5,14 +5,17 @@ from numpy.testing import assert_allclose
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.fields import (
     DeformationField,
+    power_profile,
+    random_deformation,
+)
+from schwarzstatic.sphere_ops import SphereCalc
+
+from reference import (
     boundary_vanishing_profile,
     constant_profile,
     oscillating_profile,
-    power_profile,
-    random_deformation,
     single_mode_scalar,
 )
-from schwarzstatic.sphere_ops import SphereCalc
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 

@@ -207,7 +207,7 @@ class TestIntegrateEuler:
         params = SchwarzschildParams(m=0.0, r0=1.0)
         for ell in range(9):
             ivp = make_ivp(params, ell, 1.0)
-            sol = integrate_mode(ivp, 10.0, k_div=np.inf, force_generic=True)
+            sol = integrate_mode(replace(ivp, flat_branch=False), 10.0, k_div=np.inf)
             c1, c2 = euler_coefficients(ell, 1.0, 1.0)
             a10, _ = sol.eval(10.0)
             expect = c1 * 10.0 ** (-ell - 1.0) + c2 * 10.0**ell
@@ -217,15 +217,16 @@ class TestIntegrateEuler:
         params = SchwarzschildParams(m=0.0, r0=1.0)
         ivp = make_ivp(params, 4, 1.0)
         closed = integrate_mode(ivp, 50.0, k_div=np.inf)
-        generic = integrate_mode(ivp, 50.0, k_div=np.inf, force_generic=True)
+        generic = integrate_mode(replace(ivp, flat_branch=False), 50.0, k_div=np.inf)
         a_c, _ = closed.eval(np.array([2.0, 10.0, 50.0]))
         a_g, _ = generic.eval(np.array([2.0, 10.0, 50.0]))
         assert_allclose(a_g, a_c, rtol=1e-8)
 
     def test_zero_data_stays_zero(self):
         params = SchwarzschildParams(m=0.0, r0=1.0)
-        for force in (False, True):
-            sol = integrate_mode(make_ivp(params, 3, 0.0), 1e3, force_generic=force)
+        ivp = make_ivp(params, 3, 0.0)
+        for flat_branch in (True, False):
+            sol = integrate_mode(replace(ivp, flat_branch=flat_branch), 1e3)
             assert np.abs(sol.a).max() <= 1e-12
             assert np.abs(sol.da).max() <= 1e-12
 
@@ -975,8 +976,8 @@ class TestBatchedClassify:
     def test_sweep_records_match_polyfit_reference(self):
         config = SweepConfig(masses=[-4.0, -0.3, 1e-12, 0.7], r0_offsets=[1e-3, 0.3, 90.0],
                              ell_max=4)
-        tasks = [(m, r0, ell) for _, m, r0, ell in config.tasks()]
-        ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0) for m, r0, ell in tasks]
+        ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0)
+                for m, r0, ell in config.tasks()]
         sols = integrate_modes(ivps, [config.r_max_factor * ivp.r0 for ivp in ivps])
         assert all(isinstance(sol, ModeSolution) for sol in sols)
         kinds = set()
