@@ -53,8 +53,7 @@ class BackgroundAt:
 
     All fields follow from the static potential f_sc = sqrt(1 - 2m/r):
     rho2 = r(r-2m) is the angular coefficient of the conformal metric,
-    H_sc the mean curvature of the constant-r sphere in that metric,
-    R_gamma its intrinsic scalar curvature.
+    H_sc the mean curvature of the constant-r sphere in that metric.
     """
 
     r: np.ndarray
@@ -63,7 +62,6 @@ class BackgroundAt:
     du_sc: np.ndarray
     H_sc: np.ndarray
     rho2: np.ndarray
-    R_gamma: np.ndarray
 
 
 def background_at(params: SchwarzschildParams, r) -> BackgroundAt:
@@ -85,7 +83,6 @@ def background_at(params: SchwarzschildParams, r) -> BackgroundAt:
         du_sc=params.m / rho2,
         H_sc=2.0 * (r - params.m) / rho2,
         rho2=rho2,
-        R_gamma=2.0 / rho2,
     )
 
 
@@ -138,10 +135,13 @@ def match_round_data(data: RoundData) -> RoundDataMatch:
     """Find the Schwarzschild exterior with the given round Bartnik data.
 
     Inverting h = (2/rho) sqrt(1 - 2m/rho) gives m = (rho/2)(1 - (h rho/2)^2).
-    Valid for h >= 0; h = 0 is flagged rather than rejected.
+    Valid for h >= 0; h = 0 is flagged rather than rejected.  Raises
+    ValueError when m overflows the float range.
     """
     if data.h < 0:
         raise ValueError(f"mean curvature must be nonnegative, got h={data.h}")
     half = 0.5 * data.h * data.rho
     m = 0.5 * data.rho * (1.0 - half * half)
+    if not np.isfinite(m):
+        raise ValueError(f"matched mass overflows: rho={data.rho}, h={data.h}")
     return RoundDataMatch(m=m, r0=data.rho, horizon_degenerate=(data.h == 0.0))

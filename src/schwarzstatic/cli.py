@@ -14,6 +14,11 @@ of integrate_s, the record's share of its batch's stepping time weighted
 by the mode's right-hand-side evaluations (nfev), and classify_s, an equal
 share of its batch's sampling and classification time.  The records of a
 batch add up to the batch's wall time.
+
+Every verdict is made with one set of settings: the solver tolerances and
+classifier thresholds of modes (DEFAULT_RTOL, DEFAULT_ATOL, K_DIV, EPS_DEC,
+DECAY_Q, CAUCHY_RTOL), module constants that no config key or flag sets.
+sweep.json records them in its thresholds block.
 """
 
 from __future__ import annotations
@@ -34,8 +39,12 @@ import numpy as np
 
 from .background import RoundData, SchwarzschildParams, match_round_data
 from .modes import (
+    CAUCHY_RTOL,
+    DECAY_Q,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    EPS_DEC,
+    K_DIV,
     AsymptoticClass,
     AsymptoticKind,
     ModeSolution,
@@ -55,7 +64,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 CSV_HEADER = "m,r0,ell,class,fitted_limit,fitted_exponent,r_max,pass,wall_time_s"
 # gauge-test's grid has l_max = l_band + 2 and dense (nodes x modes) tables,
 # which grow like l_max^4: about 2 MB each at band 16, 1.8 GB at band 100
@@ -78,17 +87,16 @@ def _config_float(key: str, value) -> float:
 
 @dataclass
 class SweepConfig:
-    """Sweep parameters; r0 = 2*max(0, m) + offset for each offset."""
+    """Sweep parameters; r0 = 2*max(0, m) + offset for each offset.
+
+    The solver tolerances and the classifier thresholds are not settings:
+    every sweep uses the constants of modes, which sweep.json records.
+    """
 
     masses: list[float] = field(default_factory=lambda: [-1.0, -0.25, 0.25, 1.0])
     r0_offsets: list[float] = field(default_factory=lambda: [0.1, 1.0, 10.0])
     ell_max: int = 8
-    decay_q: float = 0.75
     r_max_factor: float = 1e6
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    eps_dec: float = 1e-4
-    k_div: float = 1e3
     seed: int = 0  # echoed into sweep.json; no verdict depends on it
 
     def __post_init__(self):
@@ -100,8 +108,7 @@ class SweepConfig:
         # the same sweep.csv
         self.masses = [_config_float("masses", x) for x in self.masses]
         self.r0_offsets = [_config_float("r0_offsets", x) for x in self.r0_offsets]
-        for key in ("decay_q", "r_max_factor", "rtol", "atol", "eps_dec", "k_div"):
-            setattr(self, key, _config_float(key, getattr(self, key)))
+        self.r_max_factor = _config_float("r_max_factor", self.r_max_factor)
         for key in ("ell_max", "seed"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -112,21 +119,16 @@ class SweepConfig:
             raise ConfigError("all boundary offsets must be positive")
         if not np.isfinite(2.0 * max(0.0, *self.masses) + max(self.r0_offsets)):
             raise ConfigError("boundary radius 2*max(0, m) + offset must be finite")
+        for m, delta, r0 in self._boundaries():
+            # a small offset added to a large horizon radius can round away
+            if not r0 > 2.0 * max(0.0, m):
+                raise ConfigError(
+                    f"boundary radius 2*max(0, m) + offset rounds onto the horizon"
+                    f" for m={m!r}, offset={delta!r}")
         if self.ell_max < 0:
             raise ConfigError("ell_max must be nonnegative")
-        if not 0.5 < self.decay_q < 1.0:
-            raise ConfigError("decay_q must lie in (1/2, 1)")
         if not 1.0 < self.r_max_factor < np.inf:
             raise ConfigError("r_max_factor must be finite and exceed 1")
-        if not 0.0 < self.rtol < np.inf:
-            raise ConfigError("rtol must be finite and positive")
-        if not 0.0 <= self.atol < np.inf:
-            raise ConfigError("atol must be finite and nonnegative")
-        # classify already sees |a| >= k_div |a0| at r0 when k_div <= 1
-        if not 1.0 < self.k_div < np.inf:
-            raise ConfigError("k_div must be finite and exceed 1")
-        if not 0.0 < self.eps_dec < 1.0:
-            raise ConfigError("eps_dec must lie in (0, 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -136,13 +138,17 @@ class SweepConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def tasks(self):
-        """(m, r0, ell) of every mode, in record order."""
+    def _boundaries(self):
+        """(m, offset, r0) of every boundary sphere, in record order."""
         for m in self.masses:
             for delta in self.r0_offsets:
-                r0 = 2.0 * max(0.0, m) + delta
-                for ell in range(self.ell_max + 1):
-                    yield m, r0, ell
+                yield m, delta, 2.0 * max(0.0, m) + delta
+
+    def tasks(self):
+        """(m, r0, ell) of every mode, in record order."""
+        for m, _, r0 in self._boundaries():
+            for ell in range(self.ell_max + 1):
+                yield m, r0, ell
 
 
 @dataclass
@@ -208,21 +214,12 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     gets its profile, written from the solution its record was classified
     on and after the batch's time accounting.
     """
-    cfg, tasks, profile_dir = args
+    r_max_factor, tasks, profile_dir = args
     t0 = time.perf_counter()
-    sols: list = [None] * len(tasks)  # a ModeSolution, or the error that ended the mode
-    ivps = {}
-    for k, (m, r0, ell) in enumerate(tasks):
-        try:
-            ivps[k] = make_ivp(SchwarzschildParams(m=m, r0=r0), ell, a0=1.0)
-        except ValueError as exc:
-            sols[k] = exc
-    batch = integrate_modes(
-        list(ivps.values()), [cfg["r_max_factor"] * ivp.r0 for ivp in ivps.values()],
-        rtol=cfg["rtol"], atol=cfg["atol"], k_div=cfg["k_div"],
-    )
-    for k, sol in zip(ivps, batch):
-        sols[k] = sol
+    # SweepConfig admits only boundary spheres outside the horizon
+    ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, a0=1.0) for m, r0, ell in tasks]
+    # per mode a ModeSolution, or the error that ended its integration
+    sols = integrate_modes(ivps, [r_max_factor * ivp.r0 for ivp in ivps])
 
     # one classification pass over the batch; a mode that failed to integrate
     # or whose fit failed is Undetermined
@@ -231,8 +228,7 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     classes = [undetermined] * len(sols)
     solved = [k for k, sol in enumerate(sols) if isinstance(sol, ModeSolution)]
     t = time.perf_counter()
-    verdicts = classify_modes([sols[k] for k in solved], decay_q=cfg["decay_q"],
-                              eps_dec=cfg["eps_dec"], k_div=cfg["k_div"])
+    verdicts = classify_modes([sols[k] for k in solved])
     for k, klass in zip(solved, verdicts):
         if isinstance(klass, AsymptoticClass):
             classes[k] = klass
@@ -284,16 +280,16 @@ def run_sweep(
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    cfg = asdict(config)
     tasks = list(config.tasks())
     n_chunks = min(jobs, len(tasks))
     workers = min(n_chunks, _usable_cpus())
     if workers <= 1:
-        records = _sweep_chunk((cfg, tasks, profile_dir))
+        records = _sweep_chunk((config.r_max_factor, tasks, profile_dir))
     else:
         size, extra = divmod(len(tasks), n_chunks)
         bounds = np.cumsum([0] + [size + (k < extra) for k in range(n_chunks)])
-        chunks = [(cfg, tasks[lo:hi], profile_dir) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        chunks = [(config.r_max_factor, tasks[lo:hi], profile_dir)
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for part in pool.map(_sweep_chunk, chunks) for rec in part]
     return SweepReport(config=config, records=records)
@@ -325,6 +321,15 @@ def _sweep_payload(report: SweepReport) -> dict:
             "scipy": _scipy_version(),
         },
         "config": asdict(report.config),
+        # the settings every verdict was made with (module constants of modes)
+        "thresholds": {
+            "rtol": DEFAULT_RTOL,
+            "atol": DEFAULT_ATOL,
+            "k_div": K_DIV,
+            "eps_dec": EPS_DEC,
+            "decay_q": DECAY_Q,
+            "cauchy_rtol": CAUCHY_RTOL,
+        },
         "records": [
             {
                 "m": rec.m,
@@ -470,14 +475,13 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--masses", type=_float_list, help="override mass list")
     sweep.add_argument("--deltas", type=_float_list, help="override r0 offsets")
     sweep.add_argument("--ell-max", type=int, help="override degree cap")
-    sweep.add_argument("--decay-q", type=float, help="override decay exponent")
     sweep.add_argument("--r-max-factor", type=float, help="override tail extent")
 
     selftest = sub.add_parser("selftest", help="run the verification suites")
     selftest.add_argument("--refine", action="store_true",
                           help="add the grid-refinement convergence suite")
     selftest.add_argument("--mutate", help="plant a known fault (e.g. dg4-sign)")
-    selftest.add_argument("--seed", type=int, default=None)
+    selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--json", action="store_true",
                           help="print one JSON object with every suite and its wall time")
 
@@ -495,26 +499,15 @@ def _build_parser() -> _Parser:
     match.add_argument("--json", action="store_true")
 
     gauge = sub.add_parser("gauge-test", help="gauge annihilation check")
-    gauge.add_argument("--seed", type=int, default=None)
+    gauge.add_argument("--seed", type=int, default=0)
     gauge.add_argument("--l-band", type=int, default=4,
                        help=f"angular band of the deformation, 0..{GAUGE_TEST_MAX_L_BAND}")
     return parser
 
 
-def _resolved_seed(explicit: int | None, fallback: int) -> int:
-    env = os.environ.get("SCHWARZSTATIC_SEED")
-    if explicit is not None:
-        seed = explicit
-    elif env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SCHWARZSTATIC_SEED is not an integer: {env!r}") from exc
-    else:
-        seed = fallback
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
 
 
 def _cmd_sweep(args) -> int:
@@ -533,7 +526,6 @@ def _cmd_sweep(args) -> int:
         "masses": args.masses,
         "r0_offsets": args.deltas,
         "ell_max": args.ell_max,
-        "decay_q": args.decay_q,
         "r_max_factor": args.r_max_factor,
     }
     data.update({k: v for k, v in overrides.items() if v is not None})
@@ -565,9 +557,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    seed = _resolved_seed(args.seed, 0)
+    _check_seed(args.seed)
     try:
-        report = run_selftest(seed=seed, refine=args.refine, mutate=args.mutate)
+        report = run_selftest(seed=args.seed, refine=args.refine, mutate=args.mutate)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -604,7 +596,7 @@ def _cmd_mode(args) -> int:
 
     try:
         ivp = make_ivp(params, args.ell, args.a0)
-        sol = integrate_mode(ivp, r_max, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
+        sol = integrate_mode(ivp, r_max)
     except (RuntimeError, ValueError) as exc:
         print(f"error: mode integration failed: {exc}", file=sys.stderr)
         return 2
@@ -651,12 +643,12 @@ def _cmd_gauge_test(args) -> int:
     from .gauge import GEODESIC_GAUGE_TOL, apply_gauge, build_gauge_field
     from .sphere_ops import SphereCalc
 
-    seed = _resolved_seed(args.seed, 0)
+    _check_seed(args.seed)
     if not 0 <= args.l_band <= GAUGE_TEST_MAX_L_BAND:
         print(f"error: --l-band must lie in 0..{GAUGE_TEST_MAX_L_BAND}, got {args.l_band}",
               file=sys.stderr)
         return 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     params = SchwarzschildParams(m=1.0, r0=3.0)
     calc = SphereCalc(l_max=max(6, args.l_band + 2))
     gt = random_deformation(rng, params, calc, l_band=args.l_band, gauge_fixed=False)

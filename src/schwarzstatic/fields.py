@@ -128,22 +128,6 @@ class DeformationField:
         self.u_terms.append((profile, np.asarray(shape, dtype=float)))
         return self
 
-    def scaled(self, a: float) -> "DeformationField":
-        out = DeformationField(self.params, self.calc)
-        for name in ("rr_terms", "ra_terms", "ab_terms", "u_terms"):
-            setattr(
-                out, name, [(p.scaled(a), arr) for p, arr in getattr(self, name)]
-            )
-        return out
-
-    def __add__(self, other: "DeformationField") -> "DeformationField":
-        if other.calc is not self.calc:
-            raise ValueError("fields must share one calculus grid")
-        out = DeformationField(self.params, self.calc)
-        for name in ("rr_terms", "ra_terms", "ab_terms", "u_terms"):
-            setattr(out, name, list(getattr(self, name)) + list(getattr(other, name)))
-        return out
-
     # -- evaluation --------------------------------------------------------
 
     def _sum(self, terms, r, order, tail_shape):

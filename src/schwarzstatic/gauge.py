@@ -205,10 +205,6 @@ class GaugedDeformation:
     def max_radial_residual(self) -> float:
         return float(max(np.abs(self.rr_residual).max(), np.abs(self.ra_residual).max()))
 
-    @property
-    def global_geodesic_gauge(self) -> bool:
-        return self.max_radial_residual <= GEODESIC_GAUGE_TOL
-
 
 def _metric_gradient_cart(params: SchwarzschildParams, calc: SphereCalc, r: np.ndarray):
     """Analytic d_k g_ij of the conformal background at radii r, (n_r, n, 3, 3, 3)."""

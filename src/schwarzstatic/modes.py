@@ -39,9 +39,14 @@ samples of all modes and runs only the least-squares fits per mode.  Both
 reproduce the per-mode computations bit for bit: ModeSolution.eval,
 integrate_mode and classify are batches of one.
 
-Substitution constants (m != 0): alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a(r0),
-beta0 = 4 m^2 alpha0 / (l(l+1)-2) for l != 1.  Derived views: A = a - alpha0,
-phi = r(r-2m) A, Phi = 2(r-m) A / (r(r-2m)) + A', B = a - beta0/(r(r-2m)).
+The verdict settings are module constants, the same for every sweep: the
+solver tolerances DEFAULT_RTOL and DEFAULT_ATOL, the divergence factor K_DIV,
+the smallness fraction EPS_DEC, the decay-slope threshold DECAY_Q and the
+Cauchy tolerance CAUCHY_RTOL.  integrate_mode and integrate_modes take rtol,
+atol and k_div with these defaults; selftest's mode/PDE suite tightens them.
+
+Substitution constant (m != 0): alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a(r0).
+Derived views: A = a - alpha0, phi = r(r-2m) A, Phi = 2(r-m) A / (r(r-2m)) + A'.
 """
 
 from __future__ import annotations
@@ -74,6 +79,9 @@ FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
 PHASE_SWITCH = 1e3  # switch from r to x = 1/r at PHASE_SWITCH * r0
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
+EPS_DEC = 1e-4  # small means below EPS_DEC |a(r0)|
+DECAY_Q = 0.75  # a decaying tail falls at least like r^(-DECAY_Q)
 CAUCHY_RTOL = 1e-3  # a converging tail may move by this fraction of its limit
 
 
@@ -87,7 +95,6 @@ class ModeIVP:
     da0: float
     source: float  # ODE source constant S
     alpha0: float | None
-    beta0: float | None
     flat_branch: bool
 
     @property
@@ -109,15 +116,14 @@ def make_ivp(params: SchwarzschildParams, ell: int, a0: float) -> ModeIVP:
         da0 = ll1 / (2.0 * r0) * a0
         return ModeIVP(
             params=params, ell=ell, a0=a0, da0=da0, source=0.0,
-            alpha0=None, beta0=None, flat_branch=True,
+            alpha0=None, flat_branch=True,
         )
     da0 = (ll1 - 2.0 * m / r0) * a0 / (2.0 * (r0 - 2.0 * m))
     source = 2.0 * m * ((4.0 * m - r0) * a0 + r0 * (r0 - 2.0 * m) * da0)
     alpha0 = (1.5 + r0 / (4.0 * m) * (ll1 - 2.0)) * a0
-    beta0 = 4.0 * m * m * alpha0 / (ll1 - 2.0) if ell != 1 else None
     return ModeIVP(
         params=params, ell=ell, a0=a0, da0=da0, source=source,
-        alpha0=alpha0, beta0=beta0, flat_branch=False,
+        alpha0=alpha0, flat_branch=False,
     )
 
 
@@ -181,13 +187,6 @@ class ModeSolution:
             return None
         r, m = self.radii, self.ivp.m
         return 2.0 * (r - m) / r / (r - 2.0 * m) * A + self.da
-
-    @property
-    def B(self) -> np.ndarray | None:
-        if self.ivp.beta0 is None:
-            return None
-        r = self.radii
-        return self.a - self.ivp.beta0 / r / (r - 2.0 * self.ivp.m)
 
     def eval(self, r) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate (a, a') at arbitrary radii within the integrated range.
@@ -255,7 +254,7 @@ def integrate_mode(
     r_max: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    k_div: float = 1e3,
+    k_div: float = K_DIV,
 ) -> ModeSolution:
     """Integrate the first-order system (a, w = r(r-2m) a') out to r_max.
 
@@ -274,7 +273,7 @@ def integrate_modes(
     r_max,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    k_div: float = 1e3,
+    k_div: float = K_DIV,
 ) -> list[ModeSolution | Exception]:
     """Integrate many modes at once, one DOP853 lane per mode.
 
@@ -876,33 +875,24 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
     return results, table
 
 
-def classify(
-    sol: ModeSolution,
-    decay_q: float = 0.75,
-    eps_dec: float = 1e-4,
-    k_div: float = 1e3,
-) -> AsymptoticClass:
+def classify(sol: ModeSolution) -> AsymptoticClass:
     """Asymptotic trichotomy of an integrated mode.
 
-    DecaysToZero requires both smallness at the end of the run and a log-log
-    decay slope at least as steep as -decay_q; divergence requires crossing
-    k_div with a consistent sign and increasing trend; convergence requires a
-    Cauchy tail with limit above the decay threshold.  Anything else is
-    Undetermined.  This is classify_modes on a batch of one; a failed fit
-    is raised.
+    DecaysToZero requires both smallness (below EPS_DEC |a(r0)|) at the end
+    of the run and a log-log decay slope at least as steep as -DECAY_Q;
+    divergence requires crossing K_DIV |a(r0)| with a consistent sign and
+    increasing trend; convergence requires a tail that moves by at most
+    CAUCHY_RTOL of its limit, with the limit above the smallness threshold.
+    Anything else is Undetermined.  This is classify_modes on a batch of
+    one; a failed fit is raised.
     """
-    klass = classify_modes([sol], decay_q, eps_dec, k_div)[0]
+    klass = classify_modes([sol])[0]
     if isinstance(klass, Exception):
         raise klass
     return klass
 
 
-def classify_modes(
-    sols: list[ModeSolution],
-    decay_q: float = 0.75,
-    eps_dec: float = 1e-4,
-    k_div: float = 1e3,
-) -> list[AsymptoticClass | Exception]:
+def classify_modes(sols: list[ModeSolution]) -> list[AsymptoticClass | Exception]:
     """classify for every solution at once.
 
     The tail (the samples beyond a tenth of the last radius, at least the
@@ -913,8 +903,6 @@ def classify_modes(
     alone.  Returns, in the order of sols, an AsymptoticClass or the
     LinAlgError of a failed fit.
     """
-    if not 0.0 < decay_q < 1.0:
-        raise ValueError("decay_q must lie in (0, 1)")
     if not sols:
         return []
     n_modes = len(sols)
@@ -940,7 +928,7 @@ def classify_modes(
         mag = np.abs(a_tail)
 
         # divergence: the last 6 samples grow in size and keep the last one's sign
-        diverging = np.array([sol.diverged for sol in sols]) | (peak >= k_div * scale0)
+        diverging = np.array([sol.diverged for sol in sols]) | (peak >= K_DIV * scale0)
         last6 = from_end < 6
         shrinks = last6[:-1] & (from_end[:-1] > 0) & ~(np.diff(abs_a) >= 0)
         growing = np.bincount(lane[:-1][shrinks], minlength=n_modes) == 0
@@ -994,9 +982,9 @@ def classify_modes(
             klass = AsymptoticClass(kind, a_end[j], slope[j], r_end[j])
         elif zero[j]:
             klass = AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, 0.0, math.nan, r_end[j])
-        elif abs(a_end[j]) < eps_dec * scale and slope[j] <= -decay_q:
+        elif abs(a_end[j]) < EPS_DEC * scale and slope[j] <= -DECAY_Q:
             klass = AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, limit[j], slope[j], r_end[j])
-        elif abs(limit[j]) > eps_dec * scale and osc[j] <= CAUCHY_RTOL * abs(limit[j]):
+        elif abs(limit[j]) > EPS_DEC * scale and osc[j] <= CAUCHY_RTOL * abs(limit[j]):
             klass = AsymptoticClass(AsymptoticKind.CONVERGES_NONZERO, limit[j], slope[j], r_end[j])
         else:
             klass = AsymptoticClass(AsymptoticKind.UNDETERMINED, limit[j], slope[j], r_end[j])

@@ -1,9 +1,10 @@
 """Reference helpers shared by several test modules.
 
 None of these is on a path that the package's commands run: they build test
-inputs (radial profiles, single-mode fields) or invert package results
-(the round Bartnik data of a Schwarzschild sphere).  pytest does not collect
-this module; the test modules import it as `reference`.
+inputs (radial profiles, single-mode fields, linear combinations of fields)
+or invert package results (the round Bartnik data of a Schwarzschild
+sphere).  pytest does not collect this module; the test modules import it
+as `reference`.
 """
 
 import numpy as np
@@ -73,3 +74,15 @@ def single_mode_scalar(
     field = DeformationField(params, calc)
     field.add_u(profile, calc.from_coeffs(c))
     return field
+
+
+def combine(*terms: tuple[float, DeformationField]) -> DeformationField:
+    """The field sum(c * f) over the (c, f) terms, which share one grid."""
+    calc = terms[0][1].calc
+    out = DeformationField(terms[0][1].params, calc)
+    for c, f in terms:
+        if f.calc is not calc:
+            raise ValueError("fields must share one calculus grid")
+        for name in ("rr_terms", "ra_terms", "ab_terms", "u_terms"):
+            getattr(out, name).extend((p.scaled(c), arr) for p, arr in getattr(f, name))
+    return out

@@ -128,7 +128,6 @@ class TestBackgroundAt:
         bg = background_at(params, r)
         assert_allclose(bg.f_sc, np.exp(bg.u_sc), rtol=1e-15)
         assert_allclose(bg.H_sc * bg.rho2 - 2.0 * (r - params.m), 0.0, atol=1e-13)
-        assert_allclose(bg.R_gamma * bg.rho2 - 2.0, 0.0, atol=1e-14)
         # the conformal factor exactly flattens the radial coefficient
         assert_allclose(bg.f_sc**2 / (1.0 - 2.0 * params.m / r), 1.0, rtol=1e-15)
 
@@ -272,6 +271,12 @@ class TestMatchRoundData:
     def test_rejects_nonfinite_round_data(self, rho, h):
         with pytest.raises(ValueError):
             RoundData(rho=rho, h=h)
+
+    @pytest.mark.parametrize("rho,h", [(1.0, 1e200), (1e200, 1e-100)])
+    def test_rejects_overflowing_mass(self, rho, h):
+        # finite data whose matched mass (rho/2)(1 - (h rho/2)^2) is -inf
+        with pytest.raises(ValueError, match="overflows"):
+            match_round_data(RoundData(rho=rho, h=h))
 
     @given(
         m=st.floats(-3.0, 3.0, allow_nan=False),

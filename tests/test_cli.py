@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -37,10 +39,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(masses=[])
 
-    def test_rejects_bad_decay_q(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(decay_q=0.4)
-
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -48,6 +46,9 @@ class TestConfig:
             pytest.param(dict(masses=[float("nan")]), id="nan-mass"),
             pytest.param(dict(r0_offsets=[float("inf")]), id="inf-offset"),
             pytest.param(dict(masses=[1e308]), id="overflowing-r0"),
+            # 2m + offset rounds to 2m, the horizon itself
+            pytest.param(dict(masses=[1e17], r0_offsets=[1.0]), id="r0-rounds-onto-horizon"),
+            pytest.param(dict(masses=[1.0], r0_offsets=[1e-300]), id="tiny-offset-rounds-away"),
         ],
     )
     def test_rejects_nonpositive_offsets(self, overrides):
@@ -58,28 +59,6 @@ class TestConfig:
     def test_rejects_nonfinite_r_max_factor(self, factor):
         with pytest.raises(ConfigError):
             SweepConfig(r_max_factor=factor)
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            pytest.param(dict(rtol=0.0), id="zero-rtol"),
-            pytest.param(dict(rtol=float("inf")), id="inf-rtol"),
-            pytest.param(dict(rtol=float("nan")), id="nan-rtol"),
-            pytest.param(dict(atol=-1.0), id="negative-atol"),
-            pytest.param(dict(atol=float("inf")), id="inf-atol"),
-            pytest.param(dict(atol=float("nan")), id="nan-atol"),
-            # k_div <= 1 would certify any mode: |a| >= k_div |a0| at r0 already
-            pytest.param(dict(k_div=0.5), id="k_div-below-one"),
-            pytest.param(dict(k_div=1.0), id="k_div-one"),
-            pytest.param(dict(k_div=float("nan")), id="nan-k_div"),
-            pytest.param(dict(eps_dec=0.0), id="zero-eps_dec"),
-            pytest.param(dict(eps_dec=1.0), id="eps_dec-one"),
-            pytest.param(dict(eps_dec=float("nan")), id="nan-eps_dec"),
-        ],
-    )
-    def test_rejects_bad_tolerances(self, overrides):
-        with pytest.raises(ConfigError):
-            SweepConfig(**overrides)
 
     @pytest.mark.parametrize("ell_max", [2.5, 2.0, "2"])
     def test_rejects_non_integer_ell_max(self, ell_max):
@@ -96,12 +75,7 @@ class TestConfig:
             ("masses", [1.0, True]),
             ("r0_offsets", [False]),
             ("ell_max", True),
-            ("decay_q", True),
             ("r_max_factor", True),
-            ("rtol", True),
-            ("atol", False),
-            ("eps_dec", True),
-            ("k_div", True),
             ("seed", False),
         ],
     )
@@ -110,17 +84,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             SweepConfig.from_dict({key: value})
 
-    @pytest.mark.parametrize("key", ["masses", "r0_offsets", "decay_q", "rtol"])
+    @pytest.mark.parametrize("key", ["masses", "r0_offsets", "r_max_factor"])
     def test_rejects_strings(self, key):
         value = ["1"] if key in ("masses", "r0_offsets") else "0.7"
         with pytest.raises(ConfigError, match=key):
             SweepConfig.from_dict({key: value})
 
     def test_integers_are_stored_as_floats(self):
-        config = SweepConfig.from_dict({"masses": [1, -2], "r0_offsets": [3], "k_div": 100})
+        config = SweepConfig.from_dict(
+            {"masses": [1, -2], "r0_offsets": [3], "r_max_factor": 100})
         assert config.masses == [1.0, -2.0] and config.r0_offsets == [3.0]
         assert all(type(x) is float for x in (*config.masses, *config.r0_offsets))
-        assert type(config.k_div) is float
+        assert type(config.r_max_factor) is float
         assert type(config.ell_max) is int
 
     def test_tasks_are_mass_offset_degree_triples(self):
@@ -218,10 +193,16 @@ class TestEmit:
         assert lines[0] == cli.CSV_HEADER
         assert len(lines) == len(report.records) + 1
         data = json.loads(open(paths[1], encoding="utf-8").read())
-        assert data["schema_version"] == "3"
+        assert list(data) == ["schema_version", "environment", "config", "thresholds",
+                              "records", "summary"]
+        assert data["schema_version"] == "4"
         assert set(data["environment"]) == {"python", "numpy", "scipy"}
         assert data["environment"]["numpy"] == np.__version__
-        assert data["config"]["masses"] == [1.0]
+        assert data["config"] == {"masses": [1.0], "r0_offsets": [1.0], "ell_max": 2,
+                                  "r_max_factor": 1e4, "seed": 0}
+        # the module constants of modes every verdict was made with
+        assert data["thresholds"] == {"rtol": 1e-10, "atol": 1e-12, "k_div": 1e3,
+                                      "eps_dec": 1e-4, "decay_q": 0.75, "cauchy_rtol": 1e-3}
         assert len(data["records"]) == 3
         for rec in data["records"]:  # degrees 0, 1, 2 at (m, r0) = (1, 3)
             assert rec["n_steps"] > 0 and rec["nfev"] > rec["n_steps"]
@@ -312,14 +293,6 @@ class TestEmit:
         expect = 1.5 * (np.log((r_end - 2.0) / r_end) + np.log(3.0))
         assert abs(phi_end - expect) <= 1e-4
 
-        # a non-default k_div stops the profiles where it stopped the records
-        config = SweepConfig(masses=[1.0], r0_offsets=[1.0], ell_max=2, k_div=10.0)
-        report = run_sweep(config, jobs=2, profile_dir=str(tmp_path))
-        for rec in report.records:
-            last = read_csv(tmp_path / f"mode_m1_r03_l{rec.ell}.csv")[-1].split(",")
-            assert float(last[0]) == rec.r_max
-        assert report.records[1].r_max < config.r_max_factor * report.records[1].r0
-
     def test_profile_file(self, tmp_path):
         # l=1 profile: the final Phi value matches the log closed form
         # Phi(r) = alpha0 (l(l+1)/2m = 1/m here) [ln((r-2m)/r) - ln((r0-2m)/r0)]
@@ -396,10 +369,12 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "data,key",
         [
-            ({"masses": [True], "r0_offsets": [1], "ell_max": 0, "rtol": True}, "masses"),
-            ({"masses": [1], "r0_offsets": [1], "ell_max": 0, "rtol": True}, "rtol"),
+            ({"masses": [True], "r0_offsets": [1], "ell_max": 0, "r_max_factor": True},
+             "masses"),
+            ({"masses": [1], "r0_offsets": [1], "ell_max": 0, "r_max_factor": True},
+             "r_max_factor"),
         ],
-        ids=["bool-mass", "bool-rtol"],
+        ids=["bool-mass", "bool-r_max_factor"],
     )
     def test_boolean_config_is_usage_error(self, tmp_path, capsys, data, key):
         cfg = tmp_path / "cfg.json"
@@ -531,18 +506,49 @@ class TestMainEntry:
         assert code == 0
         assert len(calls) == 1
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_seed_defaults_to_zero(self, monkeypatch, capsys):
+        # --seed is the one way to set the seed: the environment sets nothing
         monkeypatch.setenv("SCHWARZSTATIC_SEED", "7")
-        assert cli._resolved_seed(None, 0) == 7
-        assert cli._resolved_seed(3, 0) == 3
-        monkeypatch.setenv("SCHWARZSTATIC_SEED", "x")
-        with pytest.raises(ConfigError):
-            cli._resolved_seed(None, 0)
-        monkeypatch.setenv("SCHWARZSTATIC_SEED", "-1")
-        with pytest.raises(ConfigError, match="nonnegative"):
-            cli._resolved_seed(None, 0)
-        with pytest.raises(ConfigError, match="nonnegative"):
-            cli._resolved_seed(-1, 0)
+        lines = []
+        for args in ([], ["--seed", "0"], ["--seed", "7"]):
+            assert cli.main(["gauge-test", *args]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] != lines[2]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["--masses", "1e17", "--deltas", "1"], id="large-mass"),
+            pytest.param(["--masses", "1", "--deltas", "1e-300"], id="tiny-offset"),
+        ],
+    )
+    def test_r0_on_the_horizon_is_usage_error(self, tmp_path, capsys, args):
+        # 2m + offset rounds to 2m: no mode of that sphere can be integrated
+        code = cli.main(["sweep", *args, "--ell-max", "1", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "horizon" in err and f"m={float(args[1])!r}" in err
+        assert f"offset={float(args[3])!r}" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key", ["decay_q", "rtol", "atol", "eps_dec", "k_div"])
+    def test_config_naming_a_removed_key(self, tmp_path, capsys, key):
+        # the solver and classifier settings are constants of modes, not keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"masses": [1.0], key: 0.5}))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config keys: [{key!r}]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho,h", [("1", "1e200"), ("1e200", "1e-100")])
+    def test_match_round_rejects_overflowing_mass(self, capsys, rho, h):
+        assert cli.main(["match-round", "--rho", rho, "--h", h]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestInstalledEntryPoint:
@@ -563,7 +569,7 @@ class TestInstalledEntryPoint:
 
     def test_subprocess_bad_tolerance_config_exit_one(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"k_div": 0.5}))
+        config.write_text(json.dumps({"r_max_factor": 0.5}))
         proc = subprocess.run(
             [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--config", str(config),
              "--out-dir", str(tmp_path)],
@@ -571,7 +577,21 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
-        assert b"k_div" in proc.stderr
+        assert b"r_max_factor" in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_subprocess_r0_on_the_horizon_config_exit_one(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"masses": [1e17], "r0_offsets": [1], "ell_max": 1}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--config", str(config),
+             "--out-dir", str(tmp_path)],
+            capture_output=True,
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert b"m=1e+17, offset=1.0" in proc.stderr
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_subprocess_non_integer_ell_max_config_exit_one(self, tmp_path):
@@ -588,20 +608,16 @@ class TestInstalledEntryPoint:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
-        "args,env_seed",
+        "args",
         [
-            pytest.param(["gauge-test", "--seed", "-1"], None, id="gauge-test-flag"),
-            pytest.param(["gauge-test"], "-1", id="gauge-test-env"),
-            pytest.param(["selftest", "--seed", "-1"], None, id="selftest-flag"),
+            pytest.param(["gauge-test", "--seed", "-1"], id="gauge-test-flag"),
+            pytest.param(["selftest", "--seed", "-1"], id="selftest-flag"),
         ],
     )
-    def test_subprocess_negative_seed_exit_one(self, args, env_seed):
-        env = {k: v for k, v in os.environ.items() if k != "SCHWARZSTATIC_SEED"}
-        if env_seed is not None:
-            env["SCHWARZSTATIC_SEED"] = env_seed
+    def test_subprocess_negative_seed_exit_one(self, args):
         proc = subprocess.run(
             [sys.executable, "-m", "schwarzstatic.cli", *args],
-            capture_output=True, env=env,
+            capture_output=True,
         )
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
@@ -853,11 +869,9 @@ class TestJsonWriter:
 
 class TestBatchTimes:
     def test_classify_share_is_even_and_the_batch_adds_up(self):
-        cfg = {"r_max_factor": 1e4, "rtol": cli.DEFAULT_RTOL, "atol": cli.DEFAULT_ATOL,
-               "k_div": 1e3, "decay_q": 0.75, "eps_dec": 1e-4}
         tasks = [(1.0, 3.0, ell) for ell in range(4)] + [(0.0, 1.0, 2), (-1e308, 1.0, 0)]
         t0 = time.perf_counter()
-        records = cli._sweep_chunk((cfg, tasks, None))
+        records = cli._sweep_chunk((1e4, tasks, None))
         elapsed = time.perf_counter() - t0
         assert len({rec.classify_s for rec in records}) == 1 and records[0].classify_s > 0.0
         for rec in records:
@@ -875,3 +889,24 @@ class TestBatchTimes:
         for rec in report.records:
             assert (rec.class_name, rec.passed, rec.stop) == ("Undetermined", False, None)
             assert np.isnan(rec.fitted_limit)
+
+
+class TestReadme:
+    def test_synopsis_lists_the_parser_flags(self):
+        # the "Command line" block of README.md names each subcommand's flags
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            if line.startswith("schwarzstatic "):
+                command = line.split()[1]
+                documented[command] = set()
+            documented[command] |= set(re.findall(r"--[a-z][a-z0-9-]*", line))
+        (sub,) = [action for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        parsed = {
+            name: {flag for action in parser._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+            for name, parser in sub.choices.items()
+        }
+        assert documented == parsed

@@ -22,7 +22,7 @@ from schwarzstatic.fields import (
 )
 from schwarzstatic.sphere_ops import SphereCalc
 
-from reference import constant_profile
+from reference import combine, constant_profile
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 H_STEP = 1e-20  # the complex step of linearize_at_schwarzschild
@@ -272,7 +272,7 @@ class TestLinearization:
         rng = np.random.default_rng(42)
         x = random_deformation(rng, P13, grid.calc, l_band=2, gauge_fixed=False)
         y = random_deformation(rng, P13, grid.calc, l_band=2, gauge_fixed=False)
-        combo = x.scaled(0.7) + y.scaled(-1.3)
+        combo = combine((0.7, x), (-1.3, y))
         lx = linearize_at_schwarzschild(grid, x)
         ly = linearize_at_schwarzschild(grid, y)
         lc = linearize_at_schwarzschild(grid, combo)

@@ -12,6 +12,7 @@ from schwarzstatic.sphere_ops import SphereCalc
 
 from reference import (
     boundary_vanishing_profile,
+    combine,
     constant_profile,
     oscillating_profile,
     single_mode_scalar,
@@ -99,7 +100,7 @@ class TestDeformationField:
         rng = np.random.default_rng(3)
         f1 = random_deformation(rng, P13, calc, l_band=2, gauge_fixed=False)
         f2 = random_deformation(rng, P13, calc, l_band=2, gauge_fixed=False)
-        combo = f1.scaled(2.0) + f2.scaled(-0.5)
+        combo = combine((2.0, f1), (-0.5, f2))
         r = 6.3
         assert_allclose(
             combo.cartesian(r), 2.0 * f1.cartesian(r) - 0.5 * f2.cartesian(r),
@@ -118,9 +119,8 @@ class TestDeformationField:
         # scalar call up to the last-bit rounding of numpy's array power
         rng = np.random.default_rng(4)
         field = random_deformation(rng, P13, calc, l_band=3, gauge_fixed=False)
-        field = field + single_mode_scalar(
-            P13, calc, 2, 1, oscillating_profile(3.0, 1.5, 4.0)
-        )
+        extra = single_mode_scalar(P13, calc, 2, 1, oscillating_profile(3.0, 1.5, 4.0))
+        field = combine((1.0, field), (1.0, extra))
         r = np.linspace(3.0, 9.0, 13)
         batch = getattr(field, name)(r, *args)
         single = np.stack([getattr(field, name)(s, *args) for s in r])
@@ -141,4 +141,4 @@ class TestDeformationField:
         f1 = DeformationField(P13, calc)
         f2 = DeformationField(P13, other)
         with pytest.raises(ValueError):
-            _ = f1 + f2
+            combine((1.0, f1), (1.0, f2))

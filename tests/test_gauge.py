@@ -13,6 +13,7 @@ from schwarzstatic.fields import (
     random_deformation,
 )
 from schwarzstatic.gauge import (
+    GEODESIC_GAUGE_TOL,
     FlowLieDeformation,
     apply_gauge,
     build_gauge_field,
@@ -21,7 +22,7 @@ from schwarzstatic.gauge import (
 )
 from schwarzstatic.sphere_ops import SphereCalc
 
-from reference import boundary_vanishing_profile, constant_profile, oscillating_profile
+from reference import boundary_vanishing_profile, combine, constant_profile, oscillating_profile
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 
@@ -190,7 +191,7 @@ class TestBuildGaugeField:
         rng = np.random.default_rng(6)
         g1 = random_deformation(rng, P13, calc, l_band=2, gauge_fixed=False)
         g2 = random_deformation(rng, P13, calc, l_band=2, gauge_fixed=False)
-        combo = g1.scaled(0.6) + g2.scaled(-2.0)
+        combo = combine((0.6, g1), (-2.0, g2))
         x1 = build_gauge_field(g1, P13, calc)
         x2 = build_gauge_field(g2, P13, calc)
         xc = build_gauge_field(combo, P13, calc)
@@ -314,7 +315,7 @@ class TestApplyGauge:
         X = build_gauge_field(gt, P13, calc)
         out = apply_gauge(gt, X, np.linspace(3.0, 11.5, 18))
         assert out.max_radial_residual <= 1e-8
-        assert out.global_geodesic_gauge
+        assert out.max_radial_residual <= GEODESIC_GAUGE_TOL
 
     def test_annihilation_converges_at_quadrature_order(self, calc):
         # oscillatory radial profile makes the cell quadrature the dominant

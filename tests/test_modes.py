@@ -160,25 +160,31 @@ def comparison_positivity(
     )
 
 
+def beta0(ivp):
+    """The comparison constant 4 m^2 alpha0 / (l(l+1) - 2) of a degree l != 1.
+
+    B = a - beta0 / (r(r-2m)) is the comparison function of those degrees.
+    """
+    return 4.0 * ivp.m * ivp.m * ivp.alpha0 / (ivp.ell * (ivp.ell + 1.0) - 2.0)
+
+
 class TestMakeIVP:
     def test_l0_constants(self):
         ivp = make_ivp(P13, 0, 1.0)
         assert_allclose(ivp.alpha0, 0.0, atol=1e-15)
         assert_allclose(ivp.da0, -1.0 / 3.0, rtol=1e-15)
-        assert ivp.beta0 is not None  # defined for every ell except 1
 
     def test_l1_constants(self):
         ivp = make_ivp(P13, 1, 1.0)
         assert_allclose(ivp.alpha0, 1.5, rtol=1e-15)
         assert_allclose(ivp.da0, 2.0 / 3.0, rtol=1e-15)
-        assert ivp.beta0 is None
 
     def test_l2_constants(self):
         ivp = make_ivp(P13, 2, 1.0)
         assert_allclose(ivp.alpha0, 4.5, rtol=1e-15)
-        assert_allclose(ivp.beta0, 4.5, rtol=1e-15)
+        assert_allclose(beta0(ivp), 4.5, rtol=1e-15)
         # B(r0) = a0 - beta0 / (r0 (r0 - 2m))
-        b0 = ivp.a0 - ivp.beta0 / (3.0 * 1.0)
+        b0 = ivp.a0 - beta0(ivp) / (3.0 * 1.0)
         assert_allclose(b0, -0.5, rtol=1e-14)
 
     def test_source_constant_matches_alpha0(self):
@@ -189,7 +195,7 @@ class TestMakeIVP:
     def test_flat_branch_has_no_substitution_constants(self):
         ivp = make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0)
         assert ivp.flat_branch
-        assert ivp.alpha0 is None and ivp.beta0 is None
+        assert ivp.alpha0 is None
         assert ivp.source == 0.0
 
     def test_near_zero_mass_uses_flat_branch(self):
@@ -327,7 +333,7 @@ class TestIntegrateSchwarzschild:
         # l = 2 at (m=1, r0=3) starts with B(r0) = -0.5 < 0
         ivp = make_ivp(P13, 2, 1.0)
         sol = integrate_mode(ivp, 3e3, k_div=np.inf)
-        B = sol.B
+        B = sol.a - beta0(ivp) / sol.radii / (sol.radii - 2.0)
         rho2 = sol.radii * (sol.radii - 2.0)
         bound = 3.0 * 1.0 / rho2 * (-0.5)
         neg = B < 0
@@ -654,11 +660,6 @@ class TestClassify:
         assert k.kind is AsymptoticKind.DECAYS_TO_ZERO
         assert k.fitted_exponent < -0.75
 
-    def test_rejects_bad_decay_q(self):
-        sol = integrate_mode(make_ivp(P13, 0, 1.0), 3e3)
-        with pytest.raises(ValueError):
-            classify(sol, decay_q=1.5)
-
 
 class TestVerify:
     def test_schwarzschild_l0(self):
@@ -795,9 +796,11 @@ def reference_flat(ivp, r_max, k_div):
     return (radii, *closed_form(radii), True)
 
 
-def reference_classify(sol, decay_q=0.75, eps_dec=1e-4, k_div=1e3):
+def reference_classify(sol):
     """classify of one mode with np.polyfit for the limit and the slope."""
     from schwarzstatic.modes import CAUCHY_RTOL, AsymptoticClass
+
+    decay_q, eps_dec, k_div = 0.75, 1e-4, 1e3
 
     def slope_of(r_tail, a_tail):
         mag = np.abs(a_tail)
@@ -966,12 +969,12 @@ class TestBatchedClassify:
 
     def test_batch_matches_polyfit_reference(self):
         sols = classify_cases()
-        _, _, k_div, mixed = mixed_batch()
+        _, _, _, mixed = mixed_batch()
         for sol, klass in zip(sols, classify_modes(sols)):
             same_class(klass, reference_classify(sol))
         mixed = [sol for sol in mixed if isinstance(sol, ModeSolution)]
-        for sol, klass in zip(mixed, classify_modes(mixed, k_div=k_div)):
-            same_class(klass, reference_classify(sol, k_div=k_div))
+        for sol, klass in zip(mixed, classify_modes(mixed)):
+            same_class(klass, reference_classify(sol))
 
     def test_sweep_records_match_polyfit_reference(self):
         config = SweepConfig(masses=[-4.0, -0.3, 1e-12, 0.7], r0_offsets=[1e-3, 0.3, 90.0],
@@ -1005,7 +1008,5 @@ class TestBatchedClassify:
         with pytest.raises(np.linalg.LinAlgError):
             classify(fitted)
 
-    def test_rejects_bad_decay_q_for_the_batch(self):
-        with pytest.raises(ValueError):
-            classify_modes([], decay_q=0.0)
+    def test_empty_batch(self):
         assert classify_modes([]) == []
