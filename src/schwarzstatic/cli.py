@@ -129,6 +129,11 @@ class SweepConfig:
             raise ConfigError("ell_max must be nonnegative")
         if not 1.0 < self.r_max_factor < np.inf:
             raise ConfigError("r_max_factor must be finite and exceed 1")
+        r0_max = max(r0 for _, _, r0 in self._boundaries())
+        if not np.isfinite(self.r_max_factor * r0_max):
+            raise ConfigError(
+                f"r_max_factor * r0 must be finite, got r_max_factor={self.r_max_factor!r}"
+                f" at r0={r0_max!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":

@@ -148,6 +148,31 @@ class DeformationField:
     def u(self, r, order: int = 0) -> np.ndarray:
         return self._sum(self.u_terms, r, order, ())
 
+    def separated(self, component: str):
+        """(basis, shapes) of g~(dr, dr) ("rr") or g~(dr, e_A) ("ra").
+
+        basis(r) stacks the J profiles at radii r, shape r.shape + (J,), and
+        shapes stacks their angular arrays, shape (J, n) or (J, n, 2), so the
+        component is basis(r) @ shapes up to summation order.
+        """
+        tails = {"rr": (), "ra": (2,)}
+        if component not in tails:
+            raise ValueError(f"no separated form of component {component!r}")
+        terms = getattr(self, f"{component}_terms")
+        profiles = [profile for profile, _ in terms]
+        tail = tails[component]
+        shapes = np.zeros((len(terms), self.calc.n_nodes) + tail)
+        for j, (_, arr) in enumerate(terms):
+            shapes[j] = arr
+
+        def basis(r):
+            out = np.empty(np.shape(r) + (len(profiles),))
+            for j, profile in enumerate(profiles):
+                out[..., j] = profile(r)
+            return out
+
+        return basis, shapes
+
     @property
     def is_gauge_fixed(self) -> bool:
         return not self.rr_terms and not self.ra_terms

@@ -17,12 +17,21 @@ rho'/rho with rho = sqrt(r(r-2m)), so rho is an integrating factor and
 
     w_A(r) = -rho(r) int_{r0}^{r} src_A(s) / rho(s) ds.
 
-Both components are therefore quadratures.  Each keeps a cumulative table
-over one grid of radial cells, built with a 4-point Gauss rule per cell, and
-evaluates at any radii as table entry plus a Gauss rule on the partial cell;
-the tangential integrand needs X_perp at its nodes, which comes from the
-same partial-cell rule.  Every evaluator takes a scalar radius or an array
-of radii, and an array costs one batched call into the deformation.
+Both components are therefore quadratures, and both are linear in g~.  The
+deformation hands over each radial component in separated form,
+g~(dr, dr) = sum_j b_j(r) S_j and g~(dr, e_A) = sum_k c_k(r) W_k, so that
+
+    X_perp = P(r) @ S,   P_j(r) = -1/2 int_{r0}^{r} b_j,
+    w_A    = -rho(r) T(r) @ [W; grad S],
+    T(r)   = int_{r0}^{r} [c / rho, P / rho^2],
+
+with grad S the frame gradients of the shapes S, taken once per field.
+Only the scalar coefficient functions P and T are integrated.  Each keeps a
+cumulative table over one grid of radial cells, built with a 4-point Gauss
+rule per cell, and evaluates at any radii as table entry plus a Gauss rule
+on the partial cell; the tangential integrand needs P at its nodes, which
+comes from the same partial-cell rule.  Every evaluator takes a scalar
+radius or an array of radii.
 
 apply_gauge differentiates X independently of these identities, with small
 radial stencils on the evaluable field and spectral tangential derivatives,
@@ -104,10 +113,12 @@ class GaugeVectorField:
     r0: float
     r1: float
     _cells: np.ndarray  # (n_cells + 1,) cell edges
-    _rr: object  # callable radii -> g~(dr, dr) samples
-    _ra: object  # callable radii -> g~(dr, e_A) samples
-    _perp_cum: np.ndarray  # (n_cells + 1, n) cumulative -1/2 int rr
-    _tan_cum: np.ndarray | None = None  # (n_cells + 1, n, 2) cumulative int src/rho
+    _rr_basis: object  # callable radii -> b_j(r), r.shape + (J,)
+    _ra_basis: object  # callable radii -> c_k(r), r.shape + (K,)
+    _perp_shapes: np.ndarray  # (J, n) rr shapes S_j
+    _tan_shapes: np.ndarray  # (K + J, n, 2) ra shapes W_k, then frame gradients of S_j
+    _perp_cum: np.ndarray  # (n_cells + 1, J) cumulative P
+    _tan_cum: np.ndarray | None = None  # (n_cells + 1, K + J) cumulative T
 
     def _cell_start(self, r):
         """Radii as an array and the left edge of the cell holding each."""
@@ -120,20 +131,26 @@ class GaugeVectorField:
         )
         return r, idx, self._cells[idx]
 
-    def x_perp(self, r) -> np.ndarray:
+    def _perp_coeffs(self, r) -> np.ndarray:
+        """P(r) = -1/2 int_{r0}^{r} b, shape r.shape + (J,)."""
         r, idx, a = self._cell_start(r)
-        return self._perp_cum[idx] - 0.5 * _gauss_cell(self._rr, a, r)
+        return self._perp_cum[idx] - 0.5 * _gauss_cell(self._rr_basis, a, r)
 
     def _tan_integrand(self, s) -> np.ndarray:
-        """src_A / rho = (g~(dr, e_A) + e_A(X_perp)) / rho at radii s."""
-        rho = _rho(self.params, s)[..., None, None]
-        grad = self.calc.grad_scalar_frame(self.x_perp(s))
-        return (self._ra(s) + grad / rho) / rho
+        """[c / rho, P / rho^2] at radii s, the coefficients of src_A / rho."""
+        rho = _rho(self.params, s)[..., None]
+        return np.concatenate(
+            [self._ra_basis(s) / rho, self._perp_coeffs(s) / rho**2], axis=-1
+        )
+
+    def x_perp(self, r) -> np.ndarray:
+        return self._perp_coeffs(r) @ self._perp_shapes
 
     def x_tan(self, r) -> np.ndarray:
         r, idx, a = self._cell_start(r)
-        partial = _gauss_cell(self._tan_integrand, a, r)
-        return -_rho(self.params, r)[..., None, None] * (self._tan_cum[idx] + partial)
+        coeffs = self._tan_cum[idx] + _gauss_cell(self._tan_integrand, a, r)
+        w = np.tensordot(coeffs, self._tan_shapes, axes=1)
+        return -_rho(self.params, r)[..., None, None] * w
 
     def cartesian(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -153,12 +170,13 @@ def build_gauge_field(
 ) -> GaugeVectorField:
     """Tabulate the unique boundary-vanishing gauge vector of a deformation.
 
-    gt must expose rr(r) and ra(r) returning node samples of the radial
-    components in the adapted frame for arrays of radii (DeformationField
-    and FlowLieDeformation do).  The window [r0, r1] (r1 defaults to 4 r0)
-    is split into n_cells equal cells.  rtol and atol are accepted for old
-    callers and ignored: both components are quadratures with no solver
-    tolerance.
+    gt must expose separated(component) for "rr" and "ra", returning
+    (basis, shapes) with g~(dr, dr) = basis(r) @ shapes in the adapted frame
+    (and likewise g~(dr, e_A)), basis(r) of shape r.shape + (J,) and shapes
+    of shape (J, n) or (J, n, 2); DeformationField and FlowLieDeformation do.
+    The window [r0, r1] (r1 defaults to 4 r0) is split into n_cells equal
+    cells.  rtol and atol are accepted for old callers and ignored: both
+    components are quadratures with no solver tolerance.
     """
     for name, value in (("rtol", rtol), ("atol", atol)):
         if value is not None:
@@ -176,15 +194,19 @@ def build_gauge_field(
     if not (np.isfinite(r1) and r1 > r0):
         raise ValueError(f"need a finite r1 > r0 = {r0}, got r1={r1}")
 
+    rr_basis, rr_shapes = gt.separated("rr")
+    ra_basis, ra_shapes = gt.separated("ra")
     cells = np.linspace(r0, r1, n_cells + 1)
     a, b = cells[:-1], cells[1:]
-    perp_cum = np.zeros((n_cells + 1, calc.n_nodes))
-    perp_cum[1:] = np.cumsum(-0.5 * _gauss_cell(gt.rr, a, b), axis=0)
+    perp_cum = np.zeros((n_cells + 1, len(rr_shapes)))
+    perp_cum[1:] = np.cumsum(-0.5 * _gauss_cell(rr_basis, a, b), axis=0)
     field = GaugeVectorField(
-        params=params, calc=calc, r0=r0, r1=r1,
-        _cells=cells, _rr=gt.rr, _ra=gt.ra, _perp_cum=perp_cum,
+        params=params, calc=calc, r0=r0, r1=r1, _cells=cells,
+        _rr_basis=rr_basis, _ra_basis=ra_basis, _perp_shapes=rr_shapes,
+        _tan_shapes=np.concatenate([ra_shapes, calc.grad_scalar_frame(rr_shapes)]),
+        _perp_cum=perp_cum,
     )
-    tan_cum = np.zeros((n_cells + 1, calc.n_nodes, 2))
+    tan_cum = np.zeros((n_cells + 1, len(field._tan_shapes)))
     tan_cum[1:] = np.cumsum(_gauss_cell(field._tan_integrand, a, b), axis=0)
     field._tan_cum = tan_cum
     return field
@@ -351,10 +373,11 @@ class FlowLieDeformation:
     oracle's own flow-difference error.  All shells go through one
     flow_lie_derivative call (13 calls of y_fn) and one more y_fn call for
     the Y(u_sc) table.
-    Exposes the part of DeformationField's component interface that the
-    gauge construction reads (rr, ra, u, cartesian), for a scalar radius or
-    an array of radii; rr and ra interpolate the table's unit-frame
-    projections, since the projection is linear.
+    The interpolant is sum_j w_j(r) table_j with the normalised barycentric
+    weights w_j, so the deformation is already in separated form: cartesian
+    and u read the weights, and separated("rr") and separated("ra") return
+    them with the table's unit-frame projections as shapes (the projection
+    is linear), for a scalar radius or an array of radii.
     """
 
     def __init__(self, y_fn, params: SchwarzschildParams, calc: SphereCalc):
@@ -377,10 +400,11 @@ class FlowLieDeformation:
         y = y_fn(points).reshape(_FLOW_SHELLS, -1, 3)
         self._yperp_tab = np.einsum("sni,ni->sn", y, calc.normal)
 
-    def _interp(self, tab: np.ndarray, r) -> np.ndarray:
-        """Barycentric interpolant of tab at radii r, shape r.shape + tab.shape[1:].
+    def _weights(self, r) -> np.ndarray:
+        """Normalised barycentric weights at radii r, shape r.shape + (_FLOW_SHELLS,).
 
-        A radius within 1e-13 of a node takes that node's sample exactly.
+        A radius within 1e-13 of a node gets that node's unit weight, so the
+        interpolant takes the node's sample exactly.
         """
         r = np.asarray(r, dtype=float)
         d = r.reshape(-1, 1) - self._nodes
@@ -388,20 +412,25 @@ class FlowLieDeformation:
         w = self._bary / np.where(hit, 1.0, d)
         on_node = hit.any(axis=1)
         w[on_node] = hit[on_node]
-        out = np.tensordot(w, tab, axes=(1, 0))
-        out /= w.sum(axis=1).reshape((-1,) + (1,) * (tab.ndim - 1))
-        return out.reshape(r.shape + tab.shape[1:])
+        w /= w.sum(axis=1, keepdims=True)
+        return w.reshape(r.shape + self._nodes.shape)
+
+    def _ra_weights(self, r) -> np.ndarray:
+        """Weights times r / rho: the unit-frame table read in the parallel frame."""
+        r = np.asarray(r, dtype=float)
+        return self._weights(r) * (r / _rho(self.params, r))[..., None]
+
+    def separated(self, component: str):
+        """(basis, shapes) of g~(dr, dr) ("rr") or g~(dr, e_A) ("ra")."""
+        if component == "rr":
+            return self._weights, self._rr_tab
+        if component == "ra":
+            return self._ra_weights, self._ra_tab
+        raise ValueError(f"no separated form of component {component!r}")
 
     def cartesian(self, r) -> np.ndarray:
-        return self._interp(self._lie_tab, r)
-
-    def rr(self, r) -> np.ndarray:
-        return self._interp(self._rr_tab, r)
-
-    def ra(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return self._interp(self._ra_tab, r) * (r / _rho(self.params, r))[..., None, None]
+        return np.tensordot(self._weights(r), self._lie_tab, axes=1)
 
     def u(self, r) -> np.ndarray:
         bg = background_at(self.params, r)
-        return self._interp(self._yperp_tab, r) * bg.du_sc[..., None]
+        return (self._weights(r) @ self._yperp_tab) * bg.du_sc[..., None]

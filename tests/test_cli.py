@@ -532,6 +532,16 @@ class TestMainEntry:
         assert f"offset={float(args[3])!r}" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_overflowing_extent_is_usage_error(self, tmp_path, capsys):
+        # r_max_factor * r0 = 1e309 overflows: no mode could reach its extent
+        code = cli.main(["sweep", "--masses", "1", "--deltas", "8", "--ell-max", "1",
+                         "--r-max-factor", "1e308", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "r_max_factor=1e+308" in err and "r0=10.0" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("key", ["decay_q", "rtol", "atol", "eps_dec", "k_div"])
     def test_config_naming_a_removed_key(self, tmp_path, capsys, key):
         # the solver and classifier settings are constants of modes, not keys

@@ -10,6 +10,7 @@ from schwarzstatic.background import (
 )
 from schwarzstatic.fields import (
     DeformationField,
+    power_profile,
     random_deformation,
 )
 from schwarzstatic.gauge import (
@@ -103,6 +104,103 @@ def reference_flow_lie_derivative(y_fn, params, points, eps, steps):
     return (4.0 * d_half - d_full) / 3.0
 
 
+def evaluate(gt, component, r):
+    """One radial component of a deformation from its separated form."""
+    basis, shapes = gt.separated(component)
+    return np.tensordot(basis(r), shapes, axes=1)
+
+
+def flow_interp(gt, tab, r):
+    """Barycentric interpolant of a FlowLieDeformation table at radii r.
+
+    The second form of the formula (weighted sum over the weights' sum), on
+    the flow's own nodes and weights; a radius within 1e-13 of a node takes
+    that node's sample.
+    """
+    r = np.asarray(r, dtype=float)
+    d = r.reshape(-1, 1) - gt._nodes
+    hit = np.abs(d) < 1e-13
+    w = gt._bary / np.where(hit, 1.0, d)
+    on_node = hit.any(axis=1)
+    w[on_node] = hit[on_node]
+    out = np.tensordot(w, tab, axes=(1, 0))
+    out /= w.sum(axis=1).reshape((-1,) + (1,) * (tab.ndim - 1))
+    return out.reshape(r.shape + tab.shape[1:])
+
+
+def flow_rr(gt, r):
+    """g~(dr, dr) node samples of a FlowLieDeformation at radii r."""
+    return flow_interp(gt, gt._rr_tab, r)
+
+
+def flow_ra(gt, r):
+    """g~(dr, e_A) node samples of a FlowLieDeformation: unit-frame table times r/rho."""
+    r = np.asarray(r, dtype=float)
+    return flow_interp(gt, gt._ra_tab, r) * (r / np.sqrt(r * (r - 2.0 * gt.params.m)))[..., None, None]
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
+
+
+def gauss_cell(f, a, b):
+    """4-point Gauss rule for int_a^b f(s) ds over node samples, one cell per entry."""
+    half = 0.5 * (b - a)
+    vals = f(a[..., None] + half[..., None] * (_GAUSS_X + 1.0))
+    w = half[..., None] * _GAUSS_W
+    w = w.reshape(w.shape + (1,) * (vals.ndim - w.ndim))
+    return (w * vals).sum(axis=np.ndim(a))
+
+
+class NodeSampleGaugeField:
+    """The gauge vector by nested Gauss rules on node samples of rr and ra.
+
+    The same cells, cumulative tables and partial-cell rules as
+    build_gauge_field, applied to the node samples rr(s) and ra(s) and to a
+    spectral gradient of X_perp at every tangential quadrature node, instead
+    of to separated radial coefficients.
+    """
+
+    def __init__(self, rr, ra, params, calc, r1=None, n_cells=48):
+        self.params, self.calc, self.rr, self.ra = params, calc, rr, ra
+        self.r0 = params.r0
+        self.r1 = 4.0 * self.r0 if r1 is None else r1
+        self.cells = np.linspace(self.r0, self.r1, n_cells + 1)
+        a, b = self.cells[:-1], self.cells[1:]
+        self.perp_cum = np.zeros((n_cells + 1, calc.n_nodes))
+        self.perp_cum[1:] = np.cumsum(-0.5 * gauss_cell(rr, a, b), axis=0)
+        self.tan_cum = np.zeros((n_cells + 1, calc.n_nodes, 2))
+        self.tan_cum[1:] = np.cumsum(gauss_cell(self.tan_integrand, a, b), axis=0)
+
+    def rho(self, r):
+        return np.sqrt(r * (r - 2.0 * self.params.m))
+
+    def cell_start(self, r):
+        r = np.asarray(r, dtype=float)
+        idx = np.minimum(((r - self.r0) / (self.cells[1] - self.cells[0])).astype(int),
+                         len(self.cells) - 2)
+        return r, idx, self.cells[idx]
+
+    def x_perp(self, r):
+        r, idx, a = self.cell_start(r)
+        return self.perp_cum[idx] - 0.5 * gauss_cell(self.rr, a, r)
+
+    def tan_integrand(self, s):
+        rho = self.rho(s)[..., None, None]
+        grad = self.calc.grad_scalar_frame(self.x_perp(s))
+        return (self.ra(s) + grad / rho) / rho
+
+    def x_tan(self, r):
+        r, idx, a = self.cell_start(r)
+        partial = gauss_cell(self.tan_integrand, a, r)
+        return -self.rho(r)[..., None, None] * (self.tan_cum[idx] + partial)
+
+    def cartesian(self, r):
+        r = np.asarray(r, dtype=float)
+        return self.x_perp(r)[..., None] * self.calc.normal + self.calc.frame_to_cart_covector(
+            self.x_tan(r), r / self.rho(r)
+        )
+
+
 def counting(y_fn):
     """y_fn wrapped to count its calls in `.calls`."""
     def wrapped(x):
@@ -174,8 +272,6 @@ class TestBuildGaugeField:
         q = 0.75
         gt = DeformationField(P13, calc)
         shape = 1.0 + 0.3 * calc.grid.Y[:, 4]
-        from schwarzstatic.fields import power_profile
-
         gt.add_rr(power_profile(3.0, q), shape)
         X = build_gauge_field(gt, P13, calc, r1=3.0e3, n_cells=400)
         radii = np.geomspace(3.0e2, 1.5e3, 8)
@@ -256,16 +352,111 @@ class TestBuildGaugeField:
                 X.x_perp(r)
 
 
-def tangential_ode(gt, X, calc, radii):
+def separated_cases(calc):
+    """DeformationFields with rr terms only, ra terms only, and both."""
+    rng = np.random.default_rng(21)
+    rr_only = DeformationField(P13, calc)
+    rr_only.add_rr(power_profile(3.0, 1.7), calc.random_band_limited(rng, 4))
+    rr_only.add_rr(oscillating_profile(3.0, 1.5, 6.0), calc.random_band_limited(rng, 4))
+    ra_only = DeformationField(P13, calc)
+    ra_only.add_ra(power_profile(3.0, 2.2), calc.random_band_limited(rng, 4))
+    ra_only.add_ra(boundary_vanishing_profile(3.0, 1.8), calc.random_band_limited(rng, 4),
+                   odd=True)
+    both = random_deformation(rng, P13, calc, l_band=4, gauge_fixed=False)
+    return {"rr-only": rr_only, "ra-only": ra_only, "both": both}
+
+
+def window_radii(X, edges):
+    """Both window ends, the given cell edges and six interior radii."""
+    interior = np.random.default_rng(3).uniform(X.r0, X.r1, 6)
+    return np.concatenate([[X.r0, X.r1], X._cells[edges], interior])
+
+
+# separated coefficients against node samples: the two routes sum the same
+# terms in another order, so they agree to roundoff (largest measured
+# relative gap 7.1e-15, on the flow deformation's x_tan)
+SEPARATED_RTOL = 1e-13
+
+
+class TestSeparatedRoute:
+    @pytest.mark.parametrize("case", ["rr-only", "ra-only", "both"])
+    def test_matches_node_sample_quadrature(self, calc, case):
+        gt = separated_cases(calc)[case]
+        X = build_gauge_field(gt, P13, calc)
+        ref = NodeSampleGaugeField(gt.rr, gt.ra, P13, calc)
+        radii = window_radii(X, [1, 17, 47])
+        for method in ("x_perp", "x_tan", "cartesian"):
+            expect = getattr(ref, method)(radii)
+            got = getattr(X, method)(radii)
+            assert got.shape == expect.shape
+            sup = np.abs(expect).max()
+            assert np.abs(got - expect).max() <= SEPARATED_RTOL * sup, method
+        if case == "ra-only":
+            assert not X.x_perp(radii).any()
+
+    def test_transverse_deformation_gives_exact_zero(self, calc):
+        rng = np.random.default_rng(0)
+        gt = random_deformation(rng, P13, calc, l_band=3, gauge_fixed=True)
+        X = build_gauge_field(gt, P13, calc)
+        radii = window_radii(X, [1, 17, 47])
+        for method in ("x_perp", "x_tan", "cartesian"):
+            assert not getattr(X, method)(radii).any(), method
+
+    def test_flow_deformation_matches_node_sample_quadrature(self):
+        calc = SphereCalc(l_max=6)
+        y_fn, _ = make_test_vector_field(P13)
+        gt = FlowLieDeformation(y_fn, P13, calc)
+        X = build_gauge_field(gt, P13, calc, n_cells=24)
+        ref = NodeSampleGaugeField(
+            lambda r: flow_rr(gt, r), lambda r: flow_ra(gt, r), P13, calc, n_cells=24
+        )
+        radii = window_radii(X, [1, 12, 23])
+        for method in ("x_perp", "x_tan", "cartesian"):
+            expect = getattr(ref, method)(radii)
+            got = getattr(X, method)(radii)
+            sup = np.abs(expect).max()
+            assert np.abs(got - expect).max() <= SEPARATED_RTOL * sup, method
+
+    @pytest.mark.parametrize("case", ["rr-only", "ra-only", "both"])
+    def test_deformation_basis_times_shapes(self, calc, case):
+        gt = separated_cases(calc)[case]
+        radii = np.array([3.0, 3.7, 6.1, 12.0])
+        for component in ("rr", "ra"):
+            basis, shapes = gt.separated(component)
+            assert basis(radii).shape == (4, len(shapes))
+            assert basis(5.0).shape == (len(shapes),)
+            expect = getattr(gt, component)(radii)
+            sup = np.abs(expect).max()
+            got = evaluate(gt, component, radii)
+            assert np.abs(got - expect).max() <= SEPARATED_RTOL * sup, component
+        with pytest.raises(ValueError, match="ab"):
+            gt.separated("ab")
+
+    def test_flow_basis_times_shapes(self):
+        calc = SphereCalc(l_max=6)
+        y_fn, _ = make_test_vector_field(P13)
+        gt = FlowLieDeformation(y_fn, P13, calc)
+        radii = np.concatenate([gt._nodes[[0, 7, 32]], [3.3, 6.1, 11.9]])
+        for component, expect_fn in (("rr", flow_rr), ("ra", flow_ra)):
+            expect = expect_fn(gt, radii)
+            got = evaluate(gt, component, radii)
+            sup = np.abs(expect).max()
+            assert np.abs(got - expect).max() <= SEPARATED_RTOL * sup, component
+        with pytest.raises(ValueError, match="ab"):
+            gt.separated("ab")
+
+
+def tangential_ode(ra, X, calc, radii):
     """Frame components w_A at radii from the tangential ODE itself.
 
-    w_A' = (H_sc/2) w_A - g~(dr, e_A) - e_A(X_perp), w_A(r0) = 0, integrated
-    by scipy's DOP853: an independent route to X.x_tan, which is a quadrature
-    with the integrating factor rho.
+    w_A' = (H_sc/2) w_A - g~(dr, e_A) - e_A(X_perp), w_A(r0) = 0, with
+    ra(r) the node samples of g~(dr, e_A), integrated by scipy's DOP853: an
+    independent route to X.x_tan, which is a quadrature with the integrating
+    factor rho.
     """
     def rhs(r, y):
         bg = background_at(P13, r)
-        src = gt.ra(r) + calc.grad_scalar_frame(X.x_perp(r)) / np.sqrt(bg.rho2)
+        src = ra(r) + calc.grad_scalar_frame(X.x_perp(r)) / np.sqrt(bg.rho2)
         return (0.5 * bg.H_sc * y.reshape(-1, 2) - src).ravel()
 
     sol = solve_ivp(
@@ -283,7 +474,7 @@ class TestTangentialOdeRoute:
         X = build_gauge_field(gt, P13, calc)
         radii = np.linspace(X.r0, X.r1, 10)
         quad = X.x_tan(radii)
-        ode = tangential_ode(gt, X, calc, radii)
+        ode = tangential_ode(gt.ra, X, calc, radii)
         assert np.abs(quad - ode).max() <= 1e-9 * np.abs(quad).max()
 
     def test_flow_deformation(self):
@@ -293,7 +484,7 @@ class TestTangentialOdeRoute:
         X = build_gauge_field(gt, P13, calc)
         radii = np.linspace(X.r0, X.r1, 10)
         quad = X.x_tan(radii)
-        ode = tangential_ode(gt, X, calc, radii)
+        ode = tangential_ode(lambda r: flow_ra(gt, r), X, calc, radii)
         assert np.abs(quad - ode).max() <= 1e-9 * np.abs(quad).max()
 
 
@@ -421,12 +612,18 @@ class TestFlowOracle:
         gt = FlowLieDeformation(y_fn, P13, calc)
         # exact Chebyshev nodes first, then points between them
         radii = np.concatenate([gt._nodes[[0, 5, 16, 32]], [3.3, 4.1, 7.3, 11.9]])
-        for method in ("rr", "ra", "u", "cartesian"):
-            batched = getattr(gt, method)(radii)
-            scalar = np.stack([getattr(gt, method)(r) for r in radii])
+        methods = {
+            "rr": lambda r: evaluate(gt, "rr", r),
+            "ra": lambda r: evaluate(gt, "ra", r),
+            "u": gt.u,
+            "cartesian": gt.cartesian,
+        }
+        for method, fn in methods.items():
+            batched = fn(radii)
+            scalar = np.stack([fn(r) for r in radii])
             assert np.array_equal(batched[:4], scalar[:4]), method
             assert np.abs(batched - scalar).max() <= 1e-14 * np.abs(scalar).max(), method
-        assert np.array_equal(gt.rr(gt._nodes), gt._rr_tab)
+        assert np.array_equal(evaluate(gt, "rr", gt._nodes), gt._rr_tab)
         assert np.array_equal(gt.cartesian(gt._nodes), gt._lie_tab)
 
     def test_recovery_of_minus_y(self):
