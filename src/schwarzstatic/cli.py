@@ -598,11 +598,19 @@ def _cmd_mode(args) -> int:
     if not np.isfinite(args.a0):
         print("error: a0 must be finite", file=sys.stderr)
         return 1
+    if abs(args.a0) < sys.float_info.min:
+        # the mode is linear in a0, but a zero a0 is trivial data and a
+        # subnormal one has lost the digits that fix the verdict's sign
+        print(f"error: a0 must be a nonzero normal float, got a0={args.a0:g}", file=sys.stderr)
+        return 1
 
     try:
         ivp = make_ivp(params, args.ell, args.a0)
         sol = integrate_mode(ivp, r_max)
-    except (RuntimeError, ValueError) as exc:
+    except RuntimeError as exc:  # its message names the phase that failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: mode integration failed: {exc}", file=sys.stderr)
         return 2
     klass = classify(sol)

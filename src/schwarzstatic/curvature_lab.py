@@ -10,14 +10,24 @@ the exact background converges at 4th order.  gradient_components
 (gradient_scalar is its scalar case) assembles them into Cartesian
 gradients.
 
+Layout.  The public functions take and return node-major samples, (n_r, n,
+*components).  Inside, every stage keeps them component-major, (n_r, C, n)
+with the n nodes last, and holds a symmetric 3 x 3 tensor in symmetric
+storage, its upper triangle of 6 components.  The harmonic transforms then
+act on the (n_r C, n) rows as they lie, and every pointwise step (the
+cofactor inverse, lowering and raising the Christoffels, the Gamma Gamma
+terms, the Hessian and the Laplacian) is one einsum or a short sum over
+whole component slices, each looping over all n_r n points with the nodes
+innermost: no per-node 3 x 3 matrix product and no length-3 inner loop.
+
 The Ricci tensor forms only the contractions it needs.  christoffel
 differentiates the 6 distinct metric components g_(ij) and returns the 18
-distinct Gamma^a_(ij) in symmetric storage.  ricci_tensor
-differentiates the 18 distinct Gamma^a_(ij) and contracts each derivative
-direction with the upper index as soon as it is formed, giving the
-divergence d_a Gamma^a_ij without the 81-component gradient of all 27
-Gamma^a_ij; the trace Gamma^a_aj gets a gradient of its own.  The
-Gamma Gamma terms are batched matrix products.
+distinct Gamma^a_(ij).  In Ric_ij = d_a Gamma^a_ij - d_(i Gamma^a_|a|j)
++ Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj the two linear terms come
+from one batch of derivatives of the 18 Gamma^a_(ij), each direction
+contracted as soon as it is formed, so the 81-component gradient of all 27
+Gamma^a_ij is never stored; the derivatives of the trace Gamma^a_aj are
+traces of those derivatives.
 
 The linearization oracle is a complex step (Squire & Trapp, SIAM Rev. 40
 (1998) 110): the nonlinear operator T is evaluated once at q + i h d and
@@ -30,13 +40,27 @@ and the metric is inverted by cofactors, the adjugate over the determinant,
 which is rational in the samples: no pivoting, no abs and no conj.  The
 same determinant gives boundary_data its log-determinant as log(det), the
 principal branch, analytic near the positive real axis where every sampled
-metric's determinant lies.  The banded radial stencils, the harmonic
-transforms and the frame conversions only multiply samples by real weights
-and add them, so they act on the real and imaginary parts separately and
-keep T analytic.  The boundary rows sit on row 0, whose one-sided stencil
-reads the first 7 radii only, so the linearization evaluates boundary_data
-on those 7 radii.  This path never touches the hand-coded structure
-equations, which it exists to check.
+metric's determinant lies.
+
+The linear stages run on real arrays.  The banded radial stencils, the
+harmonic transforms and the frame assembly only multiply samples by real
+weights and add them, so they map real parts to real parts and imaginary
+parts to imaginary parts, and T stays analytic.  They take real float64
+samples: a complex operand (the metric, the potential and its gradient) goes
+through as one real batch, its real parts followed by its imaginary parts,
+and is joined back afterwards; no real table is cast to complex.  The
+Ricci tensor's two linear terms go through one such helper, _ricci_linear,
+which ricci_tensor and conformal_static_residual call on each real part
+present.  linearize_at_schwarzschild needs only Im Ric, and the imaginary
+part of a real-weight linear stage is that stage applied to the imaginary
+part alone, so it calls _ricci_linear on Im Gamma only.  This is exact: it
+is the very imaginary part the complex path computes, by the same
+operations in the same order, and the real part of those terms is never
+formed.  The Christoffels, the Gamma Gamma terms, the Hessian and the
+Laplacian need both parts and are the same code on both paths.  The
+boundary rows sit on row 0, whose one-sided stencil reads the first 7 radii
+only, so boundary_data reads those 7 radii and no more.  This path never
+touches the hand-coded structure equations, which it exists to check.
 
 oracle_combinations recombines a linearization into the values the five
 hand-coded structure residuals must take, staying on the oracle side of the
@@ -75,6 +99,8 @@ __all__ = [
 # the upper triangle, and _PAIR[i, j] is the entry that holds (i, j)
 _I, _J = np.triu_indices(3)
 _PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# how often each stored entry occurs among the 9 components
+_MULTIPLICITY = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
 
 
 @dataclass
@@ -114,6 +140,71 @@ def schwarzschild_samples(grid: LabGrid):
     return G, U
 
 
+def _sym(T: np.ndarray) -> np.ndarray:
+    """Node-major symmetric tensors (n_r, n, 3, 3) -> symmetric storage (n_r, 6, n)."""
+    return np.ascontiguousarray(np.moveaxis(T[..., _I, _J], -1, 1))
+
+
+def _full(s: np.ndarray) -> np.ndarray:
+    """Symmetric storage (n_r, 6, n) -> node-major tensors (n_r, n, 3, 3)."""
+    return np.ascontiguousarray(np.moveaxis(s[:, _PAIR], -1, 1))
+
+
+def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _derivatives(grid: LabGrid, f: np.ndarray) -> np.ndarray:
+    """Derivatives (3, n_r, C, n) of real samples (n_r, C, n) along the unit
+    directions normal, theta_hat and phi_hat: d/dr, d/dtheta / r and
+    d/dphi / (r sin theta), the C components stenciled and transformed as one
+    batch."""
+    calc = grid.calc
+    f = np.ascontiguousarray(f)  # rows of unit stride, as the transforms' BLAS products need
+    out = np.empty((3, *f.shape))
+    out[0] = apply_radial(f, grid.h, 1)
+    dt, dp = calc.angular_derivatives(f.reshape(-1, f.shape[-1]))
+    inv_r = 1.0 / grid.r[:, None, None]
+    np.multiply(dt.reshape(f.shape), inv_r, out=out[1])
+    np.multiply(dp.reshape(f.shape), inv_r / calc.sin_theta, out=out[2])
+    return out
+
+
+def _frame(calc: SphereCalc) -> np.ndarray:
+    """Cartesian components (direction, axis, n) of normal, theta_hat and phi_hat."""
+    return np.stack([calc.normal.T, calc.theta_hat.T, calc.phi_hat.T])
+
+
+def _spread(d: np.ndarray, calc: SphereCalc, out=None) -> np.ndarray:
+    """Cartesian gradient (n_r, C, 3, n) from unit-direction derivatives (3, n_r, C, n)."""
+    return np.einsum("drcn,dkn->rckn", d, _frame(calc), out=out)
+
+
+def _gradient(grid: LabGrid, f: np.ndarray) -> np.ndarray:
+    """Cartesian gradient of component-major samples: (n_r, C, n) -> (n_r, C, 3, n).
+
+    Complex samples go through the stencil and the transforms as one real
+    batch of 2C components, the real parts then the imaginary parts, each
+    half spread straight into its part of the complex result.
+    """
+    if not np.iscomplexobj(f):
+        return _spread(_derivatives(grid, f), grid.calc)
+    n_r, c, n = f.shape
+    d = _derivatives(grid, np.concatenate([f.real, f.imag], axis=1))
+    out = np.empty((n_r, c, 3, n), dtype=complex)
+    _spread(d[:, :, :c], grid.calc, out=out.real)
+    _spread(d[:, :, c:], grid.calc, out=out.imag)
+    return out
+
+
+def _symmetric_part(g: np.ndarray) -> np.ndarray:
+    """(g_ij + g_ji) / 2 in symmetric storage (n_r, 6, n) of (n_r, 3, 3, n)."""
+    return 0.5 * (g[:, _I, _J] + g[:, _J, _I])
+
+
 def gradient_scalar(grid: LabGrid, f: np.ndarray) -> np.ndarray:
     """Cartesian gradient of scalar samples (n_r, n) -> (n_r, n, 3)."""
     return gradient_components(grid, f)
@@ -121,37 +212,45 @@ def gradient_scalar(grid: LabGrid, f: np.ndarray) -> np.ndarray:
 
 def gradient_components(grid: LabGrid, field: np.ndarray) -> np.ndarray:
     """Componentwise Cartesian gradient: (n_r, n, *c) -> (n_r, n, *c, 3)."""
-    tail = field.shape[2:]
-    calc = grid.calc
-    flat = field.reshape(grid.n_r, calc.n_nodes, -1)
-    dr = np.moveaxis(apply_radial(flat, grid.h, 1), -1, 0)
-    dt, dp = calc.angular_derivatives(np.moveaxis(flat, -1, 0))
-    inv_r = 1.0 / grid.r[None, :, None]
-    g = (
-        dr[..., None] * calc.normal
-        + (dt * inv_r)[..., None] * calc.theta_hat
-        + (dp * inv_r / calc.sin_theta)[..., None] * calc.phi_hat
-    )  # (C, n_r, n, 3)
-    g = np.moveaxis(g, 0, -2)
-    return g.reshape(grid.n_r, calc.n_nodes, *tail, 3)
+    n_r, n = grid.n_r, grid.calc.n_nodes
+    g = _gradient(grid, np.moveaxis(field.reshape(n_r, n, -1), -1, 1))
+    return np.moveaxis(g, -1, 1).reshape(n_r, n, *field.shape[2:], 3)
 
 
-def _inverse_sym3(G: np.ndarray):
-    """Inverse and determinant of symmetric 3 x 3 samples (..., 3, 3).
+def _inverse_sym3(g: np.ndarray):
+    """Inverse and determinant of symmetric 3 x 3 samples in symmetric
+    storage (..., 6, n): the inverse in symmetric storage and det (..., n).
 
-    The adjugate over the determinant, read from the upper triangle: rational
-    in the entries, so a complex step through it stays analytic.  Raises
-    ValueError before dividing where Re det <= 0.
+    The adjugate over the determinant: rational in the entries, so a complex
+    step through it stays analytic.  Raises ValueError before dividing where
+    Re det <= 0.
     """
-    a, b, c, d, e, f = np.moveaxis(G[..., _I, _J], -1, 0)
+    a, b, c, d, e, f = np.moveaxis(g, -2, 0)
     cof = np.stack(
         [d * f - e * e, c * e - b * f, b * e - c * d, a * f - c * c, b * c - a * e, a * d - b * b],
-        axis=-1,
+        axis=-2,
     )
-    det = a * cof[..., 0] + b * cof[..., 1] + c * cof[..., 2]
+    det = a * cof[..., 0, :] + b * cof[..., 1, :] + c * cof[..., 2, :]
     if np.any(det.real <= 0):
         raise ValueError("metric lost positive definiteness")
-    return (cof / det[..., None])[..., _PAIR], det
+    return cof / det[..., None, :], det
+
+
+# (component q, direction k) in the gradient of g_(q) of the three terms of
+# Gamma_b(ij), row b, column p = (i, j): d_i g_bj, d_j g_bi and d_b g_ij
+_DI_GBJ = (_PAIR[:, _J], np.broadcast_to(_I, (3, 6)))
+_DJ_GBI = (_PAIR[:, _I], np.broadcast_to(_J, (3, 6)))
+_DB_GIJ = (np.broadcast_to(np.arange(6), (3, 6)), np.arange(3)[:, None].repeat(6, axis=1))
+
+
+def _christoffel(grid: LabGrid, g: np.ndarray):
+    """Gamma^a_(ij) (n_r, a, 6, n) and the inverse metric (n_r, 6, n) of
+    metric samples g_(ij) (n_r, 6, n)."""
+    ginv, _ = _inverse_sym3(g)
+    dg = _gradient(grid, g)  # [:, q, k] = d_k g_q
+    lower = dg[:, _DI_GBJ[0], _DI_GBJ[1]] + dg[:, _DJ_GBI[0], _DJ_GBI[1]]
+    lower -= dg[:, _DB_GIJ[0], _DB_GIJ[1]]  # [:, b, p]
+    return 0.5 * np.einsum("rabn,rbpn->rapn", ginv[:, _PAIR], lower), ginv
 
 
 def christoffel(grid: LabGrid, G: np.ndarray):
@@ -162,37 +261,45 @@ def christoffel(grid: LabGrid, G: np.ndarray):
     differentiated, and only the 6 distinct columns (ij) of
     d_i g_bj + d_j g_bi - d_b g_ij are formed and raised.
     """
-    ginv, _ = _inverse_sym3(G)
-    dG = gradient_components(grid, G[..., _I, _J])  # [..., q, k] = d_k g_q
-    lower = (dG[..., _DI_GBJ[0], _DI_GBJ[1]] + dG[..., _DJ_GBI[0], _DJ_GBI[1]]
-             - dG[..., _DB_GIJ[0], _DB_GIJ[1]])  # [..., b, p]
-    return 0.5 * (ginv @ lower), ginv
+    gamma, ginv = _christoffel(grid, _sym(G))
+    return np.ascontiguousarray(np.moveaxis(gamma, -1, 1)), _full(ginv)
 
 
-# (component, direction) in the gradient of g_(q) of the three terms of
-# Gamma_b(ij), row b, column p = (i, j): d_i g_bj, d_j g_bi and d_b g_ij
-_DI_GBJ = (_PAIR[:, _J], np.broadcast_to(_I, (3, 6)))
-_DJ_GBI = (_PAIR[:, _I], np.broadcast_to(_J, (3, 6)))
-_DB_GIJ = (np.broadcast_to(np.arange(6), (3, 6)), np.arange(3)[:, None].repeat(6, axis=1))
+def _trace(gamma: np.ndarray) -> np.ndarray:
+    """Gamma^a_aj (n_r, 3, n) of Gamma^a_(ij) (n_r, a, 6, n)."""
+    return gamma[:, 0, _PAIR[0]] + gamma[:, 1, _PAIR[1]] + gamma[:, 2, _PAIR[2]]
 
 
-def _christoffel_divergence(grid: LabGrid, sym: np.ndarray) -> np.ndarray:
-    """d_a Gamma^a_ij (n_r, n, 6) in symmetric storage, from (n_r, n, a, 6).
+def _ricci_linear(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
+    """d_a Gamma^a_ij - d_(i Gamma^a_|a|j) (n_r, 6, n) of real Gamma^a_(ij) (n_r, a, 6, n).
 
-    The 18 distinct Gamma^a_(ij) are differentiated once; each derivative
-    direction (d/dr along the normal, d/dtheta / r along theta_hat and
-    d/dphi / (r sin theta) along phi_hat) is contracted with the a slot as
-    soon as it is formed, so no (..., 3) gradient axis is ever stored.
+    The 18 Gamma^a_(ij) are differentiated once, as one real batch.  Each
+    direction is contracted with the a slot as soon as it is formed, and the
+    derivatives of the trace Gamma^a_aj are the traces of those derivatives,
+    so only the trace gets a Cartesian gradient.
     """
-    calc = grid.calc
-    flat = sym.reshape(grid.n_r, calc.n_nodes, 18)
-    dr = apply_radial(flat, grid.h, 1).reshape(sym.shape)
-    dt, dp = calc.angular_derivatives(np.moveaxis(flat, -1, 0))
-    dt, dp = dt.reshape(3, 6, *flat.shape[:2]), dp.reshape(3, 6, *flat.shape[:2])
-    n, th, ph = calc.normal, calc.theta_hat, calc.phi_hat / calc.sin_theta[:, None]
-    div = sum(dr[:, :, a] * n[:, a, None] for a in range(3))
-    tangential = sum(dt[a] * th[:, a] + dp[a] * ph[:, a] for a in range(3))  # (p, n_r, n)
-    return div + np.moveaxis(tangential, 0, -1) / grid.r[:, None, None]
+    n_r, _, _, n = gamma.shape
+    d = _derivatives(grid, gamma.reshape(n_r, 18, n)).reshape(3, n_r, 3, 6, n)
+    div = np.einsum("drapn,dan->rpn", d, _frame(grid.calc))
+    dtrace = _trace(d.reshape(3 * n_r, 3, 6, n)).reshape(3, n_r, 3, n)
+    return div - _symmetric_part(_spread(dtrace, grid.calc))  # [:, j, i] = d_i tr_j
+
+
+def _ricci_quadratic(gamma: np.ndarray) -> np.ndarray:
+    """Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj (n_r, 6, n) of Gamma^a_(ij) (n_r, a, 6, n)."""
+    full = gamma[:, :, _PAIR]  # [:, a, i, j]
+    out = np.einsum("ran,rapn->rpn", _trace(gamma), gamma)
+    out -= np.einsum("raibn,rbajn->rijn", full, full)[:, _I, _J]
+    return out
+
+
+def _ricci(grid: LabGrid, g: np.ndarray):
+    """Ric_(ij) (n_r, 6, n), Gamma^a_(ij) and the inverse metric of g_(ij) (n_r, 6, n)."""
+    gamma, ginv = _christoffel(grid, g)
+    linear = _ricci_linear(grid, gamma.real)
+    if np.iscomplexobj(gamma):
+        linear = _join(linear, _ricci_linear(grid, gamma.imag))
+    return linear + _ricci_quadratic(gamma), gamma, ginv
 
 
 def ricci_tensor(grid: LabGrid, G: np.ndarray):
@@ -201,20 +308,12 @@ def ricci_tensor(grid: LabGrid, G: np.ndarray):
 
     Ric_ij = d_a Gamma^a_ij - d_(i Gamma^a_|a|j) + Gamma^a_ab Gamma^b_ij
     - Gamma^a_ib Gamma^b_aj: only the divergence of the Christoffels and the
-    gradient of their trace are formed, never the full gradient.  The
-    Christoffels are expanded from symmetric storage for the trace and the
-    Gamma Gamma terms only.
+    gradient of their trace are formed, never the full gradient, and the
+    linear terms are taken on the real and imaginary parts separately.
     """
-    sym, ginv = christoffel(grid, G)
-    gamma = sym[..., _PAIR]
-    trace = np.einsum("...aaj->...j", gamma)  # Gamma^a_aj
-    dtrace = gradient_components(grid, trace)  # [..., j, i] = d_i Gamma^a_aj
-    ric = _christoffel_divergence(grid, sym)[..., _PAIR] - dtrace
-    ric += (trace[..., None, :] @ gamma.reshape(*G.shape[:-2], 3, 9)).reshape(G.shape)
-    s = np.swapaxes(gamma, -3, -2).copy()  # s[..., i, a, b] = Gamma^a_ib
-    ric -= s.reshape(*G.shape[:-2], 3, 9) @ s.reshape(*G.shape[:-2], 9, 3)
-    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))  # mixed-partial symmetrization
-    return ric, gamma, ginv
+    ric, gamma, ginv = _ricci(grid, _sym(G))
+    gamma = np.ascontiguousarray(np.moveaxis(gamma[:, :, _PAIR], -1, 1))
+    return _full(ric), gamma, _full(ginv)
 
 
 def _check_metric(G: np.ndarray):
@@ -224,6 +323,14 @@ def _check_metric(G: np.ndarray):
         raise ValueError("metric not positive definite at some node") from exc
 
 
+def _potential_terms(grid: LabGrid, gamma: np.ndarray, ginv: np.ndarray, U: np.ndarray):
+    """2 du (x) du (n_r, 6, n) and Lap_g u (n_r, n) of potential samples
+    U (n_r, n), given Gamma^a_(ij) and the inverse metric."""
+    du = _gradient(grid, U[:, None])[:, 0]  # (n_r, i, n)
+    hess = _symmetric_part(_gradient(grid, du)) - np.einsum("rapn,ran->rpn", gamma, du)
+    return 2.0 * du[:, _I] * du[:, _J], np.einsum("rpn,rpn,p->rn", ginv, hess, _MULTIPLICITY)
+
+
 def conformal_static_residual(grid: LabGrid, G: np.ndarray, U: np.ndarray):
     """(Ric_g - 2 du (x) du, Lap_g u) on the grid.
 
@@ -231,14 +338,12 @@ def conformal_static_residual(grid: LabGrid, G: np.ndarray, U: np.ndarray):
     metric loses positive definiteness.
     """
     _check_metric(G)
-    ric, gamma, ginv = ricci_tensor(grid, G)
-    du = gradient_scalar(grid, U)
-    d2u = gradient_components(grid, du)
-    d2u = 0.5 * (d2u + np.swapaxes(d2u, -1, -2))
-    hess = d2u - np.einsum("...aij,...a->...ij", gamma, du)
-    lap = np.einsum("...ij,...ij->...", ginv, hess)
-    ric_row = ric - 2.0 * np.einsum("...i,...j->...ij", du, du)
-    return ric_row, lap
+    ric, gamma, ginv = _ricci(grid, _sym(G))
+    dudu, lap = _potential_terms(grid, gamma, ginv, U)
+    return _full(ric - dudu), lap
+
+
+_EDGE_ROWS = 7  # the boundary rows sit on row 0, whose fd.apply_radial edge block reads f[:7]
 
 
 def boundary_data(grid: LabGrid, G: np.ndarray, U: np.ndarray):
@@ -246,23 +351,24 @@ def boundary_data(grid: LabGrid, G: np.ndarray, U: np.ndarray):
 
     Returns (tau, h): tau are frame components of e^(-2u) g restricted to the
     boundary sphere, h = e^u (H_g - 2 nu(u)) with nu the g-unit normal of the
-    foliation pointing to infinity and H_g its g-divergence.
+    foliation pointing to infinity and H_g its g-divergence.  The rows read
+    the first 7 radii only, the reach of row 0's one-sided stencil, so they
+    are the same, bit for bit, on any grid that shares those radii.
     """
     calc = grid.calc
-    ginv, det = _inverse_sym3(G)
-    raw = np.einsum("rnij,nj->rni", ginv, calc.normal)
-    norm = np.sqrt(np.einsum("rni,ni->rn", raw, calc.normal))
-    nu = raw / norm[..., None]
+    grid = LabGrid(grid.params, calc, grid.r[:_EDGE_ROWS])
+    G, U = G[:_EDGE_ROWS], U[:_EDGE_ROWS]
+    normal = calc.normal.T
+    ginv, det = _inverse_sym3(_sym(G))
+    raw = np.einsum("rijn,jn->rin", ginv[:, _PAIR], normal)
+    nu = raw / np.sqrt(np.einsum("rin,in->rn", raw, normal))[:, None]
 
-    logdet = np.log(det)
-    dnu = gradient_components(grid, nu)  # [..., i, k] = d_k nu^i
-    div = np.einsum("rnii->rn", dnu)
-    dhalf = gradient_scalar(grid, 0.5 * logdet)
-    div += np.einsum("rni,rni->rn", nu, dhalf)
-
-    du = gradient_scalar(grid, U)
-    nu_u = np.einsum("rni,rni->rn", nu, du)
-    h_row = np.exp(U[0]) * (div[0] - 2.0 * nu_u[0])
+    # one gradient of (nu^i, log(det) / 2, u), read on row 0
+    d = _gradient(grid, np.concatenate([nu, 0.5 * np.log(det)[:, None], U[:, None]], axis=1))[0]
+    div = d[0, 0] + d[1, 1] + d[2, 2]
+    div += nu[0, 0] * d[3, 0] + nu[0, 1] * d[3, 1] + nu[0, 2] * d[3, 2]
+    nu_u = nu[0, 0] * d[4, 0] + nu[0, 1] * d[4, 1] + nu[0, 2] * d[4, 2]
+    h_row = np.exp(U[0]) * (div - 2.0 * nu_u)
 
     r0, m = grid.params.r0, grid.params.m
     _, _, tau = calc.adapted_components(G[0], r0 / np.sqrt(r0 * (r0 - 2.0 * m)))
@@ -271,7 +377,6 @@ def boundary_data(grid: LabGrid, G: np.ndarray, U: np.ndarray):
 
 
 _H = 1e-20  # complex step: no cancellation, so it need not balance truncation
-_EDGE_ROWS = 7  # the boundary rows sit on row 0, whose fd.apply_radial edge block reads f[:7]
 
 
 @dataclass
@@ -285,16 +390,26 @@ class LinearizedLc:
 
 
 def linearize_at_schwarzschild(grid: LabGrid, direction: DeformationField) -> LinearizedLc:
-    """Complex-step directional linearization at the background pair."""
+    """Complex-step directional linearization at the background pair.
+
+    The samples are the background plus i h times the direction.  Only the
+    imaginary parts of the rows are read, so the Ricci tensor's linear terms
+    are taken on Im Gamma alone (see the module docstring); the Christoffels,
+    the Gamma Gamma terms, the potential rows and the boundary rows are the
+    complex evaluation of conformal_static_residual and boundary_data.  The
+    real part is the background, so the Cholesky check is not repeated; the
+    cofactor inverse still refuses Re det <= 0.
+    """
     G0, U0 = schwarzschild_samples(grid)
     G = G0 + 1j * _H * direction.cartesian(grid.r)
     U = U0 + 1j * _H * direction.u(grid.r)
-    edge = LabGrid(grid.params, grid.calc, grid.r[:_EDGE_ROWS])
-    rows = (
-        *conformal_static_residual(grid, G, U),
-        *boundary_data(edge, G[:_EDGE_ROWS], U[:_EDGE_ROWS]),
+    gamma, ginv = _christoffel(grid, _sym(G))
+    ric = _ricci_linear(grid, gamma.imag) + _ricci_quadratic(gamma).imag
+    dudu, lap = _potential_terms(grid, gamma, ginv, U)
+    tau, h_row = boundary_data(grid, G, U)
+    return LinearizedLc(
+        _full(ric - dudu.imag) / _H, lap.imag / _H, tau.imag / _H, h_row.imag / _H
     )
-    return LinearizedLc(*(row.imag / _H for row in rows))
 
 
 def adapted_frame_components(grid: LabGrid, T: np.ndarray):

@@ -175,8 +175,11 @@ def build_gauge_field(
     (and likewise g~(dr, e_A)), basis(r) of shape r.shape + (J,) and shapes
     of shape (J, n) or (J, n, 2); DeformationField and FlowLieDeformation do.
     The window [r0, r1] (r1 defaults to 4 r0) is split into n_cells equal
-    cells.  rtol and atol are accepted for old callers and ignored: both
-    components are quadratures with no solver tolerance.
+    cells.  A deformation known only out to some radius names it as gt.r1
+    (FlowLieDeformation: its last shell, 4 r0); a window reaching past it
+    raises ValueError here, once, rather than letting the quadrature read
+    an extrapolation.  rtol and atol are accepted for old callers and
+    ignored: both components are quadratures with no solver tolerance.
     """
     for name, value in (("rtol", rtol), ("atol", atol)):
         if value is not None:
@@ -193,6 +196,9 @@ def build_gauge_field(
         r1 = 4.0 * r0
     if not (np.isfinite(r1) and r1 > r0):
         raise ValueError(f"need a finite r1 > r0 = {r0}, got r1={r1}")
+    known = getattr(gt, "r1", np.inf)
+    if r1 > known:
+        raise ValueError(f"r1={r1} lies beyond the deformation's outer radius {known}")
 
     rr_basis, rr_shapes = gt.separated("rr")
     ra_basis, ra_shapes = gt.separated("ra")
@@ -377,12 +383,15 @@ class FlowLieDeformation:
     weights w_j, so the deformation is already in separated form: cartesian
     and u read the weights, and separated("rr") and separated("ra") return
     them with the table's unit-frame projections as shapes (the projection
-    is linear), for a scalar radius or an array of radii.
+    is linear), for a scalar radius or an array of radii.  r1 is the last
+    shell: past it the interpolant extrapolates, so build_gauge_field
+    refuses a window beyond it.
     """
 
     def __init__(self, y_fn, params: SchwarzschildParams, calc: SphereCalc):
         r0 = params.r0
         r1 = _FLOW_R1 * r0
+        self.r1 = r1
         self.y_fn = y_fn
         self.params = params
         self.calc = calc

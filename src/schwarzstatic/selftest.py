@@ -24,7 +24,7 @@ from .curvature_lab import (
 from .fields import random_deformation
 from .gauge import GEODESIC_GAUGE_TOL, apply_gauge, build_gauge_field
 from .harmonics import make_grid
-from .modes import integrate_mode, make_ivp
+from .modes import integrate_modes, make_ivp
 from .sphere_ops import SphereCalc
 from .structure import FoliationDeformation, decoupled_residual, structure_residuals
 
@@ -152,9 +152,13 @@ def _suite_mode_pde(rng) -> SuiteResult:
     from .harmonics import mode_position
 
     worst = 0.0
-    for ell in (0, 2):
-        ivp = make_ivp(params, ell, 1.0)
-        sol = integrate_mode(ivp, 6.0, k_div=np.inf, rtol=3e-14, atol=1e-16)
+    ells = (0, 2)
+    # one lockstep batch; each lane rounds exactly as it would alone
+    sols = integrate_modes([make_ivp(params, ell, 1.0) for ell in ells], [6.0] * len(ells),
+                           rtol=3e-14, atol=1e-16, k_div=np.inf)
+    for ell, sol in zip(ells, sols):
+        if isinstance(sol, Exception):
+            raise sol
         r = np.linspace(3.0, 3.6, 321)
         a, da = sol.eval(r)
         y = calc.grid.Y[:, mode_position(ell, min(ell, 1))]

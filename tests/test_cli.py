@@ -478,6 +478,9 @@ class TestMainEntry:
             pytest.param(["--ell", "-1"], 1, id="negative-ell"),
             pytest.param(["--r-max-factor", "0.5"], 1, id="r-max-factor-below-one"),
             pytest.param(["--a0", "nan"], 1, id="nan-a0"),
+            pytest.param(["--a0", "0"], 1, id="zero-a0"),
+            pytest.param(["--a0", "5e-324"], 1, id="subnormal-a0"),
+            pytest.param(["--a0=-1e-310"], 1, id="negative-subnormal-a0"),
             pytest.param(["--r-max-factor", "inf"], 1, id="infinite-r-max-factor"),
             pytest.param(["--r-max-factor", "1e300"], 2, id="solver-failure"),
         ],
@@ -489,6 +492,30 @@ class TestMainEntry:
         ) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_mode_cli_solver_failure_names_itself_once(self, tmp_path, capsys):
+        # the lockstep gives up just outside the horizon; modes already
+        # prefixes the message with the phase that failed
+        assert cli.main(
+            ["mode", "--m", "1", "--r0", "2.000000000001", "--ell", "3",
+             "--out-dir", str(tmp_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert err.startswith("error: mode integration failed: ")
+        assert err.count("integration failed") == 1
+
+    def test_mode_cli_tiny_normal_a0_keeps_the_class(self, tmp_path, capsys):
+        # the problem is linear in a0: the smallest normal scale must not
+        # change the verdict that a0 = 1 gives
+        classes = []
+        for a0 in ("1", "1e-300"):
+            assert cli.main(
+                ["mode", "--m", "1", "--r0", "3", "--ell", "2", "--a0", a0,
+                 "--out-dir", str(tmp_path)]
+            ) == 0
+            classes.append(capsys.readouterr().out.split(": ")[1].split()[0])
+        assert classes == ["DivergesPlus", "DivergesPlus"]
 
     def test_mode_cli_integrates_once(self, tmp_path, monkeypatch):
         calls = []

@@ -169,9 +169,12 @@ class TestNonlinearResidual:
 class TestMetricInverse:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_cofactor_inverse_matches_lapack_complex_step(self, grid, seed):
+        # _inverse_sym3 reads and returns symmetric storage (n_r, 6, n): the
+        # upper triangle, component-major
         G, _ = complex_step_samples(grid, random_direction(grid, seed))
-        ginv, det = _inverse_sym3(G)
-        expect = np.linalg.inv(G)
+        upper = np.triu_indices(3)
+        ginv, det = _inverse_sym3(np.moveaxis(G[..., upper[0], upper[1]], -1, 1))
+        expect = np.moveaxis(np.linalg.inv(G)[..., upper[0], upper[1]], -1, 1)
         # real part: the background inverse; imaginary part: H_STEP times its
         # linearization, so each is compared on its own scale
         for part in (np.real, np.imag):
@@ -281,6 +284,28 @@ class TestLinearization:
             got = getattr(lc, attr)
             scale = max(np.abs(expect).max(), 1e-10)
             assert np.abs(got - expect).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "params", [P13, SchwarzschildParams(m=-0.5, r0=1.2)], ids=["P13", "negative-mass"]
+    )
+    def test_rows_are_the_imaginary_part_of_the_complex_evaluation(self, params, seed):
+        # the linearization takes the Ricci tensor's linear terms on Im Gamma
+        # alone; its rows must be Im / h of the full complex evaluation of
+        # the public residual and boundary maps at the same samples
+        grid = make_lab_grid(params, n_r=49, calc=SphereCalc(l_max=8))
+        direction = random_direction(grid, seed)
+        lin = linearize_at_schwarzschild(grid, direction)
+        G, U = complex_step_samples(grid, direction)
+        rows = (*conformal_static_residual(grid, G, U), *boundary_data(grid, G, U))
+        names = ("ric_row", "lap_row", "boundary_tau", "boundary_h")
+        for name, row in zip(names, rows):
+            expect = row.imag / H_STEP
+            got = getattr(lin, name)
+            assert got.shape == expect.shape, name
+            scale = np.abs(expect).max()
+            assert scale > 0.0, name
+            assert np.abs(got - expect).max() <= 1e-12 * scale, name
 
     def test_boundary_tau_row_of_gauge_fixed_direction(self, grid):
         # for u~ = 0 the linearized tau row is e^{-2 u_sc} g~^T in the frame

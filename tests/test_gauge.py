@@ -626,6 +626,21 @@ class TestFlowOracle:
         assert np.array_equal(evaluate(gt, "rr", gt._nodes), gt._rr_tab)
         assert np.array_equal(gt.cartesian(gt._nodes), gt._lie_tab)
 
+    def test_window_beyond_the_last_shell_is_rejected(self):
+        # the shells end at 4 r0 = 12; past them the barycentric interpolant
+        # extrapolates (a window to r1 = 24 read x_perp off by 174 at r = 14
+        # and nan at r = 20), so the build refuses such a window
+        calc = SphereCalc(l_max=4)
+        y_fn, _ = make_test_vector_field(P13)
+        gt = FlowLieDeformation(y_fn, P13, calc)
+        assert gt.r1 == 4.0 * P13.r0
+        with pytest.raises(ValueError, match="beyond"):
+            build_gauge_field(gt, P13, calc, r1=24.0)
+        with pytest.raises(ValueError, match="beyond"):
+            build_gauge_field(gt, P13, calc, r1=np.nextafter(gt.r1, np.inf))
+        X = build_gauge_field(gt, P13, calc, r1=gt.r1, n_cells=8)
+        assert np.isfinite(X.x_perp(np.linspace(P13.r0, gt.r1, 5))).all()
+
     def test_recovery_of_minus_y(self):
         # uniqueness: feeding L_Y g_sc recovers X = -Y
         calc = SphereCalc(l_max=6)
