@@ -151,6 +151,7 @@ def _full(s: np.ndarray) -> np.ndarray:
 
 
 def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, each part copied exactly."""
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = im
