@@ -2,9 +2,13 @@
 
 Exit codes: 0 all verified, 1 configuration or usage error, 2 verification
 failure (a decaying or undetermined mode anywhere, or a failed self-test
-suite).  Output files use shortest round-trip float formatting, UTF-8, LF,
-and a fixed record order, so identical configurations reproduce identical
-bytes up to the measured times (wall_time_s, integrate_s, classify_s).
+suite).  One place maps failures to exit codes: the commands raise, and
+main alone prints the error line and picks the code, 1 for bad input
+(ConfigError) or output it cannot write (OSError), 2 for a failed mode
+integration (SolverError), and 1, silently, for a closed stdout.  Output
+files use shortest round-trip float formatting, UTF-8, LF, and a fixed
+record order, so identical configurations reproduce identical bytes up to
+the measured times (wall_time_s, integrate_s, classify_s).
 
 A sweep integrates its modes in batches: one contiguous chunk of the task
 list per job, and per chunk one integrate_modes call (stepping, then one
@@ -75,6 +79,10 @@ class ConfigError(ValueError):
     """Invalid sweep configuration (maps to exit code 1)."""
 
 
+class SolverError(Exception):
+    """A mode integration that failed (maps to exit code 2)."""
+
+
 def _config_float(key: str, value) -> float:
     """A config number as a float; JSON true/false are rejected, not read as 1/0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -83,6 +91,16 @@ def _config_float(key: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{key}: expected a finite number, got {value!r}") from None
+
+
+def _outer_radius(r_max_factor: float, r0: float) -> float:
+    """r_max_factor * r0; ConfigError unless it is finite and r_max_factor > 1."""
+    r_max = r_max_factor * r0
+    if not (r_max_factor > 1.0 and np.isfinite(r_max)):
+        raise ConfigError(
+            f"r_max_factor must exceed 1 and r_max_factor * r0 be finite,"
+            f" got r_max_factor={r_max_factor!r} at r0={r0!r}")
+    return r_max
 
 
 @dataclass
@@ -127,13 +145,7 @@ class SweepConfig:
                     f" for m={m!r}, offset={delta!r}")
         if self.ell_max < 0:
             raise ConfigError("ell_max must be nonnegative")
-        if not 1.0 < self.r_max_factor < np.inf:
-            raise ConfigError("r_max_factor must be finite and exceed 1")
-        r0_max = max(r0 for _, _, r0 in self._boundaries())
-        if not np.isfinite(self.r_max_factor * r0_max):
-            raise ConfigError(
-                f"r_max_factor * r0 must be finite, got r_max_factor={self.r_max_factor!r}"
-                f" at r0={r0_max!r}")
+        _outer_radius(self.r_max_factor, max(r0 for _, _, r0 in self._boundaries()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -141,7 +153,10 @@ class SweepConfig:
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a value of the wrong shape, such as a number for a list
+            raise ConfigError(str(exc)) from None
 
     def _boundaries(self):
         """(m, offset, r0) of every boundary sphere, in record order."""
@@ -462,6 +477,8 @@ def _float_list(text: str) -> list[float]:
 
 
 def _build_parser() -> _Parser:
+    from .selftest import KNOWN_MUTATIONS
+
     parser = _Parser(
         prog="schwarzstatic",
         description=(
@@ -485,7 +502,7 @@ def _build_parser() -> _Parser:
     selftest = sub.add_parser("selftest", help="run the verification suites")
     selftest.add_argument("--refine", action="store_true",
                           help="add the grid-refinement convergence suite")
-    selftest.add_argument("--mutate", help="plant a known fault (e.g. dg4-sign)")
+    selftest.add_argument("--mutate", choices=KNOWN_MUTATIONS, help="plant a known fault")
     selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--json", action="store_true",
                           help="print one JSON object with every suite and its wall time")
@@ -521,12 +538,10 @@ def _cmd_sweep(args) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 1
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
-            print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
-            return 1
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     overrides = {
         "masses": args.masses,
         "r0_offsets": args.deltas,
@@ -534,22 +549,14 @@ def _cmd_sweep(args) -> int:
         "r_max_factor": args.r_max_factor,
     }
     data.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        config = SweepConfig.from_dict(data)
-    except (ConfigError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = SweepConfig.from_dict(data)
 
-    try:
-        _make_out_dir(args.out_dir)
-        t0 = time.perf_counter()
-        report = run_sweep(config, jobs=args.jobs,
-                           profile_dir=args.out_dir if args.profile else None)
-        elapsed = time.perf_counter() - t0
-        paths = emit(report, args.out_dir)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    _make_out_dir(args.out_dir)
+    t0 = time.perf_counter()
+    report = run_sweep(config, jobs=args.jobs,
+                       profile_dir=args.out_dir if args.profile else None)
+    elapsed = time.perf_counter() - t0
+    paths = emit(report, args.out_dir)
     for rec in report.records:
         if not rec.passed:
             print(
@@ -563,11 +570,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     _check_seed(args.seed)
-    try:
-        report = run_selftest(seed=args.seed, refine=args.refine, mutate=args.mutate)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_selftest(seed=args.seed, refine=args.refine, mutate=args.mutate)
     if args.json:
         print(json.dumps({
             "passed": report.passed,
@@ -585,41 +588,26 @@ def _cmd_mode(args) -> int:
     try:
         params = SchwarzschildParams(m=args.m, r0=args.r0)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(str(exc)) from None
     if args.ell < 0:
-        print("error: degree must be nonnegative", file=sys.stderr)
-        return 1
-    r_max = args.r_max_factor * params.r0
-    if not (args.r_max_factor > 1.0 and np.isfinite(r_max)):
-        print("error: r_max_factor must exceed 1 and r_max_factor * r0 be finite",
-              file=sys.stderr)
-        return 1
+        raise ConfigError("degree must be nonnegative")
+    r_max = _outer_radius(args.r_max_factor, params.r0)
     if not np.isfinite(args.a0):
-        print("error: a0 must be finite", file=sys.stderr)
-        return 1
+        raise ConfigError("a0 must be finite")
     if abs(args.a0) < sys.float_info.min:
         # the mode is linear in a0, but a zero a0 is trivial data and a
         # subnormal one has lost the digits that fix the verdict's sign
-        print(f"error: a0 must be a nonzero normal float, got a0={args.a0:g}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"a0 must be a nonzero normal float, got a0={args.a0:g}")
 
     try:
-        ivp = make_ivp(params, args.ell, args.a0)
-        sol = integrate_mode(ivp, r_max)
+        sol = integrate_mode(make_ivp(params, args.ell, args.a0), r_max)
     except RuntimeError as exc:  # its message names the phase that failed
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SolverError(str(exc)) from None
     except ValueError as exc:
-        print(f"error: mode integration failed: {exc}", file=sys.stderr)
-        return 2
+        raise SolverError(f"mode integration failed: {exc}") from None
     klass = classify(sol)
-    try:
-        _make_out_dir(args.out_dir)
-        path = _write_profile(args.out_dir, sol)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    _make_out_dir(args.out_dir)
+    path = _write_profile(args.out_dir, sol)
     print(
         f"mode (m={args.m:g}, r0={args.r0:g}, ell={args.ell}): {klass.kind.value}"
         f" fitted_limit={klass.fitted_limit:.6g}"
@@ -633,8 +621,7 @@ def _cmd_match_round(args) -> int:
     try:
         match = match_round_data(RoundData(rho=args.rho, h=args.h))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(str(exc)) from None
     if args.json:
         print(
             json.dumps(
@@ -658,9 +645,7 @@ def _cmd_gauge_test(args) -> int:
 
     _check_seed(args.seed)
     if not 0 <= args.l_band <= GAUGE_TEST_MAX_L_BAND:
-        print(f"error: --l-band must lie in 0..{GAUGE_TEST_MAX_L_BAND}, got {args.l_band}",
-              file=sys.stderr)
-        return 1
+        raise ConfigError(f"--l-band must lie in 0..{GAUGE_TEST_MAX_L_BAND}, got {args.l_band}")
     rng = np.random.default_rng(args.seed)
     params = SchwarzschildParams(m=1.0, r0=3.0)
     calc = SphereCalc(l_max=max(6, args.l_band + 2))
@@ -676,19 +661,27 @@ def _cmd_gauge_test(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps its failures to exit codes."""
     args = _build_parser().parse_args(argv)
+    handler = {"sweep": _cmd_sweep, "selftest": _cmd_selftest, "mode": _cmd_mode,
+               "match-round": _cmd_match_round, "gauge-test": _cmd_gauge_test}[args.command]
     try:
-        handler = {
-            "sweep": _cmd_sweep,
-            "selftest": _cmd_selftest,
-            "mode": _cmd_mode,
-            "match-round": _cmd_match_round,
-            "gauge-test": _cmd_gauge_test,
-        }[args.command]
-        return handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the recipe of the signal module's note on SIGPIPE: what is still
+        # buffered goes to devnull, so nothing is reported at exit either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        message, code = f"cannot write output: {exc}", 1
+    except ConfigError as exc:
+        message, code = exc, 1
+    except SolverError as exc:
+        message, code = exc, 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

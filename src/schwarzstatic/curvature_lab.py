@@ -20,9 +20,9 @@ terms, the Hessian and the Laplacian) is one einsum or a short sum over
 whole component slices, each looping over all n_r n points with the nodes
 innermost: no per-node 3 x 3 matrix product and no length-3 inner loop.
 
-The Ricci tensor forms only the contractions it needs.  christoffel
-differentiates the 6 distinct metric components g_(ij) and returns the 18
-distinct Gamma^a_(ij).  In Ric_ij = d_a Gamma^a_ij - d_(i Gamma^a_|a|j)
+The Ricci tensor forms only the contractions it needs.  Only the 6
+distinct metric components g_(ij) are differentiated, into the 18 distinct
+Gamma^a_(ij).  In Ric_ij = d_a Gamma^a_ij - d_(i Gamma^a_|a|j)
 + Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj the two linear terms come
 from one batch of derivatives of the 18 Gamma^a_(ij), each direction
 contracted as soon as it is formed, so the 81-component gradient of all 27
@@ -84,7 +84,6 @@ __all__ = [
     "schwarzschild_samples",
     "gradient_scalar",
     "gradient_components",
-    "christoffel",
     "ricci_tensor",
     "conformal_static_residual",
     "boundary_data",
@@ -252,18 +251,6 @@ def _christoffel(grid: LabGrid, g: np.ndarray):
     lower = dg[:, _DI_GBJ[0], _DI_GBJ[1]] + dg[:, _DJ_GBI[0], _DJ_GBI[1]]
     lower -= dg[:, _DB_GIJ[0], _DB_GIJ[1]]  # [:, b, p]
     return 0.5 * np.einsum("rabn,rbpn->rapn", ginv[:, _PAIR], lower), ginv
-
-
-def christoffel(grid: LabGrid, G: np.ndarray):
-    """Christoffel symbols Gamma^a_(ij) (n_r, n, a, 6) of metric samples, in
-    symmetric storage, and the inverse metric.
-
-    Only the 6 distinct components g_(ij) (the upper triangle) are
-    differentiated, and only the 6 distinct columns (ij) of
-    d_i g_bj + d_j g_bi - d_b g_ij are formed and raised.
-    """
-    gamma, ginv = _christoffel(grid, _sym(G))
-    return np.ascontiguousarray(np.moveaxis(gamma, -1, 1)), _full(ginv)
 
 
 def _trace(gamma: np.ndarray) -> np.ndarray:

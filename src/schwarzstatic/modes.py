@@ -15,7 +15,9 @@ r_max = r_max_factor * r0 for limit and decay-rate fits.  It stops early
 where |a| first reaches k_div |a(r0)|.  For m = 0 (or |m| below a relative
 threshold) the equation is an Euler equation with the closed-form solution
 c1 r^(-l-1) + c2 r^l, used directly and flagged; its stop is the root of
-the closed form, so both branches stop at the same crossing.
+the closed form, so both branches stop at the same crossing.  A flat mode
+whose powers of r would leave the normal floats fails like a lane the
+solver gives up on, decided from the exponents before any power is formed.
 
 Both phases use DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
 in this module, with scipy's tableau (vendored in _dop853) and scipy's step
@@ -77,6 +79,7 @@ __all__ = [
 
 FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
 PHASE_SWITCH = 1e3  # switch from r to x = 1/r at PHASE_SWITCH * r0
+_FLAT_LOG2 = 1021  # flat-branch powers of r stay within 2^-1021 .. 2^1021, normal floats
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
@@ -111,7 +114,8 @@ def make_ivp(params: SchwarzschildParams, ell: int, a0: float) -> ModeIVP:
         raise ValueError("degree must be nonnegative")
     m, r0 = params.m, params.r0
     ll1 = ell * (ell + 1.0)
-    flat = abs(m) < FLAT_MASS_RTOL * r0
+    # m == 0 as well: FLAT_MASS_RTOL * r0 underflows to 0 for subnormal r0
+    flat = m == 0.0 or abs(m) < FLAT_MASS_RTOL * r0
     if flat:
         da0 = ll1 / (2.0 * r0) * a0
         return ModeIVP(
@@ -217,6 +221,16 @@ def _flat_coeffs(ivp: ModeIVP) -> tuple[float, float]:
     return float(c1), float(c2)
 
 
+def _flat_in_range(ell: int, r0: float, r_max: float) -> bool:
+    """Whether the Euler form's powers of r stay normal floats, from log2 r alone.
+
+    The solve at r0 forms r0^k for -l-2 <= k <= l, c1 and c2 their reciprocals
+    times up to (l+2)^2, and the samples r^l up to r_max.  Past r0 the
+    decaying term may underflow, where it is negligible next to c2 r^l."""
+    bound = _FLAT_LOG2 - 2.0 * math.log2(ell + 2)
+    return max((ell + 2) * abs(math.log2(r0)), ell * math.log2(r_max)) < bound
+
+
 def _flat_eval(ell: int, c1, c2, r):
     """The Euler solution c1 r^(-l-1) + c2 r^l and its derivative at r.
 
@@ -282,7 +296,8 @@ def integrate_modes(
     and failure, and rounds exactly as it would alone: a lane's solution
     does not depend on the other lanes of the batch.  Returns, in the order
     of ivps, a ModeSolution or the ValueError or RuntimeError that ended the
-    lane.  Flat-branch modes (ivp.flat_branch) take the closed form.
+    lane.  Flat-branch modes (ivp.flat_branch) take the closed form, or a
+    ValueError where its powers would leave the normal floats.
     All modes are then sampled in one pass over the batch's dense output
     (and closed forms); each solution's sample_s is its share of that pass.
 
@@ -305,6 +320,9 @@ def integrate_modes(
         a0, w0 = float(ivp.a0), r0 * (r0 - 2.0 * m) * float(ivp.da0)
         if not rm > r0:
             out[i] = ValueError("r_max must exceed r0")
+        elif ivp.flat_branch and not _flat_in_range(ivp.ell, r0, rm):
+            out[i] = ValueError(f"the flat-branch Euler form at l={ivp.ell} needs powers"
+                                f" of r outside the normal floats on [{r0!r}, {rm!r}]")
         elif ivp.flat_branch:
             flat.append(i)
         elif not (math.isfinite(a0) and math.isfinite(w0)):

@@ -90,6 +90,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             SweepConfig.from_dict({key: value})
 
+    def test_value_of_the_wrong_shape_is_a_config_error(self):
+        # a number where a list belongs fails in the dataclass with a TypeError
+        with pytest.raises(ConfigError, match="not iterable"):
+            SweepConfig.from_dict({"masses": 5})
+
     def test_integers_are_stored_as_floats(self):
         config = SweepConfig.from_dict(
             {"masses": [1, -2], "r0_offsets": [3], "r_max_factor": 100})
@@ -505,6 +510,54 @@ class TestMainEntry:
         assert err.startswith("error: mode integration failed: ")
         assert err.count("integration failed") == 1
 
+    @pytest.mark.parametrize(
+        "m,r0",
+        [
+            pytest.param("1e-8", "1e160", id="r0^l-overflows"),
+            pytest.param("1e-30", "1e100", id="r0^(-l-2)-underflows-to-zero"),
+            pytest.param("1e-30", "1e80", id="r0^(-l-2)-subnormal"),
+        ],
+    )
+    def test_mode_cli_flat_branch_out_of_range_is_a_solver_failure(
+        self, tmp_path, capsys, m, r0
+    ):
+        # the Euler form's powers of r leave the normal floats at l = 3; they
+        # once gave an OverflowError, a singular solve and a wrong-sign class.
+        # Warnings are errors here, so none is printed either
+        assert cli.main(["mode", "--m", m, "--r0", r0, "--ell", "3",
+                         "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.count("error:") == 1
+        assert captured.err.startswith("error: mode integration failed: ")
+        assert "Warning" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "delta,kept",
+        [
+            # l = 3 was certified DivergesMinus with fitted_limit -inf
+            pytest.param("1e80", ["0.0,1e+80,0,ConvergesNonzero,0.9999999999999993,0.0,1e+86",
+                                  "0.0,1e+80,1,DivergesPlus,1000.0,0.9999999999999994,1e+83"],
+                         id="subnormal"),
+            # the sweep ended in a LinAlgError traceback
+            pytest.param("1e100", ["0.0,1e+100,0,ConvergesNonzero,0.9999999999999997,0.0,1e+106",
+                                   "0.0,1e+100,1,DivergesPlus,1000.0,0.9999999999999487,1e+103"],
+                         id="underflow-to-zero"),
+        ],
+    )
+    def test_flat_branch_out_of_range_is_an_undetermined_record(
+        self, tmp_path, capsys, delta, kept
+    ):
+        # r0^(-l-2) leaves the normal floats from l = 2; l = 0 and 1 keep their rows
+        code = cli.main(["sweep", "--masses", "0", "--deltas", delta, "--ell-max", "3",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        rows = [row.rsplit(",", 1)[0] for row in read_csv(tmp_path / "sweep.csv")[1:]]
+        r0 = repr(float(delta))
+        assert rows == [*(row + ",true" for row in kept),
+                        f"0.0,{r0},2,Undetermined,nan,nan,nan,false",
+                        f"0.0,{r0},3,Undetermined,nan,nan,nan,false"]
+        assert capsys.readouterr().err == ""
+
     def test_mode_cli_tiny_normal_a0_keeps_the_class(self, tmp_path, capsys):
         # the problem is linear in a0: the smallest normal scale must not
         # change the verdict that a0 = 1 gives
@@ -579,6 +632,17 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == f"error: unknown config keys: [{key!r}]\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"{", b"[1]"],
+                             ids=["not-utf-8", "not-json", "not-an-object"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg} must") or err.startswith(
+            f"error: cannot read config {cfg}: ")
+        assert err.count("\n") == 1 and not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("rho,h", [("1", "1e200"), ("1e200", "1e-100")])
     def test_match_round_rejects_overflowing_mass(self, capsys, rho, h):
@@ -771,6 +835,29 @@ class TestInstalledEntryPoint:
         (row,) = [line.split(",") for line in read_csv(tmp_path / "sweep.csv")[1:]]
         assert row[3] == "ConvergesNonzero"
         assert abs(float(row[4]) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["match-round", "--rho", "1", "--h", "2"], id="match-round"),
+            pytest.param(["selftest", "--seed", "1"], id="selftest"),
+        ],
+    )
+    def test_subprocess_closed_stdout_exit_one(self, args):
+        # stdout is a pipe whose read end is closed before the command starts,
+        # so its first write fails with EPIPE, with no race against a reader
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "schwarzstatic.cli", *args],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+        assert proc.stderr == b""
 
     def test_subprocess_unknown_subcommand(self):
         proc = subprocess.run(

@@ -619,6 +619,41 @@ class TestFlatBranchCrossing:
             assert sol.radii[-1] == sol.r_max_used
 
 
+def flat_ivp(r0, ell):
+    return make_ivp(SchwarzschildParams(m=0.0, r0=r0), ell, 1.0)
+
+
+class TestFlatBranchRange:
+    def test_out_of_range_lanes_fail_alone(self):
+        # r0^(-l-2) underflows at (1e80, 3), r0^l overflows at (1e160, 3) and
+        # r0^(-l-2) overflows at (1e-20, 16); the other lanes are untouched
+        ivps = [flat_ivp(1e80, 3), flat_ivp(1.0, 3), flat_ivp(1e160, 3), flat_ivp(1e80, 1),
+                flat_ivp(1e-20, 16), flat_ivp(1e80, 0)]
+        sols = integrate_modes(ivps, [1e6 * ivp.r0 for ivp in ivps])
+        for k in (0, 2, 4):
+            assert type(sols[k]) is ValueError and "normal floats" in str(sols[k])
+        for k in (1, 3, 5):
+            alone = integrate_mode(ivps[k], 1e6 * ivps[k].r0)
+            assert sols[k].flat_coeffs == alone.flat_coeffs
+            for key in ("radii", "a", "da"):
+                assert np.array_equal(getattr(sols[k], key), getattr(alone, key))
+
+    def test_zero_mass_is_flat_at_a_subnormal_radius(self):
+        # FLAT_MASS_RTOL * r0 underflows to 0 there, and the generic branch divides by m
+        assert flat_ivp(1e-320, 0).flat_branch
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.floats(-1074.0, 1023.0))
+    def test_an_admitted_lane_forms_finite_values_and_the_right_class(self, ell, log2_r0):
+        # warnings are errors here: an admitted lane overflows nowhere
+        (sol,) = integrate_modes([flat_ivp(2.0 ** log2_r0, ell)], [1e6 * 2.0 ** log2_r0])
+        if isinstance(sol, ValueError):
+            return
+        assert np.isfinite(sol.a).all() and np.isfinite(sol.da).all()
+        want = AsymptoticKind.CONVERGES_NONZERO if ell == 0 else AsymptoticKind.DIVERGES_PLUS
+        assert classify(sol).kind is want
+
+
 class TestClassify:
     def test_l0_converges(self):
         sol = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)

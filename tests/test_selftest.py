@@ -77,5 +77,10 @@ class TestSelfTestCli:
             "structure equations vs linearization oracle"
         ]
 
-    def test_cli_unknown_mutation_exit_one(self):
-        assert cli.main(["selftest", "--mutate", "bogus"]) == 1
+    def test_cli_unknown_mutation_exit_one(self, capsys):
+        # argparse rejects it, naming the known mutations, with the usage exit 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--mutate", "bogus"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and "dg4-sign" in err
