@@ -76,7 +76,7 @@ GAUGE_TEST_MAX_L_BAND = 16
 
 
 class ConfigError(ValueError):
-    """Invalid sweep configuration (maps to exit code 1)."""
+    """Bad input to a command: configuration, flags or data (maps to exit code 1)."""
 
 
 class SolverError(Exception):

@@ -79,7 +79,7 @@ __all__ = [
 
 FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
 PHASE_SWITCH = 1e3  # switch from r to x = 1/r at PHASE_SWITCH * r0
-_FLAT_LOG2 = 1021  # flat-branch powers of r stay within 2^-1021 .. 2^1021, normal floats
+_FLAT_LOG2 = 1021  # flat-branch powers of r must lie in 2^-1021 .. 2^1021 (normal floats)
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
@@ -228,7 +228,8 @@ def _flat_in_range(ell: int, r0: float, r_max: float) -> bool:
     times up to (l+2)^2, and the samples r^l up to r_max.  Past r0 the
     decaying term may underflow, where it is negligible next to c2 r^l."""
     bound = _FLAT_LOG2 - 2.0 * math.log2(ell + 2)
-    return max((ell + 2) * abs(math.log2(r0)), ell * math.log2(r_max)) < bound
+    # two comparisons, so that 0 * log2(inf) = nan at l = 0 declines the lane
+    return (ell + 2) * abs(math.log2(r0)) < bound and ell * math.log2(r_max) < bound
 
 
 def _flat_eval(ell: int, c1, c2, r):

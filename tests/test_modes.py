@@ -644,6 +644,7 @@ class TestFlatBranchRange:
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 40), st.floats(-1074.0, 1023.0))
+    @example(0, 1023.0)  # r_max = inf: l = 0 forms no power of it, but cannot sample to it
     def test_an_admitted_lane_forms_finite_values_and_the_right_class(self, ell, log2_r0):
         # warnings are errors here: an admitted lane overflows nowhere
         (sol,) = integrate_modes([flat_ivp(2.0 ** log2_r0, ell)], [1e6 * 2.0 ** log2_r0])
