@@ -28,8 +28,6 @@ sweep.json records them in its thresholds block.
 from __future__ import annotations
 
 import argparse
-import functools
-import importlib.metadata
 import json
 import numbers
 import os
@@ -68,7 +66,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 CSV_HEADER = "m,r0,ell,class,fitted_limit,fitted_exponent,r_max,pass,wall_time_s"
 # gauge-test's grid has l_max = l_band + 2 and dense (nodes x modes) tables,
 # which grow like l_max^4: about 2 MB each at band 16, 1.8 GB at band 100
@@ -338,7 +336,6 @@ def _sweep_payload(report: SweepReport) -> dict:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
         },
         "config": asdict(report.config),
         # the settings every verdict was made with (module constants of modes)
@@ -375,12 +372,6 @@ def _sweep_payload(report: SweepReport) -> dict:
             "all_passed": report.all_passed,
         },
     }
-
-
-@functools.cache
-def _scipy_version() -> str:
-    """The installed scipy's version, read from its metadata without importing it."""
-    return importlib.metadata.version("scipy")
 
 
 # the values json writes without nesting
@@ -598,6 +589,10 @@ def _cmd_mode(args) -> int:
         # the mode is linear in a0, but a zero a0 is trivial data and a
         # subnormal one has lost the digits that fix the verdict's sign
         raise ConfigError(f"a0 must be a nonzero normal float, got a0={args.a0:g}")
+    if abs(args.a0) > sys.float_info.max / K_DIV:
+        # the k_div threshold K_DIV |a0| must stay finite
+        raise ConfigError(f"|a0| must be at most {sys.float_info.max / K_DIV:g},"
+                          f" got a0={args.a0:g}")
 
     try:
         sol = integrate_mode(make_ivp(params, args.ell, args.a0), r_max)

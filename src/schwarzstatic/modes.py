@@ -6,18 +6,19 @@ Each spherical-harmonic coefficient a(r) of the scalar deformation obeys
     a'(r0) = (l(l+1) - 2m/r0) a(r0) / (2 (r0 - 2m)),
 
 where the constant S = 2m ((4m - r0) a(r0) + r0 (r0 - 2m) a'(r0)) comes from
-the boundary data; S is regular in m, so the generic integrator never divides
+the boundary data; S is regular in m, so the integrator never divides
 by m.  The order does not enter; only the degree l matters.
 
 Integration runs in r out to a phase-switch radius and then in the
 compactified variable x = 1/r, which resolves the far tail out to
 r_max = r_max_factor * r0 for limit and decay-rate fits.  It stops early
-where |a| first reaches k_div |a(r0)|.  For m = 0 (or |m| below a relative
-threshold) the equation is an Euler equation with the closed-form solution
-c1 r^(-l-1) + c2 r^l, used directly and flagged; its stop is the root of
-the closed form, so both branches stop at the same crossing.  A flat mode
-whose powers of r would leave the normal floats fails like a lane the
-solver gives up on, decided from the exponents before any power is formed.
+where |a| first reaches k_div |a(r0)|.  The equation is regular in m, so
+one integrator serves every mass: m = 0, the flat member of the family, is
+an Euler equation whose closed form c1 r^(-l-1) + c2 r^l the tests keep as
+the independent check of the integrator.  The problem is linear in a(r0),
+so a lane's absolute tolerance is scaled by |a(r0)| (1 for zero data), as
+its k_div threshold is.  A boundary radius below the smallest normal float
+fails like a lane the solver gives up on, before any step.
 
 Both phases use DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
 in this module, with scipy's tableau (vendored in _dop853) and scipy's step
@@ -32,14 +33,12 @@ the independent checks.
 
 Sampling and classification are array passes over the whole batch too.
 integrate_modes forms every mode's sample radii in one vectorised
-geomspace and evaluates all stepped modes in one lookup and one Horner pass
-over a single segment table of both phases of every lane; flat-branch modes
-evaluate their closed form on their concatenated radii, and only their
-crossings are located mode by mode.  classify_modes applies the tail masks
-and the divergence, smallness and oscillation tests to the concatenated
-samples of all modes and runs only the least-squares fits per mode.  Both
-reproduce the per-mode computations bit for bit: ModeSolution.eval,
-integrate_mode and classify are batches of one.
+geomspace and evaluates all modes in one lookup and one Horner pass over a
+single segment table of both phases of every lane.  classify_modes applies
+the tail masks and the divergence, smallness and oscillation tests to the
+concatenated samples of all modes and runs only the least-squares fits per
+mode.  Both reproduce the per-mode computations bit for bit:
+ModeSolution.eval, integrate_mode and classify are batches of one.
 
 The verdict settings are module constants, the same for every sweep: the
 solver tolerances DEFAULT_RTOL and DEFAULT_ATOL, the divergence factor K_DIV,
@@ -47,7 +46,8 @@ the smallness fraction EPS_DEC, the decay-slope threshold DECAY_Q and the
 Cauchy tolerance CAUCHY_RTOL.  integrate_mode and integrate_modes take rtol,
 atol and k_div with these defaults; selftest's mode/PDE suite tightens them.
 
-Substitution constant (m != 0): alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a(r0).
+Substitution constant: alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a(r0), None
+where that is not a finite float (m = 0 included).
 Derived views: A = a - alpha0, phi = r(r-2m) A, Phi = 2(r-m) A / (r(r-2m)) + A'.
 """
 
@@ -65,7 +65,6 @@ from ._dop853 import DOP853
 from .background import SchwarzschildParams
 
 __all__ = [
-    "FLAT_MASS_RTOL",
     "ModeIVP",
     "ModeSolution",
     "AsymptoticKind",
@@ -77,9 +76,7 @@ __all__ = [
     "classify_modes",
 ]
 
-FLAT_MASS_RTOL = 1e-8  # |m| < FLAT_MASS_RTOL * r0 runs the flat branch
 PHASE_SWITCH = 1e3  # switch from r to x = 1/r at PHASE_SWITCH * r0
-_FLAT_LOG2 = 1021  # flat-branch powers of r must lie in 2^-1021 .. 2^1021 (normal floats)
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
@@ -98,7 +95,6 @@ class ModeIVP:
     da0: float
     source: float  # ODE source constant S
     alpha0: float | None
-    flat_branch: bool
 
     @property
     def m(self) -> float:
@@ -114,21 +110,15 @@ def make_ivp(params: SchwarzschildParams, ell: int, a0: float) -> ModeIVP:
         raise ValueError("degree must be nonnegative")
     m, r0 = params.m, params.r0
     ll1 = ell * (ell + 1.0)
-    # m == 0 as well: FLAT_MASS_RTOL * r0 underflows to 0 for subnormal r0
-    flat = m == 0.0 or abs(m) < FLAT_MASS_RTOL * r0
-    if flat:
-        da0 = ll1 / (2.0 * r0) * a0
-        return ModeIVP(
-            params=params, ell=ell, a0=a0, da0=da0, source=0.0,
-            alpha0=None, flat_branch=True,
-        )
     da0 = (ll1 - 2.0 * m / r0) * a0 / (2.0 * (r0 - 2.0 * m))
     source = 2.0 * m * ((4.0 * m - r0) * a0 + r0 * (r0 - 2.0 * m) * da0)
-    alpha0 = (1.5 + r0 / (4.0 * m) * (ll1 - 2.0)) * a0
-    return ModeIVP(
-        params=params, ell=ell, a0=a0, da0=da0, source=source,
-        alpha0=alpha0, flat_branch=False,
-    )
+    alpha0 = None
+    if m != 0.0:
+        # Python floats: r0 / (4m) is inf past the float range, not a warning
+        alpha0 = (1.5 + float(r0) / (4.0 * float(m)) * (ll1 - 2.0)) * float(a0)
+        if not math.isfinite(alpha0):
+            alpha0 = None
+    return ModeIVP(params=params, ell=ell, a0=a0, da0=da0, source=source, alpha0=alpha0)
 
 
 class AsymptoticKind(str, enum.Enum):
@@ -157,8 +147,7 @@ class ModeSolution:
     da: np.ndarray
     r_max_used: float
     diverged: bool
-    flat_coeffs: tuple[float, float] | None = None  # (c1, c2) of the Euler solution
-    n_steps: int = 0  # accepted DOP853 steps over both phases (0 on the flat branch)
+    n_steps: int = 0  # accepted DOP853 steps over both phases
     nfev: int = 0  # right-hand-side evaluations over both phases
     sample_s: float = 0.0  # this mode's share of its batch's one sampling pass
     # (batch dense output, group in r, group in x = 1/r or -1, switch radius)
@@ -200,47 +189,8 @@ class ModeSolution:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < self.ivp.r0) or np.any(r > self.r_max_used * (1 + 1e-12)):
             raise ValueError("evaluation outside the integrated range")
-        if self.flat_coeffs is not None:
-            return _flat_eval(self.ivp.ell, *self.flat_coeffs, r)
         dense, inner, tail, r_switch = self._dense
         return dense.eval(inner, tail, r_switch, 2.0 * self.ivp.m, r)
-
-
-def _flat_coeffs(ivp: ModeIVP) -> tuple[float, float]:
-    """Euler-solution coefficients from the initial data (m treated as 0)."""
-    ell, r0, a0, da0 = ivp.ell, ivp.r0, ivp.a0, ivp.da0
-    if ell == 0:
-        return -(r0 * r0) * da0, a0 + r0 * da0  # a = c1/r + c2
-    mat = np.array(
-        [
-            [r0 ** (-ell - 1), r0**ell],
-            [-(ell + 1) * r0 ** (-ell - 2), ell * r0 ** (ell - 1)],
-        ]
-    )
-    c1, c2 = np.linalg.solve(mat, np.array([a0, da0]))
-    return float(c1), float(c2)
-
-
-def _flat_in_range(ell: int, r0: float, r_max: float) -> bool:
-    """Whether the Euler form's powers of r stay normal floats, from log2 r alone.
-
-    The solve at r0 forms r0^k for -l-2 <= k <= l, c1 and c2 their reciprocals
-    times up to (l+2)^2, and the samples r^l up to r_max.  Past r0 the
-    decaying term may underflow, where it is negligible next to c2 r^l."""
-    bound = _FLAT_LOG2 - 2.0 * math.log2(ell + 2)
-    # two comparisons, so that 0 * log2(inf) = nan at l = 0 declines the lane
-    return (ell + 2) * abs(math.log2(r0)) < bound and ell * math.log2(r_max) < bound
-
-
-def _flat_eval(ell: int, c1, c2, r):
-    """The Euler solution c1 r^(-l-1) + c2 r^l and its derivative at r.
-
-    c1 and c2 are numbers, or arrays that pair with r; the exponents are
-    the same for every point, so modes of one degree evaluate together.
-    """
-    a = c1 * r ** (-ell - 1.0) + c2 * r ** (1.0 * ell)
-    da = -(ell + 1.0) * c1 * r ** (-ell - 2.0) + ell * c2 * r ** (ell - 1.0)
-    return a, da
 
 
 def _sample_radii(r0, r_end, per_decade=48):
@@ -297,10 +247,10 @@ def integrate_modes(
     and failure, and rounds exactly as it would alone: a lane's solution
     does not depend on the other lanes of the batch.  Returns, in the order
     of ivps, a ModeSolution or the ValueError or RuntimeError that ended the
-    lane.  Flat-branch modes (ivp.flat_branch) take the closed form, or a
-    ValueError where its powers would leave the normal floats.
-    All modes are then sampled in one pass over the batch's dense output
-    (and closed forms); each solution's sample_s is its share of that pass.
+    lane.  Every mass takes this path, m = 0 included.  Each lane's atol
+    and k_div threshold are scaled by its |a(r0)| (1 for zero data).  All
+    modes are then sampled in one pass over the batch's dense output; each
+    solution's sample_s is its share of that pass.
 
     Raises ValueError for a negative atol; as in solve_ivp, rtol is raised
     to 100 eps with a warning.
@@ -315,150 +265,82 @@ def integrate_modes(
     rtol, atol = max(float(rtol), 100 * _EPS), float(atol)
 
     out: list = [None] * len(ivps)
-    flat, idx, y0, r_end = [], [], [], []  # idx, y0, r_end: the modes to step
+    idx, y0, r_end = [], [], []  # the modes to step
     for i, (ivp, rm) in enumerate(zip(ivps, r_max)):
         m, r0 = float(ivp.m), float(ivp.r0)
         a0, w0 = float(ivp.a0), r0 * (r0 - 2.0 * m) * float(ivp.da0)
         if not rm > r0:
             out[i] = ValueError("r_max must exceed r0")
-        elif ivp.flat_branch and not _flat_in_range(ivp.ell, r0, rm):
-            out[i] = ValueError(f"the flat-branch Euler form at l={ivp.ell} needs powers"
-                                f" of r outside the normal floats on [{r0!r}, {rm!r}]")
-        elif ivp.flat_branch:
-            flat.append(i)
+        elif not r0 >= _TINY:  # 1 / r_switch would overflow
+            out[i] = ValueError(f"r0 must be a normal float, got r0={r0!r}")
         elif not (math.isfinite(a0) and math.isfinite(w0)):
             out[i] = ValueError("All components of the initial state y0 must be finite.")
         else:
             idx.append(i)
             y0.append((a0, w0))
             r_end.append(rm)
+    if not idx:
+        return out
+
+    lanes = [ivps[i] for i in idx]
+    m = np.array([float(ivp.m) for ivp in lanes])
+    r0 = np.array([float(ivp.r0) for ivp in lanes])
+    ll1 = np.array([ivp.ell * (ivp.ell + 1.0) for ivp in lanes])
+    S = np.array([float(ivp.source) for ivp in lanes])
+    params = np.stack([2.0 * m, 4.0 * m * m, ll1, S])
+    scale0 = np.array([_scale0(ivp) for ivp in lanes])
+    threshold, atol = k_div * scale0, atol * scale0
+    r_end = np.array(r_end)
+    r_switch = np.where(PHASE_SWITCH * r0 < r_end, PHASE_SWITCH * r0, r_end)
+    inner, segs = _lockstep(_rhs_r, params, r0, np.array(y0).T, r_switch, 1.0, rtol, atol,
+                            threshold)
+    x_switch, x_max = 1.0 / r_switch, 1.0 / r_end
+    tail = [j for j, run in enumerate(inner)
+            if isinstance(run, _Run) and not run.crossed and x_max[j] < x_switch[j]]
+    phases = [(1.0, segs)]
+    outer = {}
+    if tail:
+        runs_x, segs_x = _lockstep(
+            _rhs_x, params[:, tail], x_switch[tail], np.array([inner[j].y for j in tail]).T,
+            x_max[tail], -1.0, rtol, atol[tail], threshold[tail],
+        )
+        outer = dict(zip(tail, runs_x))
+        phases.append((-1.0, segs_x))
+
+    done = []  # the lanes that reached their end
+    for j, i in enumerate(idx):
+        run, run_x = inner[j], outer.get(j)
+        if isinstance(run, RuntimeError):
+            out[i] = RuntimeError(f"mode integration failed: {run}")
+        elif isinstance(run_x, RuntimeError):
+            out[i] = RuntimeError(f"tail integration failed: {run_x}")
+        elif isinstance(run, Exception) or isinstance(run_x, Exception):
+            out[i] = run if isinstance(run, Exception) else run_x
+        else:
+            done.append(j)
+    if not done:
+        return out
 
     t0 = time.perf_counter()
-    if flat:
-        sols = _flat_solutions([ivps[i] for i in flat], [r_max[i] for i in flat], k_div)
-        for i, sol in zip(flat, sols):
-            out[i] = sol
-    sample_s = time.perf_counter() - t0
-    sampled = list(flat)
-
-    if idx:
-        lanes = [ivps[i] for i in idx]
-        m = np.array([float(ivp.m) for ivp in lanes])
-        r0 = np.array([float(ivp.r0) for ivp in lanes])
-        ll1 = np.array([ivp.ell * (ivp.ell + 1.0) for ivp in lanes])
-        S = np.array([float(ivp.source) for ivp in lanes])
-        params = np.stack([2.0 * m, 4.0 * m * m, ll1, S])
-        threshold = k_div * np.array([_scale0(ivp) for ivp in lanes])
-        r_end = np.array(r_end)
-        r_switch = np.where(PHASE_SWITCH * r0 < r_end, PHASE_SWITCH * r0, r_end)
-        inner, segs = _lockstep(_rhs_r, params, r0, np.array(y0).T, r_switch, 1.0, rtol, atol,
-                                threshold)
-        x_switch, x_max = 1.0 / r_switch, 1.0 / r_end
-        tail = [j for j, run in enumerate(inner)
-                if isinstance(run, _Run) and not run.crossed and x_max[j] < x_switch[j]]
-        phases = [(1.0, segs)]
-        outer = {}
-        if tail:
-            runs_x, segs_x = _lockstep(
-                _rhs_x, params[:, tail], x_switch[tail], np.array([inner[j].y for j in tail]).T,
-                x_max[tail], -1.0, rtol, atol, threshold[tail],
-            )
-            outer = dict(zip(tail, runs_x))
-            phases.append((-1.0, segs_x))
-
-        done = []  # the lanes that reached their end
-        for j, i in enumerate(idx):
-            run, run_x = inner[j], outer.get(j)
-            if isinstance(run, RuntimeError):
-                out[i] = RuntimeError(f"mode integration failed: {run}")
-            elif isinstance(run_x, RuntimeError):
-                out[i] = RuntimeError(f"tail integration failed: {run_x}")
-            elif isinstance(run, Exception) or isinstance(run_x, Exception):
-                out[i] = run if isinstance(run, Exception) else run_x
-            else:
-                done.append(j)
-        if done:
-            t0 = time.perf_counter()
-            # lane j's phase in r is group j of the table, the tail of tail[k]
-            # is group len(idx) + k
-            dense = _Dense([phase for phase in phases if phase[1] is not None])
-            tail_group = np.full(len(idx), -1)
-            tail_group[tail] = len(idx) + np.arange(len(tail))
-            sols = _sampled(
-                [lanes[j] for j in done], [inner[j] for j in done], [outer.get(j) for j in done],
-                dense, np.array(done), tail_group[done], r_switch[done],
-            )
-            for j, sol in zip(done, sols):
-                out[idx[j]] = sol
-            sample_s += time.perf_counter() - t0
-            sampled += [idx[j] for j in done]
-
-    for i in sampled:
-        out[i].sample_s = sample_s / len(sampled)
+    # lane j's phase in r is group j of the table, the tail of tail[k] is
+    # group len(idx) + k
+    dense = _Dense([phase for phase in phases if phase[1] is not None])
+    tail_group = np.full(len(idx), -1)
+    tail_group[tail] = len(idx) + np.arange(len(tail))
+    sols = _sampled(
+        [lanes[j] for j in done], [inner[j] for j in done], [outer.get(j) for j in done],
+        dense, np.array(done), tail_group[done], r_switch[done],
+    )
+    sample_s = (time.perf_counter() - t0) / len(done)
+    for j, sol in zip(done, sols):
+        sol.sample_s = sample_s
+        out[idx[j]] = sol
     return out
 
 
 def _scale0(ivp: ModeIVP) -> float:
-    """|a(r0)|, or 1 for zero data: the k_div threshold is k_div times this."""
+    """|a(r0)|, or 1 for zero data: the lane's atol and k_div threshold scale with it."""
     return abs(ivp.a0) if ivp.a0 != 0.0 else 1.0
-
-
-def _flat_values(ell, coeffs, radii, lane):
-    """(a, a') of the Euler solutions at radii; mode lane[k] owns radii[k]."""
-    a, da = np.empty_like(radii), np.empty_like(radii)
-    ell = ell[lane]
-    for degree in np.unique(ell).tolist():
-        at = np.flatnonzero(ell == degree)
-        c = coeffs[lane[at]]
-        a[at], da[at] = _flat_eval(degree, c[:, 0], c[:, 1], radii[at])
-    return a, da
-
-
-def _flat_solutions(ivps: list[ModeIVP], r_max: list[float], k_div: float) -> list[ModeSolution]:
-    """The Euler closed forms, each stopped where |a| first reaches k_div |a0|.
-
-    All modes are sampled and evaluated together; each crossing is located
-    by _brentq on its own mode, and the crossing modes are sampled again,
-    together, up to their crossings.
-    """
-    coeffs = [_flat_coeffs(ivp) for ivp in ivps]
-    table = np.array(coeffs)
-    ell = np.array([ivp.ell for ivp in ivps])
-    r0 = np.array([float(ivp.r0) for ivp in ivps])
-    threshold = [k_div * _scale0(ivp) for ivp in ivps]
-    radii, first, count = _sample_radii(r0, np.array(r_max))
-    lane = np.repeat(np.arange(len(ivps)), count)
-    a, da = _flat_values(ell, table, radii, lane)
-    hits = np.flatnonzero(np.abs(a) >= np.array(threshold)[lane])
-    hit_lanes, at = np.unique(lane[hits], return_index=True)
-    stops = dict(zip(hit_lanes.tolist(), (hits[at] - first[hit_lanes]).tolist()))
-
-    samples = [(radii[lo:lo + n], a[lo:lo + n], da[lo:lo + n])
-               for lo, n in zip(first.tolist(), count.tolist())]
-    crossing, r_cross = [], []
-    for j, stop in stops.items():
-        lo = first[j]
-        if stop == 0:
-            samples[j] = (radii[lo:lo + 1], a[lo:lo + 1], da[lo:lo + 1])
-            continue
-        # the crossing itself, as the generic branch's event finds it
-        ell_j, (c1, c2), level = ivps[j].ell, coeffs[j], threshold[j]
-        crossing.append(j)
-        r_cross.append(_brentq(
-            lambda r: abs(_flat_eval(ell_j, c1, c2, np.float64(r))[0]) - level,
-            radii[lo + stop - 1], radii[lo + stop], xtol=4 * _EPS, rtol=4 * _EPS,
-        ))
-    if crossing:
-        radii, first, count = _sample_radii(r0[crossing], np.array(r_cross))
-        lane = np.repeat(np.array(crossing), count)
-        a, da = _flat_values(ell, table, radii, lane)
-        for j, lo, n in zip(crossing, first.tolist(), count.tolist()):
-            samples[j] = (radii[lo:lo + n], a[lo:lo + n], da[lo:lo + n])
-    return [
-        ModeSolution(ivp=ivp, radii=r, a=a, da=da, r_max_used=float(r[-1]),
-                     diverged=j in stops, flat_coeffs=coeffs[j])
-        for j, (ivp, (r, a, da)) in enumerate(zip(ivps, samples))
-    ]
 
 
 def _sampled(ivps, runs, runs_x, dense: "_Dense", inner, tail, r_switch) -> list[ModeSolution]:
@@ -517,6 +399,7 @@ _D = DOP853.D[:, :, None, None]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _rhs_r(p, r, y):
@@ -763,9 +646,10 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
 def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
     """DOP853 on every lane of y0 (shape (2, n)) from t0 towards t_bound.
 
-    Lane j integrates y' = rhs(p[:, j], t, y) and stops at t_bound[j] or at
-    the first root of |y[0]| = threshold[j], located by _brentq on the
-    step's dense output with xtol = rtol = 4 eps.  direction is the sign of
+    Lane j integrates y' = rhs(p[:, j], t, y) with absolute tolerance
+    atol[j] and stops at t_bound[j] or at the first root of
+    |y[0]| = threshold[j], located by _brentq on the step's dense output
+    with xtol = rtol = 4 eps.  direction is the sign of
     t_bound - t0, the same for every lane.  Returns per lane a _Run, or the
     exception that ended it: a RuntimeError when the step size drops below
     10 ulp of t, or _brentq's ValueError; and the lanes' kept steps as
@@ -777,6 +661,7 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
         f0 = np.array(rhs(p, t0, y0))
         s = _Lanes(
             lane=np.arange(n), p=p, t=t0, y=y0, f=f0, t_bound=t_bound, threshold=threshold,
+            atol=atol,
             h_abs=_initial_step(rhs, p, t0, y0, f0, t_bound, direction, rtol, atol),
             min_step=np.zeros(n), g=np.abs(y0[0]) - threshold,
             fresh=np.ones(n, dtype=bool), rejected=np.zeros(n, dtype=bool),
@@ -815,7 +700,7 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
             K[_N_STAGES] = rhs(p, t + h, y_new)
 
             ay, ay_new = np.abs(y), np.abs(y_new)
-            scale = atol + np.where(ay_new > ay, ay_new, ay) * rtol
+            scale = s.atol + np.where(ay_new > ay, ay_new, ay) * rtol
             e5, e3 = _combine(_E53, K) / scale
             n5 = e5[0] * e5[0] + e5[1] * e5[1]
             n3 = e3[0] * e3[0] + e3[1] * e3[1]

@@ -1,10 +1,10 @@
 """Reference helpers shared by several test modules.
 
 None of these is on a path that the package's commands run: they build test
-inputs (radial profiles, single-mode fields, linear combinations of fields)
-or invert package results (the round Bartnik data of a Schwarzschild
-sphere).  pytest does not collect this module; the test modules import it
-as `reference`.
+inputs (radial profiles, single-mode fields, linear combinations of fields),
+invert package results (the round Bartnik data of a Schwarzschild sphere)
+or solve a mode in closed form (the Euler solution at m = 0).  pytest does
+not collect this module; the test modules import it as `reference`.
 """
 
 import numpy as np
@@ -86,3 +86,30 @@ def combine(*terms: tuple[float, DeformationField]) -> DeformationField:
         for name in ("rr_terms", "ra_terms", "ab_terms", "u_terms"):
             getattr(out, name).extend((p.scaled(c), arr) for p, arr in getattr(f, name))
     return out
+
+
+def euler_coefficients(ell: int, r0: float, a0: float) -> tuple[float, float]:
+    """The m = 0 mode in closed form: a = c1 r^(-l-1) + c2 r^l.
+
+    At m = 0 the mode equation is the Euler equation (r^2 a')' = l(l+1) a;
+    c1 and c2 fit a(r0) = a0 and the boundary condition
+    a'(r0) = l(l+1) a0 / (2 r0).
+    """
+    da0 = ell * (ell + 1.0) / (2.0 * r0) * a0
+    if ell == 0:
+        return -(r0 * r0) * da0, a0 + r0 * da0  # a = c1/r + c2
+    mat = np.array(
+        [
+            [r0 ** (-ell - 1.0), r0 ** (1.0 * ell)],
+            [-(ell + 1.0) * r0 ** (-ell - 2.0), ell * r0 ** (ell - 1.0)],
+        ]
+    )
+    c1, c2 = np.linalg.solve(mat, [a0, da0])
+    return float(c1), float(c2)
+
+
+def euler_eval(ell: int, c1, c2, r):
+    """(a, a') of the Euler solution c1 r^(-l-1) + c2 r^l at r."""
+    a = c1 * r ** (-ell - 1.0) + c2 * r ** (1.0 * ell)
+    da = -(ell + 1.0) * c1 * r ** (-ell - 2.0) + ell * c2 * r ** (ell - 1.0)
+    return a, da

@@ -200,8 +200,8 @@ class TestEmit:
         data = json.loads(open(paths[1], encoding="utf-8").read())
         assert list(data) == ["schema_version", "environment", "config", "thresholds",
                               "records", "summary"]
-        assert data["schema_version"] == "4"
-        assert set(data["environment"]) == {"python", "numpy", "scipy"}
+        assert data["schema_version"] == "5"
+        assert set(data["environment"]) == {"python", "numpy"}
         assert data["environment"]["numpy"] == np.__version__
         assert data["config"] == {"masses": [1.0], "r0_offsets": [1.0], "ell_max": 2,
                                   "r_max_factor": 1e4, "seed": 0}
@@ -511,52 +511,68 @@ class TestMainEntry:
         assert err.count("integration failed") == 1
 
     @pytest.mark.parametrize(
-        "m,r0",
+        "m,r0,ell",
         [
-            pytest.param("1e-8", "1e160", id="r0^l-overflows"),
-            pytest.param("1e-30", "1e100", id="r0^(-l-2)-underflows-to-zero"),
-            pytest.param("1e-30", "1e80", id="r0^(-l-2)-subnormal"),
+            pytest.param("1e-8", "1e160", "3", id="r0^l-overflows"),
+            pytest.param("0", "1e-320", "0", id="subnormal-r0"),
         ],
     )
     def test_mode_cli_flat_branch_out_of_range_is_a_solver_failure(
-        self, tmp_path, capsys, m, r0
+        self, tmp_path, capsys, m, r0, ell
     ):
-        # the Euler form's powers of r leave the normal floats at l = 3; they
-        # once gave an OverflowError, a singular solve and a wrong-sign class.
-        # Warnings are errors here, so none is printed either
-        assert cli.main(["mode", "--m", m, "--r0", r0, "--ell", "3",
+        # r0 (r0 - 2m) a'(r0) overflows at r0 = 1e160, and 1 / r_switch would
+        # at a subnormal r0; they once gave an OverflowError and a
+        # ZeroDivisionError.  Warnings are errors here, so none is printed either
+        assert cli.main(["mode", "--m", m, "--r0", r0, "--ell", ell,
                          "--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and captured.err.count("error:") == 1
         assert captured.err.startswith("error: mode integration failed: ")
         assert "Warning" not in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize(
-        "delta,kept",
-        [
-            # l = 3 was certified DivergesMinus with fitted_limit -inf
-            pytest.param("1e80", ["0.0,1e+80,0,ConvergesNonzero,0.9999999999999993,0.0,1e+86",
-                                  "0.0,1e+80,1,DivergesPlus,1000.0,0.9999999999999994,1e+83"],
-                         id="subnormal"),
-            # the sweep ended in a LinAlgError traceback
-            pytest.param("1e100", ["0.0,1e+100,0,ConvergesNonzero,0.9999999999999997,0.0,1e+106",
-                                   "0.0,1e+100,1,DivergesPlus,1000.0,0.9999999999999487,1e+103"],
-                         id="underflow-to-zero"),
-        ],
-    )
-    def test_flat_branch_out_of_range_is_an_undetermined_record(
-        self, tmp_path, capsys, delta, kept
-    ):
-        # r0^(-l-2) leaves the normal floats from l = 2; l = 0 and 1 keep their rows
+    @pytest.mark.parametrize("r0", ["1e80", "1e100"])
+    def test_mode_cli_near_zero_mass_at_a_huge_radius_diverges_plus(self, tmp_path, capsys, r0):
+        # r0^(-l-2) is subnormal at 1e80 and underflows at 1e100, which once
+        # made a closed form fail or give the wrong sign; the integrator
+        # needs no power of r0
+        assert cli.main(["mode", "--m", "1e-30", "--r0", r0, "--ell", "3",
+                         "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert ": DivergesPlus fitted_limit=1000 " in captured.out
+        assert f" r_max=8.87904e+{r0[2:]};" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("delta", ["1e80", "1e100"])
+    def test_flat_sweep_at_a_huge_radius_passes(self, tmp_path, capsys, delta):
+        # l = 3 was once certified DivergesMinus with fitted_limit -inf at
+        # 1e80, and the sweep ended in a LinAlgError traceback at 1e100
         code = cli.main(["sweep", "--masses", "0", "--deltas", delta, "--ell-max", "3",
                          "--out-dir", str(tmp_path)])
-        assert code == 2
-        rows = [row.rsplit(",", 1)[0] for row in read_csv(tmp_path / "sweep.csv")[1:]]
-        r0 = repr(float(delta))
-        assert rows == [*(row + ",true" for row in kept),
-                        f"0.0,{r0},2,Undetermined,nan,nan,nan,false",
-                        f"0.0,{r0},3,Undetermined,nan,nan,nan,false"]
+        assert code == 0
+        rows = [row.split(",") for row in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert [row[:4] + row[7:8] for row in rows] == [
+            ["0.0", repr(float(delta)), str(ell), klass, "true"]
+            for ell, klass in enumerate(["ConvergesNonzero"] + ["DivergesPlus"] * 3)]
+        assert all(abs(float(row[4]) - (1.0 if row[2] == "0" else 1e3)) <= 1e-9 * float(row[4])
+                   for row in rows)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["sweep", "--masses", "0", "--deltas", "1e-3", "--ell-max", "60"],
+                         id="sweep-l60"),
+            pytest.param(["mode", "--m", "0", "--r0", "1", "--ell", "16", "--a0", "1e300"],
+                         id="mode-a0-1e300"),
+        ],
+    )
+    def test_zero_mass_prints_no_overflow_warning(self, tmp_path, capsys, args):
+        # a closed form sampled out to r_max overflowed past its crossing
+        # here; warnings are errors in this test
+        assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err and captured.err == ""
+        assert "DivergesPlus" in captured.out or "61/61 modes verified" in captured.out
 
     def test_mode_cli_tiny_normal_a0_keeps_the_class(self, tmp_path, capsys):
         # the problem is linear in a0: the smallest normal scale must not
@@ -569,6 +585,29 @@ class TestMainEntry:
             ) == 0
             classes.append(capsys.readouterr().out.split(": ")[1].split()[0])
         assert classes == ["DivergesPlus", "DivergesPlus"]
+
+    @pytest.mark.parametrize("m", ["1", "0"])
+    def test_mode_cli_figures_do_not_depend_on_the_scale_of_a0(self, tmp_path, capsys, m):
+        # the mode is linear in a0, and atol scales with |a0| as the k_div
+        # threshold does, so only fitted_limit moves with a0
+        figures = []
+        for a0 in ("1", "1e-6", "1e-12", "1e-300"):
+            assert cli.main(["mode", "--m", m, "--r0", "3", "--ell", "2", "--a0", a0,
+                             "--out-dir", str(tmp_path)]) == 0
+            out = capsys.readouterr().out
+            figures.append(re.findall(r"(DivergesPlus|fitted_exponent=\S+|r_max=[^;]+)", out))
+        assert len(figures[0]) == 3 and figures == [figures[0]] * 4
+
+    @pytest.mark.parametrize("a0", ["1e306", "-1e306"])
+    @pytest.mark.parametrize("m", ["1", "0"])
+    def test_mode_cli_rejects_a0_whose_threshold_overflows(self, tmp_path, capsys, m, a0):
+        # K_DIV |a0| would overflow to inf
+        assert cli.main(["mode", "--m", m, "--r0", "3", "--ell", "2", f"--a0={a0}",
+                         "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: |a0| must be at most ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_mode_cli_integrates_once(self, tmp_path, monkeypatch):
         calls = []
@@ -931,10 +970,20 @@ class TestStartupImports:
         else:
             assert checkpoints == ["[]"] * len(checkpoints)
         if script == "cli-sweep":
-            # both root-finding paths ran: the stepped and the flat k_div crossings
+            # the k_div crossings of both masses, m = 0 included
             records = json.loads((tmp_path / "sweep.json").read_text())["records"]
             crossed = {(rec["m"], rec["ell"]) for rec in records if rec["stop"] == "k_div"}
             assert crossed == {(1.0, 1), (1.0, 2), (0.0, 1), (0.0, 2)}
+
+    def test_cli_import_loads_no_importlib_metadata(self):
+        # sweep.json names no scipy version, so nothing reads package metadata
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, schwarzstatic.cli\n"
+             "print('importlib.metadata' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 def report_with_failures():
@@ -982,13 +1031,6 @@ class TestJsonWriter:
     def test_any_payload_is_json_dumps_with_indent(self, value):
         payload = {"head": {"x": [1, 2], "y": {}}, "records": value, "tail": "%s"}
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
-
-    def test_scipy_version_read_without_import(self):
-        import scipy
-
-        assert cli._sweep_payload(run_sweep(SweepConfig(**SMALL)))["environment"]["scipy"] == (
-            scipy.__version__)
-        assert "scipy" not in vars(cli)
 
 
 class TestBatchTimes:

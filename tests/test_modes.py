@@ -13,15 +13,12 @@ from scipy.optimize import brentq
 from schwarzstatic import _dop853, modes
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.modes import (
-    FLAT_MASS_RTOL,
     PHASE_SWITCH,
     AsymptoticKind,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     ModeSolution,
     _brentq,
-    _flat_coeffs,
-    _flat_eval,
     _horner,
     classify,
     classify_modes,
@@ -30,6 +27,8 @@ from schwarzstatic.modes import (
     make_ivp,
 )
 from schwarzstatic.cli import SweepConfig, run_sweep
+
+from reference import euler_coefficients, euler_eval
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 
@@ -41,21 +40,6 @@ def sweep_record(params, ell):
     rec = run_sweep(config).records[ell]
     assert (rec.m, rec.r0, rec.ell) == (params.m, params.r0, ell)
     return rec
-
-
-def euler_coefficients(ell, r0, a0):
-    """Flat-case closed form: a = c1 r^(-l-1) + c2 r^l from the initial data."""
-    da0 = ell * (ell + 1.0) / (2.0 * r0) * a0
-    if ell == 0:
-        return -(r0**2) * da0, a0 + r0 * da0
-    mat = np.array(
-        [
-            [r0 ** (-ell - 1.0), r0**ell],
-            [-(ell + 1.0) * r0 ** (-ell - 2.0), ell * r0 ** (ell - 1.0)],
-        ]
-    )
-    c1, c2 = np.linalg.solve(mat, [a0, da0])
-    return c1, c2
 
 
 def scipy_mode(ivp, r_max, rtol, atol, k_div):
@@ -193,14 +177,24 @@ class TestMakeIVP:
             assert_allclose(ivp.source, 4.0 * P13.m**2 * ivp.alpha0, rtol=1e-13)
 
     def test_flat_branch_has_no_substitution_constants(self):
+        # m = 0: the source vanishes and alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a0
+        # has no value
         ivp = make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0)
-        assert ivp.flat_branch
         assert ivp.alpha0 is None
         assert ivp.source == 0.0
+        assert ivp.da0 == 6.0  # l(l+1) a0 / (2 r0)
 
-    def test_near_zero_mass_uses_flat_branch(self):
-        ivp = make_ivp(SchwarzschildParams(m=1e-12, r0=1.0), 2, 1.0)
-        assert ivp.flat_branch
+    @pytest.mark.parametrize("m", [1e-12, -1e-12])
+    def test_near_zero_mass_has_the_generic_constants(self, m):
+        ivp = make_ivp(SchwarzschildParams(m=m, r0=1.0), 2, 1.0)
+        assert_allclose(ivp.alpha0, 1.5 + 1.0 / m, rtol=1e-15)
+        assert_allclose(ivp.source, 4.0 * m * m * ivp.alpha0, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [5e-324, -5e-324])
+    def test_alpha0_that_overflows_has_no_value(self, m):
+        # r0 / (4m) is inf at the smallest subnormal mass
+        for ell in (0, 1, 2):
+            assert make_ivp(SchwarzschildParams(m=m, r0=1.0), ell, 1.0).alpha0 is None
 
 
 class TestIntegrateEuler:
@@ -213,28 +207,16 @@ class TestIntegrateEuler:
         params = SchwarzschildParams(m=0.0, r0=1.0)
         for ell in range(9):
             ivp = make_ivp(params, ell, 1.0)
-            sol = integrate_mode(replace(ivp, flat_branch=False), 10.0, k_div=np.inf)
+            sol = integrate_mode(ivp, 50.0, k_div=np.inf)
             c1, c2 = euler_coefficients(ell, 1.0, 1.0)
-            a10, _ = sol.eval(10.0)
-            expect = c1 * 10.0 ** (-ell - 1.0) + c2 * 10.0**ell
-            assert_allclose(a10, expect, rtol=1e-8)
-
-    def test_flat_branch_equals_generic(self):
-        params = SchwarzschildParams(m=0.0, r0=1.0)
-        ivp = make_ivp(params, 4, 1.0)
-        closed = integrate_mode(ivp, 50.0, k_div=np.inf)
-        generic = integrate_mode(replace(ivp, flat_branch=False), 50.0, k_div=np.inf)
-        a_c, _ = closed.eval(np.array([2.0, 10.0, 50.0]))
-        a_g, _ = generic.eval(np.array([2.0, 10.0, 50.0]))
-        assert_allclose(a_g, a_c, rtol=1e-8)
+            r = np.array([2.0, 10.0, 50.0])
+            assert_allclose(sol.eval(r)[0], euler_eval(ell, c1, c2, r)[0], rtol=1e-8)
 
     def test_zero_data_stays_zero(self):
         params = SchwarzschildParams(m=0.0, r0=1.0)
-        ivp = make_ivp(params, 3, 0.0)
-        for flat_branch in (True, False):
-            sol = integrate_mode(replace(ivp, flat_branch=flat_branch), 1e3)
-            assert np.abs(sol.a).max() <= 1e-12
-            assert np.abs(sol.da).max() <= 1e-12
+        sol = integrate_mode(make_ivp(params, 3, 0.0), 1e3)
+        assert np.abs(sol.a).max() <= 1e-12
+        assert np.abs(sol.da).max() <= 1e-12
 
 
 class TestIntegrateSchwarzschild:
@@ -456,13 +438,13 @@ def horner_brackets(draw):
 
 @st.composite
 def flat_brackets(draw):
-    """_flat_solutions' objective: |c1 r^(-l-1) + c2 r^l| minus a level."""
+    """The Euler solution's crossing: |c1 r^(-l-1) + c2 r^l| minus a level."""
     ell = draw(st.integers(0, 16))
     c1, c2 = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 10.0))
     lo = draw(st.floats(1e-2, 1e3))
     hi = lo * draw(st.floats(1.0 + 1e-6, 1e3))
-    level = draw(inside([abs(_flat_eval(ell, c1, c2, np.float64(r))[0]) for r in (lo, hi)]))
-    return (lambda r: abs(_flat_eval(ell, c1, c2, np.float64(r))[0]) - level), lo, hi
+    level = draw(inside([abs(euler_eval(ell, c1, c2, np.float64(r))[0]) for r in (lo, hi)]))
+    return (lambda r: abs(euler_eval(ell, c1, c2, np.float64(r))[0]) - level), lo, hi
 
 
 @st.composite
@@ -539,11 +521,12 @@ LANES = (
     (make_ivp(P13, 0, 1.0), 3e6),  # converges through the x = 1/r phase
     (make_ivp(P13, 2, 1.0), 3e6),  # crosses k_div in r
     (make_ivp(P13, 0, 1.0), 1e170 * 3.0),  # fails in the x = 1/r phase
-    (replace(make_ivp(P13, 2, 1e-9), da0=1.0), 3e6),  # crosses k_div on its first step
+    # zero data, a large source: crosses k_div on its first step
+    (replace(make_ivp(P13, 2, 0.0), source=-1e13), 3e6),
     (make_ivp(P13, 0, 1.0), 0.05 * PHASE_SWITCH * 3.0),  # ends before the phase switch
     (make_ivp(SchwarzschildParams(m=-1.0, r0=1e-3), 0, 1.0), 1e3),  # near-horizon tail
     (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),
-    (make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0), 1e6),  # flat closed form
+    (make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0), 1e6),  # m = 0
     (make_ivp(P13, 2, 0.0), 3e20),  # zero data: the first step-size probe lands on x = 0
     (make_ivp(P13, 1, 1.0), 2.0),  # r_max below r0
 )
@@ -591,11 +574,11 @@ class TestBatchComposition:
 
 
 class TestDiagnostics:
-    def test_flat_branch_takes_no_steps(self):
+    def test_zero_mass_is_stepped(self):
         params = SchwarzschildParams(m=0.0, r0=1.0)
         for ell, stop in ((0, "r_max"), (3, "k_div")):
             sol = integrate_mode(make_ivp(params, ell, 1.0), 1e6)
-            assert (sol.n_steps, sol.nfev, sol.stop) == (0, 0, stop)
+            assert sol.stop == stop and sol.nfev > sol.n_steps > 0
 
     def test_verdict_carries_solver_counts(self):
         rec = sweep_record(P13, 2)
@@ -603,52 +586,64 @@ class TestDiagnostics:
         assert (rec.n_steps, rec.nfev, rec.stop) == (sol.n_steps, sol.nfev, "k_div")
 
 
-class TestFlatBranchCrossing:
-    def test_same_crossing_on_both_sides_of_the_flat_threshold(self):
-        # m just below FLAT_MASS_RTOL * r0 takes the closed form, just above
-        # it the integrator; both must stop where |a| = k_div |a0|
-        ivps = [make_ivp(SchwarzschildParams(m=f * FLAT_MASS_RTOL, r0=1.0), 2, 1.0)
-                for f in (0.99, 1.01)]
-        sols = [integrate_mode(ivp, 1e6) for ivp in ivps]
-        assert sols[0].ivp.flat_branch and not sols[1].ivp.flat_branch
-        assert_allclose(sols[0].r_max_used, sols[1].r_max_used, rtol=1e-6)
-        for sol in sols:
-            klass = classify(sol)
-            assert klass.kind is AsymptoticKind.DIVERGES_PLUS
-            assert_allclose(klass.fitted_limit, 1e3, rtol=1e-9)
-            assert sol.radii[-1] == sol.r_max_used
+class TestCrossingThroughZeroMass:
+    @pytest.mark.parametrize("ratio", [-1e-8, 0.0, 1e-8])
+    def test_crossing_is_continuous_in_m(self, ratio):
+        # one integrator for every mass: near m = 0 the k_div crossing is the
+        # Euler solution's, |c1 r^(-3) + c2 r^2| = k_div |a0|
+        c1, c2 = euler_coefficients(2, 1.0, 1.0)
+        root = brentq(lambda r: abs(euler_eval(2, c1, c2, r)[0]) - 1e3, 1.0, 1e3,
+                      xtol=4 * EPS, rtol=4 * EPS)
+        sol = integrate_mode(make_ivp(SchwarzschildParams(m=ratio, r0=1.0), 2, 1.0), 1e6)
+        assert_allclose(sol.r_max_used, root, rtol=1e-6)
+        klass = classify(sol)
+        assert klass.kind is AsymptoticKind.DIVERGES_PLUS
+        assert_allclose(klass.fitted_limit, 1e3, rtol=1e-9)
+        assert sol.radii[-1] == sol.r_max_used
 
 
-def flat_ivp(r0, ell):
-    return make_ivp(SchwarzschildParams(m=0.0, r0=r0), ell, 1.0)
+def flat_ivp(r0, ell, m=0.0):
+    return make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0)
 
 
 class TestFlatBranchRange:
     def test_out_of_range_lanes_fail_alone(self):
-        # r0^(-l-2) underflows at (1e80, 3), r0^l overflows at (1e160, 3) and
-        # r0^(-l-2) overflows at (1e-20, 16); the other lanes are untouched
-        ivps = [flat_ivp(1e80, 3), flat_ivp(1.0, 3), flat_ivp(1e160, 3), flat_ivp(1e80, 1),
+        # a subnormal r0, and an initial state r0 (r0 - 2m) a'(r0) that
+        # overflows at (1e160, 3); the other lanes are untouched and classify,
+        # (1e80, 3) and (1e-20, 16) where the Euler form's powers of r leave
+        # the normal floats
+        ivps = [flat_ivp(1e-320, 0), flat_ivp(1e80, 3), flat_ivp(1e160, 3), flat_ivp(1e80, 1),
                 flat_ivp(1e-20, 16), flat_ivp(1e80, 0)]
         sols = integrate_modes(ivps, [1e6 * ivp.r0 for ivp in ivps])
-        for k in (0, 2, 4):
-            assert type(sols[k]) is ValueError and "normal floats" in str(sols[k])
-        for k in (1, 3, 5):
+        assert type(sols[0]) is ValueError and "normal float" in str(sols[0])
+        assert type(sols[2]) is ValueError and "finite" in str(sols[2])
+        for k in (1, 3, 4, 5):
             alone = integrate_mode(ivps[k], 1e6 * ivps[k].r0)
-            assert sols[k].flat_coeffs == alone.flat_coeffs
             for key in ("radii", "a", "da"):
                 assert np.array_equal(getattr(sols[k], key), getattr(alone, key))
+            want = AsymptoticKind.CONVERGES_NONZERO if ivps[k].ell == 0 else (
+                AsymptoticKind.DIVERGES_PLUS)
+            assert classify(sols[k]).kind is want
 
     def test_zero_mass_is_flat_at_a_subnormal_radius(self):
-        # FLAT_MASS_RTOL * r0 underflows to 0 there, and the generic branch divides by m
-        assert flat_ivp(1e-320, 0).flat_branch
+        # no substitution constants, and the lane fails before any step:
+        # 1 / r_switch would overflow
+        ivp = flat_ivp(1e-320, 0)
+        assert ivp.alpha0 is None and ivp.source == 0.0
+        with pytest.raises(ValueError, match="normal float"):
+            integrate_mode(ivp, 1e-310)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 40), st.floats(-1074.0, 1023.0))
-    @example(0, 1023.0)  # r_max = inf: l = 0 forms no power of it, but cannot sample to it
-    def test_an_admitted_lane_forms_finite_values_and_the_right_class(self, ell, log2_r0):
-        # warnings are errors here: an admitted lane overflows nowhere
-        (sol,) = integrate_modes([flat_ivp(2.0 ** log2_r0, ell)], [1e6 * 2.0 ** log2_r0])
-        if isinstance(sol, ValueError):
+    @given(st.integers(0, 40), st.floats(-1074.0, 1023.0), st.sampled_from([0.0, 1.0, -1.0]))
+    @example(0, 1023.0, 0.0)  # r_max = inf
+    @example(3, math.log2(1e80), 0.0)  # r0^(-l-2) is subnormal
+    @example(3, math.log2(1e100), 1.0)  # r0^(-l-2) underflows to 0
+    def test_an_admitted_lane_forms_finite_values_and_the_right_class(self, ell, log2_r0, sign):
+        # warnings are errors here: a lane fails as a ValueError or a
+        # RuntimeError, or it classifies with finite samples, and overflows nowhere
+        r0 = 2.0 ** log2_r0
+        (sol,) = integrate_modes([flat_ivp(r0, ell, sign * 2.0**-40 * r0)], [1e6 * r0])
+        if isinstance(sol, (ValueError, RuntimeError)):
             return
         assert np.isfinite(sol.a).all() and np.isfinite(sol.da).all()
         want = AsymptoticKind.CONVERGES_NONZERO if ell == 0 else AsymptoticKind.DIVERGES_PLUS
@@ -709,8 +704,7 @@ class TestVerify:
         rec = sweep_record(params, 5)
         assert rec.passed
         assert rec.class_name == AsymptoticKind.DIVERGES_PLUS.value
-        assert make_ivp(params, 5, 1.0).flat_branch
-        assert (rec.n_steps, rec.nfev) == (0, 0)  # the closed form, not the stepper
+        assert rec.nfev > rec.n_steps > 0  # the stepper, as for every mass
 
     def test_negative_mass(self):
         rec = sweep_record(SchwarzschildParams(m=-1.0, r0=1.0), 2)
@@ -748,8 +742,9 @@ class TestComparisonPositivity:
 #
 # The code each mode ran on its own before sampling and classification became
 # array passes over a whole batch: np.geomspace per mode, scipy's OdeSolution
-# lookup per phase, the closed form with its crossing per flat mode, and
-# np.polyfit per fit.  The batch must reproduce them bit for bit.
+# lookup per phase and np.polyfit per fit.  The batch must reproduce them bit
+# for bit.  The m = 0 lanes are checked once more against the Euler closed
+# form, to the solver's tolerance.
 
 def reference_radii(r0, r_max, per_decade=48):
     decades = np.log10(r_max / r0)
@@ -809,13 +804,12 @@ def reference_eval(sol, r):
 
 
 def reference_flat(ivp, r_max, k_div):
-    """(radii, a, da, diverged) of the closed form, stopped at its crossing."""
-    (c1, c2), ell = _flat_coeffs(ivp), ivp.ell
+    """(radii, a, da, diverged) of the m = 0 closed form, stopped at its crossing."""
+    (c1, c2), ell = euler_coefficients(ivp.ell, ivp.r0, ivp.a0), ivp.ell
     threshold = k_div * (abs(ivp.a0) if ivp.a0 != 0.0 else 1.0)
 
     def closed_form(r):
-        a = c1 * r ** (-ell - 1.0) + c2 * r ** (1.0 * ell)
-        return a, -(ell + 1.0) * c1 * r ** (-ell - 2.0) + ell * c2 * r ** (ell - 1.0)
+        return euler_eval(ell, c1, c2, r)
 
     radii = reference_radii(ivp.r0, r_max)
     a, da = closed_form(radii)
@@ -907,9 +901,9 @@ def mixed_batch():
     """One batch with a lane for each way sampling can go, at one k_div."""
     flat = SchwarzschildParams(m=0.0, r0=1.0)
     lanes = [
-        (make_ivp(flat, 0, 1.0), 1e6),  # flat, no crossing
-        (make_ivp(flat, 3, 1.0), 1e6),  # flat, crossing
-        (make_ivp(flat, 2, -2.0), 1e5),  # flat, crossing below zero
+        (make_ivp(flat, 0, 1.0), 1e6),  # m = 0, no crossing
+        (make_ivp(flat, 3, 1.0), 1e6),  # m = 0, crossing
+        (make_ivp(flat, 2, -2.0), 1e5),  # m = 0, crossing below zero
         (make_ivp(P13, 2, 1.0), 3e3),  # crossing on a step's start
         (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),  # crossing in r
         (make_ivp(P13, 1, 1.0), 3e6),  # crossing in r, far out
@@ -938,23 +932,24 @@ class TestBatchedSampling:
                 assert isinstance(sol, ValueError) and "finite" in str(sol)
                 continue
             assert isinstance(sol, ModeSolution)
-            if ivp.flat_branch:
-                radii, a, da, diverged = reference_flat(ivp, rm, k_div)
-                assert sol.diverged == diverged and sol.r_max_used == float(radii[-1])
-                seen.add("flat-crossing" if diverged else "flat")
-            else:
-                radii = reference_radii(ivp.r0, sol.r_max_used)
-                a, da = reference_eval(sol, radii)
-                seen.add("tail" if sol._dense[2] >= 0 else "r-crossing" if sol.diverged else "r")
+            radii = reference_radii(ivp.r0, sol.r_max_used)
+            a, da = reference_eval(sol, radii)
+            seen.add("tail" if sol._dense[2] >= 0 else "r-crossing" if sol.diverged else "r")
             for got, want in ((sol.radii, radii), (sol.a, a), (sol.da, da)):
                 assert got.tobytes() == want.tobytes()
+            if ivp.m == 0.0:
+                euler_radii, euler_a, _, diverged = reference_flat(ivp, rm, k_div)
+                assert sol.diverged == diverged
+                assert_allclose(sol.r_max_used, euler_radii[-1], rtol=1e-6)
+                assert_allclose(sol.a[-1], euler_a[-1], rtol=1e-6)
+                seen.add("flat-crossing" if diverged else "flat")
         assert kinds <= seen
 
     def test_eval_is_the_batch_evaluator_on_one_mode(self):
         _, _, _, batch = mixed_batch()
         rng = np.random.default_rng(5)
         for sol in batch:
-            if not isinstance(sol, ModeSolution) or sol.flat_coeffs is not None:
+            if not isinstance(sol, ModeSolution):
                 continue
             r = np.sort(np.exp(rng.uniform(np.log(sol.ivp.r0), np.log(sol.r_max_used), 300)))
             r = np.concatenate([[sol.ivp.r0], r, [sol.r_max_used]])
