@@ -7,8 +7,7 @@ derivative is taken along the grid's directions: radial derivatives use the
 go through harmonic synthesis of basis derivatives, which is exact on
 band-limited data, so the radial truncation dominates and the residual of
 the exact background converges at 4th order.  gradient_components
-(gradient_scalar is its scalar case) assembles them into Cartesian
-gradients.
+(gradient_scalar is its scalar case) returns the Cartesian gradients.
 
 Layout.  The public functions take and return node-major samples, (n_r, n,
 *components).  Inside, every stage keeps them component-major, (n_r, C, n)
@@ -19,15 +18,23 @@ cofactor inverse, lowering and raising the Christoffels, the Gamma Gamma
 terms, the Hessian and the Laplacian) is one einsum or a short sum over
 whole component slices, each looping over all n_r n points with the nodes
 innermost: no per-node 3 x 3 matrix product and no length-3 inner loop.
+A Cartesian gradient, (n_r, C, 3, n), is one analysis of the n_r C rows,
+the coefficients divided by r, and one synthesis against the three rows of
+SphereCalc.grad_table side by side, theta_hat_k dY/dtheta + phi_hat_k
+dY/dphi / sin for axis k, which writes all three axes at once; normal_k
+times the radial stencil adds the rest.  No derivative along theta_hat or
+phi_hat is stored and then spread onto the axes.
 
 The Ricci tensor forms only the contractions it needs.  Only the 6
 distinct metric components g_(ij) are differentiated, into the 18 distinct
 Gamma^a_(ij).  In Ric_ij = d_a Gamma^a_ij - d_(i Gamma^a_|a|j)
 + Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj the two linear terms come
-from one batch of derivatives of the 18 Gamma^a_(ij), each direction
-contracted as soon as it is formed, so the 81-component gradient of all 27
-Gamma^a_ij is never stored; the derivatives of the trace Gamma^a_aj are
-traces of those derivatives.
+from one analysis and one radial stencil of the 18 Gamma^a_(ij).  The
+divergence synthesizes block a along axis a alone, one row of grad_table,
+so the 81-component gradient of all 27 Gamma^a_ij is never formed.  The
+trace Gamma^a_aj is linear in them, so its coefficients and radial
+derivative are the traces of theirs, and only the trace gets a full
+Cartesian gradient.
 
 The linearization oracle is a complex step (Squire & Trapp, SIAM Rev. 40
 (1998) 110): the nonlinear operator T is evaluated once at q + i h d and
@@ -42,9 +49,9 @@ same determinant gives boundary_data its log-determinant as log(det), the
 principal branch, analytic near the positive real axis where every sampled
 metric's determinant lies.
 
-The linear stages run on real arrays.  The banded radial stencils, the
-harmonic transforms and the frame assembly only multiply samples by real
-weights and add them, so they map real parts to real parts and imaginary
+The linear stages run on real arrays.  The banded radial stencils and the
+harmonic transforms with their Cartesian synthesis only multiply samples by
+real weights and add them, so they map real parts to real parts and imaginary
 parts to imaginary parts, and T stays analytic.  They take real float64
 samples: a complex operand (the metric, the potential and its gradient) goes
 through as one real batch, its real parts followed by its imaginary parts,
@@ -157,47 +164,39 @@ def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derivatives(grid: LabGrid, f: np.ndarray) -> np.ndarray:
-    """Derivatives (3, n_r, C, n) of real samples (n_r, C, n) along the unit
-    directions normal, theta_hat and phi_hat: d/dr, d/dtheta / r and
-    d/dphi / (r sin theta), the C components stenciled and transformed as one
-    batch."""
-    calc = grid.calc
-    f = np.ascontiguousarray(f)  # rows of unit stride, as the transforms' BLAS products need
-    out = np.empty((3, *f.shape))
-    out[0] = apply_radial(f, grid.h, 1)
-    dt, dp = calc.angular_derivatives(f.reshape(-1, f.shape[-1]))
-    inv_r = 1.0 / grid.r[:, None, None]
-    np.multiply(dt.reshape(f.shape), inv_r, out=out[1])
-    np.multiply(dp.reshape(f.shape), inv_r / calc.sin_theta, out=out[2])
+def _coeffs_over_r(grid: LabGrid, f: np.ndarray) -> np.ndarray:
+    """Harmonic coefficients (n_r, C, n_modes) of real samples (n_r, C, n),
+    divided by r: one analysis of the n_r C rows as one batch."""
+    n_r, c, n = f.shape
+    coeffs = grid.calc.coeffs(f.reshape(n_r * c, n)).reshape(n_r, c, -1)
+    coeffs /= grid.r[:, None, None]
+    return coeffs
+
+
+def _cartesian(calc: SphereCalc, coeffs: np.ndarray, df_dr: np.ndarray) -> np.ndarray:
+    """Cartesian gradient (n_r, C, 3, n) from the coefficients over r (n_r, C,
+    n_modes) and the radial derivative (n_r, C, n): one synthesis against all
+    three rows of calc.grad_table, plus normal_k times the radial derivative."""
+    n_r, c, n_modes = coeffs.shape
+    table = np.moveaxis(calc.grad_table, 0, 1).reshape(n_modes, -1)  # a view
+    out = (coeffs.reshape(n_r * c, n_modes) @ table).reshape(n_r, c, 3, -1)
+    out += df_dr[:, :, None] * np.ascontiguousarray(calc.normal.T)
     return out
-
-
-def _frame(calc: SphereCalc) -> np.ndarray:
-    """Cartesian components (direction, axis, n) of normal, theta_hat and phi_hat."""
-    return np.stack([calc.normal.T, calc.theta_hat.T, calc.phi_hat.T])
-
-
-def _spread(d: np.ndarray, calc: SphereCalc, out=None) -> np.ndarray:
-    """Cartesian gradient (n_r, C, 3, n) from unit-direction derivatives (3, n_r, C, n)."""
-    return np.einsum("drcn,dkn->rckn", d, _frame(calc), out=out)
 
 
 def _gradient(grid: LabGrid, f: np.ndarray) -> np.ndarray:
     """Cartesian gradient of component-major samples: (n_r, C, n) -> (n_r, C, 3, n).
 
     Complex samples go through the stencil and the transforms as one real
-    batch of 2C components, the real parts then the imaginary parts, each
-    half spread straight into its part of the complex result.
+    batch of 2C components, the real parts then the imaginary parts, joined
+    back afterwards.
     """
-    if not np.iscomplexobj(f):
-        return _spread(_derivatives(grid, f), grid.calc)
-    n_r, c, n = f.shape
-    d = _derivatives(grid, np.concatenate([f.real, f.imag], axis=1))
-    out = np.empty((n_r, c, 3, n), dtype=complex)
-    _spread(d[:, :, :c], grid.calc, out=out.real)
-    _spread(d[:, :, c:], grid.calc, out=out.imag)
-    return out
+    if np.iscomplexobj(f):
+        c = f.shape[1]
+        g = _gradient(grid, np.concatenate([f.real, f.imag], axis=1))
+        return _join(g[:, :c], g[:, c:])
+    f = np.ascontiguousarray(f)  # rows of unit stride, as the transforms' BLAS products need
+    return _cartesian(grid.calc, _coeffs_over_r(grid, f), apply_radial(f, grid.h, 1))
 
 
 def _symmetric_part(g: np.ndarray) -> np.ndarray:
@@ -261,16 +260,24 @@ def _trace(gamma: np.ndarray) -> np.ndarray:
 def _ricci_linear(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
     """d_a Gamma^a_ij - d_(i Gamma^a_|a|j) (n_r, 6, n) of real Gamma^a_(ij) (n_r, a, 6, n).
 
-    The 18 Gamma^a_(ij) are differentiated once, as one real batch.  Each
-    direction is contracted with the a slot as soon as it is formed, and the
-    derivatives of the trace Gamma^a_aj are the traces of those derivatives,
-    so only the trace gets a Cartesian gradient.
+    The 18 Gamma^a_(ij) are analysed and stenciled once, as one real batch.
+    Block a is synthesized along direction a alone, row a of
+    calc.grad_table, which is all the divergence reads.  The trace
+    Gamma^a_aj is linear, so its coefficients and radial derivative are the
+    traces of those of the Christoffels, and only the trace gets a full
+    Cartesian gradient.
     """
+    calc = grid.calc
     n_r, _, _, n = gamma.shape
-    d = _derivatives(grid, gamma.reshape(n_r, 18, n)).reshape(3, n_r, 3, 6, n)
-    div = np.einsum("drapn,dan->rpn", d, _frame(grid.calc))
-    dtrace = _trace(d.reshape(3 * n_r, 3, 6, n)).reshape(3, n_r, 3, n)
-    return div - _symmetric_part(_spread(dtrace, grid.calc))  # [:, j, i] = d_i tr_j
+    gamma = np.ascontiguousarray(gamma)
+    coeffs = _coeffs_over_r(grid, gamma.reshape(n_r, 18, n)).reshape(n_r, 3, 6, -1)
+    dr = apply_radial(gamma, grid.h, 1)
+    by_a = np.ascontiguousarray(np.moveaxis(coeffs, 1, 0)).reshape(3, n_r * 6, -1)
+    div = np.matmul(by_a, calc.grad_table).sum(axis=0).reshape(n_r, 6, n)
+    div += np.einsum("rapn,an->rpn", dr, calc.normal.T)
+    tr_coeffs = coeffs[:, 0, _PAIR[0]] + coeffs[:, 1, _PAIR[1]] + coeffs[:, 2, _PAIR[2]]
+    dtrace = _cartesian(calc, tr_coeffs, _trace(dr))
+    return div - _symmetric_part(dtrace)  # [:, j, i] = d_i tr_j
 
 
 def _ricci_quadratic(gamma: np.ndarray) -> np.ndarray:

@@ -27,10 +27,14 @@ Every 2-tensor conversion is one batched matrix product against a per-node
 table of the outer products e_a (x) e_b of the unit basis (normal,
 theta_hat, phi_hat), built once per grid: a tensor flattened to a row of 9
 (or, tangential only, 4) components times that node's table.  The scale
-multiplies the components, not the table.
+multiplies the components, not the table.  grad_table, built on first use,
+synthesizes the Cartesian components of surface gradients straight from
+harmonic coefficients; the curvature lab takes its gradients with it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +76,20 @@ class SphereCalc:
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
+
+    @cached_property
+    def grad_table(self) -> np.ndarray:
+        """Synthesis of Cartesian surface gradients, (3, n_modes, n_nodes).
+
+        Row k is theta_hat_k dY/dtheta + phi_hat_k dY/dphi / sin, so the
+        coefficients of a scalar times row k give component k of its surface
+        gradient.  Built on first use; the three rows are views of one
+        contiguous (n_modes, 3, n_nodes) array, which reshapes to the single
+        (n_modes, 3 n_nodes) synthesis of all three components.
+        """
+        dt = self.grid.dY_dtheta.T[:, None, :]
+        dp = (self.grid.dY_dphi / self.sin_theta[:, None]).T[:, None, :]
+        return np.moveaxis(dt * self.theta_hat.T + dp * self.phi_hat.T, 1, 0)
 
     # -- scalar spectral primitives -------------------------------------
 

@@ -2,14 +2,18 @@
 
 None of these is on a path that the package's commands run: they build test
 inputs (radial profiles, single-mode fields, linear combinations of fields),
-invert package results (the round Bartnik data of a Schwarzschild sphere)
-or solve a mode in closed form (the Euler solution at m = 0).  pytest does
+invert package results (the round Bartnik data of a Schwarzschild sphere),
+solve a mode in closed form (the Euler solution at m = 0) or take the
+curvature lab's gradients along the unit directions (the route its fused
+synthesis replaced).  pytest does
 not collect this module; the test modules import it as `reference`.
 """
 
 import numpy as np
 
 from schwarzstatic.background import RoundData, SchwarzschildParams, background_at
+from schwarzstatic.curvature_lab import _PAIR, _symmetric_part
+from schwarzstatic.fd import apply_radial
 from schwarzstatic.fields import DeformationField, RadialProfile, power_profile
 from schwarzstatic.harmonics import mode_position
 from schwarzstatic.sphere_ops import SphereCalc
@@ -113,3 +117,48 @@ def euler_eval(ell: int, c1, c2, r):
     a = c1 * r ** (-ell - 1.0) + c2 * r ** (1.0 * ell)
     da = -(ell + 1.0) * c1 * r ** (-ell - 2.0) + ell * c2 * r ** (ell - 1.0)
     return a, da
+
+
+def unit_direction_derivatives(grid, f):
+    """Derivatives (3, n_r, C, n) of real samples (n_r, C, n) along the unit
+    directions normal, theta_hat and phi_hat: d/dr, d/dtheta / r and
+    d/dphi / (r sin theta), from calc.angular_derivatives."""
+    calc = grid.calc
+    f = np.ascontiguousarray(f)
+    out = np.empty((3, *f.shape))
+    out[0] = apply_radial(f, grid.h, 1)
+    dt, dp = calc.angular_derivatives(f.reshape(-1, f.shape[-1]))
+    inv_r = 1.0 / grid.r[:, None, None]
+    out[1] = dt.reshape(f.shape) * inv_r
+    out[2] = dp.reshape(f.shape) * (inv_r / calc.sin_theta)
+    return out
+
+
+def unit_frame(calc):
+    """Cartesian components (direction, axis, n) of normal, theta_hat and phi_hat."""
+    return np.stack([calc.normal.T, calc.theta_hat.T, calc.phi_hat.T])
+
+
+def spread(d, calc):
+    """Cartesian gradient (n_r, C, 3, n) from unit-direction derivatives (3, n_r, C, n)."""
+    return np.einsum("drcn,dkn->rckn", d, unit_frame(calc))
+
+
+def unit_direction_gradient(grid, f):
+    """Cartesian gradient (n_r, C, 3, n) of samples (n_r, C, n), real or
+    complex, each part through the unit directions and the frame spread."""
+    if np.iscomplexobj(f):
+        return (unit_direction_gradient(grid, f.real)
+                + 1j * unit_direction_gradient(grid, f.imag))
+    return spread(unit_direction_derivatives(grid, f), grid.calc)
+
+
+def unit_direction_ricci_linear(grid, gamma):
+    """d_a Gamma^a_ij - d_(i Gamma^a_|a|j) (n_r, 6, n) of real Gamma^a_(ij)
+    (n_r, a, 6, n): all 18 differentiated along the unit directions, the
+    divergence contracted against the frame and the trace gradient spread."""
+    n_r, _, _, n = gamma.shape
+    d = unit_direction_derivatives(grid, gamma.reshape(n_r, 18, n)).reshape(3, n_r, 3, 6, n)
+    div = np.einsum("drapn,dan->rpn", d, unit_frame(grid.calc))
+    dtrace = d[:, :, 0, _PAIR[0]] + d[:, :, 1, _PAIR[1]] + d[:, :, 2, _PAIR[2]]
+    return div - _symmetric_part(spread(dtrace, grid.calc))

@@ -944,9 +944,12 @@ STARTUP_SCRIPTS = {
         "from schwarzstatic import selftest\n"
         "loaded()\n"
         "rng = np.random.default_rng(0)\n"
-        "assert selftest._suite_harmonics(rng).passed and selftest._suite_gauge(rng).passed\n"
+        "assert selftest._suite_harmonics(rng).run().passed\n"
+        "assert selftest._suite_gauge(rng).run().passed\n"
         "loaded()\n"
-        "assert selftest._suite_conservation(rng).passed\n"
+        "step = selftest._suite_conservation(rng)\n"
+        "loaded()\n"
+        "assert step.run().passed\n"
         "loaded()\n"
     ),
 }
@@ -956,8 +959,8 @@ class TestStartupImports:
     @pytest.mark.parametrize("script", sorted(STARTUP_SCRIPTS))
     def test_scipy_integrate_and_optimize_load_only_for_selftest(self, tmp_path, script):
         # no package import and no command but selftest loads any scipy
-        # module; solve_ivp is imported inside selftest's conservation suite,
-        # and only when that suite runs
+        # module; solve_ivp is imported inside the compute step of selftest's
+        # conservation suite, and only when that step runs, not when it is drawn
         proc = subprocess.run(
             [sys.executable, "-c", LOADED + STARTUP_SCRIPTS[script], str(tmp_path)],
             capture_output=True, text=True,
@@ -965,8 +968,8 @@ class TestStartupImports:
         assert proc.returncode == 0, proc.stderr
         checkpoints = [line for line in proc.stdout.splitlines() if line.startswith("[")]
         if script == "selftest-conservation":
-            assert checkpoints[:2] == ["[]", "[]"]
-            assert "'scipy.integrate'" in checkpoints[2]
+            assert checkpoints[:3] == ["[]", "[]", "[]"]
+            assert "'scipy.integrate'" in checkpoints[3]
         else:
             assert checkpoints == ["[]"] * len(checkpoints)
         if script == "cli-sweep":

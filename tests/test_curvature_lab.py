@@ -5,7 +5,11 @@ from numpy.testing import assert_allclose
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.curvature_lab import (
     LabGrid,
+    _christoffel,
+    _gradient,
     _inverse_sym3,
+    _ricci_linear,
+    _sym,
     adapted_frame_components,
     boundary_data,
     conformal_static_residual,
@@ -22,7 +26,12 @@ from schwarzstatic.fields import (
 )
 from schwarzstatic.sphere_ops import SphereCalc
 
-from reference import combine, constant_profile
+from reference import (
+    combine,
+    constant_profile,
+    unit_direction_gradient,
+    unit_direction_ricci_linear,
+)
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 H_STEP = 1e-20  # the complex step of linearize_at_schwarzschild
@@ -164,6 +173,42 @@ class TestNonlinearResidual:
         bad[3, 5] = 0.0
         with pytest.raises(ValueError):
             conformal_static_residual(grid, bad, U)
+
+
+class TestFusedSynthesis:
+    """The fused Cartesian-gradient synthesis against the unit-direction route.
+
+    The reference takes d/dtheta and d/dphi with calc.angular_derivatives,
+    divides by r and r sin theta and spreads the three unit-direction
+    derivatives onto the Cartesian axes; the fused path synthesizes the
+    Cartesian components directly from calc.grad_table.  Both are the same
+    linear map, so they agree to rounding on any samples, band-limited or not.
+    """
+
+    @pytest.fixture(scope="class", params=[8, 12], ids=["l8", "l12"])
+    def lab(self, request):
+        return make_lab_grid(P13, r_outer=4.5, n_r=33, calc=SphereCalc(l_max=request.param))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_gradient_matches_unit_direction_route(self, lab, kind):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((lab.n_r, 5, lab.calc.n_nodes))
+        if kind == "complex":
+            f = f + 1j * rng.standard_normal(f.shape)
+        got, expect = _gradient(lab, f), unit_direction_gradient(lab, f)
+        assert got.shape == expect.shape == (lab.n_r, 5, 3, lab.calc.n_nodes)
+        assert got.dtype == expect.dtype
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ricci_linear_matches_unit_direction_route(self, lab, seed):
+        # both parts of the Christoffels of a complex-step metric: the
+        # background (real) and the linearization (imaginary), each on its scale
+        G, _ = complex_step_samples(lab, random_direction(lab, seed))
+        gamma, _ = _christoffel(lab, _sym(G))
+        for part in (gamma.real, gamma.imag):
+            got, expect = _ricci_linear(lab, part), unit_direction_ricci_linear(lab, part)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 class TestMetricInverse:

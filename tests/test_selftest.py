@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from schwarzstatic import cli
+from schwarzstatic import cli, selftest, structure
 from schwarzstatic.selftest import run_selftest
 
 
@@ -43,11 +48,69 @@ class TestSelfTest:
             run_selftest(mutate="no-such-flip")
 
 
+class TestSchedule:
+    @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+    @pytest.mark.parametrize("seed", [0, 1, 13])
+    def test_two_threads_measure_what_a_serial_run_measures(self, seed, refine):
+        report = run_selftest(seed=seed, refine=refine)
+        rng = np.random.default_rng(seed)
+        serial = [suite(rng).run() for suite in selftest._suites(refine)]
+        assert [s.name for s in report.suites] == [s.name for s in serial]
+        assert [float(s.measured) for s in report.suites] == [float(s.measured) for s in serial]
+
+    @pytest.mark.parametrize("target", ["structure_residuals", "linearize_at_schwarzschild"],
+                             ids=["helper-thread", "main-thread"])
+    def test_raising_step_clears_mutations_and_joins_the_helper(self, monkeypatch, target):
+        class Planted(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise Planted(target)
+
+        monkeypatch.setattr(selftest, target, boom)
+        baseline = threading.active_count()
+        with pytest.raises(Planted):
+            run_selftest(seed=0, mutate="dg4-sign")
+        assert structure.MUTATIONS == set()
+        assert threading.active_count() == baseline
+
+    def test_first_exception_in_suite_order_is_raised(self, monkeypatch):
+        # the gauge suite (second, helper thread) fails as well as the oracle
+        # route (third, main thread): the gauge suite's exception wins
+        def fail(message):
+            def raiser(*args, **kwargs):
+                raise RuntimeError(message)
+            return raiser
+
+        monkeypatch.setattr(selftest, "build_gauge_field", fail("gauge"))
+        monkeypatch.setattr(selftest, "linearize_at_schwarzschild", fail("oracle"))
+        with pytest.raises(RuntimeError, match="^gauge$"):
+            run_selftest(seed=0)
+
+    def test_import_starts_no_executor(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, schwarzstatic.selftest\n"
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestSelfTestCli:
     def test_cli_pass(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("[pass]") == 5
+
+    def test_refine_seed1_lines_match_fixture(self, capsys):
+        # the six [pass] lines of `selftest --refine --seed 1` as the serial,
+        # unfused code printed them: the schedule and the fused gradient
+        # synthesis change no byte
+        fixture = (Path(__file__).parent / "data" / "selftest_refine_seed1.txt").read_text()
+        assert cli.main(["selftest", "--refine", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out[: out.rindex("selftest passed in ")] == fixture
 
     def test_cli_mutation_exit_two(self, capsys):
         assert cli.main(["selftest", "--mutate", "dg4-sign"]) == 2
@@ -66,8 +129,10 @@ class TestSelfTestCli:
             expect = (f"[pass] {suite['name']}: measured {suite['measured']:.3e}"
                       f" vs threshold {suite['threshold']:.1e}")
             assert line == expect
-            assert suite["passed"] is True and suite["wall_time_s"] > 0.0
-        assert sum(s["wall_time_s"] for s in suites) <= data["wall_time_s"]
+            assert suite["passed"] is True and 0.0 < suite["wall_time_s"] <= data["wall_time_s"]
+        # the oracle route overlaps the other suites, so their times add up
+        # to more than the run's, but each thread contributes at most the run
+        assert sum(s["wall_time_s"] for s in suites) <= 2.0 * data["wall_time_s"]
 
     def test_cli_json_mutation_exit_two(self, capsys):
         assert cli.main(["selftest", "--json", "--mutate", "dg4-sign"]) == 2
