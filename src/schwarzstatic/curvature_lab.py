@@ -253,7 +253,8 @@ def _christoffel(grid: LabGrid, g: np.ndarray):
 
 
 def _trace(gamma: np.ndarray) -> np.ndarray:
-    """Gamma^a_aj (n_r, 3, n) of Gamma^a_(ij) (n_r, a, 6, n)."""
+    """Gamma^a_aj (n_r, 3, n) of Gamma^a_(ij) (n_r, a, 6, n); the same for
+    their coefficients or derivatives, (n_r, a, 6, k) -> (n_r, 3, k)."""
     return gamma[:, 0, _PAIR[0]] + gamma[:, 1, _PAIR[1]] + gamma[:, 2, _PAIR[2]]
 
 
@@ -275,8 +276,7 @@ def _ricci_linear(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
     by_a = np.ascontiguousarray(np.moveaxis(coeffs, 1, 0)).reshape(3, n_r * 6, -1)
     div = np.matmul(by_a, calc.grad_table).sum(axis=0).reshape(n_r, 6, n)
     div += np.einsum("rapn,an->rpn", dr, calc.normal.T)
-    tr_coeffs = coeffs[:, 0, _PAIR[0]] + coeffs[:, 1, _PAIR[1]] + coeffs[:, 2, _PAIR[2]]
-    dtrace = _cartesian(calc, tr_coeffs, _trace(dr))
+    dtrace = _cartesian(calc, _trace(coeffs), _trace(dr))
     return div - _symmetric_part(dtrace)  # [:, j, i] = d_i tr_j
 
 
