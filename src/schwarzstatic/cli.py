@@ -596,7 +596,7 @@ def _cmd_mode(args) -> int:
 
     try:
         sol = integrate_mode(make_ivp(params, args.ell, args.a0), r_max)
-    except RuntimeError as exc:  # its message names the phase that failed
+    except RuntimeError as exc:  # modes already prefixes "mode integration failed: "
         raise SolverError(str(exc)) from None
     except ValueError as exc:
         raise SolverError(f"mode integration failed: {exc}") from None

@@ -9,32 +9,44 @@ where the constant S = 2m ((4m - r0) a(r0) + r0 (r0 - 2m) a'(r0)) comes from
 the boundary data; S is regular in m, so the integrator never divides
 by m.  The order does not enter; only the degree l matters.
 
-Integration runs in r out to a phase-switch radius and then in the
-compactified variable x = 1/r, which resolves the far tail out to
-r_max = r_max_factor * r0 for limit and decay-rate fits.  It stops early
-where |a| first reaches k_div |a(r0)|.  The equation is regular in m, so
-one integrator serves every mass: m = 0, the flat member of the family, is
-an Euler equation whose closed form c1 r^(-l-1) + c2 r^l the tests keep as
-the independent check of the integrator.  The problem is linear in a(r0),
-so a lane's absolute tolerance is scaled by |a(r0)| (1 for zero data), as
-its k_div threshold is.  A boundary radius below the smallest normal float
-fails like a lane the solver gives up on, before any step.
+Every lane steps in one scale-free variable, t = ln s with
+s = r - 2 max(m, 0), from ln s0 out to r_max = r_max_factor * r0 for limit
+and decay-rate fits.  s0 = r0 - 2 max(m, 0) is formed once from r0 and the
+right-hand side never forms r, so the regular singular point (r = 2m for
+m > 0, r = 0 for m < 0) lies at t = -inf and a boundary sphere next to it
+costs no more steps than one far from it.  With rho^2 = s (s + 2|m|) the
+system in the state (a, w = rho^2 a') is
 
-Both phases use DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
+    da/dt = s w / rho^2,    dw/dt = s ((4 m^2 / rho^2 + l(l+1)) a - S / rho^2),
+
+evaluated as w / (s + 2|m|) and (4 m^2 / (s + 2|m|) + l(l+1) s) a - S / (s + 2|m|),
+and s = exp(t) is np.exp of the lane array: each element of np.exp and
+np.log is the same whatever the array around it, which keeps lanes
+independent (the tests pin it).  Integration stops early where |a| first
+reaches k_div |a(r0)|.  The equation is regular in m, so one integrator
+serves every mass: m = 0, the flat member of the family, is an Euler
+equation whose closed form c1 r^(-l-1) + c2 r^l the tests keep as the
+independent check of the integrator.  The problem is linear in a(r0), so a
+lane's absolute tolerance is scaled by |a(r0)| (1 for zero data), as its
+k_div threshold is.  A lane whose rho^2(r0) = r0 (r0 - 2m) lies below the
+smallest normal float (so that w(r0) would have lost digits), or whose r_max
+is infinite, fails like a lane the solver gives up on, before any step.
+
+The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
 in this module, with scipy's tableau (vendored in _dop853) and scipy's step
 control, so the steps are solve_ivp's up to rounding.  integrate_modes steps
 a batch of modes in lockstep, one lane of numpy arrays per mode; each lane
 rounds exactly as it would alone, and integrate_mode is a batch of one.
-Every k_div crossing is located by _brentq, a statement-for-statement port
-of scipy's brentq (Brent, Algorithms for Minimization without Derivatives,
-1973), which returns scipy's root bit for bit.  The package imports neither
-scipy.integrate nor scipy.optimize; the tests keep solve_ivp and brentq as
-the independent checks.
+Every k_div crossing is located in t by _brentq, a statement-for-statement
+port of scipy's brentq (Brent, Algorithms for Minimization without
+Derivatives, 1973), which returns scipy's root bit for bit.  The package
+imports neither scipy.integrate nor scipy.optimize; the tests keep
+solve_ivp and brentq as the independent checks.
 
 Sampling and classification are array passes over the whole batch too.
 integrate_modes forms every mode's sample radii in one vectorised
-geomspace and evaluates all modes in one lookup and one Horner pass over a
-single segment table of both phases of every lane.  classify_modes applies
+geomspace in r and evaluates all modes in one lookup and one Horner pass
+over a single segment table of every lane.  classify_modes applies
 the tail masks and the divergence, smallness and oscillation tests to the
 concatenated samples of all modes and runs only the least-squares fits per
 mode.  Both reproduce the per-mode computations bit for bit:
@@ -76,7 +88,6 @@ __all__ = [
     "classify_modes",
 ]
 
-PHASE_SWITCH = 1e3  # switch from r to x = 1/r at PHASE_SWITCH * r0
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
@@ -147,10 +158,10 @@ class ModeSolution:
     da: np.ndarray
     r_max_used: float
     diverged: bool
-    n_steps: int = 0  # accepted DOP853 steps over both phases
-    nfev: int = 0  # right-hand-side evaluations over both phases
+    n_steps: int = 0  # accepted DOP853 steps in t = ln s
+    nfev: int = 0  # right-hand-side evaluations
     sample_s: float = 0.0  # this mode's share of its batch's one sampling pass
-    # (batch dense output, group in r, group in x = 1/r or -1, switch radius)
+    # (batch dense output, this mode's lane in it)
     _dense: tuple | None = field(default=None, repr=False)
 
     @property
@@ -189,8 +200,8 @@ class ModeSolution:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < self.ivp.r0) or np.any(r > self.r_max_used * (1 + 1e-12)):
             raise ValueError("evaluation outside the integrated range")
-        dense, inner, tail, r_switch = self._dense
-        return dense.eval(inner, tail, r_switch, 2.0 * self.ivp.m, r)
+        dense, lane = self._dense
+        return dense.eval(lane, self.ivp.m, r)
 
 
 def _sample_radii(r0, r_end, per_decade=48):
@@ -268,11 +279,14 @@ def integrate_modes(
     idx, y0, r_end = [], [], []  # the modes to step
     for i, (ivp, rm) in enumerate(zip(ivps, r_max)):
         m, r0 = float(ivp.m), float(ivp.r0)
-        a0, w0 = float(ivp.a0), r0 * (r0 - 2.0 * m) * float(ivp.da0)
+        rho2 = r0 * (r0 - 2.0 * m)
+        a0, w0 = float(ivp.a0), rho2 * float(ivp.da0)
         if not rm > r0:
             out[i] = ValueError("r_max must exceed r0")
-        elif not r0 >= _TINY:  # 1 / r_switch would overflow
-            out[i] = ValueError(f"r0 must be a normal float, got r0={r0!r}")
+        elif not math.isfinite(rm):  # ln s would be inf at the bound
+            out[i] = ValueError("r_max must be finite")
+        elif not rho2 >= _TINY:  # w(r0) = rho^2 a'(r0) would have lost digits
+            out[i] = ValueError(f"r0 (r0 - 2m) must be a normal float, got r0={r0!r}")
         elif not (math.isfinite(a0) and math.isfinite(w0)):
             out[i] = ValueError("All components of the initial state y0 must be finite.")
         else:
@@ -287,50 +301,29 @@ def integrate_modes(
     r0 = np.array([float(ivp.r0) for ivp in lanes])
     ll1 = np.array([ivp.ell * (ivp.ell + 1.0) for ivp in lanes])
     S = np.array([float(ivp.source) for ivp in lanes])
-    params = np.stack([2.0 * m, 4.0 * m * m, ll1, S])
+    with np.errstate(over="ignore"):  # an inf 4 m^2 makes the stages nan: the lane fails
+        params = np.stack([np.abs(2.0 * m), 4.0 * m * m, ll1, S])
     scale0 = np.array([_scale0(ivp) for ivp in lanes])
     threshold, atol = k_div * scale0, atol * scale0
-    r_end = np.array(r_end)
-    r_switch = np.where(PHASE_SWITCH * r0 < r_end, PHASE_SWITCH * r0, r_end)
-    inner, segs = _lockstep(_rhs_r, params, r0, np.array(y0).T, r_switch, 1.0, rtol, atol,
-                            threshold)
-    x_switch, x_max = 1.0 / r_switch, 1.0 / r_end
-    tail = [j for j, run in enumerate(inner)
-            if isinstance(run, _Run) and not run.crossed and x_max[j] < x_switch[j]]
-    phases = [(1.0, segs)]
-    outer = {}
-    if tail:
-        runs_x, segs_x = _lockstep(
-            _rhs_x, params[:, tail], x_switch[tail], np.array([inner[j].y for j in tail]).T,
-            x_max[tail], -1.0, rtol, atol[tail], threshold[tail],
-        )
-        outer = dict(zip(tail, runs_x))
-        phases.append((-1.0, segs_x))
+    r_end, shift = np.array(r_end), _shift(m)
+    runs, dense = _lockstep(params, np.log(r0 - shift), np.array(y0).T, np.log(r_end - shift),
+                            rtol, atol, threshold)
 
     done = []  # the lanes that reached their end
-    for j, i in enumerate(idx):
-        run, run_x = inner[j], outer.get(j)
+    for j, (i, run) in enumerate(zip(idx, runs)):
         if isinstance(run, RuntimeError):
             out[i] = RuntimeError(f"mode integration failed: {run}")
-        elif isinstance(run_x, RuntimeError):
-            out[i] = RuntimeError(f"tail integration failed: {run_x}")
-        elif isinstance(run, Exception) or isinstance(run_x, Exception):
-            out[i] = run if isinstance(run, Exception) else run_x
+        elif isinstance(run, Exception):
+            out[i] = run
         else:
             done.append(j)
     if not done:
         return out
 
     t0 = time.perf_counter()
-    # lane j's phase in r is group j of the table, the tail of tail[k] is
-    # group len(idx) + k
-    dense = _Dense([phase for phase in phases if phase[1] is not None])
-    tail_group = np.full(len(idx), -1)
-    tail_group[tail] = len(idx) + np.arange(len(tail))
-    sols = _sampled(
-        [lanes[j] for j in done], [inner[j] for j in done], [outer.get(j) for j in done],
-        dense, np.array(done), tail_group[done], r_switch[done],
-    )
+    # lane j of the batch is lane j of the dense output
+    done = np.array(done)
+    sols = _sampled([lanes[j] for j in done], [runs[j] for j in done], dense, done, r_end[done])
     sample_s = (time.perf_counter() - t0) / len(done)
     for j, sol in zip(done, sols):
         sol.sample_s = sample_s
@@ -343,27 +336,32 @@ def _scale0(ivp: ModeIVP) -> float:
     return abs(ivp.a0) if ivp.a0 != 0.0 else 1.0
 
 
-def _sampled(ivps, runs, runs_x, dense: "_Dense", inner, tail, r_switch) -> list[ModeSolution]:
+def _shift(m):
+    """2 max(m, 0), so that s = r - _shift(m) vanishes at the singular point."""
+    return 2.0 * np.maximum(m, 0.0)
+
+
+def _sampled(ivps, runs, dense: "_Dense", lanes, r_end) -> list[ModeSolution]:
     """The stepped solutions sampled on their radii, in one pass over the dense output.
 
-    Mode j's phase in r is group inner[j] of dense, its phase in x = 1/r
-    group tail[j] (-1 for none), entered beyond r_switch[j].
+    Mode j is lane lanes[j] of dense.  A mode that reached its bound ends at
+    r_end[j] exactly, one stopped by its k_div event at r = exp(t) + 2 max(m, 0).
     """
-    r_reached = [run.t if run_x is None else 1.0 / run_x.t for run, run_x in zip(runs, runs_x)]
+    m = np.array([float(ivp.m) for ivp in ivps])
+    crossed = np.array([run.crossed for run in runs])
+    r_reached = r_end.copy()
+    r_reached[crossed] = np.exp(np.array([run.t for run in runs])[crossed]) + _shift(m[crossed])
     r0 = np.array([float(ivp.r0) for ivp in ivps])
-    two_m = np.array([2.0 * float(ivp.m) for ivp in ivps])
-    radii, first, count = _sample_radii(r0, np.array(r_reached))
+    radii, first, count = _sample_radii(r0, r_reached)
     lane = np.repeat(np.arange(len(ivps)), count)
-    a, da = dense.eval(inner[lane], tail[lane], r_switch[lane], two_m[lane], radii)
+    a, da = dense.eval(lanes[lane], m[lane], radii)
     out = []
-    for j, (ivp, run, run_x) in enumerate(zip(ivps, runs, runs_x)):
+    for j, (ivp, run) in enumerate(zip(ivps, runs)):
         lo, hi = first[j], first[j] + count[j]
         out.append(ModeSolution(
             ivp=ivp, radii=radii[lo:hi], a=a[lo:hi], da=da[lo:hi],
-            r_max_used=r_reached[j], diverged=(run if run_x is None else run_x).crossed,
-            n_steps=run.n_steps + (run_x.n_steps if run_x else 0),
-            nfev=run.nfev + (run_x.nfev if run_x else 0),
-            _dense=(dense, int(inner[j]), int(tail[j]), float(r_switch[j])),
+            r_max_used=float(r_reached[j]), diverged=run.crossed,
+            n_steps=run.n_steps, nfev=run.nfev, _dense=(dense, int(lanes[j])),
         ))
     return out
 
@@ -402,71 +400,46 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _rhs_r(p, r, y):
-    """(a, w)' in r; p holds 2m, 4m^2, l(l+1) and S per lane."""
-    two_m, four_mm, ll1, S = p
-    rho2 = r * (r - two_m)
-    return y[1] / rho2, (four_mm / rho2 + ll1) * y[0] - S / rho2
+def _rhs(p, t, y):
+    """(a, w)' in t = ln s; p holds 2|m|, 4m^2, l(l+1) and S per lane.
 
-
-def _rhs_x(p, x, y):
-    """(a, w)' in x = 1/r."""
-    two_m, four_mm, ll1, S = p
-    omx = 1.0 - two_m * x
-    return -y[1] / omx, -(four_mm / omx) * y[0] - ll1 * y[0] / (x * x) + S / omx
-
-
-@dataclass(frozen=True)
-class _Segments:
-    """The kept steps of a lockstep run, sorted by lane.
-
-    Lane j owns rows bounds[j]:bounds[j + 1].  Segment k starts at t_old[k]
-    with step h[k] and state y_old[k] (shape (2,)), ends at t_end[k] (an
-    event root may end it inside its step) and has scipy's
-    Dop853DenseOutput coefficients F[k] (shape (rows, 2)).
+    s / rho^2 = 1 / (s + 2|m|), so no factor overflows before s itself.
     """
-
-    t_old: np.ndarray
-    h: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
-    t_end: np.ndarray
-    bounds: np.ndarray
+    two_abs_m, four_mm, ll1, S = p
+    s = np.exp(t)
+    q = s + two_abs_m
+    return y[1] / q, (four_mm / q + ll1 * s) * y[0] - S / q
 
 
 class _Dense:
-    """The dense output of every phase of a batch, evaluated as scipy's OdeSolution.
+    """The dense output of every lane of a batch, evaluated as scipy's OdeSolution.
 
-    A group is one phase of one lane; groups are numbered on through the
-    phases, lane by lane.  Each segment has the key g + i s t_end (complex,
-    so numpy orders keys by group, then by s t_end), with s = +1 in r and
-    -1 in x = 1/r so that keys increase within a group.  One searchsorted
-    of g + i s t over the keys, clipped to the group's last segment, finds
-    the segment scipy's OdeSolution picks for t.  The polynomial is scipy's:
-    with x = (t - t_old) / h, Horner over the rows of F from the last,
-    multiplying alternately by x and 1 - x, plus y_old.
+    Segment k belongs to one lane, starts at t_old[k] with step h[k] and
+    state y_old[:, k], ends at t_end (an event root may end it inside its
+    step) and has scipy's Dop853DenseOutput coefficients F[:, :, k].  Its key
+    is lane + i t_end (complex, so numpy orders keys by lane, then by t_end).
+    One searchsorted of lane + i t over the keys, clipped to the lane's last
+    segment, finds the segment scipy's OdeSolution picks for t.  The
+    polynomial is scipy's: with x = (t - t_old) / h, Horner over the rows
+    of F from the last, multiplying alternately by x and 1 - x, plus y_old.
     """
 
-    def __init__(self, phases):
-        """phases: (s, _Segments) per phase, in group order."""
-        keys, last, groups, rows = [], [], 0, 0
-        for sign, seg in phases:
-            lanes = len(seg.bounds) - 1
-            group = np.repeat(np.arange(groups, groups + lanes), np.diff(seg.bounds))
-            keys.append(_complex(group, sign * seg.t_end))
-            last.append(rows + seg.bounds[1:] - 1)
-            groups, rows = groups + lanes, rows + seg.bounds[-1]
-        self.keys, self.last = np.concatenate(keys), np.concatenate(last)
-        self.t_old, self.h = (np.concatenate([getattr(seg, name) for _, seg in phases])
-                              for name in ("t_old", "h"))
+    def __init__(self, lane, t_old, h, y_old, F, t_end, n_lanes):
+        """The kept steps of a lockstep run over n_lanes lanes, in the order they
+        were taken: per step its lane, t_old, h and t_end, and y_old (2, steps)
+        and F (rows, 2, steps)."""
+        order = np.argsort(lane, kind="stable")
+        self.keys = _complex(lane[order], t_end[order])
+        self.last = np.cumsum(np.bincount(lane, minlength=n_lanes)) - 1
+        self.t_old, self.h = t_old[order], h[order]
         # per component: y_old as (segments,), F as (rows, segments)
-        self.y_old = np.concatenate([seg.y_old for _, seg in phases]).T.copy()
-        self.F = np.concatenate([seg.F for _, seg in phases]).transpose(2, 1, 0).copy()
+        self.y_old = y_old[:, order]
+        self.F = F[:, :, order].transpose(1, 0, 2).copy()
 
-    def __call__(self, group, key, t) -> tuple[np.ndarray, np.ndarray]:
-        """(a, w) at the points t of the given groups; key = s t."""
-        seg = np.searchsorted(self.keys, _complex(group, key))
-        seg = np.minimum(seg, self.last[group])
+    def __call__(self, lane, t) -> tuple[np.ndarray, np.ndarray]:
+        """(a, w) at the points t of the given lanes."""
+        seg = np.searchsorted(self.keys, _complex(lane, t))
+        seg = np.minimum(seg, self.last[lane])
         x = (t - self.t_old.take(seg)) / self.h.take(seg)
         return tuple(self._horner(self.F[c], x, seg) + self.y_old[c].take(seg) for c in (0, 1))
 
@@ -479,18 +452,15 @@ class _Dense:
             y *= x if i % 2 == 0 else one_minus_x
         return y
 
-    def eval(self, inner, tail, r_switch, two_m, r) -> tuple[np.ndarray, np.ndarray]:
-        """(a, a') at the radii r: per radius its group in r, its group in x = 1/r
-        (-1 for none), the switch radius and 2m, or one of each for all."""
-        in_tail = (tail >= 0) & (r > r_switch)
-        t = np.where(in_tail, 1.0 / r, r)
-        a, w = self(np.where(in_tail, tail, inner), np.where(in_tail, -t, t), t)
+    def eval(self, lane, m, r) -> tuple[np.ndarray, np.ndarray]:
+        """(a, a') at the radii r: per radius its lane and mass, or one of each for all."""
+        a, w = self(lane, np.log(r - _shift(m)))
         # divide twice: r(r-2m) overflows above r ~ 1e154, w / r / (r-2m) does not
-        return a, w / r / (r - two_m)
+        return a, w / r / (r - 2.0 * m)
 
 
 def _complex(real, imag) -> np.ndarray:
-    z = np.empty(np.shape(real), dtype=complex)
+    z = np.empty(np.broadcast(real, imag).shape, dtype=complex)
     z.real, z.imag = real, imag
     return z
 
@@ -498,7 +468,6 @@ def _complex(real, imag) -> np.ndarray:
 @dataclass(frozen=True)
 class _Run:
     t: float  # t_bound, or the root of the event
-    y: tuple[float, float]
     crossed: bool  # stopped where |a| = threshold
     n_steps: int
     nfev: int
@@ -533,15 +502,14 @@ def _rms(u):
     return np.sqrt(u[0] * u[0] + u[1] * u[1]) / math.sqrt(2.0)
 
 
-def _initial_step(rhs, p, t0, y0, f0, t_bound, direction, rtol, atol):
+def _initial_step(p, t0, y0, f0, t_bound, rtol, atol):
     """scipy's select_initial_step for an order-7 error estimator, per lane."""
-    length = np.abs(t_bound - t0)
+    length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.where(length < h0, length, h0)
-    step = h0 * direction
-    f1 = np.array(rhs(p, t0 + step, y0 + step * f0))
+    f1 = np.array(_rhs(p, t0 + h0, y0 + h0 * f0))
     d2 = _rms((f1 - f0) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.array([
@@ -554,17 +522,13 @@ def _initial_step(rhs, p, t0, y0, f0, t_bound, direction, rtol, atol):
     return np.where(length == 0, 0.0, np.where(length < h, length, h))
 
 
-def _event_root(F, t_old, h, y_old, threshold, t_new):
-    """Root of |a| = threshold in a step's dense output, and (a, w) there."""
-    Fa, Fw = F[:, 0].tolist(), F[:, 1].tolist()
-    a_old, w_old = float(y_old[0]), float(y_old[1])
-    t_old, h = float(t_old), float(h)
-    root = _brentq(
-        lambda s: abs(_horner(Fa, (s - t_old) / h) + a_old) - threshold,
+def _event_root(Fa, t_old, h, a_old, threshold, t_new):
+    """Root of |a| = threshold in a step's dense output; Fa holds its rows for a."""
+    Fa, a_old, t_old, h = Fa.tolist(), float(a_old), float(t_old), float(h)
+    return _brentq(
+        lambda t: abs(_horner(Fa, (t - t_old) / h) + a_old) - threshold,
         t_old, float(t_new), xtol=4 * _EPS, rtol=4 * _EPS,
     )
-    x = (root - t_old) / h
-    return root, _horner(Fa, x) + a_old, _horner(Fw, x) + w_old
 
 
 def _horner(F, x):
@@ -643,38 +607,37 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
-    """DOP853 on every lane of y0 (shape (2, n)) from t0 towards t_bound.
+def _lockstep(p, t0, y0, t_bound, rtol, atol, threshold):
+    """DOP853 on every lane of y0 (shape (2, n)) from t0 up to t_bound.
 
-    Lane j integrates y' = rhs(p[:, j], t, y) with absolute tolerance
+    Lane j integrates y' = _rhs(p[:, j], t, y) with absolute tolerance
     atol[j] and stops at t_bound[j] or at the first root of
     |y[0]| = threshold[j], located by _brentq on the step's dense output
-    with xtol = rtol = 4 eps.  direction is the sign of
-    t_bound - t0, the same for every lane.  Returns per lane a _Run, or the
-    exception that ended it: a RuntimeError when the step size drops below
-    10 ulp of t, or _brentq's ValueError; and the lanes' kept steps as
-    _Segments (None when every lane failed).
+    with xtol = rtol = 4 eps.  Returns per lane a _Run, or the exception
+    that ended it: a RuntimeError when the step size drops below 10 ulp of
+    t, or _brentq's ValueError; and the lanes' kept steps as a _Dense (None
+    when every lane failed).
     """
     n = t0.size
     results: list = [None] * n
     with np.errstate(all="ignore"):
-        f0 = np.array(rhs(p, t0, y0))
+        f0 = np.array(_rhs(p, t0, y0))
         s = _Lanes(
             lane=np.arange(n), p=p, t=t0, y=y0, f=f0, t_bound=t_bound, threshold=threshold,
             atol=atol,
-            h_abs=_initial_step(rhs, p, t0, y0, f0, t_bound, direction, rtol, atol),
+            h_abs=_initial_step(p, t0, y0, f0, t_bound, rtol, atol),
             min_step=np.zeros(n), g=np.abs(y0[0]) - threshold,
             fresh=np.ones(n, dtype=bool), rejected=np.zeros(n, dtype=bool),
             nfev=np.full(n, 2), n_steps=np.zeros(n, dtype=int), n_kept=np.zeros(n, dtype=int),
         )
         segments = []  # (lane, t_old, h, y_old, F, t_end) of each step's kept segments
-        final = np.empty((3, n))  # t, a, w where each lane stopped
+        t_final = np.empty(n)  # where each lane stopped
         crossed = np.zeros(n, dtype=bool)
         counts = np.zeros((2, n), dtype=int)  # n_steps, nfev
 
         while s.lane.size:
             if s.fresh.any():  # lanes starting a new step
-                ms = 10 * np.abs(np.nextafter(s.t, direction * np.inf) - s.t)
+                ms = 10 * np.abs(np.nextafter(s.t, np.inf) - s.t)
                 s.min_step = np.where(s.fresh, ms, s.min_step)
                 s.h_abs = np.where(s.fresh & (s.min_step > s.h_abs), s.min_step, s.h_abs)
                 s.rejected &= ~s.fresh
@@ -688,23 +651,22 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
                     break
 
             p, t, y, f = s.p, s.t, s.y, s.f
-            t_new = t + s.h_abs * direction
-            t_new = np.where(direction * (t_new - s.t_bound) > 0, s.t_bound, t_new)
-            h = t_new - t
-            h_abs = np.abs(h)
+            t_new = t + s.h_abs
+            t_new = np.where(t_new - s.t_bound > 0, s.t_bound, t_new)
+            h = t_new - t  # never negative: t_bound lies ahead of t
             K = np.empty((_N_STAGES + 1 + len(_EXTRA_STAGES), 2, t.size))
             K[0] = f
             for i, (row, c) in enumerate(_STAGES, start=1):
-                K[i] = rhs(p, t + c * h, y + _combine(row, K) * h)
+                K[i] = _rhs(p, t + c * h, y + _combine(row, K) * h)
             y_new = y + h * _combine(_B, K)
-            K[_N_STAGES] = rhs(p, t + h, y_new)
+            K[_N_STAGES] = _rhs(p, t + h, y_new)
 
             ay, ay_new = np.abs(y), np.abs(y_new)
             scale = s.atol + np.where(ay_new > ay, ay_new, ay) * rtol
             e5, e3 = _combine(_E53, K) / scale
             n5 = e5[0] * e5[0] + e5[1] * e5[1]
             n3 = e3[0] * e3[0] + e3[1] * e3[1]
-            err = h_abs * n5 / np.sqrt((n5 + 0.01 * n3) * 2)
+            err = h * n5 / np.sqrt((n5 + 0.01 * n3) * 2)
             err[(n5 == 0) & (n3 == 0)] = 0.0
             # a zero scale (atol = 0 and a zero state) makes the norm nan in scipy
             err[(scale == 0).any(axis=0)] = np.nan
@@ -715,7 +677,7 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
             grow = np.where(factor < _MAX_FACTOR, factor, _MAX_FACTOR)
             grow = np.where(s.rejected & ~(grow < 1), 1.0, grow)
             shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
-            s.h_abs = h_abs * np.where(accept, grow, shrink)
+            s.h_abs = h * np.where(accept, grow, shrink)
             s.rejected |= ~accept
             s.fresh = accept
             s.nfev += _N_STAGES
@@ -723,7 +685,7 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
                 continue
 
             for i, (row, c) in enumerate(_EXTRA_STAGES, start=_N_STAGES + 1):
-                K[i] = rhs(p, t + c * h, y + _combine(row, K) * h)
+                K[i] = _rhs(p, t + c * h, y + _combine(row, K) * h)
             dy = y_new - y
             F = np.empty((3 + len(_D), 2, t.size))
             F[0] = dy
@@ -742,8 +704,8 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
             failed = np.zeros(t.size, dtype=bool)
             for j in np.flatnonzero(cross):
                 try:
-                    s.t[j], s.y[0, j], s.y[1, j] = _event_root(
-                        F[:, :, j], t[j], h[j], y[:, j], float(s.threshold[j]), t_new[j])
+                    s.t[j] = _event_root(
+                        F[:, 0, j], t[j], h[j], y[0, j], float(s.threshold[j]), t_new[j])
                 except ValueError as exc:
                     results[s.lane[j]] = exc
                     failed[j] = True
@@ -752,9 +714,9 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
             segments.append((s.lane[kept], t[kept], h[kept], y[:, kept], F[:, :, kept], s.t[kept]))
             s.n_kept += kept
 
-            done = accept & ~failed & (cross | ~(direction * (s.t - s.t_bound) < 0))
+            done = accept & ~failed & (cross | ~(s.t < s.t_bound))
             ended = s.lane[done]
-            final[0, ended], final[1:, ended] = s.t[done], s.y[:, done]
+            t_final[ended] = s.t[done]
             crossed[ended] = cross[done]
             counts[:, ended] = s.n_steps[done], s.nfev[done]
             if (done | failed).any():
@@ -762,21 +724,12 @@ def _lockstep(rhs, p, t0, y0, t_bound, direction, rtol, atol, threshold):
 
     if all(r is not None for r in results):
         return results, None
-    lane, t_old, h, y_old, F, t_end = (
-        np.concatenate([seg[k] for seg in segments], axis=-1) for k in range(6))
-    order = np.argsort(lane, kind="stable")
-    table = _Segments(
-        t_old=t_old[order], h=h[order], y_old=y_old[:, order].T,
-        F=F[:, :, order].transpose(2, 0, 1), t_end=t_end[order],
-        bounds=np.concatenate([[0], np.cumsum(np.bincount(lane, minlength=n))]),
-    )
+    dense = _Dense(*(np.concatenate([seg[k] for seg in segments], axis=-1) for k in range(6)), n)
     for j in range(n):
         if results[j] is None:
-            results[j] = _Run(
-                t=float(final[0, j]), y=(float(final[1, j]), float(final[2, j])),
-                crossed=bool(crossed[j]), n_steps=int(counts[0, j]), nfev=int(counts[1, j]),
-            )
-    return results, table
+            results[j] = _Run(t=float(t_final[j]), crossed=bool(crossed[j]),
+                              n_steps=int(counts[0, j]), nfev=int(counts[1, j]))
+    return results, dense
 
 
 def classify(sol: ModeSolution) -> AsymptoticClass:

@@ -128,8 +128,9 @@ class TestRunSweep:
         assert_allclose(report.records[0].fitted_limit, 1.0, rtol=1e-9)
 
     def test_default_sweep_matches_fixture(self, tmp_path):
-        # sweep.csv without wall_time_s as the per-mode stepper wrote it before
-        # the lockstep batch replaced it: batching changes no byte
+        # sweep.csv without wall_time_s: batching changes no byte.  The
+        # fixture's class and pass columns date from the per-mode stepper in
+        # r and x = 1/r; its numeric columns are the lockstep's in t = ln s
         fixture = (Path(__file__).parent / "data" / "default_sweep.csv").read_text()
         emit(run_sweep(SweepConfig()), str(tmp_path))
         rows = [ln.rsplit(",", 1)[0] for ln in read_csv(tmp_path / "sweep.csv")]
@@ -487,7 +488,7 @@ class TestMainEntry:
             pytest.param(["--a0", "5e-324"], 1, id="subnormal-a0"),
             pytest.param(["--a0=-1e-310"], 1, id="negative-subnormal-a0"),
             pytest.param(["--r-max-factor", "inf"], 1, id="infinite-r-max-factor"),
-            pytest.param(["--r-max-factor", "1e300"], 2, id="solver-failure"),
+            pytest.param(["--m=-1e308"], 2, id="solver-failure"),
         ],
     )
     def test_mode_cli_rejects_bad_params(self, tmp_path, capsys, bad, code):
@@ -499,16 +500,23 @@ class TestMainEntry:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_mode_cli_solver_failure_names_itself_once(self, tmp_path, capsys):
-        # the lockstep gives up just outside the horizon; modes already
-        # prefixes the message with the phase that failed
+        # the initial state r0 (r0 - 2m) a'(r0) overflows; the message is
+        # prefixed once, whether the lane fails before or during stepping
         assert cli.main(
-            ["mode", "--m", "1", "--r0", "2.000000000001", "--ell", "3",
-             "--out-dir", str(tmp_path)]
+            ["mode", "--m=-1e308", "--r0", "1", "--ell", "0", "--out-dir", str(tmp_path)]
         ) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.count("error:") == 1
         assert err.startswith("error: mode integration failed: ")
         assert err.count("integration failed") == 1
+
+    def test_mode_cli_next_to_the_horizon_classifies(self, tmp_path, capsys):
+        # a solver failure while the mode stepped in r, where r0 - 2m = 1e-12
+        # needed steps below 10 ulp of r; t = ln s resolves it with ordinary steps
+        assert cli.main(["mode", "--m", "1", "--r0", "2.000000000001", "--ell", "3",
+                         "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert ": DivergesPlus fitted_limit=1000 " in captured.out and captured.err == ""
 
     @pytest.mark.parametrize(
         "m,r0,ell",
@@ -517,11 +525,11 @@ class TestMainEntry:
             pytest.param("0", "1e-320", "0", id="subnormal-r0"),
         ],
     )
-    def test_mode_cli_flat_branch_out_of_range_is_a_solver_failure(
+    def test_mode_cli_out_of_range_zero_mass_lane_is_a_solver_failure(
         self, tmp_path, capsys, m, r0, ell
     ):
-        # r0 (r0 - 2m) a'(r0) overflows at r0 = 1e160, and 1 / r_switch would
-        # at a subnormal r0; they once gave an OverflowError and a
+        # r0 (r0 - 2m) a'(r0) overflows at r0 = 1e160, and a subnormal r0 has
+        # lost significant digits; they once gave an OverflowError and a
         # ZeroDivisionError.  Warnings are errors here, so none is printed either
         assert cli.main(["mode", "--m", m, "--r0", r0, "--ell", ell,
                          "--out-dir", str(tmp_path)]) == 2
@@ -768,8 +776,8 @@ class TestInstalledEntryPoint:
         "args,n_records,n_failed",
         [
             pytest.param(
-                ["--r-max-factor", "1e300", "--masses", "1", "--deltas", "1",
-                 "--ell-max", "2"], 3, 1, id="tail-integration-failure",
+                ["--r-max-factor", "1e300", "--masses=-1e200,1", "--deltas", "1",
+                 "--ell-max", "2"], 6, 3, id="stepping-failure",
             ),
             pytest.param(
                 ["--masses=-1e308", "--deltas", "1", "--ell-max", "0"], 1, 1,
@@ -786,7 +794,7 @@ class TestInstalledEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 2
-        assert b"Traceback" not in proc.stderr
+        assert b"Traceback" not in proc.stderr and b"Warning" not in proc.stderr
         rows = [row.split(",") for row in read_csv(tmp_path / "sweep.csv")[1:]]
         assert len(rows) == n_records
         failed = [row for row in rows if row[7] == "false"]
@@ -844,11 +852,12 @@ class TestInstalledEntryPoint:
         assert proc.stderr.startswith(b"error: cannot write output")
         assert proc.stderr.count(b"\n") == 1
 
-    @pytest.mark.parametrize("factor", ["1e100", "1e160"])
+    @pytest.mark.parametrize("factor", ["1e100", "1e160", "1e300"])
     def test_subprocess_huge_extent_classifies(self, tmp_path, factor):
         # r_max = 3e100: the limit fit must not hand LAPACK an underflowed
         # Vandermonde matrix (it looped on the nan instead of returning);
-        # r_max = 3e160: r(r-2m) overflows, so the profile must not form it
+        # r_max = 3e160: r(r-2m) overflows, so the profile must not form it;
+        # r_max = 3e300 failed while the far tail was stepped in x = 1/r
         common = ["--r-max-factor", factor, "--out-dir", str(tmp_path)]
         mode = subprocess.run(
             [sys.executable, "-m", "schwarzstatic.cli", "mode", "--m", "1", "--r0", "3",

@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 from schwarzstatic import _dop853, modes
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.modes import (
-    PHASE_SWITCH,
     AsymptoticKind,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -43,22 +42,20 @@ def sweep_record(params, ell):
 
 
 def scipy_mode(ivp, r_max, rtol, atol, k_div):
-    """The mode integrated by solve_ivp(method="DOP853"), phase by phase.
+    """The mode integrated by solve_ivp(method="DOP853") in t = ln s, s = r - 2 max(m, 0).
 
     This is the route integrate_mode's own stepper replaced, kept here as its
-    independent check.  Returns (a and a' at radii r, r_reached, diverged,
-    right-hand-side evaluations).
+    independent check on the same system.  Returns (a and a' at radii r,
+    r_reached, diverged, right-hand-side evaluations).
     """
     m, r0, ll1, S = ivp.m, ivp.r0, ivp.ell * (ivp.ell + 1.0), ivp.source
+    shift = 2.0 * max(m, 0.0)
     threshold = k_div * (abs(ivp.a0) if ivp.a0 != 0.0 else 1.0)
 
-    def rhs_r(r, y):
-        rho2 = r * (r - 2.0 * m)
-        return [y[1] / rho2, (4.0 * m * m / rho2 + ll1) * y[0] - S / rho2]
-
-    def rhs_x(x, y):
-        omx = 1.0 - 2.0 * m * x
-        return [-y[1] / omx, -(4.0 * m * m / omx) * y[0] - ll1 * y[0] / (x * x) + S / omx]
+    def rhs(t, y):
+        s = np.exp(t)
+        q = s + 2.0 * abs(m)  # rho^2 / s
+        return [y[1] / q, (4.0 * m * m / q + ll1 * s) * y[0] - S / q]
 
     def blowup(t, y):
         return abs(y[0]) - threshold
@@ -66,27 +63,19 @@ def scipy_mode(ivp, r_max, rtol, atol, k_div):
     blowup.terminal = True
     events = blowup if np.isfinite(threshold) else None
     opts = dict(method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events)
-    r_switch = min(r_max, PHASE_SWITCH * r0)
-    with np.errstate(all="ignore"):  # numpy scalars meet x / 0 at huge extents
-        inner = solve_ivp(rhs_r, (r0, r_switch), [ivp.a0, r0 * (r0 - 2.0 * m) * ivp.da0], **opts)
-        if not inner.success:
-            raise RuntimeError(inner.message)
-        diverged, r_reached, nfev, tail = inner.status == 1, inner.t[-1], inner.nfev, None
-        if not diverged and r_max > r_switch:
-            tail = solve_ivp(rhs_x, (1.0 / r_switch, 1.0 / r_max), inner.y[:, -1], **opts)
-            if not tail.success:
-                raise RuntimeError(tail.message)
-            diverged, r_reached, nfev = tail.status == 1, 1.0 / tail.t[-1], nfev + tail.nfev
+    with np.errstate(all="ignore"):  # numpy scalars overflow where a mode does
+        sol = solve_ivp(rhs, (np.log(r0 - shift), np.log(r_max - shift)),
+                        [ivp.a0, r0 * (r0 - 2.0 * m) * ivp.da0], **opts)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    diverged = sol.status == 1
+    r_reached = np.exp(sol.t[-1]) + shift if diverged else r_max
 
     def evaluate(r):
-        y = np.empty((2, r.size))
-        outer = r > r_switch if tail is not None else np.zeros(r.size, dtype=bool)
-        y[:, ~outer] = inner.sol(r[~outer])
-        if outer.any():
-            y[:, outer] = tail.sol(1.0 / r[outer])
-        return y[0], y[1] / (r * (r - 2.0 * m))
+        y = sol.sol(np.log(r - shift))
+        return y[0], y[1] / r / (r - 2.0 * m)  # r(r-2m) overflows above r ~ 1e154
 
-    return evaluate, r_reached, diverged, nfev
+    return evaluate, r_reached, diverged, sol.nfev
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,7 @@ class TestMakeIVP:
             ivp = make_ivp(P13, ell, 1.3)
             assert_allclose(ivp.source, 4.0 * P13.m**2 * ivp.alpha0, rtol=1e-13)
 
-    def test_flat_branch_has_no_substitution_constants(self):
+    def test_zero_mass_has_no_substitution_constants(self):
         # m = 0: the source vanishes and alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a0
         # has no value
         ivp = make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0)
@@ -378,11 +367,10 @@ class TestScipyParity:
 
     @pytest.mark.parametrize("ell,factor", [(1, 1e5), (2, 1e5), (16, 1e5), (1, 1e20), (2, 1e20)])
     def test_tail_phase_matches_solve_ivp(self, ell, factor):
-        # k_div = inf runs every degree through the x = 1/r phase; at 1e20
-        # the first step-size probe lands on x = 0, where x * x = 0 (degree
-        # 16 overflows there, for solve_ivp too)
+        # k_div = inf runs every degree out to its bound (degree 16 would
+        # overflow short of 1e20, for solve_ivp too)
         sol = self.check(make_ivp(P13, ell, 1.0), factor * 3.0, k_div=np.inf)
-        assert sol.r_max_used > PHASE_SWITCH * 3.0 and not sol.diverged
+        assert sol.r_max_used == factor * 3.0 and not sol.diverged
 
     @pytest.mark.parametrize(
         "a0,ell,r_max,atol",
@@ -396,13 +384,25 @@ class TestScipyParity:
 
     @pytest.mark.parametrize("m,r0", [(1.0, 3.0), (-1.0, 1.0)])
     def test_both_fail_at_huge_extent(self, m, r0):
-        # x * x underflows near x = 1/r_max: 0/0 in the degree-0 right-hand
-        # side makes every stage nan, and both step sizes shrink to failure
-        ivp = make_ivp(SchwarzschildParams(m=m, r0=r0), 0, 1.0)
-        with pytest.raises(RuntimeError, match="tail integration failed"):
-            integrate_mode(ivp, 1e300 * r0)
+        # with no k_div the degree-16 mode grows like r^16 past the float
+        # range: its stages overflow, and both step sizes shrink to failure
+        ivp = make_ivp(SchwarzschildParams(m=m, r0=r0), 16, 1.0)
+        with pytest.raises(RuntimeError, match="mode integration failed"):
+            integrate_mode(ivp, 1e20 * r0, k_div=np.inf)
         with pytest.raises(RuntimeError):
-            scipy_mode(ivp, 1e300 * r0, 1e-10, 1e-12, 1e3)
+            scipy_mode(ivp, 1e20 * r0, 1e-10, 1e-12, np.inf)
+
+    @pytest.mark.parametrize("m,r0", [(1.0, 3.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("factor", [1e170, 1e300])
+    def test_degree_zero_converges_at_huge_extent(self, m, r0, factor):
+        # these lanes once failed in an x = 1/r tail phase, where x * x
+        # underflows; in t = ln s they reach their bound in a few dozen steps
+        ivp = make_ivp(SchwarzschildParams(m=m, r0=r0), 0, 1.0)
+        sol = self.check(ivp, factor * r0)
+        assert sol.r_max_used == factor * r0 and sol.nfev < 1000
+        klass = classify(sol)
+        assert klass.kind is AsymptoticKind.CONVERGES_NONZERO
+        assert_allclose(klass.fitted_limit, 1.0, rtol=1e-9)
 
 
 EPS = float(np.finfo(float).eps)
@@ -518,19 +518,21 @@ class TestVendoredPrimitives:
 
 # lanes for the batch-composition property, covering each way a lane ends
 LANES = (
-    (make_ivp(P13, 0, 1.0), 3e6),  # converges through the x = 1/r phase
-    (make_ivp(P13, 2, 1.0), 3e6),  # crosses k_div in r
-    (make_ivp(P13, 0, 1.0), 1e170 * 3.0),  # fails in the x = 1/r phase
+    (make_ivp(P13, 0, 1.0), 3e6),  # converges out to its bound
+    (make_ivp(P13, 2, 1.0), 3e6),  # crosses k_div
+    # 4 m^2 and the source overflow: every stage is nan and the lane fails
+    (make_ivp(SchwarzschildParams(m=-1e200, r0=1.0), 0, 1.0), 1e6),
     # zero data, a large source: crosses k_div on its first step
     (replace(make_ivp(P13, 2, 0.0), source=-1e13), 3e6),
-    (make_ivp(P13, 0, 1.0), 0.05 * PHASE_SWITCH * 3.0),  # ends before the phase switch
-    (make_ivp(SchwarzschildParams(m=-1.0, r0=1e-3), 0, 1.0), 1e3),  # near-horizon tail
+    (make_ivp(P13, 0, 1.0), 150.0),  # a short range
+    (make_ivp(SchwarzschildParams(m=-1.0, r0=1e-3), 0, 1.0), 1e3),  # near the puncture r = 0
     (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),
     (make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0), 1e6),  # m = 0
-    (make_ivp(P13, 2, 0.0), 3e20),  # zero data: the first step-size probe lands on x = 0
+    (make_ivp(P13, 2, 0.0), 3e20),  # zero data
+    (make_ivp(P13, 0, 1.0), 1e170 * 3.0),  # once failed in an x = 1/r tail phase
     (make_ivp(P13, 1, 1.0), 2.0),  # r_max below r0
 )
-FAILING, FIRST_STEP, SHORT = 2, 3, 4
+FAILING, FIRST_STEP, SHORT, HUGE = 2, 3, 4, 9
 
 
 @functools.cache
@@ -553,14 +555,16 @@ class TestBatchComposition:
     def test_lanes_end_as_intended(self):
         assert isinstance(lane_alone(FAILING), RuntimeError)
         assert lane_alone(FIRST_STEP).diverged and lane_alone(FIRST_STEP).n_steps == 1
-        short = lane_alone(SHORT)
-        assert not short.diverged and short.r_max_used < PHASE_SWITCH * short.ivp.r0
+        for k in (SHORT, HUGE):
+            sol = lane_alone(k)
+            assert not sol.diverged and sol.r_max_used == LANES[k][1]
         assert isinstance(lane_alone(len(LANES) - 1), ValueError)
 
     @settings(max_examples=8, deadline=None)
     @given(st.lists(st.sampled_from(range(len(LANES))), min_size=1, max_size=len(LANES),
                     unique=True))
     @example([0, FAILING, 1])
+    @example([HUGE, FAILING, 0])
     @example([FIRST_STEP, 6, SHORT, 5])
     @example([SHORT, 1, FIRST_STEP])
     def test_a_lane_is_the_same_in_any_batch(self, order):
@@ -571,6 +575,64 @@ class TestBatchComposition:
     def test_integrate_mode_is_a_batch_of_one(self):
         for k in (0, 1, FIRST_STEP):
             same_lane(integrate_mode(*LANES[k]), lane_alone(k))
+
+
+class TestChangeOfVariable:
+    """Checks of the integration variable t = ln s, most of them by routes that avoid it."""
+
+    def test_exp_and_log_do_not_depend_on_the_array(self):
+        # lanes stay independent only if np.exp (in the right-hand side) and
+        # np.log (at the bounds and the sample radii) give each element the
+        # same value whatever the array's length, mask or stride
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 70))
+            x = rng.uniform(-40.0, 700.0, n)
+            for f, arg in ((np.exp, x), (np.log, np.exp(x))):
+                whole = f(arg)
+                mask = rng.random(n) < 0.5
+                stride = int(rng.integers(1, 5))
+                assert f(arg[mask]).tobytes() == whole[mask].tobytes()
+                assert f(arg[::stride]).tobytes() == whole[::stride].tobytes()
+                one = int(rng.integers(n))
+                assert f(arg[one:one + 1]).tobytes() == whole[one:one + 1].tobytes()
+
+    @pytest.mark.parametrize(
+        "m,r0,ell,r_max",
+        [
+            (1.0, 2.0 + 1e-6, 0, 1e4),  # next to the horizon r = 2m
+            (1.0, 2.0 + 1e-6, 2, 1e4),
+            (-1.0, 1e-3, 0, 1e3),  # next to the puncture r = 0
+            (-1.0, 1.0, 3, 1e6),
+            (0.0, 1.0, 0, 1e6),
+            (0.0, 1.0, 2, 1e6),
+        ],
+    )
+    def test_samples_match_solve_ivp_in_r(self, m, r0, ell, r_max):
+        # the original system in r, (a, w = r(r-2m) a'), by solve_ivp at
+        # tighter tolerances, out to where the lane stopped
+        ivp = make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0)
+        sol = integrate_mode(ivp, r_max)
+        ll1, S = ell * (ell + 1.0), ivp.source
+
+        def rhs(r, y):
+            rho2 = r * (r - 2.0 * m)
+            return [y[1] / rho2, (4.0 * m * m / rho2 + ll1) * y[0] - S / rho2]
+
+        ref = solve_ivp(rhs, (r0, sol.r_max_used), [ivp.a0, r0 * (r0 - 2.0 * m) * ivp.da0],
+                        method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+        assert ref.success
+        a, w = ref.sol(sol.radii)
+        assert_allclose(sol.a, a, rtol=1e-8)
+        assert_allclose(sol.da, w / sol.radii / (sol.radii - 2.0 * m), rtol=1e-8)
+
+    def test_crossing_below_1e_12_is_located_to_rounding(self):
+        # brentq's absolute xtol of 4 eps was coarse in r at r ~ 1e-13; in
+        # t = ln s it is relative, and a DivergesPlus limit is k_div |a0|
+        sol = integrate_mode(make_ivp(SchwarzschildParams(m=-1e-22, r0=1e-13), 5, 1.0), 1e-7)
+        klass = classify(sol)
+        assert klass.kind is AsymptoticKind.DIVERGES_PLUS
+        assert_allclose(klass.fitted_limit, 1e3, rtol=1e-9)
 
 
 class TestDiagnostics:
@@ -602,18 +664,18 @@ class TestCrossingThroughZeroMass:
         assert sol.radii[-1] == sol.r_max_used
 
 
-def flat_ivp(r0, ell, m=0.0):
+def zero_mass_ivp(r0, ell, m=0.0):
     return make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0)
 
 
-class TestFlatBranchRange:
+class TestZeroMassLanes:
     def test_out_of_range_lanes_fail_alone(self):
         # a subnormal r0, and an initial state r0 (r0 - 2m) a'(r0) that
         # overflows at (1e160, 3); the other lanes are untouched and classify,
         # (1e80, 3) and (1e-20, 16) where the Euler form's powers of r leave
         # the normal floats
-        ivps = [flat_ivp(1e-320, 0), flat_ivp(1e80, 3), flat_ivp(1e160, 3), flat_ivp(1e80, 1),
-                flat_ivp(1e-20, 16), flat_ivp(1e80, 0)]
+        ivps = [zero_mass_ivp(1e-320, 0), zero_mass_ivp(1e80, 3), zero_mass_ivp(1e160, 3),
+                zero_mass_ivp(1e80, 1), zero_mass_ivp(1e-20, 16), zero_mass_ivp(1e80, 0)]
         sols = integrate_modes(ivps, [1e6 * ivp.r0 for ivp in ivps])
         assert type(sols[0]) is ValueError and "normal float" in str(sols[0])
         assert type(sols[2]) is ValueError and "finite" in str(sols[2])
@@ -625,10 +687,10 @@ class TestFlatBranchRange:
                 AsymptoticKind.DIVERGES_PLUS)
             assert classify(sols[k]).kind is want
 
-    def test_zero_mass_is_flat_at_a_subnormal_radius(self):
-        # no substitution constants, and the lane fails before any step:
-        # 1 / r_switch would overflow
-        ivp = flat_ivp(1e-320, 0)
+    def test_zero_mass_lane_fails_at_a_subnormal_radius(self):
+        # no substitution constants, and the lane fails before any step: a
+        # subnormal r0 has lost significant digits
+        ivp = zero_mass_ivp(1e-320, 0)
         assert ivp.alpha0 is None and ivp.source == 0.0
         with pytest.raises(ValueError, match="normal float"):
             integrate_mode(ivp, 1e-310)
@@ -642,7 +704,7 @@ class TestFlatBranchRange:
         # warnings are errors here: a lane fails as a ValueError or a
         # RuntimeError, or it classifies with finite samples, and overflows nowhere
         r0 = 2.0 ** log2_r0
-        (sol,) = integrate_modes([flat_ivp(r0, ell, sign * 2.0**-40 * r0)], [1e6 * r0])
+        (sol,) = integrate_modes([zero_mass_ivp(r0, ell, sign * 2.0**-40 * r0)], [1e6 * r0])
         if isinstance(sol, (ValueError, RuntimeError)):
             return
         assert np.isfinite(sol.a).all() and np.isfinite(sol.da).all()
@@ -753,7 +815,7 @@ def reference_radii(r0, r_max, per_decade=48):
 
 
 class ReferenceDense:
-    """One phase of one mode, evaluated as scipy's OdeSolution.
+    """One mode's dense output in t = ln s, evaluated as scipy's OdeSolution.
 
     Segment k covers [ts[k], ts[k+1]] with scipy's Dop853DenseOutput
     polynomial: with x = (t - t_old[k]) / h[k], Horner over the rows of F[k]
@@ -764,12 +826,8 @@ class ReferenceDense:
         self.ts, self.t_old, self.h, self.y_old, self.F = ts, t_old, h, y_old, F
 
     def __call__(self, t):
-        n = len(self.h)
-        if self.ts[-1] >= self.ts[0]:
-            seg = np.searchsorted(self.ts, t, side="left") - 1
-        else:
-            seg = n - np.searchsorted(self.ts[::-1], t, side="right")
-        seg = np.clip(seg, 0, n - 1)
+        seg = np.searchsorted(self.ts, t, side="left") - 1
+        seg = np.clip(seg, 0, len(self.h) - 1)
         x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
         F = self.F[seg]
         y = np.zeros((len(seg), 2))
@@ -780,27 +838,19 @@ class ReferenceDense:
         return y.T
 
 
-def reference_phases(sol):
-    """The mode's phases in r and in x = 1/r (or None), cut from its batch's table."""
-    dense, inner, tail, r_switch = sol._dense
-
-    def phase(group, t0):
-        rows = np.flatnonzero(dense.keys.real == group)
-        ts = np.concatenate([[t0], np.abs(dense.keys.imag[rows])])
-        return ReferenceDense(ts, dense.t_old[rows], dense.h[rows], dense.y_old[:, rows].T,
-                              dense.F[:, :, rows].transpose(2, 1, 0))
-
-    return phase(inner, sol.ivp.r0), phase(tail, 1.0 / r_switch) if tail >= 0 else None, r_switch
+def reference_dense(sol):
+    """The mode's dense output in t = ln s, cut from its batch's table."""
+    dense, lane = sol._dense
+    rows = np.flatnonzero(dense.keys.real == lane)
+    t0 = np.log(sol.ivp.r0 - 2.0 * max(sol.ivp.m, 0.0))
+    ts = np.concatenate([[t0], dense.keys.imag[rows]])
+    return ReferenceDense(ts, dense.t_old[rows], dense.h[rows], dense.y_old[:, rows].T,
+                          dense.F[:, :, rows].transpose(2, 1, 0))
 
 
 def reference_eval(sol, r):
-    dense_r, dense_x, r_switch = reference_phases(sol)
-    tail = r > r_switch if dense_x is not None else np.zeros(r.shape, dtype=bool)
-    y = np.empty((2, r.size))
-    y[:, ~tail] = dense_r(r[~tail])
-    if tail.any():
-        y[:, tail] = dense_x(1.0 / r[tail])
-    return y[0], y[1] / r / (r - 2.0 * sol.ivp.m)
+    a, w = reference_dense(sol)(np.log(r - 2.0 * max(sol.ivp.m, 0.0)))
+    return a, w / r / (r - 2.0 * sol.ivp.m)
 
 
 def reference_flat(ivp, r_max, k_div):
@@ -887,12 +937,12 @@ def step_start_k_div():
     """
     ivp = make_ivp(P13, 2, 1.0)
     free = integrate_mode(ivp, 3e3, k_div=np.inf)
-    dense, group = free._dense[:2]
-    rows = np.flatnonzero(dense.keys.real == group)
+    dense, lane = free._dense
+    rows = np.flatnonzero(dense.keys.real == lane)
     k = rows[np.argmax(np.abs(dense.y_old[0, rows]) > 500.0)]
     k_div = float(np.nextafter(abs(dense.y_old[0, k]), np.inf))
     sol = integrate_mode(ivp, 3e3, k_div=k_div)
-    assert sol.diverged and sol.r_max_used == dense.t_old[k]
+    assert sol.diverged and sol.r_max_used == np.exp(dense.t_old[k]) + 2.0
     assert np.count_nonzero(sol._dense[0].keys.real == sol._dense[1]) == k - rows[0]
     return k_div
 
@@ -905,12 +955,13 @@ def mixed_batch():
         (make_ivp(flat, 3, 1.0), 1e6),  # m = 0, crossing
         (make_ivp(flat, 2, -2.0), 1e5),  # m = 0, crossing below zero
         (make_ivp(P13, 2, 1.0), 3e3),  # crossing on a step's start
-        (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),  # crossing in r
-        (make_ivp(P13, 1, 1.0), 3e6),  # crossing in r, far out
-        (make_ivp(P13, 0, 1.0), 3e6),  # through the x = 1/r tail
-        (make_ivp(SchwarzschildParams(m=-1.0, r0=1e-3), 0, 1.0), 1e3),  # near-horizon tail
-        (make_ivp(P13, 2, 0.0), 3e20),  # zero data, tail
-        (make_ivp(P13, 0, 1.0), 0.05 * PHASE_SWITCH * 3.0),  # ends before the switch
+        (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),  # crossing
+        (make_ivp(P13, 1, 1.0), 3e6),  # crossing, far out
+        (make_ivp(P13, 0, 1.0), 3e6),  # out to its bound
+        (make_ivp(SchwarzschildParams(m=-1.0, r0=1e-3), 0, 1.0), 1e3),  # near the puncture
+        (make_ivp(P13, 2, 0.0), 3e20),  # zero data, out to its bound
+        (make_ivp(P13, 0, 1.0), 150.0),  # a short range
+        (make_ivp(SchwarzschildParams(m=1.0, r0=2.0 + 1e-12), 3, 1.0), 1e6),  # next to r = 2m
         (make_ivp(P13, 1, 1.0), 2.0),  # r_max below r0
         (make_ivp(SchwarzschildParams(m=-1e308, r0=1.0), 0, 1.0), 1e6),  # overflowing state
     ]
@@ -922,7 +973,7 @@ def mixed_batch():
 class TestBatchedSampling:
     def test_mixed_batch_matches_per_mode_references(self):
         ivps, r_max, k_div, batch = mixed_batch()
-        kinds = {"flat", "flat-crossing", "tail", "r-crossing"}
+        kinds = {"flat", "flat-crossing", "bound", "crossing"}
         seen = set()
         for ivp, rm, sol in zip(ivps, r_max, batch):
             if not rm > ivp.r0:
@@ -934,7 +985,7 @@ class TestBatchedSampling:
             assert isinstance(sol, ModeSolution)
             radii = reference_radii(ivp.r0, sol.r_max_used)
             a, da = reference_eval(sol, radii)
-            seen.add("tail" if sol._dense[2] >= 0 else "r-crossing" if sol.diverged else "r")
+            seen.add("crossing" if sol.diverged else "bound")
             for got, want in ((sol.radii, radii), (sol.a, a), (sol.da, da)):
                 assert got.tobytes() == want.tobytes()
             if ivp.m == 0.0:
