@@ -91,6 +91,11 @@ def _config_float(key: str, value) -> float:
         raise ConfigError(f"{key}: expected a finite number, got {value!r}") from None
 
 
+def _certifies(kind: AsymptoticKind) -> bool:
+    """A mode is certified by any class but a decaying or undetermined one."""
+    return kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
+
+
 def _outer_radius(r_max_factor: float, r0: float) -> float:
     """r_max_factor * r0; ConfigError unless it is finite and r_max_factor > 1."""
     r_max = r_max_factor * r0
@@ -261,8 +266,7 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     total = sum(weights)
     records = []
     for (m, r0, ell), sol, klass, w in zip(tasks, sols, classes, weights):
-        # a mode is certified by any class but a decaying or undetermined one
-        passed = klass.kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
+        passed = _certifies(klass.kind)
         # a mode that failed to integrate or to classify has no solver diagnostics
         diagnostics = ({"n_steps": sol.n_steps, "nfev": sol.nfev, "stop": sol.stop}
                        if klass is not undetermined else {})
@@ -609,7 +613,7 @@ def _cmd_mode(args) -> int:
         f" fitted_exponent={klass.fitted_exponent:.4g}"
         f" r_max={klass.r_max:.6g}; wrote {path}"
     )
-    return 0
+    return 0 if _certifies(klass.kind) else 2
 
 
 def _cmd_match_round(args) -> int:

@@ -22,25 +22,26 @@ system in the state (a, w = rho^2 a') is
 evaluated as w / (s + 2|m|) and (4 m^2 / (s + 2|m|) + l(l+1) s) a - S / (s + 2|m|),
 and s = exp(t) is np.exp of the lane array: each element of np.exp and
 np.log is the same whatever the array around it, which keeps lanes
-independent (the tests pin it).  Integration stops early where |a| first
-reaches k_div |a(r0)|.  The equation is regular in m, so one integrator
-serves every mass: m = 0, the flat member of the family, is an Euler
-equation whose closed form c1 r^(-l-1) + c2 r^l the tests keep as the
-independent check of the integrator.  The problem is linear in a(r0), so a
-lane's absolute tolerance is scaled by |a(r0)| (1 for zero data), as its
-k_div threshold is.  A lane whose rho^2(r0) = r0 (r0 - 2m) lies below the
-smallest normal float (so that w(r0) would have lost digits), or whose r_max
-is infinite, fails like a lane the solver gives up on, before any step.
+independent (the tests pin it).  w(r0) and S take r0 (r0 - 2m) a'(r0) from
+_rho2_times, which never over- or underflows on the way.  Integration
+stops early where |a| first reaches k_div |a(r0)|.  The equation is
+regular in m, so one integrator serves every mass: m = 0, the flat member
+of the family, is an Euler equation whose closed form c1 r^(-l-1) + c2 r^l
+the tests keep as the independent check of the integrator.  The problem is
+linear in a(r0), so a lane's absolute tolerance is scaled by |a(r0)| (1 for
+zero data), as its k_div threshold is.  A lane fails like a lane the solver
+gives up on if s0 is not a normal float (exp(ln s0) would lose digits), its
+initial state or r_max is not finite, or a sample of a' = w / rho^2 is not.
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
 in this module, with scipy's tableau (vendored in _dop853) and scipy's step
 control, so the steps are solve_ivp's up to rounding.  integrate_modes steps
 a batch of modes in lockstep, one lane of numpy arrays per mode; each lane
 rounds exactly as it would alone, and integrate_mode is a batch of one.
-Every k_div crossing is located in t by _brentq, a statement-for-statement
-port of scipy's brentq (Brent, Algorithms for Minimization without
-Derivatives, 1973), which returns scipy's root bit for bit.  The package
-imports neither scipy.integrate nor scipy.optimize; the tests keep
+A lane stops at the end of the step in which |a| - k_div |a(r0)| changes
+sign; after the loop one batched bisection on the dense-output table
+locates every such crossing in t, each lane to 4 eps (1 + |t|).  The
+package imports neither scipy.integrate nor scipy.optimize; the tests keep
 solve_ivp and brentq as the independent checks.
 
 Sampling and classification are array passes over the whole batch too.
@@ -122,7 +123,7 @@ def make_ivp(params: SchwarzschildParams, ell: int, a0: float) -> ModeIVP:
     m, r0 = params.m, params.r0
     ll1 = ell * (ell + 1.0)
     da0 = (ll1 - 2.0 * m / r0) * a0 / (2.0 * (r0 - 2.0 * m))
-    source = 2.0 * m * ((4.0 * m - r0) * a0 + r0 * (r0 - 2.0 * m) * da0)
+    source = 2.0 * m * ((4.0 * m - r0) * a0 + _rho2_times(m, r0, da0))
     alpha0 = None
     if m != 0.0:
         # Python floats: r0 / (4m) is inf past the float range, not a warning
@@ -130,6 +131,20 @@ def make_ivp(params: SchwarzschildParams, ell: int, a0: float) -> ModeIVP:
         if not math.isfinite(alpha0):
             alpha0 = None
     return ModeIVP(params=params, ell=ell, a0=a0, da0=da0, source=source, alpha0=alpha0)
+
+
+def _rho2_times(m, r0, x) -> float:
+    """r0 (r0 - 2m) x, rounded as that product, or inf where the result overflows.
+
+    r0 enters as mantissa * 2^exponent, which changes no rounding while the
+    plain product stays normal, so r0 (r0 - 2m) never over- or underflows.
+    """
+    mantissa, exponent = math.frexp(r0)
+    y = mantissa * (r0 - 2.0 * m) * x
+    try:
+        return math.ldexp(y, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, y)
 
 
 class AsymptoticKind(str, enum.Enum):
@@ -278,15 +293,14 @@ def integrate_modes(
     out: list = [None] * len(ivps)
     idx, y0, r_end = [], [], []  # the modes to step
     for i, (ivp, rm) in enumerate(zip(ivps, r_max)):
-        m, r0 = float(ivp.m), float(ivp.r0)
-        rho2 = r0 * (r0 - 2.0 * m)
-        a0, w0 = float(ivp.a0), rho2 * float(ivp.da0)
+        m, r0, a0 = float(ivp.m), float(ivp.r0), float(ivp.a0)
+        w0 = _rho2_times(m, r0, ivp.da0)
         if not rm > r0:
             out[i] = ValueError("r_max must exceed r0")
         elif not math.isfinite(rm):  # ln s would be inf at the bound
             out[i] = ValueError("r_max must be finite")
-        elif not rho2 >= _TINY:  # w(r0) = rho^2 a'(r0) would have lost digits
-            out[i] = ValueError(f"r0 (r0 - 2m) must be a normal float, got r0={r0!r}")
+        elif not r0 - 2.0 * max(m, 0.0) >= _TINY:  # exp(ln s0) would have lost digits
+            out[i] = ValueError(f"r0 - 2 max(m, 0) must be a normal float, got r0={r0!r}")
         elif not (math.isfinite(a0) and math.isfinite(w0)):
             out[i] = ValueError("All components of the initial state y0 must be finite.")
         else:
@@ -306,27 +320,22 @@ def integrate_modes(
     scale0 = np.array([_scale0(ivp) for ivp in lanes])
     threshold, atol = k_div * scale0, atol * scale0
     r_end, shift = np.array(r_end), _shift(m)
-    runs, dense = _lockstep(params, np.log(r0 - shift), np.array(y0).T, np.log(r_end - shift),
-                            rtol, atol, threshold)
+    dense, failed, crossed, n_steps, nfev = _lockstep(
+        params, np.log(r0 - shift), np.array(y0).T, np.log(r_end - shift), rtol, atol, threshold)
 
-    done = []  # the lanes that reached their end
-    for j, (i, run) in enumerate(zip(idx, runs)):
-        if isinstance(run, RuntimeError):
-            out[i] = RuntimeError(f"mode integration failed: {run}")
-        elif isinstance(run, Exception):
-            out[i] = run
-        else:
-            done.append(j)
-    if not done:
+    for i, exc in zip(idx, failed):
+        out[i] = exc
+    done = np.flatnonzero([exc is None for exc in failed])
+    if not done.size:  # no lane reached its end
         return out
 
     t0 = time.perf_counter()
     # lane j of the batch is lane j of the dense output
-    done = np.array(done)
-    sols = _sampled([lanes[j] for j in done], [runs[j] for j in done], dense, done, r_end[done])
+    sols = _sampled([lanes[j] for j in done], dense, done, r_end[done], crossed[done])
     sample_s = (time.perf_counter() - t0) / len(done)
     for j, sol in zip(done, sols):
-        sol.sample_s = sample_s
+        if isinstance(sol, ModeSolution):
+            sol.sample_s, sol.n_steps, sol.nfev = sample_s, int(n_steps[j]), int(nfev[j])
         out[idx[j]] = sol
     return out
 
@@ -341,28 +350,31 @@ def _shift(m):
     return 2.0 * np.maximum(m, 0.0)
 
 
-def _sampled(ivps, runs, dense: "_Dense", lanes, r_end) -> list[ModeSolution]:
+def _sampled(ivps, dense: "_Dense", lanes, r_end, crossed) -> list[ModeSolution | ValueError]:
     """The stepped solutions sampled on their radii, in one pass over the dense output.
 
-    Mode j is lane lanes[j] of dense.  A mode that reached its bound ends at
-    r_end[j] exactly, one stopped by its k_div event at r = exp(t) + 2 max(m, 0).
+    Mode j is lane lanes[j] of dense; a mode with a sample of a' that is not
+    a finite float is a ValueError.  A mode that reached its bound ends at
+    r_end[j] exactly, one that crossed k_div at r = exp(t) + 2 max(m, 0) for
+    the root t that ends its table.
     """
     m = np.array([float(ivp.m) for ivp in ivps])
-    crossed = np.array([run.crossed for run in runs])
     r_reached = r_end.copy()
-    r_reached[crossed] = np.exp(np.array([run.t for run in runs])[crossed]) + _shift(m[crossed])
+    t_root = dense.keys.imag[dense.last[lanes[crossed]]]
+    r_reached[crossed] = np.exp(t_root) + _shift(m[crossed])
     r0 = np.array([float(ivp.r0) for ivp in ivps])
     radii, first, count = _sample_radii(r0, r_reached)
     lane = np.repeat(np.arange(len(ivps)), count)
-    a, da = dense.eval(lanes[lane], m[lane], radii)
+    with np.errstate(over="ignore"):  # an a' past the floats fails its mode below
+        a, da = dense.eval(lanes[lane], m[lane], radii)
+    bad = np.bincount(lane, ~np.isfinite(da), minlength=len(ivps)) > 0
     out = []
-    for j, (ivp, run) in enumerate(zip(ivps, runs)):
+    for j, ivp in enumerate(ivps):
         lo, hi = first[j], first[j] + count[j]
-        out.append(ModeSolution(
-            ivp=ivp, radii=radii[lo:hi], a=a[lo:hi], da=da[lo:hi],
-            r_max_used=float(r_reached[j]), diverged=run.crossed,
-            n_steps=run.n_steps, nfev=run.nfev, _dense=(dense, int(lanes[j])),
-        ))
+        out.append(ValueError("a'(r) = w / (r (r - 2m)) leaves the floats") if bad[j] else
+                   ModeSolution(ivp=ivp, radii=radii[lo:hi], a=a[lo:hi], da=da[lo:hi],
+                                r_max_used=float(r_reached[j]), diverged=bool(crossed[j]),
+                                _dense=(dense, int(lanes[j]))))
     return out
 
 
@@ -371,14 +383,15 @@ def _sampled(ivps, runs, dense: "_Dense", lanes, r_end) -> list[ModeSolution]:
 # One lane per mode, lanes on the last axis of every array.  The tableau is
 # scipy's (its DOP853 class attributes, vendored in _dop853) and the step
 # control is scipy's (initial step, error norm, step factors, min_step,
-# t_bound clipping, terminal event by brentq on the step's dense output),
-# per lane, so each lane takes the steps solve_ivp(method="DOP853") takes, up
-# to rounding.  Stage sums run left to right over every tableau entry, zeros
+# t_bound clipping, a terminal event ending the step that crosses it), per
+# lane, so each lane takes the steps solve_ivp(method="DOP853") takes, up to
+# rounding.  Stage sums run left to right over every tableau entry, zeros
 # included (0 * inf is nan), as one np.add.reduce over the stage axis (see
 # _combine): no tensordot or BLAS, which would reorder the sums.  A stage
 # that is not finite makes the error norm nan and the step is rejected, as
-# in scipy; the lane fails once its step drops below min_step.  The step factors take Python's float
-# ** per lane: np.power rounds differently from C's pow on some arguments.
+# in scipy; the lane fails once its step drops below min_step.  The step
+# factors take Python's float ** per lane: np.power rounds differently from
+# C's pow on some arguments.
 
 _N_STAGES = DOP853.n_stages
 # (A[s, :s], C[s]) for the stages after the first, then for the three extra
@@ -415,9 +428,9 @@ class _Dense:
     """The dense output of every lane of a batch, evaluated as scipy's OdeSolution.
 
     Segment k belongs to one lane, starts at t_old[k] with step h[k] and
-    state y_old[:, k], ends at t_end (an event root may end it inside its
-    step) and has scipy's Dop853DenseOutput coefficients F[:, :, k].  Its key
-    is lane + i t_end (complex, so numpy orders keys by lane, then by t_end).
+    state y_old[:, k], ends at t_end (crossings may end it inside its step)
+    and has scipy's Dop853DenseOutput coefficients F[:, :, k].  Its key is
+    lane + i t_end (complex, so numpy orders keys by lane, then by t_end).
     One searchsorted of lane + i t over the keys, clipped to the lane's last
     segment, finds the segment scipy's OdeSolution picks for t.  The
     polynomial is scipy's: with x = (t - t_old) / h, Horner over the rows
@@ -425,7 +438,7 @@ class _Dense:
     """
 
     def __init__(self, lane, t_old, h, y_old, F, t_end, n_lanes):
-        """The kept steps of a lockstep run over n_lanes lanes, in the order they
+        """The accepted steps of a lockstep run over n_lanes lanes, in the order they
         were taken: per step its lane, t_old, h and t_end, and y_old (2, steps)
         and F (rows, 2, steps)."""
         order = np.argsort(lane, kind="stable")
@@ -438,19 +451,41 @@ class _Dense:
 
     def __call__(self, lane, t) -> tuple[np.ndarray, np.ndarray]:
         """(a, w) at the points t of the given lanes."""
-        seg = np.searchsorted(self.keys, _complex(lane, t))
-        seg = np.minimum(seg, self.last[lane])
-        x = (t - self.t_old.take(seg)) / self.h.take(seg)
-        return tuple(self._horner(self.F[c], x, seg) + self.y_old[c].take(seg) for c in (0, 1))
+        seg = np.minimum(np.searchsorted(self.keys, _complex(lane, t)), self.last[lane])
+        return self._horner(0, seg, t), self._horner(1, seg, t)
 
-    @staticmethod
-    def _horner(F, x, seg):
-        y = np.zeros(len(seg))
-        one_minus_x = 1 - x
-        for i in range(len(F)):
-            y += F[-1 - i].take(seg)
+    def _horner(self, c, seg, t):
+        """Component c (0 for a, 1 for w) at the points t of the segments seg."""
+        x = (t - self.t_old.take(seg)) / self.h.take(seg)
+        one_minus_x, y = 1 - x, np.zeros(len(seg))
+        for i, row in enumerate(self.F[c][::-1]):
+            y += row.take(seg)
             y *= x if i % 2 == 0 else one_minus_x
-        return y
+        return y + self.y_old[c].take(seg)
+
+    def crossings(self, lanes, threshold) -> np.ndarray:
+        """Where |a| = threshold on the last segment of each of the lanes.
+
+        Each lane's last step changed the sign of |a| - threshold.  One
+        bisection in t halves every lane's bracket at once, each lane until
+        its bracket is shorter than 4 eps (1 + |t|) at its midpoint t, so a
+        lane's root does not depend on the other lanes.  Returns those
+        midpoints, and ends each lane's last segment there.
+        """
+        seg = self.last[lanes]
+        falling = np.abs(self.y_old[0].take(seg)) > threshold  # |a| comes down to it
+        lo, hi = self.t_old.take(seg), self.keys.imag.take(seg)
+        while True:
+            mid = 0.5 * (lo + hi)
+            open_ = ~(hi - lo < 4 * _EPS * (1 + np.abs(mid)))
+            if not open_.any():
+                break
+            g = np.abs(self._horner(0, seg, mid)) - threshold
+            past = open_ & np.where(falling, g <= 0, g >= 0)
+            hi = np.where(past, mid, hi)
+            lo = np.where(open_ & ~past, mid, lo)
+        self.keys[seg] = _complex(lanes, mid)
+        return mid
 
     def eval(self, lane, m, r) -> tuple[np.ndarray, np.ndarray]:
         """(a, a') at the radii r: per radius its lane and mass, or one of each for all."""
@@ -463,14 +498,6 @@ def _complex(real, imag) -> np.ndarray:
     z = np.empty(np.broadcast(real, imag).shape, dtype=complex)
     z.real, z.imag = real, imag
     return z
-
-
-@dataclass(frozen=True)
-class _Run:
-    t: float  # t_bound, or the root of the event
-    crossed: bool  # stopped where |a| = threshold
-    n_steps: int
-    nfev: int
 
 
 class _Lanes:
@@ -522,104 +549,18 @@ def _initial_step(p, t0, y0, f0, t_bound, rtol, atol):
     return np.where(length == 0, 0.0, np.where(length < h, length, h))
 
 
-def _event_root(Fa, t_old, h, a_old, threshold, t_new):
-    """Root of |a| = threshold in a step's dense output; Fa holds its rows for a."""
-    Fa, a_old, t_old, h = Fa.tolist(), float(a_old), float(t_old), float(h)
-    return _brentq(
-        lambda t: abs(_horner(Fa, (t - t_old) / h) + a_old) - threshold,
-        t_old, float(t_new), xtol=4 * _EPS, rtol=4 * _EPS,
-    )
-
-
-def _horner(F, x):
-    y = 0.0
-    for i, f in enumerate(reversed(F)):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    return y
-
-
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """A root of f in [xa, xb] by Brent's method: scipy.optimize.brentq, bit for bit.
-
-    A statement-for-statement port of scipy's brentq.c, in Python floats
-    (IEEE doubles, as in C); f(x) is converted to float as scipy's wrapper
-    converts it.  Raises as scipy does: ValueError when f(xa) and f(xb)
-    have the same sign or f returns nan, RuntimeError after maxiter
-    iterations.  A zero denominator in the extrapolation, which gives an
-    infinite or nan trial step in C and so a bisection, bisects here too.
-    """
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    # signbit(f) is f < 0 for the nonzero, non-nan values compared here
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        bisect = True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-            else:
-                limit = 3 * abs(sbis) - delta
-                if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
-                    spre, scur = scur, stry  # good short step
-                    bisect = False
-        if bisect:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
-
-
 def _lockstep(p, t0, y0, t_bound, rtol, atol, threshold):
     """DOP853 on every lane of y0 (shape (2, n)) from t0 up to t_bound.
 
     Lane j integrates y' = _rhs(p[:, j], t, y) with absolute tolerance
-    atol[j] and stops at t_bound[j] or at the first root of
-    |y[0]| = threshold[j], located by _brentq on the step's dense output
-    with xtol = rtol = 4 eps.  Returns per lane a _Run, or the exception
-    that ended it: a RuntimeError when the step size drops below 10 ulp of
-    t, or _brentq's ValueError; and the lanes' kept steps as a _Dense (None
-    when every lane failed).
+    atol[j] and stops at t_bound[j] or at the end of the first step in which
+    |y[0]| - threshold[j] changes sign; _Dense.crossings then ends every such
+    lane's table at its root.  Returns the lanes' steps as a _Dense (None
+    when every lane failed) and per lane the RuntimeError of a step below
+    10 ulp of t or None, whether it crossed, its steps and its evaluations.
     """
     n = t0.size
-    results: list = [None] * n
+    failed: list = [None] * n
     with np.errstate(all="ignore"):
         f0 = np.array(_rhs(p, t0, y0))
         s = _Lanes(
@@ -628,10 +569,9 @@ def _lockstep(p, t0, y0, t_bound, rtol, atol, threshold):
             h_abs=_initial_step(p, t0, y0, f0, t_bound, rtol, atol),
             min_step=np.zeros(n), g=np.abs(y0[0]) - threshold,
             fresh=np.ones(n, dtype=bool), rejected=np.zeros(n, dtype=bool),
-            nfev=np.full(n, 2), n_steps=np.zeros(n, dtype=int), n_kept=np.zeros(n, dtype=int),
+            nfev=np.full(n, 2), n_steps=np.zeros(n, dtype=int),
         )
-        segments = []  # (lane, t_old, h, y_old, F, t_end) of each step's kept segments
-        t_final = np.empty(n)  # where each lane stopped
+        segments = []  # (lane, t_old, h, y_old, F, t_end) of each step's accepted segments
         crossed = np.zeros(n, dtype=bool)
         counts = np.zeros((2, n), dtype=int)  # n_steps, nfev
 
@@ -644,8 +584,8 @@ def _lockstep(p, t0, y0, t_bound, rtol, atol, threshold):
             small = ~(s.h_abs >= s.min_step)
             if small.any():
                 for j in s.lane[small]:
-                    results[j] = RuntimeError(
-                        "Required step size is less than spacing between numbers.")
+                    failed[j] = RuntimeError("mode integration failed: Required step"
+                                             " size is less than spacing between numbers.")
                 s.keep(~small)
                 if not s.lane.size:
                     break
@@ -691,7 +631,7 @@ def _lockstep(p, t0, y0, t_bound, rtol, atol, threshold):
             F[0] = dy
             F[1] = h * f - dy
             F[2] = 2 * dy - h * (K[_N_STAGES] + f)
-            F[3:] = h * _combine(_D, K)
+            F[3:] = _combine(_D, h * K)  # h K first: D's weights reach 528
             s.nfev += len(_EXTRA_STAGES) * accept
             s.n_steps += accept
             s.t = np.where(accept, t_new, t)
@@ -701,35 +641,22 @@ def _lockstep(p, t0, y0, t_bound, rtol, atol, threshold):
             g_new = np.abs(s.y[0]) - s.threshold
             cross = accept & (((s.g <= 0) & (0 <= g_new)) | ((s.g >= 0) & (0 >= g_new)))
             s.g = np.where(accept, g_new, s.g)
-            failed = np.zeros(t.size, dtype=bool)
-            for j in np.flatnonzero(cross):
-                try:
-                    s.t[j] = _event_root(
-                        F[:, 0, j], t[j], h[j], y[0, j], float(s.threshold[j]), t_new[j])
-                except ValueError as exc:
-                    results[s.lane[j]] = exc
-                    failed[j] = True
-            # an event root on the step's start ends the lane at the last segment
-            kept = accept & ~((s.n_kept > 0) & (s.t == t))
-            segments.append((s.lane[kept], t[kept], h[kept], y[:, kept], F[:, :, kept], s.t[kept]))
-            s.n_kept += kept
+            segments.append((s.lane[accept], t[accept], h[accept], y[:, accept],
+                             F[:, :, accept], t_new[accept]))
 
-            done = accept & ~failed & (cross | ~(s.t < s.t_bound))
+            done = accept & (cross | ~(s.t < s.t_bound))
             ended = s.lane[done]
-            t_final[ended] = s.t[done]
             crossed[ended] = cross[done]
             counts[:, ended] = s.n_steps[done], s.nfev[done]
-            if (done | failed).any():
-                s.keep(~(done | failed))
+            if done.any():
+                s.keep(~done)
 
-    if all(r is not None for r in results):
-        return results, None
+    if all(failed):
+        return None, failed, crossed, *counts
     dense = _Dense(*(np.concatenate([seg[k] for seg in segments], axis=-1) for k in range(6)), n)
-    for j in range(n):
-        if results[j] is None:
-            results[j] = _Run(t=float(t_final[j]), crossed=bool(crossed[j]),
-                              n_steps=int(counts[0, j]), nfev=int(counts[1, j]))
-    return results, dense
+    ends = np.flatnonzero(crossed)
+    dense.crossings(ends, threshold[ends])
+    return dense, failed, crossed, *counts
 
 
 def classify(sol: ModeSolution) -> AsymptoticClass:

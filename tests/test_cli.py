@@ -130,7 +130,11 @@ class TestRunSweep:
     def test_default_sweep_matches_fixture(self, tmp_path):
         # sweep.csv without wall_time_s: batching changes no byte.  The
         # fixture's class and pass columns date from the per-mode stepper in
-        # r and x = 1/r; its numeric columns are the lockstep's in t = ln s
+        # r and x = 1/r; its numeric columns are the lockstep's in t = ln s,
+        # with every k_div crossing located by the batched bisection.
+        # Regenerate the fixture with
+        #   PYTHONPATH=src python -m schwarzstatic.cli sweep --out-dir OUT
+        #   cut -d, -f1-8 OUT/sweep.csv > tests/data/default_sweep.csv
         fixture = (Path(__file__).parent / "data" / "default_sweep.csv").read_text()
         emit(run_sweep(SweepConfig()), str(tmp_path))
         rows = [ln.rsplit(",", 1)[0] for ln in read_csv(tmp_path / "sweep.csv")]
@@ -521,22 +525,49 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "m,r0,ell",
         [
-            pytest.param("1e-8", "1e160", "3", id="r0^l-overflows"),
+            pytest.param("0", "1e302", "2000", id="r0^l-overflows"),
             pytest.param("0", "1e-320", "0", id="subnormal-r0"),
         ],
     )
     def test_mode_cli_out_of_range_zero_mass_lane_is_a_solver_failure(
         self, tmp_path, capsys, m, r0, ell
     ):
-        # r0 (r0 - 2m) a'(r0) overflows at r0 = 1e160, and a subnormal r0 has
-        # lost significant digits; they once gave an OverflowError and a
-        # ZeroDivisionError.  Warnings are errors here, so none is printed either
+        # the initial state w(r0) = r0 (r0 - 2m) a'(r0) = l(l+1) r0 a0 / 2
+        # overflows at r0 = 1e302, l = 2000, and a subnormal r0 has lost
+        # significant digits; r0^l once gave an OverflowError and a subnormal
+        # r0 a ZeroDivisionError.  Warnings are errors here, so none is
+        # printed either
         assert cli.main(["mode", "--m", m, "--r0", r0, "--ell", ell,
                          "--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and captured.err.count("error:") == 1
         assert captured.err.startswith("error: mode integration failed: ")
         assert "Warning" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("m,r0", [("0", "1e-300"), ("1e-8", "1e160")])
+    def test_mode_cli_lane_past_the_old_rho2_range_diverges_plus(self, tmp_path, capsys, m, r0):
+        # r0 (r0 - 2m) underflows at 1e-300 and overflows at 1e160, where the
+        # initial state was once formed through it and the mode exited 2
+        assert cli.main(["mode", "--m", m, "--r0", r0, "--ell", "3",
+                         "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert ": DivergesPlus fitted_limit=1000 " in captured.out and captured.err == ""
+
+    def test_mode_cli_undetermined_mode_exits_two(self, tmp_path, capsys):
+        # exit 2 for a decaying or undetermined mode, the sweep's pass rule;
+        # the verdict line and the profile are still written
+        assert cli.main(["mode", "--m=-1", "--r0", "1e-8", "--ell", "2",
+                         "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert ": Undetermined " in captured.out and captured.err == ""
+        assert (tmp_path / "mode_m-1_r01e-08_l2.csv").exists()
+
+    @pytest.mark.xfail(strict=True, reason="r_max = 1e6 r0 ends the run before the tail "
+                       "regime when r0 << |m| (ROADMAP item 1)")
+    def test_mode_cli_tiny_r0_negative_mass_diverges_plus(self, tmp_path, capsys):
+        # the true class: the growth coefficient of the closed form is positive
+        cli.main(["mode", "--m=-1", "--r0", "1e-12", "--ell", "5", "--out-dir", str(tmp_path)])
+        assert ": DivergesPlus " in capsys.readouterr().out
 
     @pytest.mark.parametrize("r0", ["1e80", "1e100"])
     def test_mode_cli_near_zero_mass_at_a_huge_radius_diverges_plus(self, tmp_path, capsys, r0):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
@@ -17,8 +17,6 @@ from schwarzstatic.modes import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     ModeSolution,
-    _brentq,
-    _horner,
     classify,
     classify_modes,
     integrate_mode,
@@ -416,53 +414,42 @@ def inside(ends):
     return frac.map(lambda q: lo + q * (hi - lo)).filter(lambda v: lo < v < hi)
 
 
-@st.composite
-def horner_brackets(draw):
-    """_event_root's objective on one step, with the step as its bracket.
+def dense_a(F, a_old, t_old, h, t):
+    """a at t on one step's dense output: scipy's Dop853DenseOutput polynomial.
 
-    |a| on the step's dense output minus a threshold drawn between |a| at
-    the step's two ends.
+    With x = (t - t_old) / h, Horner over the rows of F from the last,
+    multiplying alternately by x and 1 - x, plus a_old.
     """
-    F = draw(st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7))
-    a_old = draw(st.floats(-1e3, 1e3))
-    t_old = draw(st.floats(1e-3, 1e6))
-    h = t_old * draw(st.floats(1e-6, 10.0))
+    x = (t - t_old) / h
+    y = 0.0
+    for i, f in enumerate(reversed(F)):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + a_old
+
+
+@st.composite
+def crossing_steps(draw):
+    """One step's dense output for a, and a threshold that |a| crosses once in it.
+
+    The rows after dy = F[0] are at most 5 % of it, so a is monotone on the
+    step, as on the steps of a growing mode, and the threshold lies strictly
+    between |a| at the step's two ends.
+    """
+    dy = draw(st.floats(1.0, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+    F = [dy] + [dy * q for q in draw(st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6))]
+    a_old = draw(st.floats(-abs(dy), abs(dy)))
+    t_old = draw(st.floats(-700.0, 700.0))
+    h = draw(st.floats(1e-9, 0.1))
     t_new = t_old + h
-    threshold = draw(inside([abs(_horner(F, (t - t_old) / h) + a_old) for t in (t_old, t_new)]))
-
-    def f(s):
-        return abs(_horner(F, (s - t_old) / h) + a_old) - threshold
-
-    return f, t_old, t_new
-
-
-@st.composite
-def flat_brackets(draw):
-    """The Euler solution's crossing: |c1 r^(-l-1) + c2 r^l| minus a level."""
-    ell = draw(st.integers(0, 16))
-    c1, c2 = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 10.0))
-    lo = draw(st.floats(1e-2, 1e3))
-    hi = lo * draw(st.floats(1.0 + 1e-6, 1e3))
-    level = draw(inside([abs(euler_eval(ell, c1, c2, np.float64(r))[0]) for r in (lo, hi)]))
-    return (lambda r: abs(euler_eval(ell, c1, c2, np.float64(r))[0]) - level), lo, hi
-
-
-@st.composite
-def smooth_brackets(draw):
-    """A smooth monotone objective, with its root drawn inside the bracket."""
-    root = draw(st.floats(-1e3, 1e3))
-    k = draw(st.floats(1e-3, 1e3))
-    a, b = root - draw(st.floats(1e-9, 1e3)), root + draw(st.floats(1e-9, 1e3))
-    f = draw(st.sampled_from([
-        lambda x: math.tanh(k * (x - root)),
-        lambda x: math.atan(k * (x - root)) + 0.1 * k * (x - root),
-        lambda x: (x - root) ** 3 + k * (x - root),
-    ]))
-    return (f, a, b) if draw(st.booleans()) else ((lambda x: -f(x)), a, b)
+    assume(t_new > t_old)
+    ends = [abs(dense_a(F, a_old, t_old, h, t)) for t in (t_old, t_new)]
+    threshold = draw(inside(ends))
+    return F, a_old, t_old, h, t_new, threshold
 
 
 class TestVendoredPrimitives:
-    """The vendored tableau and the brentq port are scipy's, bit for bit."""
+    """The vendored tableau is scipy's, bit for bit."""
 
     def test_tableau_is_scipys(self):
         for name in TABLEAU:
@@ -488,32 +475,33 @@ class TestVendoredPrimitives:
         assert modes._D.tobytes() == DOP853.D[:, :, None, None].tobytes()
         assert modes._ERROR_EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(horner_brackets(), flat_brackets(), smooth_brackets()))
-    def test_brentq_returns_scipys_root(self, bracket):
-        f, a, b = bracket
-        want = brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS)
-        got = _brentq(f, a, b, 4 * EPS, 4 * EPS)
-        assert type(got) is float
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
-    @pytest.mark.parametrize(
-        "f,a,b,maxiter,error",
-        [
-            pytest.param(lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError, id="same-sign"),
-            pytest.param(lambda x: math.nan, 0.0, 1.0, 100, ValueError, id="nan-at-an-end"),
-            pytest.param(lambda x: x - 0.3 if x < 0.4 else math.nan, 0.0, 1.0, 100, ValueError,
-                         id="nan-inside"),
-            pytest.param(lambda x: x**3 - 2.0, 0.0, 5.0, 3, RuntimeError, id="maxiter"),
-        ],
-    )
-    def test_brentq_raises_as_scipy_does(self, f, a, b, maxiter, error):
-        with pytest.raises(error) as theirs:
-            brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=maxiter)
-        with pytest.raises(error) as ours:
-            _brentq(f, a, b, 4 * EPS, 4 * EPS, maxiter)
-        if error is ValueError:
-            assert str(ours.value) == str(theirs.value)
+class TestCrossings:
+    """The batched bisection that ends every crossing lane on its last step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(crossing_steps(), min_size=1, max_size=5))
+    def test_root_brackets_the_crossing_next_to_brentqs_root(self, steps):
+        # the steps as the last segments of one batch, one lane each
+        F, a_old, t_old, h, t_new, threshold = (np.array(v) for v in zip(*steps))
+        n = len(steps)
+        y_old = np.stack([a_old, np.zeros(n)])
+        F2 = np.stack([F.T, np.zeros_like(F.T)], axis=1)
+        dense = modes._Dense(np.arange(n), t_old, h, y_old, F2, t_new, n)
+        roots = dense.crossings(np.arange(n), threshold)
+        assert np.array_equal(dense.keys.imag, roots)  # each lane now ends at its root
+        for (F_j, a_j, t0, h_j, t1, thr), root in zip(steps, roots.tolist()):
+            def g(t):
+                return abs(dense_a(F_j, a_j, t0, h_j, t)) - thr
+
+            def before(t):  # |a| - threshold still has its sign at the step's start
+                return (g(t) < 0) == (g(t0) < 0)
+
+            # root and root - tol, or root and root + tol, bracket the sign change
+            tol = 4 * EPS * (1 + abs(root))
+            assert t0 < root < t1
+            assert before(max(root - tol, t0)) and not before(min(root + tol, t1))
+            assert abs(root - brentq(g, t0, t1, xtol=4 * EPS, rtol=4 * EPS)) <= tol
 
 
 # lanes for the batch-composition property, covering each way a lane ends
@@ -530,9 +518,12 @@ LANES = (
     (make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 3, 1.0), 1e6),  # m = 0
     (make_ivp(P13, 2, 0.0), 3e20),  # zero data
     (make_ivp(P13, 0, 1.0), 1e170 * 3.0),  # once failed in an x = 1/r tail phase
+    # crosses k_div after many more steps than the other crossing lanes
+    (make_ivp(SchwarzschildParams(m=1.0, r0=2.0 + 1e-12), 3, 1.0), 1e6),
     (make_ivp(P13, 1, 1.0), 2.0),  # r_max below r0
 )
-FAILING, FIRST_STEP, SHORT, HUGE = 2, 3, 4, 9
+FAILING, FIRST_STEP, SHORT, HUGE, LATE = 2, 3, 4, 9, 10
+CROSSING = (FIRST_STEP, 1, 7, LATE)  # lanes that cross k_div, each on another step
 
 
 @functools.cache
@@ -559,6 +550,8 @@ class TestBatchComposition:
             sol = lane_alone(k)
             assert not sol.diverged and sol.r_max_used == LANES[k][1]
         assert isinstance(lane_alone(len(LANES) - 1), ValueError)
+        assert all(lane_alone(k).diverged for k in CROSSING)
+        assert len({lane_alone(k).n_steps for k in CROSSING}) == len(CROSSING)
 
     @settings(max_examples=8, deadline=None)
     @given(st.lists(st.sampled_from(range(len(LANES))), min_size=1, max_size=len(LANES),
@@ -567,6 +560,7 @@ class TestBatchComposition:
     @example([HUGE, FAILING, 0])
     @example([FIRST_STEP, 6, SHORT, 5])
     @example([SHORT, 1, FIRST_STEP])
+    @example([LATE, 7, FIRST_STEP, 1])  # crossing lanes that end at other iterations
     def test_a_lane_is_the_same_in_any_batch(self, order):
         batch = integrate_modes([LANES[k][0] for k in order], [LANES[k][1] for k in order])
         for k, sol in zip(order, batch):
@@ -670,16 +664,22 @@ def zero_mass_ivp(r0, ell, m=0.0):
 
 class TestZeroMassLanes:
     def test_out_of_range_lanes_fail_alone(self):
-        # a subnormal r0, and an initial state r0 (r0 - 2m) a'(r0) that
-        # overflows at (1e160, 3); the other lanes are untouched and classify,
-        # (1e80, 3) and (1e-20, 16) where the Euler form's powers of r leave
-        # the normal floats
-        ivps = [zero_mass_ivp(1e-320, 0), zero_mass_ivp(1e80, 3), zero_mass_ivp(1e160, 3),
-                zero_mass_ivp(1e80, 1), zero_mass_ivp(1e-20, 16), zero_mass_ivp(1e80, 0)]
-        sols = integrate_modes(ivps, [1e6 * ivp.r0 for ivp in ivps])
+        # a subnormal r0, an initial state w(r0) = l(l+1) r0 a0 / 2 that
+        # overflows at (1e307, 16), and a'(r) that overflows past r0 at
+        # (1e-305, 40), where a'(r0) = l(l+1) a0 / (2 r0) = 8.2e307; the other
+        # lanes are untouched and classify: (1e160, 3), where r0 (r0 - 2m)
+        # overflows, and (1e80, 3) and (1e-20, 16), where the Euler form's
+        # powers of r leave the normal floats
+        ivps = [zero_mass_ivp(1e-320, 0), zero_mass_ivp(1e80, 3), zero_mass_ivp(1e307, 16),
+                zero_mass_ivp(1e80, 1), zero_mass_ivp(1e-20, 16), zero_mass_ivp(1e80, 0),
+                zero_mass_ivp(1e160, 3), zero_mass_ivp(1e-305, 40)]
+        r_max = [1e6 * ivp.r0 for ivp in ivps]
+        r_max[2] = 1e308
+        sols = integrate_modes(ivps, r_max)
         assert type(sols[0]) is ValueError and "normal float" in str(sols[0])
         assert type(sols[2]) is ValueError and "finite" in str(sols[2])
-        for k in (1, 3, 4, 5):
+        assert type(sols[7]) is ValueError and "leaves the floats" in str(sols[7])
+        for k in (1, 3, 4, 5, 6):
             alone = integrate_mode(ivps[k], 1e6 * ivps[k].r0)
             for key in ("radii", "a", "da"):
                 assert np.array_equal(getattr(sols[k], key), getattr(alone, key))
@@ -929,11 +929,11 @@ def same_class(got, want):
 
 @functools.cache
 def step_start_k_div():
-    """A k_div at which (m, r0, l) = (1, 3, 2) finds its crossing on a step's start.
+    """A k_div at which (m, r0, l) = (1, 3, 2) crosses next to a step's start.
 
-    Just above |a| at the start of a step, the event lies inside the step
-    before in exact arithmetic, and brentq returns the step's start: the
-    lane ends there and keeps only the steps before.
+    Just above |a| at the start of a step, |a| - k_div changes sign in that
+    step: the lane keeps it as its last segment and ends within
+    4 eps (1 + |t|) of its start.
     """
     ivp = make_ivp(P13, 2, 1.0)
     free = integrate_mode(ivp, 3e3, k_div=np.inf)
@@ -942,8 +942,12 @@ def step_start_k_div():
     k = rows[np.argmax(np.abs(dense.y_old[0, rows]) > 500.0)]
     k_div = float(np.nextafter(abs(dense.y_old[0, k]), np.inf))
     sol = integrate_mode(ivp, 3e3, k_div=k_div)
-    assert sol.diverged and sol.r_max_used == np.exp(dense.t_old[k]) + 2.0
-    assert np.count_nonzero(sol._dense[0].keys.real == sol._dense[1]) == k - rows[0]
+    ends, last = sol._dense[0], sol._dense[0].last[sol._dense[1]]
+    t_start, t_end = dense.t_old[k], ends.keys.imag[last]
+    assert sol.diverged and ends.t_old[last] == t_start
+    assert np.count_nonzero(ends.keys.real == sol._dense[1]) == k - rows[0] + 1
+    assert 0.0 < t_end - t_start <= 4 * EPS * (1 + abs(t_end))
+    assert sol.r_max_used == np.exp(t_end) + 2.0
     return k_div
 
 
@@ -954,7 +958,7 @@ def mixed_batch():
         (make_ivp(flat, 0, 1.0), 1e6),  # m = 0, no crossing
         (make_ivp(flat, 3, 1.0), 1e6),  # m = 0, crossing
         (make_ivp(flat, 2, -2.0), 1e5),  # m = 0, crossing below zero
-        (make_ivp(P13, 2, 1.0), 3e3),  # crossing on a step's start
+        (make_ivp(P13, 2, 1.0), 3e3),  # crossing next to a step's start
         (make_ivp(SchwarzschildParams(m=-1.0, r0=1.0), 16, 1.0), 1e6),  # crossing
         (make_ivp(P13, 1, 1.0), 3e6),  # crossing, far out
         (make_ivp(P13, 0, 1.0), 3e6),  # out to its bound
