@@ -14,10 +14,13 @@ Layout.  The public functions take and return node-major samples, (n_r, n,
 with the n nodes last, and holds a symmetric 3 x 3 tensor in symmetric
 storage, its upper triangle of 6 components.  The harmonic transforms then
 act on the (n_r C, n) rows as they lie, and every pointwise step (the
-cofactor inverse, lowering and raising the Christoffels, the Gamma Gamma
-terms, the Hessian and the Laplacian) is one einsum or a short sum over
-whole component slices, each looping over all n_r n points with the nodes
+cofactor inverse, raising the Christoffels, the Gamma Gamma terms, the
+Hessian and the Laplacian) is one einsum or a short sum over whole
+component slices, each looping over all n_r n points with the nodes
 innermost: no per-node 3 x 3 matrix product and no length-3 inner loop.
+Lowering is one product: Gamma_b(ij) = (d_i g_bj + d_j g_bi - d_b g_ij) / 2
+is a constant real 18 x 18 matrix, _LOWER, applied to the 18 distinct
+d_k g_(q) of each real part in a single np.matmul.
 A Cartesian gradient, (n_r, C, 3, n), is one analysis of the n_r C rows,
 the coefficients divided by r, and one synthesis against the three rows of
 SphereCalc.grad_table side by side, theta_hat_k dY/dtheta + phi_hat_k
@@ -63,8 +66,16 @@ part of a real-weight linear stage is that stage applied to the imaginary
 part alone, so it calls _ricci_linear on Im Gamma only.  This is exact: it
 is the very imaginary part the complex path computes, by the same
 operations in the same order, and the real part of those terms is never
-formed.  The Christoffels, the Gamma Gamma terms, the Hessian and the
-Laplacian need both parts and are the same code on both paths.  The
+formed.  The Christoffels, the Hessian and the Laplacian need both parts
+and are the same code on both paths.  The Gamma Gamma terms are one real
+bilinear form, B(G1, G2) = tr(G1)_b G2^b_ij - G1^a_ib G2^b_aj on the stored
+(i, j), so Gamma Gamma of Gamma = Re + i Im is B(Re, Re) - B(Im, Im) +
+i (B(Re, Im) + B(Im, Re)).  That is the complex product exact only to
+rounding: its sums run in another order than a complex einsum's.  The
+imaginary part takes one contraction, as X_ij = Re^a_ib Im^b_aj of
+B(Re, Im) is the transpose of that of B(Im, Re), and it is one function,
+_bilinear_sym, on both paths: linearize_at_schwarzschild forms it alone,
+and its rows remain the very imaginary part of the complex evaluation.  The
 boundary rows sit on row 0, whose one-sided stencil reads the first 7 radii
 only, so boundary_data reads those 7 radii and no more.  This path never
 touches the hand-coded structure equations, which it exists to check.
@@ -180,7 +191,8 @@ def _cartesian(calc: SphereCalc, coeffs: np.ndarray, df_dr: np.ndarray) -> np.nd
     n_r, c, n_modes = coeffs.shape
     table = np.moveaxis(calc.grad_table, 0, 1).reshape(n_modes, -1)  # a view
     out = (coeffs.reshape(n_r * c, n_modes) @ table).reshape(n_r, c, 3, -1)
-    out += df_dr[:, :, None] * np.ascontiguousarray(calc.normal.T)
+    for k in range(3):  # one axis at a time: no (n_r, C, 3, n) temporary
+        out[:, :, k] += df_dr * calc.normal[:, k]
     return out
 
 
@@ -235,21 +247,35 @@ def _inverse_sym3(g: np.ndarray):
     return cof / det[..., None, :], det
 
 
-# (component q, direction k) in the gradient of g_(q) of the three terms of
-# Gamma_b(ij), row b, column p = (i, j): d_i g_bj, d_j g_bi and d_b g_ij
-_DI_GBJ = (_PAIR[:, _J], np.broadcast_to(_I, (3, 6)))
-_DJ_GBI = (_PAIR[:, _I], np.broadcast_to(_J, (3, 6)))
-_DB_GIJ = (np.broadcast_to(np.arange(6), (3, 6)), np.arange(3)[:, None].repeat(6, axis=1))
+def _lowering_matrix() -> np.ndarray:
+    """The 18 x 18 map from d_k g_(q), row 3 q + k, to Gamma_b(ij), row 6 b + p
+    for p = (i, j): 1/2 (d_i g_bj + d_j g_bi - d_b g_ij)."""
+    lower = np.zeros((3, 6, 6, 3))  # [b, p, q, k]
+    for b in range(3):
+        for p, (i, j) in enumerate(zip(_I, _J)):
+            lower[b, p, _PAIR[b, j], i] += 0.5
+            lower[b, p, _PAIR[b, i], j] += 0.5
+            lower[b, p, p, b] -= 0.5
+    return lower.reshape(18, 18)
+
+
+_LOWER = _lowering_matrix()
 
 
 def _christoffel(grid: LabGrid, g: np.ndarray):
     """Gamma^a_(ij) (n_r, a, 6, n) and the inverse metric (n_r, 6, n) of
-    metric samples g_(ij) (n_r, 6, n)."""
+    metric samples g_(ij) (n_r, 6, n).
+
+    The gradient of g is one real batch, the real parts then any imaginary
+    parts, and each part is lowered by one product with _LOWER.
+    """
     ginv, _ = _inverse_sym3(g)
-    dg = _gradient(grid, g)  # [:, q, k] = d_k g_q
-    lower = dg[:, _DI_GBJ[0], _DI_GBJ[1]] + dg[:, _DJ_GBI[0], _DJ_GBI[1]]
-    lower -= dg[:, _DB_GIJ[0], _DB_GIJ[1]]  # [:, b, p]
-    return 0.5 * np.einsum("rabn,rbpn->rapn", ginv[:, _PAIR], lower), ginv
+    n_r, _, n = g.shape
+    complex_ = np.iscomplexobj(g)
+    dg = _gradient(grid, np.concatenate([g.real, g.imag], axis=1) if complex_ else g)
+    lower = np.matmul(_LOWER, dg.reshape(n_r, -1, 18, n))  # [:, part, 6 b + p]
+    lower = (_join(lower[:, 0], lower[:, 1]) if complex_ else lower[:, 0]).reshape(n_r, 3, 6, n)
+    return np.einsum("rabn,rbpn->rapn", ginv[:, _PAIR], lower), ginv
 
 
 def _trace(gamma: np.ndarray) -> np.ndarray:
@@ -280,12 +306,36 @@ def _ricci_linear(grid: LabGrid, gamma: np.ndarray) -> np.ndarray:
     return div - _symmetric_part(dtrace)  # [:, j, i] = d_i tr_j
 
 
+def _gamma_products(g1: np.ndarray, g2: np.ndarray):
+    """The halves of the real bilinear form B(g1, g2) of Gamma^a_(ij) (n_r, a,
+    6, n): tr(g1)_b g2^b_(ij) (n_r, 6, n) and X_ij = g1^a_ib g2^b_aj
+    (n_r, 3, 3, n), which is symmetric only when g1 = g2."""
+    trace = np.einsum("rbn,rbpn->rpn", _trace(g1), g2)
+    return trace, np.einsum("raibn,rbajn->rijn", g1[:, :, _PAIR], g2[:, :, _PAIR])
+
+
+def _bilinear(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """B(g1, g2) = tr(g1)_b g2^b_ij - g1^a_ib g2^b_aj on the stored (i, j);
+    B(Gamma, Gamma) = Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj."""
+    trace, x = _gamma_products(g1, g2)
+    return trace - x[:, _I, _J]
+
+
+def _bilinear_sym(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """B(re, im) + B(im, re): the X of B(im, re) is the transpose of that of
+    B(re, im), so one contraction serves both."""
+    trace, x = _gamma_products(re, im)
+    trace += np.einsum("rbn,rbpn->rpn", _trace(im), re)
+    return trace - (x[:, _I, _J] + x[:, _J, _I])
+
+
 def _ricci_quadratic(gamma: np.ndarray) -> np.ndarray:
-    """Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj (n_r, 6, n) of Gamma^a_(ij) (n_r, a, 6, n)."""
-    full = gamma[:, :, _PAIR]  # [:, a, i, j]
-    out = np.einsum("ran,rapn->rpn", _trace(gamma), gamma)
-    out -= np.einsum("raibn,rbajn->rijn", full, full)[:, _I, _J]
-    return out
+    """Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj (n_r, 6, n) of Gamma^a_(ij)
+    (n_r, a, 6, n): B(Re, Re) - B(Im, Im) + i (B(Re, Im) + B(Im, Re))."""
+    if not np.iscomplexobj(gamma):
+        return _bilinear(gamma, gamma)
+    re, im = gamma.real, gamma.imag
+    return _join(_bilinear(re, re) - _bilinear(im, im), _bilinear_sym(re, im))
 
 
 def _ricci(grid: LabGrid, g: np.ndarray):
@@ -389,17 +439,18 @@ def linearize_at_schwarzschild(grid: LabGrid, direction: DeformationField) -> Li
 
     The samples are the background plus i h times the direction.  Only the
     imaginary parts of the rows are read, so the Ricci tensor's linear terms
-    are taken on Im Gamma alone (see the module docstring); the Christoffels,
-    the Gamma Gamma terms, the potential rows and the boundary rows are the
-    complex evaluation of conformal_static_residual and boundary_data.  The
-    real part is the background, so the Cholesky check is not repeated; the
-    cofactor inverse still refuses Re det <= 0.
+    are taken on Im Gamma alone and its Gamma Gamma terms as B(Re, Im) +
+    B(Im, Re) alone (see the module docstring); the Christoffels, the
+    potential rows and the boundary rows are the complex evaluation of
+    conformal_static_residual and boundary_data.  The real part is the
+    background, so the Cholesky check is not repeated; the cofactor inverse
+    still refuses Re det <= 0.
     """
     G0, U0 = schwarzschild_samples(grid)
     G = G0 + 1j * _H * direction.cartesian(grid.r)
     U = U0 + 1j * _H * direction.u(grid.r)
     gamma, ginv = _christoffel(grid, _sym(G))
-    ric = _ricci_linear(grid, gamma.imag) + _ricci_quadratic(gamma).imag
+    ric = _ricci_linear(grid, gamma.imag) + _bilinear_sym(gamma.real, gamma.imag)
     dudu, lap = _potential_terms(grid, gamma, ginv, U)
     tau, h_row = boundary_data(grid, G, U)
     return LinearizedLc(

@@ -1,4 +1,5 @@
-"""Finite-difference derivatives on uniform radial grids.
+"""Finite-difference derivatives on uniform radial grids, and the radial
+quadrature rule.
 
 Interior rows use centered 5-point stencils (4th order).  The two rows at
 each end use one-sided 6-point stencils of order 5: the extra edge order
@@ -14,6 +15,10 @@ the two edge rows at each end as a 7-column block, each row summed left to
 right.  Every term is a real weight times a sample, so for complex samples
 the real and imaginary parts are each differentiated on their own, exactly
 as for real input; the complex-step oracle in curvature_lab relies on this.
+
+gauss_cell is the package's one quadrature rule, 4-point Gauss-Legendre on
+each of a batch of cells; the gauge construction and selftest's
+conservation suite build their cumulative radial integrals from it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ import numpy as np
 __all__ = [
     "stencil_coefficients",
     "apply_radial",
+    "gauss_cell",
 ]
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
 def stencil_coefficients(offsets, order: int) -> np.ndarray:
@@ -92,3 +100,16 @@ def _edge_rows(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     for j in range(1, w.shape[1]):
         out += w[:, j] * f[j]
     return out
+
+
+def gauss_cell(f, a, b) -> np.ndarray:
+    """4-point Gauss rule for int_a^b f(s) ds, one cell per entry of a and b.
+
+    f maps an array of radii to samples with those radii as leading axes;
+    the result has shape a.shape + the sample shape.
+    """
+    half = 0.5 * (b - a)
+    vals = f(a[..., None] + half[..., None] * (_GAUSS_X + 1.0))
+    w = half[..., None] * _GAUSS_W
+    w = w.reshape(w.shape + (1,) * (vals.ndim - w.ndim))
+    return (w * vals).sum(axis=np.ndim(a))

@@ -27,11 +27,11 @@ g~(dr, dr) = sum_j b_j(r) S_j and g~(dr, e_A) = sum_k c_k(r) W_k, so that
 
 with grad S the frame gradients of the shapes S, taken once per field.
 Only the scalar coefficient functions P and T are integrated.  Each keeps a
-cumulative table over one grid of radial cells, built with a 4-point Gauss
-rule per cell, and evaluates at any radii as table entry plus a Gauss rule
-on the partial cell; the tangential integrand needs P at its nodes, which
-comes from the same partial-cell rule.  Every evaluator takes a scalar
-radius or an array of radii.
+cumulative table over one grid of radial cells, built with the 4-point
+Gauss rule per cell of fd.gauss_cell, and evaluates at any radii as table
+entry plus a Gauss rule on the partial cell; the tangential integrand
+needs P at its nodes, which comes from the same partial-cell rule.  Every
+evaluator takes a scalar radius or an array of radii.
 
 apply_gauge differentiates X independently of these identities, with small
 radial stencils on the evaluable field and spectral tangential derivatives,
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import SchwarzschildParams, background_at, conformal_metric_cartesian
-from .fd import stencil_coefficients
+from .fd import gauss_cell, stencil_coefficients
 from .sphere_ops import SphereCalc
 
 __all__ = [
@@ -70,21 +70,6 @@ __all__ = [
 
 # largest radial residual of apply_gauge's audit that certifies the gauge
 GEODESIC_GAUGE_TOL = 1e-8
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
-
-
-def _gauss_cell(f, a, b) -> np.ndarray:
-    """4-point Gauss rule for int_a^b f(s) ds, one cell per entry of a and b.
-
-    f maps an array of radii to samples with those radii as leading axes;
-    the result has shape a.shape + the sample shape.
-    """
-    half = 0.5 * (b - a)
-    vals = f(a[..., None] + half[..., None] * (_GAUSS_X + 1.0))
-    w = half[..., None] * _GAUSS_W
-    w = w.reshape(w.shape + (1,) * (vals.ndim - w.ndim))
-    return (w * vals).sum(axis=np.ndim(a))
 
 
 def schwarzschild_cartesian(params: SchwarzschildParams, x: np.ndarray) -> np.ndarray:
@@ -134,7 +119,7 @@ class GaugeVectorField:
     def _perp_coeffs(self, r) -> np.ndarray:
         """P(r) = -1/2 int_{r0}^{r} b, shape r.shape + (J,)."""
         r, idx, a = self._cell_start(r)
-        return self._perp_cum[idx] - 0.5 * _gauss_cell(self._rr_basis, a, r)
+        return self._perp_cum[idx] - 0.5 * gauss_cell(self._rr_basis, a, r)
 
     def _tan_integrand(self, s) -> np.ndarray:
         """[c / rho, P / rho^2] at radii s, the coefficients of src_A / rho."""
@@ -148,7 +133,7 @@ class GaugeVectorField:
 
     def x_tan(self, r) -> np.ndarray:
         r, idx, a = self._cell_start(r)
-        coeffs = self._tan_cum[idx] + _gauss_cell(self._tan_integrand, a, r)
+        coeffs = self._tan_cum[idx] + gauss_cell(self._tan_integrand, a, r)
         w = np.tensordot(coeffs, self._tan_shapes, axes=1)
         return -_rho(self.params, r)[..., None, None] * w
 
@@ -205,7 +190,7 @@ def build_gauge_field(
     cells = np.linspace(r0, r1, n_cells + 1)
     a, b = cells[:-1], cells[1:]
     perp_cum = np.zeros((n_cells + 1, len(rr_shapes)))
-    perp_cum[1:] = np.cumsum(-0.5 * _gauss_cell(rr_basis, a, b), axis=0)
+    perp_cum[1:] = np.cumsum(-0.5 * gauss_cell(rr_basis, a, b), axis=0)
     field = GaugeVectorField(
         params=params, calc=calc, r0=r0, r1=r1, _cells=cells,
         _rr_basis=rr_basis, _ra_basis=ra_basis, _perp_shapes=rr_shapes,
@@ -213,7 +198,7 @@ def build_gauge_field(
         _perp_cum=perp_cum,
     )
     tan_cum = np.zeros((n_cells + 1, len(field._tan_shapes)))
-    tan_cum[1:] = np.cumsum(_gauss_cell(field._tan_integrand, a, b), axis=0)
+    tan_cum[1:] = np.cumsum(gauss_cell(field._tan_integrand, a, b), axis=0)
     field._tan_cum = tan_cum
     return field
 

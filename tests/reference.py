@@ -3,16 +3,18 @@
 None of these is on a path that the package's commands run: they build test
 inputs (radial profiles, single-mode fields, linear combinations of fields),
 invert package results (the round Bartnik data of a Schwarzschild sphere),
-solve a mode in closed form (the Euler solution at m = 0) or take the
+solve a mode in closed form (the Euler solution at m = 0), take the
 curvature lab's gradients along the unit directions (the route its fused
-synthesis replaced).  pytest does
-not collect this module; the test modules import it as `reference`.
+synthesis replaced) or restate the lab's Christoffel lowering and Gamma
+Gamma terms as the fancy-index gathers and complex einsum that its real
+products replaced.  pytest does not collect this module; the test modules
+import it as `reference`.
 """
 
 import numpy as np
 
 from schwarzstatic.background import RoundData, SchwarzschildParams, background_at
-from schwarzstatic.curvature_lab import _PAIR, _symmetric_part
+from schwarzstatic.curvature_lab import _I, _J, _PAIR, _symmetric_part
 from schwarzstatic.fd import apply_radial
 from schwarzstatic.fields import DeformationField, RadialProfile, power_profile
 from schwarzstatic.harmonics import mode_position
@@ -162,3 +164,28 @@ def unit_direction_ricci_linear(grid, gamma):
     div = np.einsum("drapn,dan->rpn", d, unit_frame(grid.calc))
     dtrace = d[:, :, 0, _PAIR[0]] + d[:, :, 1, _PAIR[1]] + d[:, :, 2, _PAIR[2]]
     return div - _symmetric_part(spread(dtrace, grid.calc))
+
+
+# (component q, direction k) in the gradient of g_(q) of the three terms of
+# Gamma_b(ij), row b, column p = (i, j): d_i g_bj, d_j g_bi and d_b g_ij
+_DI_GBJ = (_PAIR[:, _J], np.broadcast_to(_I, (3, 6)))
+_DJ_GBI = (_PAIR[:, _I], np.broadcast_to(_J, (3, 6)))
+_DB_GIJ = (np.broadcast_to(np.arange(6), (3, 6)), np.arange(3)[:, None].repeat(6, axis=1))
+
+
+def gathered_lowering(dg):
+    """Gamma_b(ij) = (d_i g_bj + d_j g_bi - d_b g_ij) / 2 (n_r, b, 6, n) of the
+    gradient d_k g_(q) (n_r, q, k, n), real or complex, by three gathers."""
+    lower = dg[:, _DI_GBJ[0], _DI_GBJ[1]] + dg[:, _DJ_GBI[0], _DJ_GBI[1]]
+    lower -= dg[:, _DB_GIJ[0], _DB_GIJ[1]]
+    return 0.5 * lower
+
+
+def einsum_ricci_quadratic(gamma):
+    """Gamma^a_ab Gamma^b_ij - Gamma^a_ib Gamma^b_aj (n_r, 6, n) of
+    Gamma^a_(ij) (n_r, a, 6, n), real or complex, by einsum."""
+    trace = gamma[:, 0, _PAIR[0]] + gamma[:, 1, _PAIR[1]] + gamma[:, 2, _PAIR[2]]
+    full = gamma[:, :, _PAIR]  # [:, a, i, j]
+    out = np.einsum("ran,rapn->rpn", trace, gamma)
+    out -= np.einsum("raibn,rbajn->rijn", full, full)[:, _I, _J]
+    return out

@@ -4,11 +4,16 @@ from numpy.testing import assert_allclose
 
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.curvature_lab import (
+    _LOWER,
+    _PAIR,
     LabGrid,
+    _bilinear,
+    _bilinear_sym,
     _christoffel,
     _gradient,
     _inverse_sym3,
     _ricci_linear,
+    _ricci_quadratic,
     _sym,
     adapted_frame_components,
     boundary_data,
@@ -29,6 +34,8 @@ from schwarzstatic.sphere_ops import SphereCalc
 from reference import (
     combine,
     constant_profile,
+    einsum_ricci_quadratic,
+    gathered_lowering,
     unit_direction_gradient,
     unit_direction_ricci_linear,
 )
@@ -211,6 +218,53 @@ class TestFusedSynthesis:
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+class TestRealProducts:
+    """The Christoffel lowering and the Gamma Gamma terms against the forms
+    they replaced: three fancy-index gathers, and one complex einsum."""
+
+    def test_lowering_matrix_matches_the_three_gathers(self):
+        rng = np.random.default_rng(11)
+        dg = rng.standard_normal((9, 6, 3, 40))
+        got = np.matmul(_LOWER, dg.reshape(9, 18, 40)).reshape(9, 3, 6, 40)
+        expect = gathered_lowering(dg)
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_christoffel_matches_the_three_gathers(self, grid, seed):
+        # the complex step's two parts, the background and the direction,
+        # each on its own scale
+        G, _ = complex_step_samples(grid, random_direction(grid, seed))
+        g = _sym(G)
+        gamma, ginv = _christoffel(grid, g)
+        lower = gathered_lowering(_gradient(grid, g))
+        expect = np.einsum("rabn,rbpn->rapn", ginv[:, _PAIR], lower)
+        for part in (np.real, np.imag):
+            scale = np.abs(part(expect)).max()
+            assert np.abs(part(gamma) - part(expect)).max() <= 1e-15 * scale
+
+    def test_bilinear_form_matches_the_einsum(self):
+        rng = np.random.default_rng(12)
+        gamma = rng.standard_normal((9, 3, 6, 40))
+        expect = einsum_ricci_quadratic(gamma)
+        for got in (_bilinear(gamma, gamma), _ricci_quadratic(gamma)):
+            assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    def test_complex_gamma_gamma_matches_the_complex_einsum(self):
+        rng = np.random.default_rng(13)
+        re, im = rng.standard_normal((2, 9, 3, 6, 40))
+        expect = einsum_ricci_quadratic(re + 1j * im)
+        got = _ricci_quadratic(re + 1j * im)
+        assert got.dtype == complex
+        for part in (np.real, np.imag):
+            assert np.abs(part(got) - part(expect)).max() <= 1e-14 * np.abs(part(expect)).max()
+        # the imaginary half the linearization forms alone: X + X^T for the
+        # two cross terms, one contraction
+        sym = _bilinear_sym(re, im)
+        assert np.abs(sym - (_bilinear(re, im) + _bilinear(im, re))).max() <= (
+            1e-14 * np.abs(sym).max())
+        assert np.array_equal(sym, got.imag)
+
+
 class TestMetricInverse:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_cofactor_inverse_matches_lapack_complex_step(self, grid, seed):
@@ -332,13 +386,21 @@ class TestLinearization:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
-        "params", [P13, SchwarzschildParams(m=-0.5, r0=1.2)], ids=["P13", "negative-mass"]
+        "lab",
+        [
+            (P13, None, 49, 8),
+            (SchwarzschildParams(m=-0.5, r0=1.2), None, 49, 8),
+            (P13, 4.5, 129, 12),  # selftest's structure-suite grid
+        ],
+        ids=["P13", "negative-mass", "selftest-grid"],
     )
-    def test_rows_are_the_imaginary_part_of_the_complex_evaluation(self, params, seed):
+    def test_rows_are_the_imaginary_part_of_the_complex_evaluation(self, lab, seed):
         # the linearization takes the Ricci tensor's linear terms on Im Gamma
-        # alone; its rows must be Im / h of the full complex evaluation of
-        # the public residual and boundary maps at the same samples
-        grid = make_lab_grid(params, n_r=49, calc=SphereCalc(l_max=8))
+        # alone and the Gamma Gamma terms as B(Re, Im) + B(Im, Re); its rows
+        # must be Im / h of the full complex evaluation of the public
+        # residual and boundary maps at the same samples
+        params, r_outer, n_r, l_max = lab
+        grid = make_lab_grid(params, r_outer, n_r=n_r, calc=SphereCalc(l_max=l_max))
         direction = random_direction(grid, seed)
         lin = linearize_at_schwarzschild(grid, direction)
         G, U = complex_step_samples(grid, direction)

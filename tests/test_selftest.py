@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,9 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from schwarzstatic import cli, selftest, structure
+from schwarzstatic.background import SchwarzschildParams
+from schwarzstatic.fields import random_deformation
 from schwarzstatic.selftest import run_selftest
+from schwarzstatic.sphere_ops import SphereCalc
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +51,49 @@ class TestSelfTest:
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError):
             run_selftest(mutate="no-such-flip")
+
+
+class TestConservationQuadrature:
+    """The conservation suite's H~ by quadrature, against scipy's DOP853."""
+
+    P = SchwarzschildParams(m=1.0, r0=3.0)
+
+    def draw(self, seed):
+        rng = np.random.default_rng(seed)
+        calc = SphereCalc(l_max=8)
+        field = random_deformation(rng, self.P, calc, l_band=3, gauge_fixed=True)
+        return field, calc.random_band_limited(rng, 3)
+
+    def test_matches_solve_ivp(self):
+        field, h0 = self.draw(1)
+        r = np.geomspace(3.0, 30.0, 40)
+
+        def rhs(s, y):
+            bg = selftest.background_at(self.P, s)
+            return -bg.H_sc * y - 4.0 * bg.du_sc * field.u(s, 1)
+
+        sol = solve_ivp(rhs, (3.0, 30.0), h0, method="DOP853", rtol=1e-12, atol=1e-14,
+                        dense_output=True)
+        expect = sol.sol(r).T
+        got = selftest._conserved_h(self.P, field, h0, r)
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("coefficient", ["H_sc", "du_sc"])
+    def test_a_scaled_coefficient_fails_the_suite(self, monkeypatch, coefficient):
+        # the invariant multiplies by rho2 itself, so a coefficient of the
+        # ODE off by one part in a million shows as drift far over 1e-9
+        exact = selftest.background_at
+
+        def scaled(params, r):
+            bg = exact(params, r)
+            return dataclasses.replace(bg, **{coefficient: getattr(bg, coefficient) * (1 + 1e-6)})
+
+        assert selftest._suite_conservation(np.random.default_rng(1)).run().passed
+        monkeypatch.setattr(selftest, "background_at", scaled)
+        result = selftest._suite_conservation(np.random.default_rng(1)).run()
+        assert not result.passed
+        assert result.measured > 1e-7
 
 
 class TestSchedule:
@@ -106,7 +154,8 @@ class TestSelfTestCli:
     def test_refine_seed1_lines_match_fixture(self, capsys):
         # the six [pass] lines of `selftest --refine --seed 1` as the serial,
         # unfused code printed them: the schedule and the fused gradient
-        # synthesis change no byte
+        # synthesis change no byte.  The conservation line is the quadrature
+        # route's
         fixture = (Path(__file__).parent / "data" / "selftest_refine_seed1.txt").read_text()
         assert cli.main(["selftest", "--refine", "--seed", "1"]) == 0
         out = capsys.readouterr().out
