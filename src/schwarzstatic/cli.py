@@ -47,6 +47,7 @@ from .modes import (
     DEFAULT_RTOL,
     EPS_DEC,
     K_DIV,
+    TAIL_SPAN,
     AsymptoticClass,
     AsymptoticKind,
     ModeSolution,
@@ -97,11 +98,15 @@ def _certifies(kind: AsymptoticKind) -> bool:
 
 
 def _outer_radius(r_max_factor: float, r0: float) -> float:
-    """r_max_factor * r0; ConfigError unless it is finite and r_max_factor > 1."""
+    """r_max_factor * r0; ConfigError unless it is finite and r_max_factor >= TAIL_SPAN.
+
+    classify_modes reads its tail from r_max / TAIL_SPAN on, so a shorter
+    extent would fit the tail's limit and slope on the start of the run.
+    """
     r_max = r_max_factor * r0
-    if not (r_max_factor > 1.0 and np.isfinite(r_max)):
+    if not (r_max_factor >= TAIL_SPAN and np.isfinite(r_max)):
         raise ConfigError(
-            f"r_max_factor must exceed 1 and r_max_factor * r0 be finite,"
+            f"r_max_factor must be at least {TAIL_SPAN:g} and r_max_factor * r0 be finite,"
             f" got r_max_factor={r_max_factor!r} at r0={r0!r}")
     return r_max
 
@@ -329,7 +334,7 @@ def emit(report: SweepReport, out_dir: str) -> list[str]:
 
     json_path = os.path.join(out_dir, "sweep.json")
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(_sweep_payload(report)) + "\n")
+        fh.write(json.dumps(_sweep_payload(report), indent=2) + "\n")
     return [csv_path, json_path]
 
 
@@ -376,50 +381,6 @@ def _sweep_payload(report: SweepReport) -> dict:
             "all_passed": report.all_passed,
         },
     }
-
-
-# the values json writes without nesting
-_JSON_SCALARS = {float, int, bool, str, type(None)}
-# json's C encoder with one value per line: no encoded value holds a newline
-_LINE_ENCODER = json.JSONEncoder(separators=("\n", ": "))
-
-
-def _json_text(payload: dict) -> str:
-    """The text of json.dumps(payload, indent=2), written faster.
-
-    json runs its pure-Python encoder whenever indent is set.  Here each
-    top-level value is dumped on its own and indented, except a list of
-    records: dicts of scalars with the same keys, the sweep's records.
-    Their values go through json's C encoder in one call, one value per
-    line, and fill a template of the record's indent=2 layout.
-    """
-    items = []
-    for key, value in payload.items():
-        text = _records_text(value) if isinstance(value, list) and value else None
-        if text is None:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
-
-
-def _records_text(records: list) -> str | None:
-    """A list of records as json.dumps writes it at depth 1 with indent=2, or
-    None if the list is not records."""
-    first = records[0]
-    if not (type(first) is dict and first):
-        return None
-    keys = tuple(first)
-    if not all(type(rec) is dict and tuple(rec) == keys for rec in records):
-        return None
-    values = [v for rec in records for v in rec.values()]
-    if not set(map(type, values)) <= _JSON_SCALARS:
-        return None
-    lines = _LINE_ENCODER.encode(values)[1:-1].split("\n")
-    record = "    {\n" + ",\n".join(
-        f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys) + "\n    }"
-    n = len(keys)
-    return "[\n" + ",\n".join(
-        record % tuple(lines[i:i + n]) for i in range(0, len(lines), n)) + "\n  ]"
 
 
 def _profile_label(x: float) -> str:

@@ -17,8 +17,10 @@ the real and imaginary parts are each differentiated on their own, exactly
 as for real input; the complex-step oracle in curvature_lab relies on this.
 
 gauss_cell is the package's one quadrature rule, 4-point Gauss-Legendre on
-each of a batch of cells; the gauge construction and selftest's
-conservation suite build their cumulative radial integrals from it.
+each of a batch of cells.  cumulative_integral is its one cumulative form,
+r -> int_{cells[0]}^{r} f: a running sum of gauss_cell over the whole cells
+below r plus the rule on the partial cell up to r.  The gauge construction
+and selftest's conservation suite take all their radial integrals from it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "stencil_coefficients",
     "apply_radial",
     "gauss_cell",
+    "cumulative_integral",
 ]
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -113,3 +116,24 @@ def gauss_cell(f, a, b) -> np.ndarray:
     w = half[..., None] * _GAUSS_W
     w = w.reshape(w.shape + (1,) * (vals.ndim - w.ndim))
     return (w * vals).sum(axis=np.ndim(a))
+
+
+def cumulative_integral(f, cells):
+    """r -> int_{cells[0]}^{r} f(s) ds, for radii r of any shape.
+
+    cells are increasing cell edges.  The integral is a cumulative table of
+    gauss_cell over the whole cells below r plus the rule on the partial
+    cell from the last whole cell's edge to r; a radius outside the cells
+    takes the first or last cell's rule.  f is as for gauss_cell, and the
+    result has shape r.shape + the sample shape.
+    """
+    cells = np.asarray(cells, dtype=float)
+    whole = np.cumsum(gauss_cell(f, cells[:-1], cells[1:]), axis=0)
+    table = np.concatenate([np.zeros_like(whole[:1]), whole])
+    inner = cells[1:-1]
+
+    def integral(r):
+        idx = np.searchsorted(inner, r, side="right")  # the cell holding r
+        return table[idx] + gauss_cell(f, cells[idx], r)
+
+    return integral

@@ -26,12 +26,10 @@ g~(dr, dr) = sum_j b_j(r) S_j and g~(dr, e_A) = sum_k c_k(r) W_k, so that
     T(r)   = int_{r0}^{r} [c / rho, P / rho^2],
 
 with grad S the frame gradients of the shapes S, taken once per field.
-Only the scalar coefficient functions P and T are integrated.  Each keeps a
-cumulative table over one grid of radial cells, built with the 4-point
-Gauss rule per cell of fd.gauss_cell, and evaluates at any radii as table
-entry plus a Gauss rule on the partial cell; the tangential integrand
-needs P at its nodes, which comes from the same partial-cell rule.  Every
-evaluator takes a scalar radius or an array of radii.
+Only the scalar coefficient functions P and T are integrated, both by
+fd.cumulative_integral over one grid of radial cells; the tangential
+integrand reads P at its Gauss nodes from P's own cumulative integral.
+Every evaluator takes a scalar radius or an array of radii.
 
 apply_gauge differentiates X independently of these identities, with small
 radial stencils on the evaluable field and spectral tangential derivatives,
@@ -54,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import SchwarzschildParams, background_at, conformal_metric_cartesian
-from .fd import gauss_cell, stencil_coefficients
+from .fd import cumulative_integral, stencil_coefficients
 from .sphere_ops import SphereCalc
 
 __all__ = [
@@ -97,44 +95,23 @@ class GaugeVectorField:
     calc: SphereCalc
     r0: float
     r1: float
-    _cells: np.ndarray  # (n_cells + 1,) cell edges
-    _rr_basis: object  # callable radii -> b_j(r), r.shape + (J,)
-    _ra_basis: object  # callable radii -> c_k(r), r.shape + (K,)
+    _perp: object  # callable radii -> P(r), r.shape + (J,)
+    _tan: object  # callable radii -> T(r), r.shape + (K + J,)
     _perp_shapes: np.ndarray  # (J, n) rr shapes S_j
     _tan_shapes: np.ndarray  # (K + J, n, 2) ra shapes W_k, then frame gradients of S_j
-    _perp_cum: np.ndarray  # (n_cells + 1, J) cumulative P
-    _tan_cum: np.ndarray | None = None  # (n_cells + 1, K + J) cumulative T
 
-    def _cell_start(self, r):
-        """Radii as an array and the left edge of the cell holding each."""
+    def _radii(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if not np.all((r >= self.r0 - 1e-12) & (r <= self.r1 + 1e-9)):
             raise ValueError("radius outside the gauge window")
-        idx = np.minimum(
-            ((r - self.r0) / (self._cells[1] - self._cells[0])).astype(int),
-            len(self._cells) - 2,
-        )
-        return r, idx, self._cells[idx]
-
-    def _perp_coeffs(self, r) -> np.ndarray:
-        """P(r) = -1/2 int_{r0}^{r} b, shape r.shape + (J,)."""
-        r, idx, a = self._cell_start(r)
-        return self._perp_cum[idx] - 0.5 * gauss_cell(self._rr_basis, a, r)
-
-    def _tan_integrand(self, s) -> np.ndarray:
-        """[c / rho, P / rho^2] at radii s, the coefficients of src_A / rho."""
-        rho = _rho(self.params, s)[..., None]
-        return np.concatenate(
-            [self._ra_basis(s) / rho, self._perp_coeffs(s) / rho**2], axis=-1
-        )
+        return r
 
     def x_perp(self, r) -> np.ndarray:
-        return self._perp_coeffs(r) @ self._perp_shapes
+        return self._perp(self._radii(r)) @ self._perp_shapes
 
     def x_tan(self, r) -> np.ndarray:
-        r, idx, a = self._cell_start(r)
-        coeffs = self._tan_cum[idx] + gauss_cell(self._tan_integrand, a, r)
-        w = np.tensordot(coeffs, self._tan_shapes, axes=1)
+        r = self._radii(r)
+        w = np.tensordot(self._tan(r), self._tan_shapes, axes=1)
         return -_rho(self.params, r)[..., None, None] * w
 
     def cartesian(self, r) -> np.ndarray:
@@ -188,19 +165,19 @@ def build_gauge_field(
     rr_basis, rr_shapes = gt.separated("rr")
     ra_basis, ra_shapes = gt.separated("ra")
     cells = np.linspace(r0, r1, n_cells + 1)
-    a, b = cells[:-1], cells[1:]
-    perp_cum = np.zeros((n_cells + 1, len(rr_shapes)))
-    perp_cum[1:] = np.cumsum(-0.5 * gauss_cell(rr_basis, a, b), axis=0)
-    field = GaugeVectorField(
-        params=params, calc=calc, r0=r0, r1=r1, _cells=cells,
-        _rr_basis=rr_basis, _ra_basis=ra_basis, _perp_shapes=rr_shapes,
+    perp = cumulative_integral(lambda s: -0.5 * rr_basis(s), cells)
+
+    def tan_integrand(s):
+        """[c / rho, P / rho^2] at radii s, the coefficients of src_A / rho."""
+        rho = _rho(params, s)[..., None]
+        return np.concatenate([ra_basis(s) / rho, perp(s) / rho**2], axis=-1)
+
+    return GaugeVectorField(
+        params=params, calc=calc, r0=r0, r1=r1,
+        _perp=perp, _tan=cumulative_integral(tan_integrand, cells),
+        _perp_shapes=rr_shapes,
         _tan_shapes=np.concatenate([ra_shapes, calc.grad_scalar_frame(rr_shapes)]),
-        _perp_cum=perp_cum,
     )
-    tan_cum = np.zeros((n_cells + 1, len(field._tan_shapes)))
-    tan_cum[1:] = np.cumsum(gauss_cell(field._tan_integrand, a, b), axis=0)
-    field._tan_cum = tan_cum
-    return field
 
 
 @dataclass

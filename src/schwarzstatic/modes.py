@@ -95,6 +95,7 @@ K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
 EPS_DEC = 1e-4  # small means below EPS_DEC |a(r0)|
 DECAY_Q = 0.75  # a decaying tail falls at least like r^(-DECAY_Q)
 CAUCHY_RTOL = 1e-3  # a converging tail may move by this fraction of its limit
+TAIL_SPAN = 10.0  # the tail is the samples beyond the last radius / TAIL_SPAN, at least 8
 
 
 @dataclass(frozen=True)
@@ -679,8 +680,8 @@ def classify(sol: ModeSolution) -> AsymptoticClass:
 def classify_modes(sols: list[ModeSolution]) -> list[AsymptoticClass | Exception]:
     """classify for every solution at once.
 
-    The tail (the samples beyond a tenth of the last radius, at least the
-    last 8), the divergence tests on the last 6 samples, the smallness tests
+    The tail (the samples beyond the last radius over TAIL_SPAN, at least
+    the last 8), the divergence tests on the last 6 samples, the smallness tests
     and the oscillation run on the concatenated samples of all modes.  Only
     the least-squares fits run per mode, each on exactly np.polyfit's
     column-scaled Vandermonde, so every class equals the one the mode gets
@@ -703,7 +704,7 @@ def classify_modes(sols: list[ModeSolution]) -> list[AsymptoticClass | Exception
         abs_a = np.abs(a)
         peak = np.maximum.reduceat(abs_a, first)
         scale0 = np.where(a0 != 0.0, np.abs(a0), np.where(1.0 > peak, 1.0, peak))
-        near = r >= (r[last] / 10.0)[lane]
+        near = r >= (r[last] / TAIL_SPAN)[lane]
         in_tail = np.where((np.bincount(lane[near], minlength=n_modes) >= 8)[lane],
                            near, from_end < 8)
         r_tail, a_tail, tail_lane = r[in_tail], a[in_tail], lane[in_tail]

@@ -9,12 +9,12 @@ option demonstrates that a planted sign error is actually caught.
 
 The conservation suite checks the radial conservation law: along a
 transverse direction rho2 H~ + 4m u~ is constant.  Its H~ solves the linear
-ODE H~' = -H_sc H~ - 4 du_sc u~' by variation of constants, two cumulative
-integrals with the 4-point Gauss rule of fd.gauss_cell on 64 geometric
-cells over [3, 30].  The integrands read H_sc and du_sc from background_at
-and never rho2, which enters only the invariant, so a wrong coefficient on
-either side shows as drift (one part in a million in H_sc or du_sc drifts
-by about 1e-6, against the threshold 1e-9).  No suite runs scipy.
+ODE H~' = -H_sc H~ - 4 du_sc u~' by variation of constants: two integrals
+by fd.cumulative_integral on 64 geometric cells over [3, 30].  The
+integrands read H_sc and du_sc from background_at and never rho2, which
+enters only the invariant, so a wrong coefficient on either side shows as
+drift (one part in a million in H_sc or du_sc drifts by about 1e-6, against
+the threshold 1e-9).  No suite runs scipy.
 
 Schedule.  A suite is called with the shared generator, draws its random
 inputs from it and hands back its compute step, a _Step.  run_selftest
@@ -51,7 +51,7 @@ from .curvature_lab import (
     make_lab_grid,
     oracle_combinations,
 )
-from .fd import gauss_cell
+from .fd import cumulative_integral
 from .fields import DeformationField, RadialProfile, random_deformation
 from .gauge import GEODESIC_GAUGE_TOL, apply_gauge, build_gauge_field
 from .harmonics import make_grid, mode_position
@@ -193,35 +193,22 @@ def _suite_structure_oracle(rng) -> _Step:
 _CONSERVATION_CELLS = np.geomspace(3.0, 30.0, 65)
 
 
-def _integral(f):
-    """r -> int_3^r f(s) ds at radii r of any shape in [3, 30]: a cumulative
-    table of fd.gauss_cell over the whole _CONSERVATION_CELLS below r, plus
-    the rule on the partial cell from the last whole cell's edge to r."""
-    cells = _CONSERVATION_CELLS
-    whole = np.cumsum(gauss_cell(f, cells[:-1], cells[1:]), axis=0)
-    table = np.concatenate([np.zeros_like(whole[:1]), whole])
-
-    def integral(r):
-        idx = np.clip(np.searchsorted(cells, r, side="right") - 1, 0, len(cells) - 2)
-        return table[idx] + gauss_cell(f, cells[idx], r)
-
-    return integral
-
-
 def _conserved_h(params: SchwarzschildParams, field, h0: np.ndarray, r: np.ndarray):
     """H~ (len(r), n) on [3, 30] solving H~' = -H_sc H~ - 4 du_sc u~' from H~(3) = h0.
 
     Variation of constants: H~(r) = (h0 - int_3^r 4 Phi du_sc u~' ds) / Phi(r)
-    with Phi(r) = exp(int_3^r H_sc ds), both integrals by _integral.  The
-    integrands read H_sc and du_sc from background_at and never rho2.
+    with Phi(r) = exp(int_3^r H_sc ds), both by fd.cumulative_integral on
+    _CONSERVATION_CELLS.  The integrands read H_sc and du_sc from
+    background_at and never rho2.
     """
-    log_phi = _integral(lambda s: background_at(params, s).H_sc)
+    cells = _CONSERVATION_CELLS
+    log_phi = cumulative_integral(lambda s: background_at(params, s).H_sc, cells)
 
     def source(s):
         weight = 4.0 * np.exp(log_phi(s)) * background_at(params, s).du_sc
         return weight[..., None] * field.u(s, 1)
 
-    forced = _integral(source)
+    forced = cumulative_integral(source, cells)
     return (h0 - forced(r)) / np.exp(log_phi(r))[:, None]
 
 

@@ -19,7 +19,7 @@ from schwarzstatic.cli import (
     emit,
     run_sweep,
 )
-from schwarzstatic.modes import AsymptoticClass, AsymptoticKind
+from schwarzstatic.modes import TAIL_SPAN, AsymptoticClass, AsymptoticKind
 
 SMALL = dict(masses=[1.0], r0_offsets=[1.0], ell_max=2, r_max_factor=1e4)
 ONE_MODE = ["--masses", "1", "--deltas", "1", "--ell-max", "0"]
@@ -59,6 +59,14 @@ class TestConfig:
     def test_rejects_nonfinite_r_max_factor(self, factor):
         with pytest.raises(ConfigError):
             SweepConfig(r_max_factor=factor)
+
+    @pytest.mark.parametrize("factor", [1.000001, 1.01, 9.999])
+    def test_rejects_r_max_factor_below_tail_span(self, factor):
+        # classify_modes reads the tail from r_max / TAIL_SPAN on; a shorter
+        # extent certified diverging degrees as ConvergesNonzero
+        with pytest.raises(ConfigError, match="r_max_factor"):
+            SweepConfig(masses=[1.0], r0_offsets=[1.0], ell_max=3, r_max_factor=factor)
+        assert SweepConfig(r_max_factor=TAIL_SPAN).r_max_factor == TAIL_SPAN
 
     @pytest.mark.parametrize("ell_max", [2.5, 2.0, "2"])
     def test_rejects_non_integer_ell_max(self, ell_max):
@@ -492,6 +500,10 @@ class TestMainEntry:
             pytest.param(["--a0", "5e-324"], 1, id="subnormal-a0"),
             pytest.param(["--a0=-1e-310"], 1, id="negative-subnormal-a0"),
             pytest.param(["--r-max-factor", "inf"], 1, id="infinite-r-max-factor"),
+            # a tail shorter than the classifier's last decade certified
+            # diverging degrees as ConvergesNonzero
+            pytest.param(["--ell", "2", "--r-max-factor", "1.000001"], 1,
+                         id="r-max-factor-below-tail-span"),
             pytest.param(["--m=-1e308"], 2, id="solver-failure"),
         ],
     )
@@ -1004,7 +1016,7 @@ STARTUP_SCRIPTS = {
 
 class TestStartupImports:
     @pytest.mark.parametrize("script", sorted(STARTUP_SCRIPTS))
-    def test_scipy_integrate_and_optimize_load_only_for_selftest(self, tmp_path, script):
+    def test_no_script_loads_scipy(self, tmp_path, script):
         # no package import and no command loads any scipy module, selftest
         # included: its conservation suite integrates by quadrature, not by
         # solve_ivp, and is checked at every stage from its draw to its run
@@ -1048,10 +1060,6 @@ def report_with_failures():
 
 
 class TestJsonWriter:
-    def test_sweep_payload_text_is_json_dumps_with_indent(self):
-        payload = cli._sweep_payload(report_with_failures())
-        assert cli._json_text(payload) == json.dumps(payload, indent=2)
-
     def test_emitted_json_is_json_dumps_with_indent(self, tmp_path):
         report = report_with_failures()
         emit(report, str(tmp_path))
@@ -1061,22 +1069,6 @@ class TestJsonWriter:
         assert [failed[k] for k in ("n_steps", "nfev", "stop")] == [None, None, None]
         assert all(np.isnan(failed[k]) for k in ("fitted_limit", "fitted_exponent", "r_max"))
         assert '"fitted_limit": NaN,' in text and '"fitted_limit": -Infinity,' in text
-
-    @pytest.mark.parametrize(
-        "value",
-        [
-            pytest.param([], id="no-records"),
-            pytest.param([{"a": 1.0, "b": None}, {"b": None, "a": 1.0}], id="key-order-differs"),
-            pytest.param([{"a": [1.0, 2.0]}, {"a": []}], id="nested-values"),
-            pytest.param([{"a": "é\n\"", "b%s": True, "c": -0.0, "d": 10**20}], id="scalars"),
-            pytest.param([{}], id="empty-record"),
-            pytest.param([1.0, {"a": 1}], id="not-records"),
-            pytest.param([{"a": np.float64(0.1), "b": 1}], id="float-subclass"),
-        ],
-    )
-    def test_any_payload_is_json_dumps_with_indent(self, value):
-        payload = {"head": {"x": [1, 2], "y": {}}, "records": value, "tail": "%s"}
-        assert cli._json_text(payload) == json.dumps(payload, indent=2)
 
 
 class TestBatchTimes:

@@ -333,7 +333,8 @@ class TestBuildGaugeField:
         gt = random_deformation(rng, P13, calc, l_band=4, gauge_fixed=False)
         X = build_gauge_field(gt, P13, calc)
         # both window ends, two cell edges, and interior points
-        radii = np.concatenate([[3.0, 12.0], X._cells[[1, 29]], rng.uniform(3.0, 12.0, 7)])
+        cells = np.linspace(X.r0, X.r1, 48 + 1)
+        radii = np.concatenate([[3.0, 12.0], cells[[1, 29]], rng.uniform(3.0, 12.0, 7)])
         for method in ("x_perp", "x_tan", "cartesian"):
             batched = getattr(X, method)(radii)
             one_by_one = np.stack([getattr(X, method)(r) for r in radii])
@@ -366,10 +367,11 @@ def separated_cases(calc):
     return {"rr-only": rr_only, "ra-only": ra_only, "both": both}
 
 
-def window_radii(X, edges):
-    """Both window ends, the given cell edges and six interior radii."""
+def window_radii(X, edges, n_cells=48):
+    """Both window ends, the given edges of n_cells equal cells and six interior radii."""
     interior = np.random.default_rng(3).uniform(X.r0, X.r1, 6)
-    return np.concatenate([[X.r0, X.r1], X._cells[edges], interior])
+    cells = np.linspace(X.r0, X.r1, n_cells + 1)
+    return np.concatenate([[X.r0, X.r1], cells[edges], interior])
 
 
 # separated coefficients against node samples: the two routes sum the same
@@ -410,7 +412,7 @@ class TestSeparatedRoute:
         ref = NodeSampleGaugeField(
             lambda r: flow_rr(gt, r), lambda r: flow_ra(gt, r), P13, calc, n_cells=24
         )
-        radii = window_radii(X, [1, 12, 23])
+        radii = window_radii(X, [1, 12, 23], n_cells=24)
         for method in ("x_perp", "x_tan", "cartesian"):
             expect = getattr(ref, method)(radii)
             got = getattr(X, method)(radii)

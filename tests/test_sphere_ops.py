@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schwarzstatic.fd import apply_radial, stencil_coefficients
+from schwarzstatic.fd import apply_radial, cumulative_integral, stencil_coefficients
 from schwarzstatic.harmonics import mode_position
 from schwarzstatic.sphere_ops import SphereCalc
 
@@ -104,6 +104,48 @@ class TestRadialStencils:
     def test_rejects_unsupported_order(self, order):
         with pytest.raises(ValueError, match="1 or 2"):
             apply_radial(np.ones(9), 0.1, order)
+
+
+def septic(s):
+    return s**7 - 3.0 * s**3 + 2.0
+
+
+def septic_integral(a, b):
+    """int_a^b septic, exactly up to rounding."""
+    def antiderivative(s):
+        return s**8 / 8.0 - 0.75 * s**4 + 2.0 * s
+
+    return antiderivative(b) - antiderivative(a)
+
+
+class TestCumulativeIntegral:
+    # the 4-point Gauss rule is exact on degree 7, so only rounding remains
+    @pytest.mark.parametrize(
+        "cells",
+        [np.linspace(3.0, 12.0, 49), np.geomspace(3.0, 30.0, 65)],
+        ids=["linspace", "geomspace"],
+    )
+    @pytest.mark.parametrize(
+        "f,weights",
+        [(septic, None), (lambda s: np.stack([septic(s), -0.5 * septic(s)], axis=-1),
+                          np.array([1.0, -0.5]))],
+        ids=["scalar", "vector"],
+    )
+    def test_exact_on_a_septic(self, cells, f, weights):
+        r0, r1 = cells[0], cells[-1]
+        interior = np.random.default_rng(5).uniform(r0, r1, 40)
+        radii = np.concatenate([cells, [r0, r1], interior])
+        expect = septic_integral(r0, radii)
+        if weights is not None:
+            expect = expect[:, None] * weights
+        tol = 1e-14 * septic_integral(r0, r1)
+        integral = cumulative_integral(f, cells)
+        got = integral(radii)
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() <= tol
+        column = integral(radii[:, None])
+        assert column.shape == (len(radii), 1) + expect.shape[1:]
+        assert np.abs(column[:, 0] - expect).max() <= tol
 
 
 class TestScalarOps:
