@@ -19,10 +19,11 @@ by the mode's right-hand-side evaluations (nfev), and classify_s, an equal
 share of its batch's sampling and classification time.  The records of a
 batch add up to the batch's wall time.
 
-Every verdict is made with one set of settings: the solver tolerances and
-classifier thresholds of modes (DEFAULT_RTOL, DEFAULT_ATOL, K_DIV, EPS_DEC,
-DECAY_Q, CAUCHY_RTOL), module constants that no config key or flag sets.
-sweep.json records them in its thresholds block.
+Every verdict is made with one set of settings: the solver tolerances,
+extent factor and classifier thresholds of modes (DEFAULT_RTOL,
+DEFAULT_ATOL, R_MAX_FACTOR, K_DIV, EPS_DEC, DECAY_Q, CAUCHY_RTOL), module
+constants that no config key or flag sets; sweep.json records them in its
+thresholds block.  Each mode runs out to modes.outer_radius(m, r0).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .modes import (
     DEFAULT_RTOL,
     EPS_DEC,
     K_DIV,
-    TAIL_SPAN,
+    R_MAX_FACTOR,
     AsymptoticClass,
     AsymptoticKind,
     ModeSolution,
@@ -56,6 +57,7 @@ from .modes import (
     integrate_mode,
     integrate_modes,
     make_ivp,
+    outer_radius,
 )
 
 __all__ = [
@@ -67,7 +69,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 CSV_HEADER = "m,r0,ell,class,fitted_limit,fitted_exponent,r_max,pass,wall_time_s"
 # gauge-test's grid has l_max = l_band + 2 and dense (nodes x modes) tables,
 # which grow like l_max^4: about 2 MB each at band 16, 1.8 GB at band 100
@@ -97,32 +99,18 @@ def _certifies(kind: AsymptoticKind) -> bool:
     return kind not in (AsymptoticKind.DECAYS_TO_ZERO, AsymptoticKind.UNDETERMINED)
 
 
-def _outer_radius(r_max_factor: float, r0: float) -> float:
-    """r_max_factor * r0; ConfigError unless it is finite and r_max_factor >= TAIL_SPAN.
-
-    classify_modes reads its tail from r_max / TAIL_SPAN on, so a shorter
-    extent would fit the tail's limit and slope on the start of the run.
-    """
-    r_max = r_max_factor * r0
-    if not (r_max_factor >= TAIL_SPAN and np.isfinite(r_max)):
-        raise ConfigError(
-            f"r_max_factor must be at least {TAIL_SPAN:g} and r_max_factor * r0 be finite,"
-            f" got r_max_factor={r_max_factor!r} at r0={r0!r}")
-    return r_max
-
-
 @dataclass
 class SweepConfig:
     """Sweep parameters; r0 = 2*max(0, m) + offset for each offset.
 
-    The solver tolerances and the classifier thresholds are not settings:
-    every sweep uses the constants of modes, which sweep.json records.
+    The solver tolerances, the extent factor and the classifier thresholds
+    are not settings: every sweep uses the constants of modes, which
+    sweep.json records.
     """
 
     masses: list[float] = field(default_factory=lambda: [-1.0, -0.25, 0.25, 1.0])
     r0_offsets: list[float] = field(default_factory=lambda: [0.1, 1.0, 10.0])
     ell_max: int = 8
-    r_max_factor: float = 1e6
     seed: int = 0  # echoed into sweep.json; no verdict depends on it
 
     def __post_init__(self):
@@ -134,7 +122,6 @@ class SweepConfig:
         # the same sweep.csv
         self.masses = [_config_float("masses", x) for x in self.masses]
         self.r0_offsets = [_config_float("r0_offsets", x) for x in self.r0_offsets]
-        self.r_max_factor = _config_float("r_max_factor", self.r_max_factor)
         for key in ("ell_max", "seed"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -153,7 +140,6 @@ class SweepConfig:
                     f" for m={m!r}, offset={delta!r}")
         if self.ell_max < 0:
             raise ConfigError("ell_max must be nonnegative")
-        _outer_radius(self.r_max_factor, max(r0 for _, _, r0 in self._boundaries()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -242,12 +228,12 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     gets its profile, written from the solution its record was classified
     on and after the batch's time accounting.
     """
-    r_max_factor, tasks, profile_dir = args
+    tasks, profile_dir = args
     t0 = time.perf_counter()
     # SweepConfig admits only boundary spheres outside the horizon
     ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, a0=1.0) for m, r0, ell in tasks]
     # per mode a ModeSolution, or the error that ended its integration
-    sols = integrate_modes(ivps, [r_max_factor * ivp.r0 for ivp in ivps])
+    sols = integrate_modes(ivps, [outer_radius(ivp.m, ivp.r0) for ivp in ivps])
 
     # one classification pass over the batch; a mode that failed to integrate
     # or whose fit failed is Undetermined
@@ -311,11 +297,11 @@ def run_sweep(
     n_chunks = min(jobs, len(tasks))
     workers = min(n_chunks, _usable_cpus())
     if workers <= 1:
-        records = _sweep_chunk((config.r_max_factor, tasks, profile_dir))
+        records = _sweep_chunk((tasks, profile_dir))
     else:
         size, extra = divmod(len(tasks), n_chunks)
         bounds = np.cumsum([0] + [size + (k < extra) for k in range(n_chunks)])
-        chunks = [(config.r_max_factor, tasks[lo:hi], profile_dir)
+        chunks = [(tasks[lo:hi], profile_dir)
                   for lo, hi in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for part in pool.map(_sweep_chunk, chunks) for rec in part]
@@ -355,6 +341,7 @@ def _sweep_payload(report: SweepReport) -> dict:
             "eps_dec": EPS_DEC,
             "decay_q": DECAY_Q,
             "cauchy_rtol": CAUCHY_RTOL,
+            "r_max_factor": R_MAX_FACTOR,
         },
         "records": [
             {
@@ -453,7 +440,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--masses", type=_float_list, help="override mass list")
     sweep.add_argument("--deltas", type=_float_list, help="override r0 offsets")
     sweep.add_argument("--ell-max", type=int, help="override degree cap")
-    sweep.add_argument("--r-max-factor", type=float, help="override tail extent")
 
     selftest = sub.add_parser("selftest", help="run the verification suites")
     selftest.add_argument("--refine", action="store_true",
@@ -468,7 +454,6 @@ def _build_parser() -> _Parser:
     mode.add_argument("--r0", type=float, required=True)
     mode.add_argument("--ell", type=int, required=True)
     mode.add_argument("--a0", type=float, default=1.0)
-    mode.add_argument("--r-max-factor", type=float, default=1e6)
     mode.add_argument("--out-dir", default=".")
 
     match = sub.add_parser("match-round", help="round-data inversion")
@@ -502,7 +487,6 @@ def _cmd_sweep(args) -> int:
         "masses": args.masses,
         "r0_offsets": args.deltas,
         "ell_max": args.ell_max,
-        "r_max_factor": args.r_max_factor,
     }
     data.update({k: v for k, v in overrides.items() if v is not None})
     config = SweepConfig.from_dict(data)
@@ -547,7 +531,6 @@ def _cmd_mode(args) -> int:
         raise ConfigError(str(exc)) from None
     if args.ell < 0:
         raise ConfigError("degree must be nonnegative")
-    r_max = _outer_radius(args.r_max_factor, params.r0)
     if not np.isfinite(args.a0):
         raise ConfigError("a0 must be finite")
     if abs(args.a0) < sys.float_info.min:
@@ -560,7 +543,8 @@ def _cmd_mode(args) -> int:
                           f" got a0={args.a0:g}")
 
     try:
-        sol = integrate_mode(make_ivp(params, args.ell, args.a0), r_max)
+        sol = integrate_mode(make_ivp(params, args.ell, args.a0),
+                             outer_radius(params.m, params.r0))
     except RuntimeError as exc:  # modes already prefixes "mode integration failed: "
         raise SolverError(str(exc)) from None
     except ValueError as exc:

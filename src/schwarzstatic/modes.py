@@ -10,12 +10,13 @@ the boundary data; S is regular in m, so the integrator never divides
 by m.  The order does not enter; only the degree l matters.
 
 Every lane steps in one scale-free variable, t = ln s with
-s = r - 2 max(m, 0), from ln s0 out to r_max = r_max_factor * r0 for limit
-and decay-rate fits.  s0 = r0 - 2 max(m, 0) is formed once from r0 and the
-right-hand side never forms r, so the regular singular point (r = 2m for
-m > 0, r = 0 for m < 0) lies at t = -inf and a boundary sphere next to it
-costs no more steps than one far from it.  With rho^2 = s (s + 2|m|) the
-system in the state (a, w = rho^2 a') is
+s = r - 2 max(m, 0), from ln s0 out to r_max = outer_radius(m, r0), deep in
+the tail r >> |m| where the limit and decay-rate fits are read.
+s0 = r0 - 2 max(m, 0) is formed once from r0 and the right-hand side never
+forms r, so the regular singular point (r = 2m for m > 0, r = 0 for m < 0)
+lies at t = -inf and a boundary sphere next to it costs no more steps than
+one far from it.  With rho^2 = s (s + 2|m|) the system in the state
+(a, w = rho^2 a') is
 
     da/dt = s w / rho^2,    dw/dt = s ((4 m^2 / rho^2 + l(l+1)) a - S / rho^2),
 
@@ -54,7 +55,8 @@ mode.  Both reproduce the per-mode computations bit for bit:
 ModeSolution.eval, integrate_mode and classify are batches of one.
 
 The verdict settings are module constants, the same for every sweep: the
-solver tolerances DEFAULT_RTOL and DEFAULT_ATOL, the divergence factor K_DIV,
+solver tolerances DEFAULT_RTOL and DEFAULT_ATOL, the extent factor
+R_MAX_FACTOR of outer_radius, the divergence factor K_DIV,
 the smallness fraction EPS_DEC, the decay-slope threshold DECAY_Q and the
 Cauchy tolerance CAUCHY_RTOL.  integrate_mode and integrate_modes take rtol,
 atol and k_div with these defaults; selftest's mode/PDE suite tightens them.
@@ -83,6 +85,7 @@ __all__ = [
     "AsymptoticKind",
     "AsymptoticClass",
     "make_ivp",
+    "outer_radius",
     "integrate_mode",
     "integrate_modes",
     "classify",
@@ -91,6 +94,7 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+R_MAX_FACTOR = 1e6  # a mode runs out to R_MAX_FACTOR max(r0, 2|m|)
 K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
 EPS_DEC = 1e-4  # small means below EPS_DEC |a(r0)|
 DECAY_Q = 0.75  # a decaying tail falls at least like r^(-DECAY_Q)
@@ -132,6 +136,16 @@ def make_ivp(params: SchwarzschildParams, ell: int, a0: float) -> ModeIVP:
         if not math.isfinite(alpha0):
             alpha0 = None
     return ModeIVP(params=params, ell=ell, a0=a0, da0=da0, source=source, alpha0=alpha0)
+
+
+def outer_radius(m: float, r0: float) -> float:
+    """The radius a mode is integrated out to: R_MAX_FACTOR * max(r0, 2|m|).
+
+    The classifier reads the tail r >> |m|, which a run out to a multiple of
+    r0 alone misses when r0 << |m| (m < 0).  inf where the product
+    overflows; integrate_modes fails such a lane with a ValueError.
+    """
+    return R_MAX_FACTOR * max(float(r0), 2.0 * abs(float(m)))
 
 
 def _rho2_times(m, r0, x) -> float:

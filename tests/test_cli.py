@@ -19,9 +19,9 @@ from schwarzstatic.cli import (
     emit,
     run_sweep,
 )
-from schwarzstatic.modes import TAIL_SPAN, AsymptoticClass, AsymptoticKind
+from schwarzstatic.modes import AsymptoticClass, AsymptoticKind, outer_radius
 
-SMALL = dict(masses=[1.0], r0_offsets=[1.0], ell_max=2, r_max_factor=1e4)
+SMALL = dict(masses=[1.0], r0_offsets=[1.0], ell_max=2)
 ONE_MODE = ["--masses", "1", "--deltas", "1", "--ell-max", "0"]
 
 
@@ -55,19 +55,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(**overrides)
 
-    @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
-    def test_rejects_nonfinite_r_max_factor(self, factor):
-        with pytest.raises(ConfigError):
-            SweepConfig(r_max_factor=factor)
-
-    @pytest.mark.parametrize("factor", [1.000001, 1.01, 9.999])
-    def test_rejects_r_max_factor_below_tail_span(self, factor):
-        # classify_modes reads the tail from r_max / TAIL_SPAN on; a shorter
-        # extent certified diverging degrees as ConvergesNonzero
-        with pytest.raises(ConfigError, match="r_max_factor"):
-            SweepConfig(masses=[1.0], r0_offsets=[1.0], ell_max=3, r_max_factor=factor)
-        assert SweepConfig(r_max_factor=TAIL_SPAN).r_max_factor == TAIL_SPAN
-
     @pytest.mark.parametrize("ell_max", [2.5, 2.0, "2"])
     def test_rejects_non_integer_ell_max(self, ell_max):
         with pytest.raises(ConfigError, match="ell_max"):
@@ -83,7 +70,6 @@ class TestConfig:
             ("masses", [1.0, True]),
             ("r0_offsets", [False]),
             ("ell_max", True),
-            ("r_max_factor", True),
             ("seed", False),
         ],
     )
@@ -92,11 +78,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             SweepConfig.from_dict({key: value})
 
-    @pytest.mark.parametrize("key", ["masses", "r0_offsets", "r_max_factor"])
+    @pytest.mark.parametrize("key", ["masses", "r0_offsets"])
     def test_rejects_strings(self, key):
-        value = ["1"] if key in ("masses", "r0_offsets") else "0.7"
         with pytest.raises(ConfigError, match=key):
-            SweepConfig.from_dict({key: value})
+            SweepConfig.from_dict({key: ["1"]})
 
     def test_value_of_the_wrong_shape_is_a_config_error(self):
         # a number where a list belongs fails in the dataclass with a TypeError
@@ -105,10 +90,9 @@ class TestConfig:
 
     def test_integers_are_stored_as_floats(self):
         config = SweepConfig.from_dict(
-            {"masses": [1, -2], "r0_offsets": [3], "r_max_factor": 100})
+            {"masses": [1, -2], "r0_offsets": [3]})
         assert config.masses == [1.0, -2.0] and config.r0_offsets == [3.0]
         assert all(type(x) is float for x in (*config.masses, *config.r0_offsets))
-        assert type(config.r_max_factor) is float
         assert type(config.ell_max) is int
 
     def test_tasks_are_mass_offset_degree_triples(self):
@@ -128,9 +112,7 @@ class TestRunSweep:
         assert classes[1] == "DivergesPlus"
 
     def test_flat_single_record(self):
-        report = run_sweep(
-            SweepConfig(masses=[0.0], r0_offsets=[1.0], ell_max=0, r_max_factor=1e4)
-        )
+        report = run_sweep(SweepConfig(masses=[0.0], r0_offsets=[1.0], ell_max=0))
         assert report.all_passed
         assert report.records[0].class_name == "ConvergesNonzero"
         assert_allclose(report.records[0].fitted_limit, 1.0, rtol=1e-9)
@@ -213,14 +195,15 @@ class TestEmit:
         data = json.loads(open(paths[1], encoding="utf-8").read())
         assert list(data) == ["schema_version", "environment", "config", "thresholds",
                               "records", "summary"]
-        assert data["schema_version"] == "5"
+        assert data["schema_version"] == "6"
         assert set(data["environment"]) == {"python", "numpy"}
         assert data["environment"]["numpy"] == np.__version__
         assert data["config"] == {"masses": [1.0], "r0_offsets": [1.0], "ell_max": 2,
-                                  "r_max_factor": 1e4, "seed": 0}
+                                  "seed": 0}
         # the module constants of modes every verdict was made with
         assert data["thresholds"] == {"rtol": 1e-10, "atol": 1e-12, "k_div": 1e3,
-                                      "eps_dec": 1e-4, "decay_q": 0.75, "cauchy_rtol": 1e-3}
+                                      "eps_dec": 1e-4, "decay_q": 0.75, "cauchy_rtol": 1e-3,
+                                      "r_max_factor": 1e6}
         assert len(data["records"]) == 3
         for rec in data["records"]:  # degrees 0, 1, 2 at (m, r0) = (1, 3)
             assert rec["n_steps"] > 0 and rec["nfev"] > rec["n_steps"]
@@ -305,7 +288,7 @@ class TestEmit:
         # [ln((r-2m)/r) - ln((r0-2m)/r0)]
         rec = report.records[9]
         assert (rec.m, rec.r0, rec.ell) == (1.0, 3.0, 1)
-        assert rec.r_max < config.r_max_factor * rec.r0
+        assert rec.r_max < outer_radius(rec.m, rec.r0)
         last = read_csv(sweep_dir / names[9])[-1].split(",")
         r_end, phi_end = float(last[0]), float(last[5])
         expect = 1.5 * (np.log((r_end - 2.0) / r_end) + np.log(3.0))
@@ -325,7 +308,7 @@ class TestEmit:
 
     def test_profile_filename_template(self, tmp_path):
         assert cli.main(["mode", "--m=-0.25", "--r0=1.0", "--ell=3",
-                         "--r-max-factor=1e3", "--out-dir", str(tmp_path)]) == 0
+                         "--out-dir", str(tmp_path)]) == 0
         assert os.listdir(tmp_path) == ["mode_m-0.25_r01_l3.csv"]
 
     def test_profile_names_tell_close_masses_apart(self, tmp_path):
@@ -343,8 +326,7 @@ class TestMainEntry:
         code = cli.main(
             [
                 "sweep", "--masses", "1.0", "--deltas", "1.0",
-                "--ell-max", "1", "--r-max-factor", "10000",
-                "--out-dir", str(tmp_path),
+                "--ell-max", "1", "--out-dir", str(tmp_path),
             ]
         )
         assert code == 0
@@ -377,7 +359,7 @@ class TestMainEntry:
         code = cli.main(
             [
                 "sweep", "--config", str(cfg), "--ell-max", "0",
-                "--r-max-factor", "10000", "--out-dir", str(tmp_path),
+                "--out-dir", str(tmp_path),
             ]
         )
         assert code == 0
@@ -386,13 +368,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "data,key",
-        [
-            ({"masses": [True], "r0_offsets": [1], "ell_max": 0, "r_max_factor": True},
-             "masses"),
-            ({"masses": [1], "r0_offsets": [1], "ell_max": 0, "r_max_factor": True},
-             "r_max_factor"),
-        ],
-        ids=["bool-mass", "bool-r_max_factor"],
+        [({"masses": [True], "r0_offsets": [1], "ell_max": 0}, "masses")],
+        ids=["bool-mass"],
     )
     def test_boolean_config_is_usage_error(self, tmp_path, capsys, data, key):
         cfg = tmp_path / "cfg.json"
@@ -406,13 +383,13 @@ class TestMainEntry:
         # integers in a config file are floats, as the flags parse them
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {"masses": [1, -1], "r0_offsets": [1, 2], "ell_max": 1, "r_max_factor": 10000}
+            {"masses": [1, -1], "r0_offsets": [1, 2], "ell_max": 1}
         ))
         from_file, from_flags = tmp_path / "file", tmp_path / "flags"
         assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(from_file)]) == 0
         assert cli.main(
             ["sweep", "--masses", "1,-1", "--deltas", "1,2", "--ell-max", "1",
-             "--r-max-factor", "10000", "--out-dir", str(from_flags)]
+             "--out-dir", str(from_flags)]
         ) == 0
 
         def without_wall_time(path):
@@ -483,8 +460,7 @@ class TestMainEntry:
 
     def test_mode_cli(self, tmp_path, capsys):
         code = cli.main(
-            ["mode", "--m", "1", "--r0", "3", "--ell", "0",
-             "--r-max-factor", "10000", "--out-dir", str(tmp_path)]
+            ["mode", "--m", "1", "--r0", "3", "--ell", "0", "--out-dir", str(tmp_path)]
         )
         assert code == 0
         assert "ConvergesNonzero" in capsys.readouterr().out
@@ -494,16 +470,10 @@ class TestMainEntry:
         [
             pytest.param(["--r0", "1"], 1, id="r0-inside-horizon"),
             pytest.param(["--ell", "-1"], 1, id="negative-ell"),
-            pytest.param(["--r-max-factor", "0.5"], 1, id="r-max-factor-below-one"),
             pytest.param(["--a0", "nan"], 1, id="nan-a0"),
             pytest.param(["--a0", "0"], 1, id="zero-a0"),
             pytest.param(["--a0", "5e-324"], 1, id="subnormal-a0"),
             pytest.param(["--a0=-1e-310"], 1, id="negative-subnormal-a0"),
-            pytest.param(["--r-max-factor", "inf"], 1, id="infinite-r-max-factor"),
-            # a tail shorter than the classifier's last decade certified
-            # diverging degrees as ConvergesNonzero
-            pytest.param(["--ell", "2", "--r-max-factor", "1.000001"], 1,
-                         id="r-max-factor-below-tail-span"),
             pytest.param(["--m=-1e308"], 2, id="solver-failure"),
         ],
     )
@@ -565,21 +535,35 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert ": DivergesPlus fitted_limit=1000 " in captured.out and captured.err == ""
 
-    def test_mode_cli_undetermined_mode_exits_two(self, tmp_path, capsys):
+    def test_mode_cli_undetermined_mode_exits_two(self, tmp_path, monkeypatch, capsys):
         # exit 2 for a decaying or undetermined mode, the sweep's pass rule;
         # the verdict line and the profile are still written
+        nan = float("nan")
+        monkeypatch.setattr(cli, "classify", lambda sol: AsymptoticClass(
+            AsymptoticKind.UNDETERMINED, nan, nan, sol.r_max_used))
         assert cli.main(["mode", "--m=-1", "--r0", "1e-8", "--ell", "2",
                          "--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert ": Undetermined " in captured.out and captured.err == ""
         assert (tmp_path / "mode_m-1_r01e-08_l2.csv").exists()
 
-    @pytest.mark.xfail(strict=True, reason="r_max = 1e6 r0 ends the run before the tail "
-                       "regime when r0 << |m| (ROADMAP item 1)")
-    def test_mode_cli_tiny_r0_negative_mass_diverges_plus(self, tmp_path, capsys):
-        # the true class: the growth coefficient of the closed form is positive
-        cli.main(["mode", "--m=-1", "--r0", "1e-12", "--ell", "5", "--out-dir", str(tmp_path)])
-        assert ": DivergesPlus " in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "m,r0,ell,klass",
+        [
+            ("-1", "1e-12", "5", "DivergesPlus"),
+            ("-1", "1e-8", "2", "DivergesPlus"),
+            ("-4.32", "8.6e-4", "0", "ConvergesNonzero"),
+        ],
+    )
+    def test_mode_cli_tiny_r0_negative_mass_certifies(self, tmp_path, capsys, m, r0, ell, klass):
+        # the true classes (the growth coefficient of the closed form is
+        # positive for ell >= 1).  A run out to 1e6 r0 ended before the tail
+        # r >> |m|: the first gave ConvergesNonzero with exit 0, the other
+        # two Undetermined with exit 2
+        assert cli.main(["mode", f"--m={m}", "--r0", r0, "--ell", ell,
+                         "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert f": {klass} " in captured.out and captured.err == ""
 
     @pytest.mark.parametrize("r0", ["1e80", "1e100"])
     def test_mode_cli_near_zero_mass_at_a_huge_radius_diverges_plus(self, tmp_path, capsys, r0):
@@ -669,10 +653,8 @@ class TestMainEntry:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(cli, "integrate_mode", counting)
-        code = cli.main(
-            ["mode", "--m", "1", "--r0", "3", "--ell", "2",
-             "--r-max-factor", "100", "--out-dir", str(tmp_path)]
-        )
+        code = cli.main(["mode", "--m", "1", "--r0", "3", "--ell", "2",
+                         "--out-dir", str(tmp_path)])
         assert code == 0
         assert len(calls) == 1
 
@@ -702,19 +684,26 @@ class TestMainEntry:
         assert f"offset={float(args[3])!r}" in err
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_overflowing_extent_is_usage_error(self, tmp_path, capsys):
-        # r_max_factor * r0 = 1e309 overflows: no mode could reach its extent
-        code = cli.main(["sweep", "--masses", "1", "--deltas", "8", "--ell-max", "1",
-                         "--r-max-factor", "1e308", "--out-dir", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "r_max_factor=1e+308" in err and "r0=10.0" in err
-        assert not (tmp_path / "sweep.csv").exists()
+    def test_overflowing_extent_is_a_solver_failure(self, tmp_path, capsys):
+        # outer_radius(1, 1e303) = 1e309 overflows: no mode can reach it, so
+        # each is a failed lane, recorded by sweep and reported by mode
+        code = cli.main(["sweep", "--masses", "1", "--deltas", "1e303", "--ell-max", "1",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        rows = [row.split(",") for row in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert [row[2:8] for row in rows] == [
+            [ell, "Undetermined", "nan", "nan", "nan", "false"] for ell in ("0", "1")]
+        assert cli.main(["mode", "--m", "1", "--r0", "1e303", "--ell", "0",
+                         "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: mode integration failed: r_max must be finite\n"
+        assert captured.out == ""
 
-    @pytest.mark.parametrize("key", ["decay_q", "rtol", "atol", "eps_dec", "k_div"])
+    @pytest.mark.parametrize("key",
+                             ["decay_q", "rtol", "atol", "eps_dec", "k_div", "r_max_factor"])
     def test_config_naming_a_removed_key(self, tmp_path, capsys, key):
-        # the solver and classifier settings are constants of modes, not keys
+        # the solver, extent and classifier settings are constants of modes, not keys
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"masses": [1.0], key: 0.5}))
         out = tmp_path / "out"
@@ -819,8 +808,8 @@ class TestInstalledEntryPoint:
         "args,n_records,n_failed",
         [
             pytest.param(
-                ["--r-max-factor", "1e300", "--masses=-1e200,1", "--deltas", "1",
-                 "--ell-max", "2"], 6, 3, id="stepping-failure",
+                ["--masses=-1e200,1", "--deltas", "1", "--ell-max", "2"], 6, 3,
+                id="stepping-failure",
             ),
             pytest.param(
                 ["--masses=-1e308", "--deltas", "1", "--ell-max", "0"], 1, 1,
@@ -895,31 +884,33 @@ class TestInstalledEntryPoint:
         assert proc.stderr.startswith(b"error: cannot write output")
         assert proc.stderr.count(b"\n") == 1
 
-    @pytest.mark.parametrize("factor", ["1e100", "1e160", "1e300"])
-    def test_subprocess_huge_extent_classifies(self, tmp_path, factor):
+    @pytest.mark.parametrize(
+        "r0", [pytest.param("3e94", id="1e100"), pytest.param("3e154", id="1e160"),
+               pytest.param("3e294", id="1e300")])
+    def test_subprocess_huge_extent_classifies(self, tmp_path, r0):
+        # each id is r_max / 3 = R_MAX_FACTOR r0 / 3 at m = 1.
         # r_max = 3e100: the limit fit must not hand LAPACK an underflowed
         # Vandermonde matrix (it looped on the nan instead of returning);
         # r_max = 3e160: r(r-2m) overflows, so the profile must not form it;
         # r_max = 3e300 failed while the far tail was stepped in x = 1/r
-        common = ["--r-max-factor", factor, "--out-dir", str(tmp_path)]
         mode = subprocess.run(
-            [sys.executable, "-m", "schwarzstatic.cli", "mode", "--m", "1", "--r0", "3",
-             "--ell", "0", *common],
+            [sys.executable, "-m", "schwarzstatic.cli", "mode", "--m", "1", "--r0", r0,
+             "--ell", "0", "--out-dir", str(tmp_path)],
             capture_output=True, timeout=120,
         )
         assert mode.returncode == 0, mode.stderr
         assert b"ConvergesNonzero" in mode.stdout
         assert b"Warning" not in mode.stderr, mode.stderr
         # Phi = 2(r-m) A / (r(r-2m)) + da, in exact arithmetic on the written row
-        r, _, da, A, _, Phi = map(
-            float, read_csv(tmp_path / "mode_m1_r03_l0.csv")[-1].split(",")
-        )
+        (profile,) = tmp_path.glob("mode_*.csv")
+        r, _, da, A, _, Phi = map(float, read_csv(profile)[-1].split(","))
+        assert r == outer_radius(1.0, float(r0))
         r, m = Fraction(r), 1
         exact = 2 * (r - m) * Fraction(A) / (r * (r - 2 * m)) + Fraction(da)
         assert abs(Fraction(Phi) - exact) <= Fraction(1, 10**12) * abs(exact)
         sweep = subprocess.run(
             [sys.executable, "-m", "schwarzstatic.cli", "sweep", "--masses", "1",
-             "--deltas", "1", "--ell-max", "0", *common],
+             "--deltas", r0, "--ell-max", "0", "--out-dir", str(tmp_path)],
             capture_output=True, timeout=120,
         )
         assert sweep.returncode == 0, sweep.stderr
@@ -970,7 +961,7 @@ STARTUP_SCRIPTS = {
         "from schwarzstatic import cli\n"
         "loaded()\n"
         "rc = cli.main(['sweep', '--masses', '1,0', '--deltas', '1', '--ell-max', '2',\n"
-        "               '--r-max-factor', '1e4', '--out-dir', sys.argv[1]])\n"
+        "               '--out-dir', sys.argv[1]])\n"
         "assert rc == 0, rc\n"
         "loaded()\n"
     ),
@@ -1075,7 +1066,7 @@ class TestBatchTimes:
     def test_classify_share_is_even_and_the_batch_adds_up(self):
         tasks = [(1.0, 3.0, ell) for ell in range(4)] + [(0.0, 1.0, 2), (-1e308, 1.0, 0)]
         t0 = time.perf_counter()
-        records = cli._sweep_chunk((1e4, tasks, None))
+        records = cli._sweep_chunk((tasks, None))
         elapsed = time.perf_counter() - t0
         assert len({rec.classify_s for rec in records}) == 1 and records[0].classify_s > 0.0
         for rec in records:

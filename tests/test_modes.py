@@ -712,6 +712,27 @@ class TestZeroMassLanes:
         assert classify(sol).kind is want
 
 
+class TestOuterRadius:
+    def test_every_sphere_gets_the_expected_class(self):
+        # a grid of (sign m, s0/|m|, l) from next to the singular point to
+        # far outside it, with s0 = r0 - 2 max(m, 0) (s0 itself at m = 0):
+        # degree 0 converges to a0 and every other degree diverges upwards.
+        # A run out to 1e6 r0 got 152 of these 1,071 records wrong, all at
+        # m < 0 with r0 < 2|m|, some certified ConvergesNonzero
+        masses = [5.0, -5.0, 1.0, -1.0, 1e-3, -1e-3, 1e-12, -1e-12, 0.0]
+        offsets = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6]
+        ivps = [make_ivp(SchwarzschildParams(m=m, r0=2.0 * max(m, 0.0) + x * (abs(m) or 1.0)),
+                         ell, 1.0)
+                for m in masses for x in offsets for ell in range(17)]
+        sols = integrate_modes(ivps, [modes.outer_radius(ivp.m, ivp.r0) for ivp in ivps])
+        assert all(isinstance(sol, ModeSolution) for sol in sols)
+        wrong = [(ivp.m, ivp.r0, ivp.ell, klass.kind.value)
+                 for ivp, klass in zip(ivps, classify_modes(sols))
+                 if klass.kind is not (AsymptoticKind.CONVERGES_NONZERO if ivp.ell == 0
+                                       else AsymptoticKind.DIVERGES_PLUS)]
+        assert len(ivps) == 1071 and wrong == []
+
+
 class TestClassify:
     def test_l0_converges(self):
         sol = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
@@ -1067,7 +1088,11 @@ class TestBatchedClassify:
                              ell_max=4)
         ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0)
                 for m, r0, ell in config.tasks()]
-        sols = integrate_modes(ivps, [config.r_max_factor * ivp.r0 for ivp in ivps])
+        # the sweep's modes out to outer_radius, then again out to 1e6 r0,
+        # which ends before the tail r >> |m| where r0 << |m|: a tail that
+        # still moves, the Undetermined branch
+        r_max = [modes.outer_radius(ivp.m, ivp.r0) for ivp in ivps]
+        sols = integrate_modes(ivps * 2, r_max + [1e6 * ivp.r0 for ivp in ivps])
         assert all(isinstance(sol, ModeSolution) for sol in sols)
         kinds = set()
         for sol, klass in zip(sols, classify_modes(sols)):
