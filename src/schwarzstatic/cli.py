@@ -12,18 +12,19 @@ the measured times (wall_time_s, integrate_s, classify_s).
 
 A sweep integrates its modes in batches: one contiguous chunk of the task
 list per job, and per chunk one integrate_modes call (stepping, then one
-sampling pass over all modes) and one classify_modes call.  A record's
-wall_time_s is therefore not the time of that mode alone.  It is the sum
-of integrate_s, the record's share of its batch's stepping time weighted
-by the mode's right-hand-side evaluations (nfev), and classify_s, an equal
-share of its batch's sampling and classification time.  The records of a
-batch add up to the batch's wall time.
+sampling pass over all modes) and one classify_modes call (both readouts
+of every mode's growth coefficient alpha).  A record's wall_time_s is
+therefore not the time of that mode alone.  It is the sum of integrate_s,
+the record's share of its batch's stepping time weighted by the mode's
+right-hand-side evaluations (nfev), and classify_s, an equal share of its
+batch's sampling and readout time.  The records of a batch add up to the
+batch's wall time.
 
-Every verdict is made with one set of settings: the solver tolerances,
-extent factor and classifier thresholds of modes (DEFAULT_RTOL,
-DEFAULT_ATOL, R_MAX_FACTOR, K_DIV, EPS_DEC, DECAY_Q, CAUCHY_RTOL), module
-constants that no config key or flag sets; sweep.json records them in its
-thresholds block.  Each mode runs out to modes.outer_radius(m, r0).
+Every verdict is made with one set of settings, module constants of modes
+that no config key or flag sets (DEFAULT_RTOL, DEFAULT_ATOL, K_DIV and
+ALPHA_RTOL); sweep.json records them in its thresholds block.  Each mode
+runs out to modes.lane_end(m, r0).  A record carries alpha and
+alpha_drift; sweep.json also says why a record is Undetermined.
 """
 
 from __future__ import annotations
@@ -42,13 +43,10 @@ import numpy as np
 
 from .background import RoundData, SchwarzschildParams, match_round_data
 from .modes import (
-    CAUCHY_RTOL,
-    DECAY_Q,
+    ALPHA_RTOL,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    EPS_DEC,
     K_DIV,
-    R_MAX_FACTOR,
     AsymptoticClass,
     AsymptoticKind,
     ModeSolution,
@@ -56,8 +54,8 @@ from .modes import (
     classify_modes,
     integrate_mode,
     integrate_modes,
+    lane_end,
     make_ivp,
-    outer_radius,
 )
 
 __all__ = [
@@ -69,8 +67,8 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "6"
-CSV_HEADER = "m,r0,ell,class,fitted_limit,fitted_exponent,r_max,pass,wall_time_s"
+SCHEMA_VERSION = "7"
+CSV_HEADER = "m,r0,ell,class,alpha,alpha_drift,r_max,pass,wall_time_s"
 # gauge-test's grid has l_max = l_band + 2 and dense (nodes x modes) tables,
 # which grow like l_max^4: about 2 MB each at band 16, 1.8 GB at band 100
 GAUGE_TEST_MAX_L_BAND = 16
@@ -103,9 +101,9 @@ def _certifies(kind: AsymptoticKind) -> bool:
 class SweepConfig:
     """Sweep parameters; r0 = 2*max(0, m) + offset for each offset.
 
-    The solver tolerances, the extent factor and the classifier thresholds
-    are not settings: every sweep uses the constants of modes, which
-    sweep.json records.
+    The solver tolerances, the divergence factor and the readouts'
+    agreement tolerance are not settings: every sweep uses the constants of
+    modes, which sweep.json records.
     """
 
     masses: list[float] = field(default_factory=lambda: [-1.0, -0.25, 0.25, 1.0])
@@ -171,18 +169,19 @@ class VerdictRecord:
     r0: float
     ell: int
     class_name: str
-    fitted_limit: float
-    fitted_exponent: float
+    alpha: float
+    alpha_drift: float
     r_max: float
     passed: bool
     # the record's shares of its batch's stepping time and of its batch's
-    # sampling and classification time (see the module docstring)
+    # sampling and readout time (see the module docstring)
     integrate_s: float
     classify_s: float
     # solver diagnostics (sweep.json only); None for a solver failure
     n_steps: int | None = None
     nfev: int | None = None
     stop: str | None = None
+    reason: str | None = None  # why the record is Undetermined (sweep.json only)
 
     @property
     def wall_time_s(self) -> float:
@@ -195,8 +194,8 @@ class VerdictRecord:
                 repr(self.r0),
                 str(self.ell),
                 self.class_name,
-                repr(self.fitted_limit),
-                repr(self.fitted_exponent),
+                repr(self.alpha),
+                repr(self.alpha_drift),
                 repr(self.r_max),
                 "true" if self.passed else "false",
                 repr(self.wall_time_s),
@@ -222,7 +221,7 @@ class SweepReport:
 
 
 def _sweep_chunk(args) -> list[VerdictRecord]:
-    """The records of one batch; a solver failure is recorded as Undetermined.
+    """The records of one batch; a solver failure is recorded as Undetermined, with its reason.
 
     With a profile directory, every mode whose integration succeeded also
     gets its profile, written from the solution its record was classified
@@ -233,20 +232,18 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     # SweepConfig admits only boundary spheres outside the horizon
     ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, a0=1.0) for m, r0, ell in tasks]
     # per mode a ModeSolution, or the error that ended its integration
-    sols = integrate_modes(ivps, [outer_radius(ivp.m, ivp.r0) for ivp in ivps])
+    sols = integrate_modes(ivps, [lane_end(ivp.m, ivp.r0) for ivp in ivps])
 
-    # one classification pass over the batch; a mode that failed to integrate
-    # or whose fit failed is Undetermined
+    # one readout pass over the batch; a mode that failed to integrate is
+    # Undetermined
     nan = float("nan")
-    undetermined = AsymptoticClass(AsymptoticKind.UNDETERMINED, nan, nan, nan)
-    classes = [undetermined] * len(sols)
     solved = [k for k, sol in enumerate(sols) if isinstance(sol, ModeSolution)]
+    classes = [None if isinstance(sol, ModeSolution) else AsymptoticClass(
+        AsymptoticKind.UNDETERMINED, nan, nan, nan, f"integration failed: {sol}") for sol in sols]
     t = time.perf_counter()
-    verdicts = classify_modes([sols[k] for k in solved])
-    for k, klass in zip(solved, verdicts):
-        if isinstance(klass, AsymptoticClass):
-            classes[k] = klass
-    # each record's share of the batch's sampling and classification
+    for k, klass in zip(solved, classify_modes([sols[k] for k in solved])):
+        classes[k] = klass
+    # each record's share of the batch's sampling and readout
     own = (time.perf_counter() - t + sum(sols[k].sample_s for k in solved)) / len(sols)
 
     # the rest of the batch's time is its stepping, shared out by nfev
@@ -257,14 +254,13 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     total = sum(weights)
     records = []
     for (m, r0, ell), sol, klass, w in zip(tasks, sols, classes, weights):
-        passed = _certifies(klass.kind)
-        # a mode that failed to integrate or to classify has no solver diagnostics
+        # a mode that failed to integrate has no solver diagnostics
         diagnostics = ({"n_steps": sol.n_steps, "nfev": sol.nfev, "stop": sol.stop}
-                       if klass is not undetermined else {})
+                       if isinstance(sol, ModeSolution) else {})
         records.append(VerdictRecord(
             m=m, r0=r0, ell=ell, class_name=klass.kind.value,
-            fitted_limit=klass.fitted_limit, fitted_exponent=klass.fitted_exponent,
-            r_max=klass.r_max, passed=passed,
+            alpha=klass.alpha, alpha_drift=klass.alpha_drift,
+            r_max=klass.r_max, passed=_certifies(klass.kind), reason=klass.reason,
             integrate_s=stepping_s * w / total, classify_s=own, **diagnostics,
         ))
     if profile_dir is not None:
@@ -338,10 +334,7 @@ def _sweep_payload(report: SweepReport) -> dict:
             "rtol": DEFAULT_RTOL,
             "atol": DEFAULT_ATOL,
             "k_div": K_DIV,
-            "eps_dec": EPS_DEC,
-            "decay_q": DECAY_Q,
-            "cauchy_rtol": CAUCHY_RTOL,
-            "r_max_factor": R_MAX_FACTOR,
+            "alpha_rtol": ALPHA_RTOL,
         },
         "records": [
             {
@@ -349,8 +342,8 @@ def _sweep_payload(report: SweepReport) -> dict:
                 "r0": rec.r0,
                 "ell": rec.ell,
                 "class": rec.class_name,
-                "fitted_limit": rec.fitted_limit,
-                "fitted_exponent": rec.fitted_exponent,
+                "alpha": rec.alpha,
+                "alpha_drift": rec.alpha_drift,
                 "r_max": rec.r_max,
                 "pass": rec.passed,
                 "wall_time_s": rec.wall_time_s,
@@ -359,6 +352,7 @@ def _sweep_payload(report: SweepReport) -> dict:
                 "n_steps": rec.n_steps,
                 "nfev": rec.nfev,
                 "stop": rec.stop,
+                "reason": rec.reason,
             }
             for rec in report.records
         ],
@@ -499,9 +493,8 @@ def _cmd_sweep(args) -> int:
     paths = emit(report, args.out_dir)
     for rec in report.records:
         if not rec.passed:
-            print(
-                f"FAIL m={rec.m:g} r0={rec.r0:g} ell={rec.ell}: {rec.class_name}"
-            )
+            print(f"FAIL m={rec.m:g} r0={rec.r0:g} ell={rec.ell}: {rec.class_name}"
+                  + (f" ({rec.reason})" if rec.reason else ""))
     print(f"{report.summary()} in {elapsed:.1f}s; wrote {', '.join(paths)}")
     return 0 if report.all_passed else 2
 
@@ -544,7 +537,7 @@ def _cmd_mode(args) -> int:
 
     try:
         sol = integrate_mode(make_ivp(params, args.ell, args.a0),
-                             outer_radius(params.m, params.r0))
+                             lane_end(params.m, params.r0))
     except RuntimeError as exc:  # modes already prefixes "mode integration failed: "
         raise SolverError(str(exc)) from None
     except ValueError as exc:
@@ -554,9 +547,9 @@ def _cmd_mode(args) -> int:
     path = _write_profile(args.out_dir, sol)
     print(
         f"mode (m={args.m:g}, r0={args.r0:g}, ell={args.ell}): {klass.kind.value}"
-        f" fitted_limit={klass.fitted_limit:.6g}"
-        f" fitted_exponent={klass.fitted_exponent:.4g}"
-        f" r_max={klass.r_max:.6g}; wrote {path}"
+        f" alpha={klass.alpha:.6g} alpha_drift={klass.alpha_drift:.2g}"
+        f" r_max={klass.r_max:.6g}"
+        + (f" ({klass.reason})" if klass.reason else "") + f"; wrote {path}"
     )
     return 0 if _certifies(klass.kind) else 2
 

@@ -1,4 +1,4 @@
-"""Per-mode radial ODE: integration, substitutions, classification.
+"""Per-mode radial ODE: integration, substitutions, the growth-coefficient verdict.
 
 Each spherical-harmonic coefficient a(r) of the scalar deformation obeys
 
@@ -10,8 +10,7 @@ the boundary data; S is regular in m, so the integrator never divides
 by m.  The order does not enter; only the degree l matters.
 
 Every lane steps in one scale-free variable, t = ln s with
-s = r - 2 max(m, 0), from ln s0 out to r_max = outer_radius(m, r0), deep in
-the tail r >> |m| where the limit and decay-rate fits are read.
+s = r - 2 max(m, 0), from ln s0 to the lane end r1 = lane_end(m, r0).
 s0 = r0 - 2 max(m, 0) is formed once from r0 and the right-hand side never
 forms r, so the regular singular point (r = 2m for m > 0, r = 0 for m < 0)
 lies at t = -inf and a boundary sphere next to it costs no more steps than
@@ -25,12 +24,9 @@ and s = exp(t) is np.exp of the lane array: each element of np.exp and
 np.log is the same whatever the array around it, which keeps lanes
 independent (the tests pin it).  w(r0) and S take r0 (r0 - 2m) a'(r0) from
 _rho2_times, which never over- or underflows on the way.  Integration
-stops early where |a| first reaches k_div |a(r0)|.  The equation is
-regular in m, so one integrator serves every mass: m = 0, the flat member
-of the family, is an Euler equation whose closed form c1 r^(-l-1) + c2 r^l
-the tests keep as the independent check of the integrator.  The problem is
-linear in a(r0), so a lane's absolute tolerance is scaled by |a(r0)| (1 for
-zero data), as its k_div threshold is.  A lane fails like a lane the solver
+stops early where |a| first reaches k_div |a(r0)|.  The problem is linear
+in a(r0), so a lane's absolute tolerance is scaled by |a(r0)| (1 for zero
+data), as its k_div threshold is.  A lane fails like a lane the solver
 gives up on if s0 is not a normal float (exp(ln s0) would lose digits), its
 initial state or r_max is not finite, or a sample of a' = w / rho^2 is not.
 
@@ -45,21 +41,28 @@ locates every such crossing in t, each lane to 4 eps (1 + |t|).  The
 package imports neither scipy.integrate nor scipy.optimize; the tests keep
 solve_ivp and brentq as the independent checks.
 
-Sampling and classification are array passes over the whole batch too.
-integrate_modes forms every mode's sample radii in one vectorised
-geomspace in r and evaluates all modes in one lookup and one Horner pass
-over a single segment table of every lane.  classify_modes applies
-the tail masks and the divergence, smallness and oscillation tests to the
-concatenated samples of all modes and runs only the least-squares fits per
-mode.  Both reproduce the per-mode computations bit for bit:
-ModeSolution.eval, integrate_mode and classify are batches of one.
+The verdict.  With z = (r - m)/|m|, r(r-2m) = m^2 (z^2 - 1) and the mode
+equation is the associated Legendre equation of order 2 with a constant
+source (DLMF 14.2): a = a_p + alpha G + beta Q, with Q = Q_l^2 decaying,
+G growing (P_l^2; (z-1)/(z+1) and (z-1)(z+2)/(6(z+1)) for l = 0 and 1)
+and a_p = S / ((l(l+1) - 2) m^2 (z^2 - 1)) decaying (at l = 1 it enters
+as W(a_p, Q) = -(S/m^2)(z/(z^2-1) - arccoth z)).  The class is the sign
+of alpha = W(a - a_p, Q) / W(G, Q), W(f, g) = (z^2 - 1)(f g' - f' g), a
+Wronskian: classify_modes reads it in closed form at r0 and again where
+the lane ended (r1 = lane_end(m, r0), where z = 2 z0, or the k_div
+crossing) and certifies the class when the alpha_drift
+|alpha_end / alpha - 1| <= ALPHA_RTOL; else the mode is Undetermined,
+with its reason.  G is 1 at r0 (at infinity for l = 0, so alpha is the
+limit of a); m = 0, with the pair r^l and r^(-l-1), is the limit
+z -> inf.  Q_l^2 enters through the offsets d_k = z - Q_{k-1}^2 / Q_k^2
+of the recurrence in the degree (DLMF 14.10.3), forward from Q_1^2 and
+Q_2^2 near z = 1 and Miller's backward recurrence (Gautschi, SIAM Rev. 9
+(1967) 24) beyond, scaled by powers of z: z0 - 1 = s0/|m| survives
+without cancellation, and alpha neither over- nor underflows.
 
-The verdict settings are module constants, the same for every sweep: the
-solver tolerances DEFAULT_RTOL and DEFAULT_ATOL, the extent factor
-R_MAX_FACTOR of outer_radius, the divergence factor K_DIV,
-the smallness fraction EPS_DEC, the decay-slope threshold DECAY_Q and the
-Cauchy tolerance CAUCHY_RTOL.  integrate_mode and integrate_modes take rtol,
-atol and k_div with these defaults; selftest's mode/PDE suite tightens them.
+The verdict settings are module constants, the same for every sweep:
+DEFAULT_RTOL, DEFAULT_ATOL, K_DIV and ALPHA_RTOL; selftest's mode/PDE suite
+tightens the first three, integrate_modes' defaults.
 
 Substitution constant: alpha0 = (3/2 + r0 (l(l+1)-2)/(4m)) a(r0), None
 where that is not a finite float (m = 0 included).
@@ -85,7 +88,7 @@ __all__ = [
     "AsymptoticKind",
     "AsymptoticClass",
     "make_ivp",
-    "outer_radius",
+    "lane_end",
     "integrate_mode",
     "integrate_modes",
     "classify",
@@ -94,12 +97,10 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-R_MAX_FACTOR = 1e6  # a mode runs out to R_MAX_FACTOR max(r0, 2|m|)
 K_DIV = 1e3  # a mode has diverged once |a| reaches K_DIV |a(r0)|
-EPS_DEC = 1e-4  # small means below EPS_DEC |a(r0)|
-DECAY_Q = 0.75  # a decaying tail falls at least like r^(-DECAY_Q)
-CAUCHY_RTOL = 1e-3  # a converging tail may move by this fraction of its limit
-TAIL_SPAN = 10.0  # the tail is the samples beyond the last radius / TAIL_SPAN, at least 8
+# the two readouts of alpha agree when |alpha_end / alpha - 1| <= ALPHA_RTOL;
+# the largest drift measured is 9e-4, at l = 0 and s0 = 1e-12 |m|
+ALPHA_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,12 @@ def make_ivp(params: SchwarzschildParams, ell: int, a0: float) -> ModeIVP:
     return ModeIVP(params=params, ell=ell, a0=a0, da0=da0, source=source, alpha0=alpha0)
 
 
-def outer_radius(m: float, r0: float) -> float:
-    """The radius a mode is integrated out to: R_MAX_FACTOR * max(r0, 2|m|).
+def lane_end(m: float, r0: float) -> float:
+    """The radius a mode is integrated out to: 2 r0 - m, where z = (r - m)/|m| is 2 z0.
 
-    The classifier reads the tail r >> |m|, which a run out to a multiple of
-    r0 alone misses when r0 << |m| (m < 0).  inf where the product
-    overflows; integrate_modes fails such a lane with a ValueError.
+    inf where that overflows; integrate_modes fails such a lane with a ValueError.
     """
-    return R_MAX_FACTOR * max(float(r0), 2.0 * abs(float(m)))
+    return 2.0 * float(r0) - float(m)
 
 
 def _rho2_times(m, r0, x) -> float:
@@ -173,9 +172,10 @@ class AsymptoticKind(str, enum.Enum):
 @dataclass(frozen=True)
 class AsymptoticClass:
     kind: AsymptoticKind
-    fitted_limit: float
-    fitted_exponent: float
+    alpha: float  # the growth coefficient, read in closed form at r0
+    alpha_drift: float  # |alpha_end / alpha - 1|, alpha_end read at r_max
     r_max: float
+    reason: str | None = None  # why the mode is Undetermined
 
 
 @dataclass
@@ -191,6 +191,8 @@ class ModeSolution:
     n_steps: int = 0  # accepted DOP853 steps in t = ln s
     nfev: int = 0  # right-hand-side evaluations
     sample_s: float = 0.0  # this mode's share of its batch's one sampling pass
+    # (s, a, w) at the lane's last t, where the growth coefficient is read again
+    end: tuple[float, float, float] = (math.nan, math.nan, math.nan)
     # (batch dense output, this mode's lane in it)
     _dense: tuple | None = field(default=None, repr=False)
 
@@ -375,8 +377,9 @@ def _sampled(ivps, dense: "_Dense", lanes, r_end, crossed) -> list[ModeSolution 
     """
     m = np.array([float(ivp.m) for ivp in ivps])
     r_reached = r_end.copy()
-    t_root = dense.keys.imag[dense.last[lanes[crossed]]]
-    r_reached[crossed] = np.exp(t_root) + _shift(m[crossed])
+    t_end = dense.keys.imag[dense.last[lanes]]
+    r_reached[crossed] = np.exp(t_end[crossed]) + _shift(m[crossed])
+    a_end, w_end = dense(lanes, t_end)
     r0 = np.array([float(ivp.r0) for ivp in ivps])
     radii, first, count = _sample_radii(r0, r_reached)
     lane = np.repeat(np.arange(len(ivps)), count)
@@ -389,6 +392,7 @@ def _sampled(ivps, dense: "_Dense", lanes, r_end, crossed) -> list[ModeSolution 
         out.append(ValueError("a'(r) = w / (r (r - 2m)) leaves the floats") if bad[j] else
                    ModeSolution(ivp=ivp, radii=radii[lo:hi], a=a[lo:hi], da=da[lo:hi],
                                 r_max_used=float(r_reached[j]), diverged=bool(crossed[j]),
+                                end=(math.exp(t_end[j]), float(a_end[j]), float(w_end[j])),
                                 _dense=(dense, int(lanes[j]))))
     return out
 
@@ -674,154 +678,152 @@ def _lockstep(p, t0, y0, t_bound, rtol, atol, threshold):
     return dense, failed, crossed, *counts
 
 
-def classify(sol: ModeSolution) -> AsymptoticClass:
-    """Asymptotic trichotomy of an integrated mode.
+# -- the growth coefficient ---------------------------------------------------
+#
+# Every quantity is scaled by a power of z = 1/u, so that it stays finite
+# from z - 1 = s/|m| ~ 1e-12 to m = 0 (u = 0): dh = (z^2 - 1)/z^2 =
+# v (1 + u) with v = s/(s + |m|), and the offsets d_k / z.  Then
+# kappa = (z^2 - 1) Q'/Q = z (k2 - 2) with k2 = (l + 2) d_l / z, and
+# log Q_l^2 = lq - (l + 1) log z with lq = log 2 - log dh - sum_k log(1 - d_k / z).
 
-    DecaysToZero requires both smallness (below EPS_DEC |a(r0)|) at the end
-    of the run and a log-log decay slope at least as steep as -DECAY_Q;
-    divergence requires crossing K_DIV |a(r0)| with a consistent sign and
-    increasing trend; convergence requires a tail that moves by at most
-    CAUCHY_RTOL of its limit, with the limit above the smallness threshold.
-    Anything else is Undetermined.  This is classify_modes on a batch of
-    one; a failed fit is raised.
+_FORWARD_EPS = 0.1  # the forward recurrence runs where z - 1 <= _FORWARD_EPS ...
+_FORWARD_SPAN = 4.0  # ... and l arccosh(z) <= _FORWARD_SPAN, which bounds its error growth
+_MILLER_SPAN = 20.0  # Miller's recurrence starts _MILLER_SPAN / arccosh(z) degrees above l
+_SERIES = np.array([2.0 * k / (2.0 * k + 1.0) for k in range(30, 0, -1)])
+
+
+def _initial_state(ivp: ModeIVP) -> tuple[float, float, float]:
+    """(s0, a(r0), w(r0)), the state the closed-form readout starts from."""
+    m, r0 = float(ivp.m), float(ivp.r0)
+    return r0 - 2.0 * max(m, 0.0), float(ivp.a0), _rho2_times(m, r0, ivp.da0)
+
+
+def _q2_offsets(u, v, eps, ell):
+    """(sum_{k=2..l} log(1 - d_k/z), d_l/z) for degrees l >= 2.
+
+    Forward from Q_1^2 = 2/(z^2-1) and the closed form of Q_2^2 where that is
+    stable, else backward from Q_{N+1}^2 = 0; entries past a lane's l are unread.
     """
-    klass = classify_modes([sol])[0]
-    if isinstance(klass, Exception):
-        raise klass
-    return klass
+    dh = v * (1.0 + u)
+    total, d_ell = np.zeros(u.size), np.zeros(u.size)
+    with np.errstate(all="ignore"):
+        eta = np.log1p(np.sqrt(dh)) - np.log(u)  # arccosh z, inf at m = 0
+        fwd = (eps <= _FORWARD_EPS) & (ell * eta <= _FORWARD_SPAN)
+        f, b = np.flatnonzero(fwd), np.flatnonzero(~fwd)
+        e, lf, dh_f = eps[f], ell[f], dh[f]
+        z, big_d = 1.0 + e, e * (2.0 + e)
+        d_lam = big_d * 0.5 * np.log1p(2.0 / e)  # (z^2 - 1) arccoth z
+        d = big_d * (3.0 * z * d_lam - 3.0 * z * z + 2.0) / (
+            3.0 * big_d * d_lam - 3.0 * z * big_d + 2.0 * z) / z
+        for k in range(2, int(lf.max(initial=0)) + 1):
+            if k > 2:
+                d = ((k - 2) * dh_f + (k + 1) * d) / ((k - 2) + (k + 1) * d)
+            total[f] += np.where(k <= lf, np.log1p(-d), 0.0)
+            d_ell[f] = np.where(k == lf, d, d_ell[f])
+        lb, dh_b = ell[b], dh[b]
+        top = lb + np.ceil(np.nan_to_num(_MILLER_SPAN / eta[b])).astype(int)
+        d = np.zeros(b.size)
+        for k in range(int(top.max(initial=0)), 1, -1):
+            d = np.where(k == top, -(k - 1.0) / (k + 2.0),
+                         (k - 1.0) * (d - dh_b) / ((k + 2.0) * (1.0 - d)))
+            total[b] += np.where(k <= lb, np.log1p(-d), 0.0)
+            d_ell[b] = np.where(k == lb, d, d_ell[b])
+    return total, d_ell
 
 
-def classify_modes(sols: list[ModeSolution]) -> list[AsymptoticClass | Exception]:
-    """classify for every solution at once.
+def _legendre_q2(s, abs_m, ell):
+    """(lq, k2, u) of Q_l^2 at z = 1 + s/|m| = 1/u: log Q_l^2 = lq + (l + 1) log u.
 
-    The tail (the samples beyond the last radius over TAIL_SPAN, at least
-    the last 8), the divergence tests on the last 6 samples, the smallness tests
-    and the oscillation run on the concatenated samples of all modes.  Only
-    the least-squares fits run per mode, each on exactly np.polyfit's
-    column-scaled Vandermonde, so every class equals the one the mode gets
-    alone.  Returns, in the order of sols, an AsymptoticClass or the
-    LinAlgError of a failed fit.
+    k2 = kappa/z + 2 with kappa = (z^2 - 1) Q'/Q.  At m = 0, u = 0 and
+    Q_l^2 is r^(-l-1) up to a constant factor.
     """
-    if not sols:
-        return []
-    n_modes = len(sols)
-    count = np.array([len(sol.radii) for sol in sols])
-    first = np.cumsum(count) - count
-    last = first + count - 1
-    lane = np.repeat(np.arange(n_modes), count)
-    from_end = last[lane] - np.arange(lane.size)  # 0 at each mode's last sample
-    r = np.concatenate([sol.radii for sol in sols])
-    a = np.concatenate([sol.a for sol in sols])
-    a0 = np.array([float(sol.ivp.a0) for sol in sols])
+    q = s + abs_m
+    u, v = abs_m / q, s / q
+    with np.errstate(divide="ignore"):
+        eps = s / abs_m  # read only where the forward recurrence runs
+    dh = v * (1.0 + u)
+    lq, k2 = np.log(2.0) - np.log(dh), np.where(ell == 0, dh, 0.0)
+    hi = np.flatnonzero(ell >= 2)
+    total, d_ell = _q2_offsets(u[hi], v[hi], eps[hi], ell[hi])
+    lq[hi] -= total
+    k2[hi] = (ell[hi] + 2) * d_ell
+    return lq, k2, u
 
-    with np.errstate(invalid="ignore"):
-        abs_a = np.abs(a)
-        peak = np.maximum.reduceat(abs_a, first)
-        scale0 = np.where(a0 != 0.0, np.abs(a0), np.where(1.0 > peak, 1.0, peak))
-        near = r >= (r[last] / TAIL_SPAN)[lane]
-        in_tail = np.where((np.bincount(lane[near], minlength=n_modes) >= 8)[lane],
-                           near, from_end < 8)
-        r_tail, a_tail, tail_lane = r[in_tail], a[in_tail], lane[in_tail]
-        tail_count = np.bincount(tail_lane, minlength=n_modes)
-        tail_first = np.cumsum(tail_count) - tail_count
-        mag = np.abs(a_tail)
 
-        # divergence: the last 6 samples grow in size and keep the last one's sign
-        diverging = np.array([sol.diverged for sol in sols]) | (peak >= K_DIV * scale0)
-        last6 = from_end < 6
-        shrinks = last6[:-1] & (from_end[:-1] > 0) & ~(np.diff(abs_a) >= 0)
-        growing = np.bincount(lane[:-1][shrinks], minlength=n_modes) == 0
-        sign = np.sign(a)
-        flips = last6 & ~(sign == sign[last][lane])
-        sign_ok = (np.bincount(lane[flips], minlength=n_modes) == 0) & (a[last] != 0)
-
-        zero = ~diverging & (np.maximum.reduceat(mag, tail_first) == 0.0)
-        osc = np.maximum.reduceat(a_tail, tail_first) - np.minimum.reduceat(a_tail, tail_first)
-
-    errors: list = [None] * n_modes
-    # log-log decay slope, on the tail samples with a != 0
-    slope = [math.nan] * n_modes
-    good = mag > 0
-    fit = ~zero & (np.bincount(tail_lane[good], minlength=n_modes) >= 2)
-    pts = good & fit[tail_lane]
-    fits = _polyfits(np.log(r_tail[pts]), np.log(mag[pts]),
-                     np.bincount(tail_lane[pts], minlength=n_modes), 1)
-    for j, c in enumerate(fits):
-        if isinstance(c, Exception):
-            errors[j] = c
-        elif c is not None:
-            slope[j] = float(c[0])
-    # limit: quadratic (linear for 6 samples or fewer) extrapolation in
-    # t = min(r_tail) / r_tail to t = 0, as np.polyval(coefficients, 0.0)
-    limit = [math.nan] * n_modes
-    t = np.minimum.reduceat(r_tail, tail_first)[tail_lane] / r_tail
-    for deg in (1, 2):
-        pts = (~diverging & ~zero & ((tail_count > 6) == (deg == 2)))[tail_lane]
-        for j, c in enumerate(_polyfits(t[pts], a_tail[pts],
-                                        np.bincount(tail_lane[pts], minlength=n_modes), deg)):
-            if isinstance(c, Exception):
-                errors[j] = c  # the limit is fitted first
-            elif c is not None:
-                y = 0.0
-                for pv in c.tolist():
-                    y = y * 0.0 + pv
-                limit[j] = y
-
-    out: list = []
-    a_end, r_end = a[last].tolist(), [float(sol.r_max_used) for sol in sols]
-    for j in range(n_modes):
-        scale = float(scale0[j])
-        if errors[j] is not None:
-            klass = errors[j]
-        elif diverging[j]:
-            kind = AsymptoticKind.UNDETERMINED
-            if growing[j] and sign_ok[j]:
-                kind = (AsymptoticKind.DIVERGES_PLUS if a_end[j] > 0
-                        else AsymptoticKind.DIVERGES_MINUS)
-            klass = AsymptoticClass(kind, a_end[j], slope[j], r_end[j])
-        elif zero[j]:
-            klass = AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, 0.0, math.nan, r_end[j])
-        elif abs(a_end[j]) < EPS_DEC * scale and slope[j] <= -DECAY_Q:
-            klass = AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, limit[j], slope[j], r_end[j])
-        elif abs(limit[j]) > EPS_DEC * scale and osc[j] <= CAUCHY_RTOL * abs(limit[j]):
-            klass = AsymptoticClass(AsymptoticKind.CONVERGES_NONZERO, limit[j], slope[j], r_end[j])
-        else:
-            klass = AsymptoticClass(AsymptoticKind.UNDETERMINED, limit[j], slope[j], r_end[j])
-        out.append(klass)
+def _gap(u, k2, ell):
+    """(kappa_Q - kappa_G) / z at z = 1/u, for the G of degree ell."""
+    out = np.where(ell == 0, -(1.0 + u) ** 2, -3.0 * (1.0 + u) ** 2 / (1.0 + 2.0 * u))
+    u2, pi, pi_ell = u * u, np.zeros(u.size), np.zeros(u.size)
+    for nu in range(1, int(ell.max()) - 1):  # z P_{k-1}^2 / P_k^2, forward from P_1^2 = 0
+        pi = nu / ((2.0 * nu + 3.0) - (nu + 3.0) * u2 * pi)
+        pi_ell = np.where(ell == nu + 2, pi, pi_ell)
+    hi = ell >= 2
+    out[hi] = (ell[hi] + 2) * (pi_ell[hi] * u2[hi] - 1.0) + k2[hi]
     return out
 
 
-def _polyfits(x, y, count, deg: int) -> list:
-    """np.polyfit(x_j, y_j, deg) for consecutive runs of count[j] points.
+def _readout(state, abs_m, ell, S):
+    """(lq, k2, u) of _legendre_q2 and W(a - a_p, Q) / (z Q) at each state (s, a, w)."""
+    s, a, w = state
+    lq, k2, u = _legendre_q2(s, abs_m, ell)
+    q, eps = s + abs_m, s / abs_m
+    dh = (s / q) * (1.0 + u)
+    sz = np.where(S == 0.0, 0.0, S / abs_m / q)  # S / (m^2 z); |m| q may underflow
+    # z - (z^2 - 1) arccoth z, by its series in 1/z^2 for z >= 2
+    z_minus = np.where(u > 0.5, 1.0 + eps - eps * (2.0 + eps) * 0.5 * np.log1p(2.0 / eps),
+                       dh * u * np.polyval(_SERIES, u * u))
+    # W(a_p, Q) / (z Q)
+    p = np.where(ell == 1, -0.5 * sz * z_minus, sz * u * k2 / ((ell * (ell + 1.0) - 2.0) * dh))
+    return lq, k2, u, a * (k2 - 2.0) - w / q - p
 
-    Returns per run the coefficients, the LinAlgError of a failed fit, or
-    None for an empty run.  The Vandermonde matrix, its column norms (summed
-    point by point, as polyfit's sum(axis=0) adds them) and the scaling are
-    formed for all runs at once; np.linalg.lstsq runs per run, on exactly
-    polyfit's matrix and rcond, so the coefficients are polyfit's.
+
+def _growth(m, ell, S, start, end):
+    """alpha read from the states start (at r0) and end, each (s, a, w) per mode."""
+    abs_m = np.abs(m)
+    with np.errstate(all="ignore"):
+        lq0, k2, u0, numer0 = _readout(start, abs_m, ell, S)
+        lq1, _, _, numer1 = _readout(end, abs_m, ell, S)
+        # G is 1 at r0; at l = 0 it is 1 at infinity and (z0-1)/(z0+1) at r0
+        q0 = start[0] + abs_m
+        scale = np.where(ell == 0, (1.0 + u0) * q0 / start[0], 1.0) / _gap(u0, k2, ell)
+        shift = lq1 - lq0 - ell * np.log((end[0] + abs_m) / q0)
+        return numer0 * scale, np.exp(shift) * numer1 * scale
+
+
+def classify(sol: ModeSolution) -> AsymptoticClass:
+    """The class of one integrated mode: classify_modes on a batch of one."""
+    return classify_modes([sol])[0]
+
+
+def classify_modes(sols: list[ModeSolution]) -> list[AsymptoticClass]:
+    """The class of every mode from the sign of its growth coefficient alpha.
+
+    alpha is read at r0 and where the lane ended, for the whole batch in one
+    array pass; a readout that is not a finite float, or a disagreement
+    beyond ALPHA_RTOL, is Undetermined with its reason.
     """
-    order = deg + 1
-    x, y = x + 0.0, y + 0.0
-    first = np.cumsum(count) - count
-    run = np.repeat(np.arange(count.size), count)
-    lhs = np.empty((x.size, order))
-    lhs[:, -1] = 1.0
-    for k in range(1, order):  # x, x * x, ... as np.vander builds them
-        lhs[:, -1 - k] = x if k == 1 else lhs[:, -k] * x
-    squares = np.zeros((count.max(initial=0), count.size, order))
-    squares[np.arange(x.size) - first[run], run] = lhs * lhs
-    scale = np.sqrt(squares.sum(axis=0))
-    lhs /= scale[run]
-    out: list = [None] * count.size
-    for j in np.flatnonzero(count).tolist():
-        lo, hi = first[j], first[j] + count[j]
-        try:
-            c, _, rank, _ = np.linalg.lstsq(lhs[lo:hi], y[lo:hi], count[j] * _EPS)
-        except np.linalg.LinAlgError as exc:
-            out[j] = exc
-            continue
-        if rank != order:
-            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
-                          stacklevel=3)
-        out[j] = c / scale[j]
+    if not sols:
+        return []
+    ell = np.array([sol.ivp.ell for sol in sols])
+    m, S = np.array([(float(sol.ivp.m), float(sol.ivp.source)) for sol in sols]).T
+    start = np.array([_initial_state(sol.ivp) for sol in sols]).T
+    alpha, alpha_end = _growth(m, ell, S, start, np.array([sol.end for sol in sols]).T)
+    with np.errstate(all="ignore"):
+        drift = np.where(alpha_end == alpha, 0.0, np.abs(alpha_end / alpha - 1.0))
+    out = []
+    for sol, a, a_end, da, l in zip(sols, alpha.tolist(), alpha_end.tolist(), drift.tolist(), ell):
+        kind, reason = AsymptoticKind.UNDETERMINED, None
+        if not math.isfinite(a):
+            reason = "the closed-form readout at r0 is not a finite float"
+        elif not math.isfinite(a_end):
+            reason = "the readout where the lane ended is not a finite float"
+        elif not da <= ALPHA_RTOL:
+            reason = f"the two readouts disagree: alpha_drift {da:.3g} > {ALPHA_RTOL:g}"
+        elif a == 0.0:
+            kind = AsymptoticKind.DECAYS_TO_ZERO
+        elif l == 0:
+            kind = AsymptoticKind.CONVERGES_NONZERO
+        else:
+            kind = AsymptoticKind.DIVERGES_PLUS if a > 0 else AsymptoticKind.DIVERGES_MINUS
+        out.append(AsymptoticClass(kind, a, da, float(sol.r_max_used), reason))
     return out

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,8 @@ from schwarzstatic.cli import (
     emit,
     run_sweep,
 )
-from schwarzstatic.modes import AsymptoticClass, AsymptoticKind, outer_radius
+from schwarzstatic import modes
+from schwarzstatic.modes import AsymptoticClass, AsymptoticKind, lane_end
 
 SMALL = dict(masses=[1.0], r0_offsets=[1.0], ell_max=2)
 ONE_MODE = ["--masses", "1", "--deltas", "1", "--ell-max", "0"]
@@ -115,13 +117,13 @@ class TestRunSweep:
         report = run_sweep(SweepConfig(masses=[0.0], r0_offsets=[1.0], ell_max=0))
         assert report.all_passed
         assert report.records[0].class_name == "ConvergesNonzero"
-        assert_allclose(report.records[0].fitted_limit, 1.0, rtol=1e-9)
+        assert_allclose(report.records[0].alpha, 1.0, rtol=1e-9)
 
     def test_default_sweep_matches_fixture(self, tmp_path):
         # sweep.csv without wall_time_s: batching changes no byte.  The
         # fixture's class and pass columns date from the per-mode stepper in
-        # r and x = 1/r; its numeric columns are the lockstep's in t = ln s,
-        # with every k_div crossing located by the batched bisection.
+        # r and x = 1/r; its numeric columns are the growth-coefficient
+        # readouts and lane ends of the lockstep in t = ln s.
         # Regenerate the fixture with
         #   PYTHONPATH=src python -m schwarzstatic.cli sweep --out-dir OUT
         #   cut -d, -f1-8 OUT/sweep.csv > tests/data/default_sweep.csv
@@ -158,7 +160,7 @@ class TestRunSweep:
         assert started == ([] if workers is None else [workers])
 
         def key(rec):
-            return rec.class_name, rec.fitted_limit, rec.r_max, rec.n_steps, rec.nfev
+            return rec.class_name, rec.alpha, rec.r_max, rec.n_steps, rec.nfev
 
         assert [key(r) for r in report.records] == [key(r) for r in run_sweep(config).records]
 
@@ -181,7 +183,7 @@ class TestRunSweep:
         parallel = run_sweep(config, jobs=2)
         for a, b in zip(serial.records, parallel.records):
             assert a.class_name == b.class_name
-            assert a.fitted_limit == b.fitted_limit
+            assert a.alpha == b.alpha
             assert a.r_max == b.r_max
 
 
@@ -195,20 +197,21 @@ class TestEmit:
         data = json.loads(open(paths[1], encoding="utf-8").read())
         assert list(data) == ["schema_version", "environment", "config", "thresholds",
                               "records", "summary"]
-        assert data["schema_version"] == "6"
+        assert data["schema_version"] == "7"
         assert set(data["environment"]) == {"python", "numpy"}
         assert data["environment"]["numpy"] == np.__version__
         assert data["config"] == {"masses": [1.0], "r0_offsets": [1.0], "ell_max": 2,
                                   "seed": 0}
         # the module constants of modes every verdict was made with
         assert data["thresholds"] == {"rtol": 1e-10, "atol": 1e-12, "k_div": 1e3,
-                                      "eps_dec": 1e-4, "decay_q": 0.75, "cauchy_rtol": 1e-3,
-                                      "r_max_factor": 1e6}
+                                      "alpha_rtol": modes.ALPHA_RTOL}
         assert len(data["records"]) == 3
         for rec in data["records"]:  # degrees 0, 1, 2 at (m, r0) = (1, 3)
             assert rec["n_steps"] > 0 and rec["nfev"] > rec["n_steps"]
             assert rec["wall_time_s"] == rec["integrate_s"] + rec["classify_s"]
-        assert [rec["stop"] for rec in data["records"]] == ["r_max", "k_div", "k_div"]
+        # each lane runs to lane_end(1, 3) = 5, short of |a| = k_div |a0|
+        assert [rec["stop"] for rec in data["records"]] == ["r_max", "r_max", "r_max"]
+        assert [rec["reason"] for rec in data["records"]] == [None] * 3
         assert data["summary"]["all_passed"] is True
 
     def test_sweep_starts_no_subprocess(self, tmp_path, monkeypatch):
@@ -246,7 +249,8 @@ class TestEmit:
         report = run_sweep(SweepConfig(**SMALL))
         paths = emit(report, str(tmp_path))
         line = read_csv(paths[0])[1].split(",")
-        assert float(line[4]) == report.records[0].fitted_limit
+        assert float(line[4]) == report.records[0].alpha
+        assert float(line[5]) == report.records[0].alpha_drift
 
     def test_sweep_profiles_end_at_record_r_max(self, tmp_path, monkeypatch):
         # each profile is the solution its record was classified on: one batch
@@ -283,12 +287,12 @@ class TestEmit:
             assert lines[0] == "r,a,da,A,phi,Phi"
             assert float(lines[-1].split(",")[0]) == rec.r_max
 
-        # (m, r0, ell) = (1, 3, 1) stops at k_div; its final Phi matches the
-        # log closed form Phi(r) = alpha0 (l(l+1)/2m = 1/m here)
+        # (m, r0, ell) = (1, 3, 1) runs to its lane end; its final Phi matches
+        # the log closed form Phi(r) = alpha0 (l(l+1)/2m = 1/m here)
         # [ln((r-2m)/r) - ln((r0-2m)/r0)]
         rec = report.records[9]
         assert (rec.m, rec.r0, rec.ell) == (1.0, 3.0, 1)
-        assert rec.r_max < outer_radius(rec.m, rec.r0)
+        assert rec.r_max == lane_end(rec.m, rec.r0) == 5.0
         last = read_csv(sweep_dir / names[9])[-1].split(",")
         r_end, phi_end = float(last[0]), float(last[5])
         expect = 1.5 * (np.log((r_end - 2.0) / r_end) + np.log(3.0))
@@ -408,6 +412,35 @@ class TestMainEntry:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "planted,reason",
+        [
+            pytest.param(lambda w: 2.0 * w, "the two readouts disagree", id="disagreement"),
+            pytest.param(lambda w: math.inf, "not a finite float", id="declined"),
+        ],
+    )
+    def test_unconfirmed_readout_exits_two_with_its_reason(
+        self, tmp_path, monkeypatch, capsys, planted, reason
+    ):
+        # the closed-form readout is fed a wrong initial slope, or one past
+        # the floats: sweep and mode both exit 2 and say why, with no traceback
+        state = modes._initial_state
+        monkeypatch.setattr(modes, "_initial_state",
+                            lambda ivp: (*state(ivp)[:2], planted(state(ivp)[2])))
+        code = cli.main(["sweep", "--masses", "1", "--deltas", "1", "--ell-max", "1",
+                         "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "" and "Traceback" not in captured.out
+        fails = [ln for ln in captured.out.splitlines() if ln.startswith("FAIL ")]
+        assert len(fails) == 2 and all(": Undetermined (" in ln and reason in ln for ln in fails)
+        records = json.loads((tmp_path / "sweep.json").read_text())["records"]
+        assert all(reason in rec["reason"] and not rec["pass"] for rec in records)
+        code = cli.main(["mode", "--m", "1", "--r0", "3", "--ell", "2",
+                         "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert ": Undetermined " in captured.out and reason in captured.out
+
     def test_unusable_out_dir_stops_before_integrating(self, tmp_path, monkeypatch, capsys):
         def forbidden(*args, **kwargs):
             raise AssertionError("integrated before the output directory was checked")
@@ -502,7 +535,7 @@ class TestMainEntry:
         assert cli.main(["mode", "--m", "1", "--r0", "2.000000000001", "--ell", "3",
                          "--out-dir", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert ": DivergesPlus fitted_limit=1000 " in captured.out and captured.err == ""
+        assert ": DivergesPlus alpha=" in captured.out and captured.err == ""
 
     @pytest.mark.parametrize(
         "m,r0,ell",
@@ -533,7 +566,7 @@ class TestMainEntry:
         assert cli.main(["mode", "--m", m, "--r0", r0, "--ell", "3",
                          "--out-dir", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert ": DivergesPlus fitted_limit=1000 " in captured.out and captured.err == ""
+        assert ": DivergesPlus alpha=" in captured.out and captured.err == ""
 
     def test_mode_cli_undetermined_mode_exits_two(self, tmp_path, monkeypatch, capsys):
         # exit 2 for a decaying or undetermined mode, the sweep's pass rule;
@@ -573,14 +606,15 @@ class TestMainEntry:
         assert cli.main(["mode", "--m", "1e-30", "--r0", r0, "--ell", "3",
                          "--out-dir", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert ": DivergesPlus fitted_limit=1000 " in captured.out
-        assert f" r_max=8.87904e+{r0[2:]};" in captured.out
+        assert ": DivergesPlus alpha=" in captured.out
+        assert f" r_max=2e+{r0[2:]};" in captured.out  # lane_end = 2 r0 - m
         assert captured.err == ""
 
     @pytest.mark.parametrize("delta", ["1e80", "1e100"])
     def test_flat_sweep_at_a_huge_radius_passes(self, tmp_path, capsys, delta):
         # l = 3 was once certified DivergesMinus with fitted_limit -inf at
-        # 1e80, and the sweep ended in a LinAlgError traceback at 1e100
+        # 1e80, and the sweep ended in a LinAlgError traceback at 1e100; at
+        # m = 0, alpha is (l+1)(l+2)/(2(2l+1)) for unit data
         code = cli.main(["sweep", "--masses", "0", "--deltas", delta, "--ell-max", "3",
                          "--out-dir", str(tmp_path)])
         assert code == 0
@@ -588,8 +622,9 @@ class TestMainEntry:
         assert [row[:4] + row[7:8] for row in rows] == [
             ["0.0", repr(float(delta)), str(ell), klass, "true"]
             for ell, klass in enumerate(["ConvergesNonzero"] + ["DivergesPlus"] * 3)]
-        assert all(abs(float(row[4]) - (1.0 if row[2] == "0" else 1e3)) <= 1e-9 * float(row[4])
-                   for row in rows)
+        ells = [int(row[2]) for row in rows]
+        assert all(abs(float(row[4]) - (ell + 1) * (ell + 2) / (2 * (2 * ell + 1)))
+                   <= 1e-9 * float(row[4]) for row, ell in zip(rows, ells))
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
@@ -624,13 +659,14 @@ class TestMainEntry:
     @pytest.mark.parametrize("m", ["1", "0"])
     def test_mode_cli_figures_do_not_depend_on_the_scale_of_a0(self, tmp_path, capsys, m):
         # the mode is linear in a0, and atol scales with |a0| as the k_div
-        # threshold does, so only fitted_limit moves with a0
+        # threshold does, so only alpha moves with a0, in proportion
         figures = []
         for a0 in ("1", "1e-6", "1e-12", "1e-300"):
             assert cli.main(["mode", "--m", m, "--r0", "3", "--ell", "2", "--a0", a0,
                              "--out-dir", str(tmp_path)]) == 0
             out = capsys.readouterr().out
-            figures.append(re.findall(r"(DivergesPlus|fitted_exponent=\S+|r_max=[^;]+)", out))
+            alpha = float(re.search(r" alpha=(\S+)", out).group(1)) / float(a0)
+            figures.append(re.findall(r"(DivergesPlus|r_max=[^;]+)", out) + [f"{alpha:.5g}"])
         assert len(figures[0]) == 3 and figures == [figures[0]] * 4
 
     @pytest.mark.parametrize("a0", ["1e306", "-1e306"])
@@ -685,16 +721,16 @@ class TestMainEntry:
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_overflowing_extent_is_a_solver_failure(self, tmp_path, capsys):
-        # outer_radius(1, 1e303) = 1e309 overflows: no mode can reach it, so
+        # lane_end(1, 1e308) = 2e308 overflows: no mode can reach it, so
         # each is a failed lane, recorded by sweep and reported by mode
-        code = cli.main(["sweep", "--masses", "1", "--deltas", "1e303", "--ell-max", "1",
+        code = cli.main(["sweep", "--masses", "1", "--deltas", "1e308", "--ell-max", "1",
                          "--out-dir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == ""
         rows = [row.split(",") for row in read_csv(tmp_path / "sweep.csv")[1:]]
         assert [row[2:8] for row in rows] == [
             [ell, "Undetermined", "nan", "nan", "nan", "false"] for ell in ("0", "1")]
-        assert cli.main(["mode", "--m", "1", "--r0", "1e303", "--ell", "0",
+        assert cli.main(["mode", "--m", "1", "--r0", "1e308", "--ell", "0",
                          "--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: mode integration failed: r_max must be finite\n"
@@ -888,11 +924,10 @@ class TestInstalledEntryPoint:
         "r0", [pytest.param("3e94", id="1e100"), pytest.param("3e154", id="1e160"),
                pytest.param("3e294", id="1e300")])
     def test_subprocess_huge_extent_classifies(self, tmp_path, r0):
-        # each id is r_max / 3 = R_MAX_FACTOR r0 / 3 at m = 1.
-        # r_max = 3e100: the limit fit must not hand LAPACK an underflowed
-        # Vandermonde matrix (it looped on the nan instead of returning);
-        # r_max = 3e160: r(r-2m) overflows, so the profile must not form it;
-        # r_max = 3e300 failed while the far tail was stepped in x = 1/r
+        # each id is the extent 1e6 r0 / 3 these cases were written for, at
+        # m = 1; the lane now ends at lane_end = 2 r0 - 1.  At r ~ 6e154
+        # r(r-2m) overflows, so the profile must not form it; extents near
+        # 3e300 once failed while the far tail was stepped in x = 1/r
         mode = subprocess.run(
             [sys.executable, "-m", "schwarzstatic.cli", "mode", "--m", "1", "--r0", r0,
              "--ell", "0", "--out-dir", str(tmp_path)],
@@ -904,7 +939,7 @@ class TestInstalledEntryPoint:
         # Phi = 2(r-m) A / (r(r-2m)) + da, in exact arithmetic on the written row
         (profile,) = tmp_path.glob("mode_*.csv")
         r, _, da, A, _, Phi = map(float, read_csv(profile)[-1].split(","))
-        assert r == outer_radius(1.0, float(r0))
+        assert r == lane_end(1.0, float(r0))
         r, m = Fraction(r), 1
         exact = 2 * (r - m) * Fraction(A) / (r * (r - 2 * m)) + Fraction(da)
         assert abs(Fraction(Phi) - exact) <= Fraction(1, 10**12) * abs(exact)
@@ -960,7 +995,7 @@ STARTUP_SCRIPTS = {
     "cli-sweep": (
         "from schwarzstatic import cli\n"
         "loaded()\n"
-        "rc = cli.main(['sweep', '--masses', '1,0', '--deltas', '1', '--ell-max', '2',\n"
+        "rc = cli.main(['sweep', '--masses', '1,0', '--deltas', '1', '--ell-max', '9',\n"
         "               '--out-dir', sys.argv[1]])\n"
         "assert rc == 0, rc\n"
         "loaded()\n"
@@ -1019,10 +1054,11 @@ class TestStartupImports:
         checkpoints = [line for line in proc.stdout.splitlines() if line.startswith("[")]
         assert checkpoints and checkpoints == ["[]"] * len(checkpoints)
         if script == "cli-sweep":
-            # the k_div crossings of both masses, m = 0 included
+            # the k_div crossings of both masses, m = 0 included: on a run
+            # out to lane_end, degrees 8 and up (m = 1) and 9 (m = 0) cross
             records = json.loads((tmp_path / "sweep.json").read_text())["records"]
             crossed = {(rec["m"], rec["ell"]) for rec in records if rec["stop"] == "k_div"}
-            assert crossed == {(1.0, 1), (1.0, 2), (0.0, 1), (0.0, 2)}
+            assert crossed == {(1.0, 8), (1.0, 9), (0.0, 9)}
 
     def test_cli_import_loads_no_importlib_metadata(self):
         # sweep.json names no scipy version, so nothing reads package metadata
@@ -1036,15 +1072,15 @@ class TestStartupImports:
 
 
 def report_with_failures():
-    """A small sweep's report plus a solver-failure record and non-finite fits."""
+    """A small sweep's report plus a solver-failure record and non-finite readouts."""
     report = run_sweep(SweepConfig(**SMALL))
     nan, inf = float("nan"), float("inf")
     report.records += [
-        cli.VerdictRecord(m=1.0, r0=3.0, ell=3, class_name="Undetermined", fitted_limit=nan,
-                          fitted_exponent=nan, r_max=nan, passed=False, integrate_s=0.0,
-                          classify_s=2.5e-6),
+        cli.VerdictRecord(m=1.0, r0=3.0, ell=3, class_name="Undetermined", alpha=nan,
+                          alpha_drift=nan, r_max=nan, passed=False, integrate_s=0.0,
+                          classify_s=2.5e-6, reason="integration failed: r_max must be finite"),
         cli.VerdictRecord(m=-0.25, r0=1e-300, ell=4, class_name="DivergesMinus",
-                          fitted_limit=-inf, fitted_exponent=inf, r_max=1.5e300, passed=True,
+                          alpha=-inf, alpha_drift=inf, r_max=1.5e300, passed=True,
                           integrate_s=1e-3, classify_s=1e-4, n_steps=7, nfev=93, stop="k_div"),
     ]
     return report
@@ -1058,8 +1094,9 @@ class TestJsonWriter:
         assert text == json.dumps(cli._sweep_payload(report), indent=2) + "\n"
         failed, extreme = json.loads(text)["records"][-2:]
         assert [failed[k] for k in ("n_steps", "nfev", "stop")] == [None, None, None]
-        assert all(np.isnan(failed[k]) for k in ("fitted_limit", "fitted_exponent", "r_max"))
-        assert '"fitted_limit": NaN,' in text and '"fitted_limit": -Infinity,' in text
+        assert all(np.isnan(failed[k]) for k in ("alpha", "alpha_drift", "r_max"))
+        assert failed["reason"] == "integration failed: r_max must be finite"
+        assert '"alpha": NaN,' in text and '"alpha": -Infinity,' in text
 
 
 class TestBatchTimes:
@@ -1075,15 +1112,14 @@ class TestBatchTimes:
         assert 0.5 * elapsed <= total <= elapsed
         assert records[-1].class_name == "Undetermined" and records[-1].nfev is None
 
-    def test_failed_fit_is_an_undetermined_record(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    def test_declined_readout_is_an_undetermined_record(self, monkeypatch):
+        # the closed-form readout is not a finite float: the integrated lane
+        # keeps its diagnostics, and the record says why it is not certified
+        monkeypatch.setattr(modes, "_initial_state", lambda ivp: (1.0, math.nan, 0.0))
         report = run_sweep(SweepConfig(**SMALL))
         for rec in report.records:
-            assert (rec.class_name, rec.passed, rec.stop) == ("Undetermined", False, None)
-            assert np.isnan(rec.fitted_limit)
+            assert (rec.class_name, rec.passed, rec.stop) == ("Undetermined", False, "r_max")
+            assert np.isnan(rec.alpha) and "closed-form" in rec.reason
 
 
 class TestReadme:

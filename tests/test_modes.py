@@ -2,6 +2,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +14,7 @@ from scipy.optimize import brentq
 from schwarzstatic import _dop853, modes
 from schwarzstatic.background import SchwarzschildParams
 from schwarzstatic.modes import (
+    ALPHA_RTOL,
     AsymptoticKind,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -21,6 +23,7 @@ from schwarzstatic.modes import (
     classify_modes,
     integrate_mode,
     integrate_modes,
+    lane_end,
     make_ivp,
 )
 from schwarzstatic.cli import SweepConfig, run_sweep
@@ -211,7 +214,7 @@ class TestIntegrateSchwarzschild:
         sol = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
         klass = classify(sol)
         assert klass.kind is AsymptoticKind.CONVERGES_NONZERO
-        assert_allclose(klass.fitted_limit, 1.0, rtol=1e-6)
+        assert_allclose(klass.alpha, 1.0, rtol=1e-6)  # alpha is the limit of a at l = 0
 
     def test_l0_phi_closed_form(self):
         # phi(r) = c0 r^2 + c1 r - c1 m, c0 = (r0-m)/(2m) a0, c1 = -r0 a0
@@ -394,13 +397,15 @@ class TestScipyParity:
     @pytest.mark.parametrize("factor", [1e170, 1e300])
     def test_degree_zero_converges_at_huge_extent(self, m, r0, factor):
         # these lanes once failed in an x = 1/r tail phase, where x * x
-        # underflows; in t = ln s they reach their bound in a few dozen steps
+        # underflows; in t = ln s they reach their bound in a few dozen steps,
+        # and the Wronskian read that far out is still the limit a0
         ivp = make_ivp(SchwarzschildParams(m=m, r0=r0), 0, 1.0)
         sol = self.check(ivp, factor * r0)
         assert sol.r_max_used == factor * r0 and sol.nfev < 1000
         klass = classify(sol)
         assert klass.kind is AsymptoticKind.CONVERGES_NONZERO
-        assert_allclose(klass.fitted_limit, 1.0, rtol=1e-9)
+        assert_allclose(klass.alpha, 1.0, rtol=1e-9)
+        assert klass.alpha_drift <= 1e-9
 
 
 EPS = float(np.finfo(float).eps)
@@ -622,11 +627,12 @@ class TestChangeOfVariable:
 
     def test_crossing_below_1e_12_is_located_to_rounding(self):
         # brentq's absolute xtol of 4 eps was coarse in r at r ~ 1e-13; in
-        # t = ln s it is relative, and a DivergesPlus limit is k_div |a0|
+        # t = ln s it is relative, and a lane that crossed ends at a = k_div |a0|
         sol = integrate_mode(make_ivp(SchwarzschildParams(m=-1e-22, r0=1e-13), 5, 1.0), 1e-7)
         klass = classify(sol)
         assert klass.kind is AsymptoticKind.DIVERGES_PLUS
-        assert_allclose(klass.fitted_limit, 1e3, rtol=1e-9)
+        assert sol.diverged and sol.radii[-1] == sol.r_max_used
+        assert_allclose(sol.end[1], 1e3, rtol=1e-9)
 
 
 class TestDiagnostics:
@@ -638,8 +644,8 @@ class TestDiagnostics:
 
     def test_verdict_carries_solver_counts(self):
         rec = sweep_record(P13, 2)
-        sol = integrate_mode(make_ivp(P13, 2, 1.0), 1e6 * 3.0)
-        assert (rec.n_steps, rec.nfev, rec.stop) == (sol.n_steps, sol.nfev, "k_div")
+        sol = integrate_mode(make_ivp(P13, 2, 1.0), lane_end(P13.m, P13.r0))
+        assert (rec.n_steps, rec.nfev, rec.stop) == (sol.n_steps, sol.nfev, "r_max")
 
 
 class TestCrossingThroughZeroMass:
@@ -654,7 +660,7 @@ class TestCrossingThroughZeroMass:
         assert_allclose(sol.r_max_used, root, rtol=1e-6)
         klass = classify(sol)
         assert klass.kind is AsymptoticKind.DIVERGES_PLUS
-        assert_allclose(klass.fitted_limit, 1e3, rtol=1e-9)
+        assert_allclose(sol.end[1], 1e3, rtol=1e-9)
         assert sol.radii[-1] == sol.r_max_used
 
 
@@ -718,13 +724,14 @@ class TestOuterRadius:
         # far outside it, with s0 = r0 - 2 max(m, 0) (s0 itself at m = 0):
         # degree 0 converges to a0 and every other degree diverges upwards.
         # A run out to 1e6 r0 got 152 of these 1,071 records wrong, all at
-        # m < 0 with r0 < 2|m|, some certified ConvergesNonzero
+        # m < 0 with r0 < 2|m|, some certified ConvergesNonzero; the grid
+        # now runs each lane to lane_end and reads its growth coefficient
         masses = [5.0, -5.0, 1.0, -1.0, 1e-3, -1e-3, 1e-12, -1e-12, 0.0]
         offsets = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6]
         ivps = [make_ivp(SchwarzschildParams(m=m, r0=2.0 * max(m, 0.0) + x * (abs(m) or 1.0)),
                          ell, 1.0)
                 for m in masses for x in offsets for ell in range(17)]
-        sols = integrate_modes(ivps, [modes.outer_radius(ivp.m, ivp.r0) for ivp in ivps])
+        sols = integrate_modes(ivps, [lane_end(ivp.m, ivp.r0) for ivp in ivps])
         assert all(isinstance(sol, ModeSolution) for sol in sols)
         wrong = [(ivp.m, ivp.r0, ivp.ell, klass.kind.value)
                  for ivp, klass in zip(ivps, classify_modes(sols))
@@ -734,19 +741,27 @@ class TestOuterRadius:
 
 
 class TestClassify:
+    """The class is the sign of the growth coefficient alpha, read twice."""
+
     def test_l0_converges(self):
         sol = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
         k = classify(sol)
         assert k.kind is AsymptoticKind.CONVERGES_NONZERO
-        assert_allclose(k.fitted_limit, 1.0, rtol=1e-6)
+        assert_allclose(k.alpha, 1.0, rtol=1e-6)
 
     def test_l1_diverges_plus(self):
         # the degree-1 mode grows linearly once Phi has leveled off, since a
-        # positive Phi limit forbids a bounded A with vanishing slope
+        # positive Phi limit forbids a bounded A with vanishing slope: far
+        # out a is alpha G(z) / G(z0), G = (z-1)(z+2)/(6(z+1)) growing like z/6
         sol = integrate_mode(make_ivp(P13, 1, 1.0), 3e6)
         k = classify(sol)
-        assert k.kind is AsymptoticKind.DIVERGES_PLUS
-        assert abs(k.fitted_exponent - 1.0) <= 0.05
+        assert k.kind is AsymptoticKind.DIVERGES_PLUS and k.alpha_drift <= ALPHA_RTOL
+        s, a, _ = sol.end
+
+        def grow(z):
+            return (z - 1.0) * (z + 2.0) / (6.0 * (z + 1.0))
+
+        assert sol.diverged and abs(a / (k.alpha * grow(1.0 + s) / grow(2.0)) - 1.0) <= 0.05
 
     def test_flat_higher_modes_diverge(self):
         params = SchwarzschildParams(m=0.0, r0=1.0)
@@ -758,21 +773,31 @@ class TestClassify:
         sol = integrate_mode(make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 0, 1.0), 1e6)
         k = classify(sol)
         assert k.kind is AsymptoticKind.CONVERGES_NONZERO
-        assert_allclose(k.fitted_limit, 1.0, rtol=1e-9)
+        assert_allclose(k.alpha, 1.0, rtol=1e-9)
+
+    def test_flat_alpha_is_the_euler_growth_coefficient(self):
+        # m = 0: a = c1 r^(-l-1) + c2 r^l, and alpha = c2 r0^l, the growing
+        # part of a(r0), is (l+1)(l+2) a0 / (2 (2l+1)) for the boundary slope
+        flat = SchwarzschildParams(m=0.0, r0=1.0)
+        for ell in range(9):
+            k = classify(integrate_mode(make_ivp(flat, ell, 1.0), lane_end(0.0, 1.0)))
+            _, c2 = euler_coefficients(ell, 1.0, 1.0)
+            assert_allclose(k.alpha, c2, rtol=1e-14)
+            assert_allclose(k.alpha, (ell + 1) * (ell + 2) / (2.0 * (2 * ell + 1)), rtol=1e-14)
 
     def test_zero_solution_decays(self):
         sol = integrate_mode(make_ivp(P13, 2, 0.0), 3e4)
         assert classify(sol).kind is AsymptoticKind.DECAYS_TO_ZERO
 
     def test_decaying_profile_detected(self):
-        # synthetic decaying mode: exercise the decay branch without an IVP
-        sol = integrate_mode(make_ivp(P13, 2, 1.0), 3e4, k_div=np.inf)
-        sol.a = (3.0 / sol.radii) ** 1.5
-        sol.da = -1.5 * sol.a / sol.radii
-        sol.diverged = False
+        # initial data on the decaying solution r^(-3) of m = 0, l = 2: alpha
+        # is 0 in closed form and rounding-small where the lane ends, so the
+        # mode is not certified
+        ivp = replace(make_ivp(SchwarzschildParams(m=0.0, r0=1.0), 2, 1.0), da0=-3.0)
+        sol = integrate_mode(ivp, lane_end(0.0, 1.0))
         k = classify(sol)
-        assert k.kind is AsymptoticKind.DECAYS_TO_ZERO
-        assert k.fitted_exponent < -0.75
+        assert k.alpha == 0.0 and abs(sol.end[1] - 0.125) <= 1e-9
+        assert k.kind is AsymptoticKind.UNDETERMINED and "disagree" in k.reason
 
 
 class TestVerify:
@@ -780,7 +805,7 @@ class TestVerify:
         rec = sweep_record(P13, 0)
         assert rec.passed
         assert rec.class_name == AsymptoticKind.CONVERGES_NONZERO.value
-        assert_allclose(rec.fitted_limit, 1.0, rtol=1e-6)
+        assert_allclose(rec.alpha, 1.0, rtol=1e-6)
 
     def test_flat_l5(self):
         params = SchwarzschildParams(m=0.0, r0=1.0)
@@ -897,52 +922,10 @@ def reference_flat(ivp, r_max, k_div):
     return (radii, *closed_form(radii), True)
 
 
-def reference_classify(sol):
-    """classify of one mode with np.polyfit for the limit and the slope."""
-    from schwarzstatic.modes import CAUCHY_RTOL, AsymptoticClass
-
-    decay_q, eps_dec, k_div = 0.75, 1e-4, 1e3
-
-    def slope_of(r_tail, a_tail):
-        mag = np.abs(a_tail)
-        good = mag > 0
-        if good.sum() < 2:
-            return float("nan")
-        return float(np.polyfit(np.log(r_tail[good]), np.log(mag[good]), 1)[0])
-
-    a0 = sol.ivp.a0
-    scale0 = abs(a0) if a0 != 0.0 else max(np.abs(sol.a).max(), 1.0)
-    mask = sol.radii >= sol.radii[-1] / 10.0
-    if mask.sum() < 8:
-        mask = np.zeros_like(mask)
-        mask[-8:] = True
-    r_tail, a_tail = sol.radii[mask], sol.a[mask]
-    r_end = float(sol.r_max_used)
-    if sol.diverged or np.abs(sol.a).max() >= k_div * scale0:
-        last = sol.a[-min(6, len(sol.a)):]
-        growing = np.all(np.diff(np.abs(last)) >= 0)
-        sign_ok = np.all(np.sign(last) == np.sign(last[-1])) and last[-1] != 0
-        slope = slope_of(r_tail, a_tail)
-        kind = AsymptoticKind.UNDETERMINED
-        if growing and sign_ok:
-            kind = AsymptoticKind.DIVERGES_PLUS if last[-1] > 0 else AsymptoticKind.DIVERGES_MINUS
-        return AsymptoticClass(kind, float(sol.a[-1]), slope, r_end)
-    if np.abs(a_tail).max() == 0.0:
-        return AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, 0.0, float("nan"), r_end)
-    t = r_tail.min() / r_tail
-    limit = float(np.polyval(np.polyfit(t, a_tail, 2 if len(r_tail) > 6 else 1), 0.0))
-    slope = slope_of(r_tail, a_tail)
-    if abs(sol.a[-1]) < eps_dec * scale0 and slope <= -decay_q:
-        return AsymptoticClass(AsymptoticKind.DECAYS_TO_ZERO, limit, slope, r_end)
-    if abs(limit) > eps_dec * scale0 and a_tail.max() - a_tail.min() <= CAUCHY_RTOL * abs(limit):
-        return AsymptoticClass(AsymptoticKind.CONVERGES_NONZERO, limit, slope, r_end)
-    return AsymptoticClass(AsymptoticKind.UNDETERMINED, limit, slope, r_end)
-
-
 def same_class(got, want):
     """Equal classes, NaN equal to NaN, every float bit for bit."""
-    assert got.kind is want.kind
-    for name in ("fitted_limit", "fitted_exponent", "r_max"):
+    assert got.kind is want.kind and got.reason == want.reason
+    for name in ("alpha", "alpha_drift", "r_max"):
         g, w = getattr(got, name), getattr(want, name)
         assert type(g) is float and (g == w or (math.isnan(g) and math.isnan(w))), name
         assert math.copysign(1.0, g) == math.copysign(1.0, w), name
@@ -1039,31 +1022,20 @@ class TestBatchedSampling:
 
 
 def classify_cases():
-    """The hand-built solutions of TestClassify, and a few edge cases of the tail."""
+    """The solutions of TestClassify, and lanes that end in each way."""
     flat = SchwarzschildParams(m=0.0, r0=1.0)
-    sols = [
+    return [
         integrate_mode(make_ivp(P13, 0, 1.0), 3e6),
         integrate_mode(make_ivp(P13, 1, 1.0), 3e6),
         *(integrate_mode(make_ivp(flat, ell, 1.0), 1e6) for ell in range(1, 9)),
         integrate_mode(make_ivp(flat, 0, 1.0), 1e6),
         integrate_mode(make_ivp(P13, 2, 0.0), 3e4),
         integrate_mode(make_ivp(P13, 2, -1.0), 3e6),
+        integrate_mode(replace(make_ivp(flat, 2, 1.0), da0=-3.0), 2.0),  # decaying
+        *(integrate_mode(make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0), lane_end(m, r0))
+          for m, r0 in ((1.0, 2.0 + 1e-12), (-1.0, 1e-12), (-1e-8, 1e160))
+          for ell in (0, 1, 2, 16)),
     ]
-    decaying = integrate_mode(make_ivp(P13, 2, 1.0), 3e4, k_div=np.inf)
-    decaying.a = (3.0 / decaying.radii) ** 1.5
-    decaying.da = -1.5 * decaying.a / decaying.radii
-    decaying.diverged = False
-    sols.append(decaying)
-    # five samples: a linear limit fit and a short divergence window
-    short = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
-    short.radii, short.a, short.da = short.radii[-5:], short.a[-5:], short.da[-5:]
-    sols.append(short)
-    # a sign change in the last six samples of a diverged mode
-    flipped = integrate_mode(make_ivp(P13, 2, 1.0), 3e6)
-    flipped.a = flipped.a.copy()
-    flipped.a[-3] *= -1.0
-    sols.append(flipped)
-    return sols
 
 
 class TestBatchedClassify:
@@ -1074,50 +1046,119 @@ class TestBatchedClassify:
         for sol, klass in zip(sols, batch):
             same_class(classify(sol), klass)
 
-    def test_batch_matches_polyfit_reference(self):
-        sols = classify_cases()
-        _, _, _, mixed = mixed_batch()
-        for sol, klass in zip(sols, classify_modes(sols)):
-            same_class(klass, reference_classify(sol))
-        mixed = [sol for sol in mixed if isinstance(sol, ModeSolution)]
-        for sol, klass in zip(mixed, classify_modes(mixed)):
-            same_class(klass, reference_classify(sol))
-
-    def test_sweep_records_match_polyfit_reference(self):
-        config = SweepConfig(masses=[-4.0, -0.3, 1e-12, 0.7], r0_offsets=[1e-3, 0.3, 90.0],
-                             ell_max=4)
-        ivps = [make_ivp(SchwarzschildParams(m=m, r0=r0), ell, 1.0)
-                for m, r0, ell in config.tasks()]
-        # the sweep's modes out to outer_radius, then again out to 1e6 r0,
-        # which ends before the tail r >> |m| where r0 << |m|: a tail that
-        # still moves, the Undetermined branch
-        r_max = [modes.outer_radius(ivp.m, ivp.r0) for ivp in ivps]
-        sols = integrate_modes(ivps * 2, r_max + [1e6 * ivp.r0 for ivp in ivps])
-        assert all(isinstance(sol, ModeSolution) for sol in sols)
-        kinds = set()
-        for sol, klass in zip(sols, classify_modes(sols)):
-            same_class(klass, reference_classify(sol))
-            kinds.add(klass.kind)
-        assert AsymptoticKind.UNDETERMINED in kinds and AsymptoticKind.DIVERGES_PLUS in kinds
-
-    def test_nan_in_the_tail_matches_reference(self):
-        sol = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
-        sol.a = sol.a.copy()
-        sol.a[-2] = np.nan
-        same_class(classify_modes([sol])[0], reference_classify(sol))
-
-    def test_failed_fit_is_returned_and_raised(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-        fitted = integrate_mode(make_ivp(P13, 0, 1.0), 3e6)
-        zero = integrate_mode(make_ivp(P13, 2, 0.0), 3e4)  # decays with no fit
-        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
-        got = classify_modes([fitted, zero])
-        assert isinstance(got[0], np.linalg.LinAlgError)
-        assert got[1].kind is AsymptoticKind.DECAYS_TO_ZERO
-        with pytest.raises(np.linalg.LinAlgError):
-            classify(fitted)
-
     def test_empty_batch(self):
         assert classify_modes([]) == []
+
+
+def mp_q2(ell, eps):
+    """Q_l^2(z) and its derivative by mpmath (type 3: z > 1), z = 1 + eps, at 40 digits."""
+    with mpmath.workdps(40):
+        z = 1 + mpmath.mpf(eps)
+
+        def q(x):
+            return mpmath.legenq(ell, 2, x, type=3).real
+
+        return q(z), mpmath.diff(q, z)
+
+
+class TestLegendreQ2:
+    """The package's Q_l^2 against mpmath.legenq, on both sides of the forward/backward switch."""
+
+    EPS = (1e-12, 1e-7, 1e-3, 0.05, 0.0999, 0.1001, 0.5, 3.0, 1e3, 1e6)
+
+    @pytest.mark.parametrize("ell", [2, 3, 5, 16, 64])
+    def test_matches_mpmath(self, ell):
+        # log Q = lq + (l+1) log u with u = 1/z, and (z^2 - 1) Q'/Q = z (k2 - 2);
+        # Q_64^2(1e6) is ~1e-407, so Q is compared through its logarithm
+        eps = np.array(self.EPS)
+        lq, k2, u = modes._legendre_q2(eps, np.ones(eps.size), np.full(eps.size, ell))
+        log_q = lq + (ell + 1) * np.log(u)
+        for e, lg, kappa in zip(eps, log_q, (1.0 + eps) * (k2 - 2.0)):
+            q, dq = mp_q2(ell, e)
+            assert abs(mpmath.exp(lg - mpmath.log(q)) - 1) <= 1e-10, e
+            want = e * (2.0 + e) * dq / q
+            assert abs((kappa - want) / want) <= 1e-10, e
+        # the forward recurrence near z = 1 and Miller's beyond both ran
+        forward = (eps <= modes._FORWARD_EPS) & (ell * np.arccosh(1.0 + eps)
+                                                  <= modes._FORWARD_SPAN)
+        assert forward.any() and not forward.all()
+
+    def test_low_degrees_and_their_growing_partners(self):
+        # Q_0^2 = 2z/(z^2-1) and Q_1^2 = 2/(z^2-1); G = (z-1)/(z+1) and
+        # (z-1)(z+2)/(6(z+1)) solve the same equations (an order-2 Legendre
+        # equation of degree 0 and 1), and the gap is (kappa_Q - kappa_G)/z
+        eps = np.array([1e-12, 1e-3, 0.5, 3.0, 1e6])
+        growing = {0: lambda x: (x - 1) / (x + 1), 1: lambda x: (x - 1) * (x + 2) / (6 * (x + 1))}
+        for ell, g in growing.items():
+            lq, k2, u = modes._legendre_q2(eps, np.ones(eps.size), np.full(eps.size, ell))
+            gap = modes._gap(u, k2, np.full(eps.size, ell))
+            for e, lg, k, gp in zip(eps, lq + (ell + 1) * np.log(u), k2, gap):
+                with mpmath.workdps(40):
+                    z = 1 + mpmath.mpf(e)
+                    q, dq = mp_q2(ell, e)
+                    assert abs(mpmath.exp(lg - mpmath.log(q)) - 1) <= 1e-13
+                    d = z * z - 1
+                    assert abs(z * (k - 2) / (d * dq / q) - 1) <= 1e-13
+                    lhs = mpmath.diff(lambda x: (x * x - 1) * mpmath.diff(g, x), z)
+                    rhs = (ell * (ell + 1) + 4 / d) * g(z)
+                    assert abs(lhs - rhs) <= 1e-20 * abs(rhs)
+                    want = d * (dq / q - mpmath.diff(g, z) / g(z)) / z
+                    assert abs(gp / want - 1) <= 1e-12
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 7, 40])
+    def test_zero_mass_is_the_euler_pair(self, ell):
+        # m = 0: Q = r^(-l-1) times a constant, so kappa / z = -(l+1); the gap
+        # to G = r^l is -(2l+1)
+        s = np.array([1e-300, 1.0, 1e300])
+        lq, k2, u = modes._legendre_q2(s, np.zeros(3), np.full(3, ell))
+        assert np.array_equal(u, np.zeros(3)) and np.isfinite(lq).all() and len(set(lq)) == 1
+        assert_allclose(k2 - 2.0, -(ell + 1.0), rtol=1e-15)
+        assert_allclose(modes._gap(u, k2, np.full(3, ell)), -(2.0 * ell + 1.0), rtol=1e-15)
+
+
+@st.composite
+def boundary_modes(draw):
+    """(m, r0, l, a0): both signs of m and m = 0, s0/|m| from 1e-12 to 1e6, l <= 16."""
+    sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    m = sign * 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = 10.0 ** draw(st.floats(-12.0, 6.0)) * (abs(m) or 1.0)
+    r0 = 2.0 * max(m, 0.0) + offset
+    assume(r0 - 2.0 * max(m, 0.0) > 0.0)
+    a0 = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.floats(-300.0, 300.0))
+    return m, r0, draw(st.integers(0, 16)), a0
+
+
+class TestGrowthCoefficient:
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_modes())
+    @example((1.0, 2.0 + 1e-12, 0, 1.0))
+    @example((-1.0, 1e-12, 5, -3.0))
+    @example((0.0, 1e-300, 16, 1.0))
+    def test_every_sphere_gets_the_class_of_unit_data(self, mode):
+        # degree 0 converges, every other degree diverges with the sign of
+        # a0, and the closed form at r0 and the readout at the lane's end agree
+        m, r0, ell, a0 = mode
+        sol = integrate_mode(make_ivp(SchwarzschildParams(m=m, r0=r0), ell, a0), lane_end(m, r0))
+        k = classify(sol)
+        want = (AsymptoticKind.CONVERGES_NONZERO if ell == 0 else
+                AsymptoticKind.DIVERGES_PLUS if a0 > 0 else AsymptoticKind.DIVERGES_MINUS)
+        assert k.kind is want, k
+        assert k.alpha_drift <= ALPHA_RTOL and k.reason is None
+        assert math.copysign(1.0, k.alpha) == math.copysign(1.0, a0)
+
+    def test_alpha_is_linear_in_a0(self):
+        ivps = [make_ivp(P13, 3, a0) for a0 in (1.0, 2.0 ** -600, -(2.0 ** 600))]
+        alphas = [k.alpha for k in classify_modes(integrate_modes(ivps, [5.0] * 3))]
+        assert alphas == [alphas[0], alphas[0] * 2.0 ** -600, -alphas[0] * 2.0 ** 600]
+
+    def test_declined_and_disagreeing_readouts_are_undetermined(self, monkeypatch):
+        sols = [integrate_mode(make_ivp(P13, 2, 1.0), 5.0)] * 3
+        start = modes._initial_state(sols[0].ivp)
+        planted = {0: start, 1: (start[0], start[1], 1.5 * start[2]), 2: (start[0], np.nan, 0.0)}
+        calls = iter(range(3))
+        monkeypatch.setattr(modes, "_initial_state", lambda ivp: planted[next(calls)])
+        ok, off, nan = classify_modes(sols)
+        assert ok.kind is AsymptoticKind.DIVERGES_PLUS and ok.reason is None
+        assert off.kind is AsymptoticKind.UNDETERMINED and "disagree" in off.reason
+        assert off.alpha_drift > ALPHA_RTOL
+        assert nan.kind is AsymptoticKind.UNDETERMINED and "closed-form" in nan.reason
