@@ -11,14 +11,15 @@ record order, so identical configurations reproduce identical bytes up to
 the measured times (wall_time_s, integrate_s, classify_s).
 
 A sweep integrates its modes in batches: one contiguous chunk of the task
-list per job, and per chunk one integrate_modes call (stepping, then one
-sampling pass over all modes) and one classify_modes call (both readouts
-of every mode's growth coefficient alpha).  A record's wall_time_s is
-therefore not the time of that mode alone.  It is the sum of integrate_s,
-the record's share of its batch's stepping time weighted by the mode's
+list per job, and per chunk one integrate_modes call (stepping only) and
+one classify_modes call (both readouts of every mode's growth coefficient
+alpha, from the lane's end state).  A record's wall_time_s is therefore
+not the time of that mode alone.  It is the sum of integrate_s, the
+record's share of its batch's stepping time weighted by the mode's
 right-hand-side evaluations (nfev), and classify_s, an equal share of its
-batch's sampling and readout time.  The records of a batch add up to the
-batch's wall time.
+batch's readout time.  The records of a batch add up to the batch's wall
+time.  Profiles are evaluated only where they are written (--profile and
+the mode command), after the batch's time accounting.
 
 Every verdict is made with one set of settings, module constants of modes
 that no config key or flag sets (DEFAULT_RTOL, DEFAULT_ATOL, K_DIV and
@@ -174,7 +175,7 @@ class VerdictRecord:
     r_max: float
     passed: bool
     # the record's shares of its batch's stepping time and of its batch's
-    # sampling and readout time (see the module docstring)
+    # readout time (see the module docstring)
     integrate_s: float
     classify_s: float
     # solver diagnostics (sweep.json only); None for a solver failure
@@ -243,8 +244,8 @@ def _sweep_chunk(args) -> list[VerdictRecord]:
     t = time.perf_counter()
     for k, klass in zip(solved, classify_modes([sols[k] for k in solved])):
         classes[k] = klass
-    # each record's share of the batch's sampling and readout
-    own = (time.perf_counter() - t + sum(sols[k].sample_s for k in solved)) / len(sols)
+    # each record's share of the batch's readout
+    own = (time.perf_counter() - t) / len(sols)
 
     # the rest of the batch's time is its stepping, shared out by nfev
     stepping_s = time.perf_counter() - t0 - own * len(sols)

@@ -27,8 +27,10 @@ _rho2_times, which never over- or underflows on the way.  Integration
 stops early where |a| first reaches k_div |a(r0)|.  The problem is linear
 in a(r0), so a lane's absolute tolerance is scaled by |a(r0)| (1 for zero
 data), as its k_div threshold is.  A lane fails like a lane the solver
-gives up on if s0 is not a normal float (exp(ln s0) would lose digits), its
-initial state or r_max is not finite, or a sample of a' = w / rho^2 is not.
+gives up on if s0 is not a normal float (exp(ln s0) would lose digits), or
+its initial state or r_max is not finite.  A lane returns its end state and
+its dense output; a profile is evaluated only when it is read, and an
+a' = w / rho^2 past the float range reads inf there.
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
 in this module, with scipy's tableau (vendored in _dop853) and scipy's step
@@ -73,9 +75,9 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,26 +182,41 @@ class AsymptoticClass:
 
 @dataclass
 class ModeSolution:
-    """Radial samples of one mode and its derived views."""
+    """One stepped mode: its end state, its dense output, and profiles formed on first read."""
 
     ivp: ModeIVP
-    radii: np.ndarray
-    a: np.ndarray
-    da: np.ndarray
     r_max_used: float
     diverged: bool
-    n_steps: int = 0  # accepted DOP853 steps in t = ln s
-    nfev: int = 0  # right-hand-side evaluations
-    sample_s: float = 0.0  # this mode's share of its batch's one sampling pass
+    n_steps: int  # accepted DOP853 steps in t = ln s
+    nfev: int  # right-hand-side evaluations
     # (s, a, w) at the lane's last t, where the growth coefficient is read again
-    end: tuple[float, float, float] = (math.nan, math.nan, math.nan)
+    end: tuple[float, float, float]
     # (batch dense output, this mode's lane in it)
-    _dense: tuple | None = field(default=None, repr=False)
+    _dense: tuple = field(repr=False)
 
     @property
     def stop(self) -> str:
         """Why integration ended: the |a| = k_div |a0| crossing or r_max."""
         return "k_div" if self.diverged else "r_max"
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """The profile radii: geomspace from r0 to r_max_used, 48 per decade, at least 64."""
+        r0, r1 = self.ivp.r0, self.r_max_used
+        return np.geomspace(r0, r1, max(64, int(np.ceil(48 * np.log10(r1 / r0))) + 1))
+
+    @cached_property
+    def _profile(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.eval(self.radii)
+
+    @property
+    def a(self) -> np.ndarray:
+        return self._profile[0]
+
+    @property
+    def da(self) -> np.ndarray:
+        """a' at the radii; inf where that exceeds the float range."""
+        return self._profile[1]
 
     @property
     def A(self) -> np.ndarray | None:
@@ -236,27 +253,6 @@ class ModeSolution:
         return dense.eval(lane, self.ivp.m, r)
 
 
-def _sample_radii(r0, r_end, per_decade=48):
-    """Every mode's sample radii, concatenated, with each mode's first index and count.
-
-    Mode j gets np.geomspace(r0[j], r_end[j], n) with
-    n = max(64, ceil(per_decade * decades) + 1), computed as geomspace
-    computes it: y = i * step + log10(r0), the last y set to log10(r_end),
-    then 10 ** y, then both ends set exactly.
-    """
-    log0, log1 = np.log10(r0), np.log10(r_end)
-    count = np.maximum(64, np.ceil(per_decade * np.log10(r_end / r0)).astype(int) + 1)
-    first = np.cumsum(count) - count
-    last = first + count - 1
-    lane = np.repeat(np.arange(count.size), count)
-    i = (np.arange(lane.size) - first[lane]).astype(float)
-    y = i * ((log1 - log0) / (count - 1))[lane] + log0[lane]
-    y[last] = log1
-    radii = 10.0 ** y
-    radii[first], radii[last] = r0, r_end
-    return radii, first, count
-
-
 def integrate_mode(
     ivp: ModeIVP,
     r_max: float,
@@ -291,9 +287,9 @@ def integrate_modes(
     does not depend on the other lanes of the batch.  Returns, in the order
     of ivps, a ModeSolution or the ValueError or RuntimeError that ended the
     lane.  Every mass takes this path, m = 0 included.  Each lane's atol
-    and k_div threshold are scaled by its |a(r0)| (1 for zero data).  All
-    modes are then sampled in one pass over the batch's dense output; each
-    solution's sample_s is its share of that pass.
+    and k_div threshold are scaled by its |a(r0)| (1 for zero data).  A
+    solution holds its end state and its lane of the batch's dense output;
+    nothing is sampled until a profile is read.
 
     Raises ValueError for a negative atol; as in solve_ivp, rtol is raised
     to 100 eps with a warning.
@@ -346,14 +342,17 @@ def integrate_modes(
     if not done.size:  # no lane reached its end
         return out
 
-    t0 = time.perf_counter()
-    # lane j of the batch is lane j of the dense output
-    sols = _sampled([lanes[j] for j in done], dense, done, r_end[done], crossed[done])
-    sample_s = (time.perf_counter() - t0) / len(done)
-    for j, sol in zip(done, sols):
-        if isinstance(sol, ModeSolution):
-            sol.sample_s, sol.n_steps, sol.nfev = sample_s, int(n_steps[j]), int(nfev[j])
-        out[idx[j]] = sol
+    # lane j of the batch is lane j of the dense output; a lane that crossed
+    # k_div ends at r = exp(t) + 2 max(m, 0) for the root t that ends its table
+    t_end = dense.keys.imag[dense.last[done]]
+    a_end, w_end = dense(done, t_end)
+    r_reached, hit = r_end[done], crossed[done]
+    r_reached[hit] = np.exp(t_end[hit]) + _shift(m[done][hit])
+    for j, r1, t1, a1, w1 in zip(done, r_reached, t_end, a_end, w_end):
+        out[idx[j]] = ModeSolution(
+            ivp=lanes[j], r_max_used=float(r1), diverged=bool(crossed[j]),
+            n_steps=int(n_steps[j]), nfev=int(nfev[j]),
+            end=(math.exp(t1), float(a1), float(w1)), _dense=(dense, int(j)))
     return out
 
 
@@ -365,36 +364,6 @@ def _scale0(ivp: ModeIVP) -> float:
 def _shift(m):
     """2 max(m, 0), so that s = r - _shift(m) vanishes at the singular point."""
     return 2.0 * np.maximum(m, 0.0)
-
-
-def _sampled(ivps, dense: "_Dense", lanes, r_end, crossed) -> list[ModeSolution | ValueError]:
-    """The stepped solutions sampled on their radii, in one pass over the dense output.
-
-    Mode j is lane lanes[j] of dense; a mode with a sample of a' that is not
-    a finite float is a ValueError.  A mode that reached its bound ends at
-    r_end[j] exactly, one that crossed k_div at r = exp(t) + 2 max(m, 0) for
-    the root t that ends its table.
-    """
-    m = np.array([float(ivp.m) for ivp in ivps])
-    r_reached = r_end.copy()
-    t_end = dense.keys.imag[dense.last[lanes]]
-    r_reached[crossed] = np.exp(t_end[crossed]) + _shift(m[crossed])
-    a_end, w_end = dense(lanes, t_end)
-    r0 = np.array([float(ivp.r0) for ivp in ivps])
-    radii, first, count = _sample_radii(r0, r_reached)
-    lane = np.repeat(np.arange(len(ivps)), count)
-    with np.errstate(over="ignore"):  # an a' past the floats fails its mode below
-        a, da = dense.eval(lanes[lane], m[lane], radii)
-    bad = np.bincount(lane, ~np.isfinite(da), minlength=len(ivps)) > 0
-    out = []
-    for j, ivp in enumerate(ivps):
-        lo, hi = first[j], first[j] + count[j]
-        out.append(ValueError("a'(r) = w / (r (r - 2m)) leaves the floats") if bad[j] else
-                   ModeSolution(ivp=ivp, radii=radii[lo:hi], a=a[lo:hi], da=da[lo:hi],
-                                r_max_used=float(r_reached[j]), diverged=bool(crossed[j]),
-                                end=(math.exp(t_end[j]), float(a_end[j]), float(w_end[j])),
-                                _dense=(dense, int(lanes[j]))))
-    return out
 
 
 # -- DOP853 in lockstep -------------------------------------------------------
@@ -507,10 +476,12 @@ class _Dense:
         return mid
 
     def eval(self, lane, m, r) -> tuple[np.ndarray, np.ndarray]:
-        """(a, a') at the radii r: per radius its lane and mass, or one of each for all."""
+        """(a, a') of one lane, of mass m, at the radii r."""
         a, w = self(lane, np.log(r - _shift(m)))
-        # divide twice: r(r-2m) overflows above r ~ 1e154, w / r / (r-2m) does not
-        return a, w / r / (r - 2.0 * m)
+        # divide twice: r(r-2m) overflows above r ~ 1e154, w / r / (r-2m) does
+        # not; an a' past the float range reads inf
+        with np.errstate(over="ignore"):
+            return a, w / r / (r - 2.0 * m)
 
 
 def _complex(real, imag) -> np.ndarray:

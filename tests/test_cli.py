@@ -177,6 +177,22 @@ class TestRunSweep:
                         rtol=1e-9)
         assert sum(r.wall_time_s for r in recs) <= elapsed
 
+    def test_sweep_samples_only_what_it_writes(self, tmp_path, monkeypatch):
+        # the verdicts read each lane's end state: a sweep evaluates no
+        # profile, and with a profile directory one per written file
+        calls = []
+        evaluate = modes._Dense.eval
+
+        def counting(self, *args):
+            calls.append(args)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(modes._Dense, "eval", counting)
+        assert run_sweep(SweepConfig(**SMALL)).all_passed
+        assert calls == []
+        run_sweep(SweepConfig(**SMALL), profile_dir=str(tmp_path))
+        assert len(calls) == len(os.listdir(tmp_path)) == 3
+
     def test_parallel_matches_serial(self):
         config = SweepConfig(**SMALL)
         serial = run_sweep(config, jobs=1)
@@ -952,6 +968,33 @@ class TestInstalledEntryPoint:
         (row,) = [line.split(",") for line in read_csv(tmp_path / "sweep.csv")[1:]]
         assert row[3] == "ConvergesNonzero"
         assert abs(float(row[4]) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("r0,ell", [("1e-305", "40"), ("1.5e302", "1")])
+    def test_subprocess_lane_near_the_float_range_classifies(self, tmp_path, r0, ell):
+        # at (1e-305, 40) a'(r0) = l(l+1) a0 / (2 r0) is 8.2e307 and grows
+        # about 40-fold to the k_div crossing: the verdict reads the lane's
+        # end state, and the profile's a' reads inf past the float range.
+        # At (1.5e302, 1) w = r (r - 2m) a' nears the float range
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "schwarzstatic.cli", "mode", "--m", "0",
+             "--r0", r0, "--ell", ell, "--out-dir", str(tmp_path)],
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        assert b": DivergesPlus alpha=" in proc.stdout
+        (profile,) = tmp_path.glob("mode_*.csv")
+        da = [float(line.split(",")[2]) for line in read_csv(profile)[1:]]
+        assert math.isfinite(da[0])
+        assert (da[-1] == math.inf) == (r0 == "1e-305")
+
+    def test_subprocess_sweep_near_the_float_range_certifies_every_degree(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "schwarzstatic.cli", "sweep", "--masses", "0",
+             "--deltas", "1e-305", "--ell-max", "40", "--out-dir", str(tmp_path)],
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        assert proc.stdout.startswith(b"41/41 modes verified non-decaying")
 
     @pytest.mark.parametrize(
         "args",
