@@ -36,11 +36,11 @@ radial stencils on the evaluable field and spectral tangential derivatives,
 so its audit measures the construction end to end.
 
 flow_lie_derivative is the oracle for uniqueness: it forms L_Y g_sc for a
-closed-form field Y from the pullback of g_sc along one RK4 step of Y's flow
-per flow time, with difference Jacobians and no derivative of Y, and
-FlowLieDeformation tabulates it on Chebyshev shells so that the gauge built
-from it can be checked to be X = -Y.  The flow time (1e-3) and the shells
-(33 of them on [r0, 4 r0]) are module constants.
+closed-form field Y by one central difference in the flow time of the
+pullback of g_sc along one RK4 step of Y's flow, with difference Jacobians
+and no derivative of Y; FlowLieDeformation tabulates it on Chebyshev shells
+so that the gauge built from it can be checked to be X = -Y.  The flow time
+(1e-3) and the shells (33 of them on [r0, 4 r0]) are module constants.
 """
 
 from __future__ import annotations
@@ -227,11 +227,11 @@ def _vector_gradient(X: GaugeVectorField, r: np.ndarray, h: float):
     xc = samples[np.arange(len(r)), (offsets == 0).argmax(axis=1)]
     dr = sum(coeff[:, k, None, None] * samples[:, k] for k in range(offsets.shape[1]))
 
-    dt, dp = calc.angular_derivatives(np.moveaxis(xc, -1, 0))
+    dt, dp = calc.angular_derivatives(np.moveaxis(xc, -1, 0))  # (3, n_r, n)
     r_col = r[:, None, None, None]
-    dang = np.einsum("ni,krn->rnik", calc.theta_hat, dt) / r_col
-    dang += np.einsum("ni,krn->rnik", calc.phi_hat, dp / calc.sin_theta) / r_col
-    return xc, np.einsum("ni,rnk->rnik", calc.normal, dr) + dang
+    dang = calc.theta_hat[..., None] * np.moveaxis(dt, 0, -1)[..., None, :] / r_col
+    dang += calc.phi_hat[..., None] * np.moveaxis(dp / calc.sin_theta, 0, -1)[..., None, :] / r_col
+    return xc, calc.normal[..., None] * dr[..., None, :] + dang  # [r, n, i, k] = d_i X^k
 
 
 def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformation:
@@ -252,7 +252,7 @@ def apply_gauge(gt, X: GaugeVectorField, r_nodes: np.ndarray) -> GaugedDeformati
     dg = _metric_gradient_cart(params, calc, r)
     xc, dX = _vector_gradient(X, r, h)
     lie = np.einsum("rnk,rnkij->rnij", xc, dg)
-    mixed = np.einsum("rnkj,rnik->rnij", g, dX)
+    mixed = dX @ g
     lie += mixed + np.swapaxes(mixed, -1, -2)
 
     rr_res, ra_res, ab = calc.adapted_components(
@@ -282,53 +282,53 @@ def flow_lie_derivative(
 ) -> np.ndarray:
     """Lie derivative of the background metric along Y by flow pullback.
 
-    Finite difference of phi_t^* g_sc in t at t = +-eps and +-eps/2 with one
-    Richardson halving, eps = _FLOW_EPS.  The flow map phi_t is one
-    classical RK4 step of dx/dt = Y(x) from each point and from its 12
-    Jacobian probes (4-point differences with spacing _JAC_H along each
-    axis), so this path uses no derivative of Y and shares nothing with the
-    gauge quadratures it cross-checks.  The first stage Y(probes) is the
-    same for every t, which leaves 13 calls of y_fn, each on all 13 * N
-    probes at once.
+    Central difference of phi_t^* g_sc in t at t = +-eps, eps = _FLOW_EPS.
+    The flow map phi_t is one classical RK4 step of dx/dt = Y(x) from each
+    point and from its 12 Jacobian probes (4-point differences with spacing
+    _JAC_H along each axis), so this path uses no derivative of Y and
+    shares nothing with the gauge quadratures it cross-checks.  The first
+    stage Y(probes) is shared by both flow times, which leaves 7 calls of
+    y_fn, each on all 13 * N probes at once; a y_fn that does not return
+    one vector per probe, shape (13 N, 3), raises ValueError.
 
-    One step is enough: its local error O(eps^5) becomes O(eps^4), about
-    1e-12 at eps = 1e-3, after the difference in t.  The floor is roundoff,
-    about ulp(|x|) / (_JAC_H * eps), near 1e-8 for |x| ~ 12 at eps = 1e-3;
-    more RK4 steps per flow time do not lower it.
+    The truncation terms, O(eps^2) from the difference and O(eps^4) from
+    the one step, are below 1e-10.  The floor is roundoff, about
+    ulp(|x|) / (_JAC_H * eps), 2e-9 for |x| ~ 12: against an exact
+    L_Y g (|L_Y g| ~ 0.1) the table of FlowLieDeformation reads 3e-9.  A
+    Richardson halving of eps roughly triples that roundoff, and more RK4
+    steps per flow time do not lower it.
 
     points has shape (N, 3); the result has shape (N, 3, 3).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-    eps = _FLOW_EPS
     npts = len(points)
-    probes = [points]
-    for j in range(3):
-        for o in _JAC_OFFS:
-            shifted = points.copy()
-            shifted[:, j] += o * _JAC_H
-            probes.append(shifted)
-    stacked = np.concatenate(probes, axis=0)
-    k1 = y_fn(stacked)
+    # probe 1 + 4 j + i is the point shifted by _JAC_OFFS[i] * _JAC_H along axis j
+    shifts = np.zeros((13, 1, 3))
+    shifts[1:, 0] = np.kron(np.eye(3), np.array(_JAC_OFFS)[:, None]) * _JAC_H
+    stacked = (points + shifts).reshape(-1, 3)
+
+    def field(x):
+        y = y_fn(x)
+        if np.shape(y) != x.shape:
+            raise ValueError(f"y_fn must return one vector per probe {x.shape}, got {np.shape(y)}")
+        return y
+
+    k1 = field(stacked)
 
     def pullback(t):
-        k2 = y_fn(stacked + 0.5 * t * k1)
-        k3 = y_fn(stacked + 0.5 * t * k2)
-        k4 = y_fn(stacked + t * k3)
+        k2 = field(stacked + 0.5 * t * k1)
+        k3 = field(stacked + 0.5 * t * k2)
+        k4 = field(stacked + t * k3)
         flowed = stacked + t / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        base = flowed[:npts]
-        jac = np.zeros((npts, 3, 3))
-        for j in range(3):
-            for idx, c in enumerate(_JAC_COEF):
-                block = flowed[(1 + 4 * j + idx) * npts : (2 + 4 * j + idx) * npts]
-                jac[:, :, j] += c / _JAC_H * block  # d phi^k / d x^j
-        gval = schwarzschild_cartesian(params, base)
-        return np.einsum("nki,nlj,nkl->nij", jac, jac, gval)
+        probed = flowed[npts:].reshape(3, 4, npts, 3)  # [j, i, n, k]
+        jac = sum(c / _JAC_H * probed[:, i] for i, c in enumerate(_JAC_COEF))
+        jac = np.moveaxis(jac, 0, -1)  # [n, k, j] = d phi^k / d x^j
+        gval = schwarzschild_cartesian(params, flowed[:npts])
+        return np.swapaxes(jac, -1, -2) @ gval @ jac
 
-    d_full = (pullback(eps) - pullback(-eps)) / (2.0 * eps)
-    d_half = (pullback(0.5 * eps) - pullback(-0.5 * eps)) / eps
-    return (4.0 * d_half - d_full) / 3.0
+    return (pullback(_FLOW_EPS) - pullback(-_FLOW_EPS)) / (2.0 * _FLOW_EPS)
 
 
 class FlowLieDeformation:
@@ -339,8 +339,8 @@ class FlowLieDeformation:
     quadratures downstream request thousands of radii; the interpolant of
     these smooth components converges spectrally and stays far below the
     oracle's own flow-difference error.  All shells go through one
-    flow_lie_derivative call (13 calls of y_fn) and one more y_fn call for
-    the Y(u_sc) table.
+    flow_lie_derivative call (7 calls of y_fn) and one more y_fn call for
+    the Y(u_sc) table, 8 in all.
     The interpolant is sum_j w_j(r) table_j with the normalised barycentric
     weights w_j, so the deformation is already in separated form: cartesian
     and u read the weights, and separated("rr") and separated("ra") return

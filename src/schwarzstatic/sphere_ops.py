@@ -177,8 +177,8 @@ class SphereCalc:
 
         scale broadcasts against the leading axes w.shape[:-2].
         """
-        e = self.frame * np.asarray(scale)[..., None, None, None]
-        return w[..., 0:1] * e[..., 0, :] + w[..., 1:2] * e[..., 1, :]
+        w = w * np.asarray(scale)[..., None, None]
+        return w[..., 0:1] * self.theta_hat + w[..., 1:2] * self.phi_hat
 
     def cart_to_frame_covector(self, v: np.ndarray) -> np.ndarray:
         a = np.einsum("...ni,ni->...n", v, self.theta_hat)

@@ -5,9 +5,12 @@ inputs (radial profiles, single-mode fields, linear combinations of fields),
 invert package results (the round Bartnik data of a Schwarzschild sphere),
 solve a mode in closed form (the Euler solution at m = 0), take the
 curvature lab's gradients along the unit directions (the route its fused
-synthesis replaced) or restate the lab's Christoffel lowering and Gamma
+synthesis replaced), restate the lab's Christoffel lowering and Gamma
 Gamma terms as the fancy-index gathers and complex einsum that its real
-products replaced.  pytest does not collect this module; the test modules
+products replaced, or restate the gauge module's contractions (the flow
+pullback, the Lie derivative's mixed term and the vector gradient's outer
+products) and the scaled-frame covector conversion as the einsums and
+frame products that its matmuls and broadcasts replaced.  pytest does not collect this module; the test modules
 import it as `reference`.
 """
 
@@ -16,6 +19,7 @@ import numpy as np
 from schwarzstatic.background import RoundData, SchwarzschildParams, background_at
 from schwarzstatic.curvature_lab import _I, _J, _PAIR, _symmetric_part
 from schwarzstatic.fd import apply_radial
+from schwarzstatic.gauge import _STENCIL_COEFFS, _STENCIL_OFFSETS
 from schwarzstatic.fields import DeformationField, RadialProfile, power_profile
 from schwarzstatic.harmonics import mode_position
 from schwarzstatic.sphere_ops import SphereCalc
@@ -189,3 +193,41 @@ def einsum_ricci_quadratic(gamma):
     out = np.einsum("ran,rapn->rpn", trace, gamma)
     out -= np.einsum("raibn,rbajn->rijn", full, full)[:, _I, _J]
     return out
+
+
+def einsum_pullback(jac, g):
+    """jac^T g jac (N, 3, 3), sum_kl jac_ki g_kl jac_lj, by one three-operand einsum."""
+    return np.einsum("nki,nlj,nkl->nij", jac, jac, g)
+
+
+def scaled_frame_to_cart_covector(calc, w, scale=1.0):
+    """(..., n, 2) components in the frame scale * frame -> (..., n, 3)
+    Cartesian, by building the scaled frame (..., n, 2, 3)."""
+    e = calc.frame * np.asarray(scale)[..., None, None, None]
+    return w[..., 0:1] * e[..., 0, :] + w[..., 1:2] * e[..., 1, :]
+
+
+def einsum_vector_gradient(X, r, h):
+    """X.cartesian(r) and d_i X^k (n_r, n, i, k) at radii r, the radial
+    stencils as in gauge._vector_gradient and the three outer products
+    (normal, theta_hat and phi_hat with the derivatives) by einsum."""
+    calc = X.calc
+    kind = np.where(r - 2 * h < X.r0, 0, np.where(r + 2 * h > X.r1, 2, 1))
+    offsets, coeff = _STENCIL_OFFSETS[kind], _STENCIL_COEFFS[kind] / h
+    samples = X.cartesian(r[:, None] + offsets * h)
+    xc = samples[np.arange(len(r)), (offsets == 0).argmax(axis=1)]
+    dr = sum(coeff[:, k, None, None] * samples[:, k] for k in range(offsets.shape[1]))
+    dt, dp = calc.angular_derivatives(np.moveaxis(xc, -1, 0))
+    r_col = r[:, None, None, None]
+    dang = np.einsum("ni,krn->rnik", calc.theta_hat, dt) / r_col
+    dang += np.einsum("ni,krn->rnik", calc.phi_hat, dp / calc.sin_theta) / r_col
+    return xc, np.einsum("ni,rnk->rnik", calc.normal, dr) + dang
+
+
+def einsum_lie_derivative(xc, dX, g, dg):
+    """L_X g = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k (n_r, n, 3, 3) from
+    samples xc, dX[..., i, k] = d_i X^k, g and dg[..., k, i, j] = d_k g_ij,
+    with the mixed term g_kj d_i X^k by einsum."""
+    lie = np.einsum("rnk,rnkij->rnij", xc, dg)
+    mixed = np.einsum("rnkj,rnik->rnij", g, dX)
+    return lie + (mixed + np.swapaxes(mixed, -1, -2))

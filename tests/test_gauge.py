@@ -16,6 +16,8 @@ from schwarzstatic.fields import (
 from schwarzstatic.gauge import (
     GEODESIC_GAUGE_TOL,
     FlowLieDeformation,
+    _metric_gradient_cart,
+    _vector_gradient,
     apply_gauge,
     build_gauge_field,
     flow_lie_derivative,
@@ -23,7 +25,15 @@ from schwarzstatic.gauge import (
 )
 from schwarzstatic.sphere_ops import SphereCalc
 
-from reference import boundary_vanishing_profile, combine, constant_profile, oscillating_profile
+from reference import (
+    boundary_vanishing_profile,
+    combine,
+    constant_profile,
+    einsum_lie_derivative,
+    einsum_pullback,
+    einsum_vector_gradient,
+    oscillating_profile,
+)
 
 P13 = SchwarzschildParams(m=1.0, r0=3.0)
 
@@ -63,12 +73,18 @@ def make_test_vector_field(params, amp=0.2, s=2.0):
     return y_fn, (p, q, w, q_mat)
 
 
-def reference_flow_lie_derivative(y_fn, params, points, eps, steps):
+def matmul_pullback(jac, g):
+    """jac^T g jac, the oracle's pullback of the metric through the flow Jacobian."""
+    return np.swapaxes(jac, -1, -2) @ g @ jac
+
+
+def reference_flow_lie_derivative(y_fn, params, points, eps, steps, pullback_form=matmul_pullback):
     """The flow oracle with `steps` RK4 sub-steps per flow time.
 
-    Each flow time runs its own fixed-step RK4 from the stacked probes; at
-    steps=1 this is flow_lie_derivative's arithmetic, with the first stage
-    recomputed per flow time.
+    Each flow time runs its own fixed-step RK4 from the stacked probes and
+    the two are combined by one central difference; at steps=1 with the
+    matmul pullback this is flow_lie_derivative's arithmetic, with the first
+    stage recomputed per flow time.
     """
     jac_h = 1e-3
     offs = (-2.0, -1.0, 1.0, 2.0)
@@ -96,12 +112,36 @@ def reference_flow_lie_derivative(y_fn, params, points, eps, steps):
             for idx, c in enumerate(coef):
                 block = x[(1 + 4 * j + idx) * npts : (2 + 4 * j + idx) * npts]
                 jac[:, :, j] += c / jac_h * block
-        gval = schwarzschild_cartesian(params, x[:npts])
-        return np.einsum("nki,nlj,nkl->nij", jac, jac, gval)
+        return pullback_form(jac, schwarzschild_cartesian(params, x[:npts]))
 
-    d_full = (pullback(eps) - pullback(-eps)) / (2.0 * eps)
-    d_half = (pullback(0.5 * eps) - pullback(-0.5 * eps)) / eps
-    return (4.0 * d_half - d_full) / 3.0
+    return (pullback(eps) - pullback(-eps)) / (2.0 * eps)
+
+
+def four_point_gradient(fn, points, h=1e-3):
+    """d_j fn (..., j) at points (N, 3) by 4-point central differences along each axis."""
+    out = []
+    for j in range(3):
+        d = 0.0
+        for o, c in zip((-2.0, -1.0, 1.0, 2.0), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)):
+            shifted = points.copy()
+            shifted[:, j] += o * h
+            d = d + c / h * fn(shifted)
+        out.append(d)
+    return np.stack(out, axis=-1)
+
+
+def exact_lie_derivative(y_fn, params, points):
+    """L_Y g_sc = Y^k d_k g + g dY + dY^T g at points (N, 3), dY[n, k, j] = d_j Y^k.
+
+    Both gradients are 4-point differences of closed forms (Y and g_sc), with
+    no flow; their truncation error is below 1e-13 here, so this is exact
+    against the oracle's roundoff floor.
+    """
+    metric = lambda x: schwarzschild_cartesian(params, x)
+    dy = four_point_gradient(y_fn, points)
+    dg = four_point_gradient(metric, points)  # [n, i, j, k] = d_k g_ij
+    g = metric(points)
+    return np.einsum("nk,nijk->nij", y_fn(points), dg) + g @ dy + np.swapaxes(dy, -1, -2) @ g
 
 
 def evaluate(gt, component, r):
@@ -535,6 +575,23 @@ class TestApplyGauge:
         expect = X.x_perp(r) * bg.du_sc
         assert_allclose(out.u[0], expect, atol=1e-14)
 
+    def test_contractions_match_einsum_forms(self, calc):
+        # the vector gradient's broadcast outer products are the einsums'
+        # products, bit for bit; the mixed term dX @ g sums in another order
+        # and agrees with its einsum to rounding level
+        rng = np.random.default_rng(11)
+        gt = random_deformation(rng, P13, calc, l_band=4, gauge_fixed=False)
+        X = build_gauge_field(gt, P13, calc)
+        r = np.array([3.0, 3.001, 4.7, 8.2, 11.999, 12.0])
+        h = 3e-4 * (X.r1 - X.r0)
+        xc, dX = _vector_gradient(X, r, h)
+        xc_ref, dX_ref = einsum_vector_gradient(X, r, h)
+        assert np.array_equal(xc, xc_ref) and np.array_equal(dX, dX_ref)
+        g = conformal_metric_cartesian(P13, r[:, None], calc.normal)
+        lie_ref = einsum_lie_derivative(xc, dX, g, _metric_gradient_cart(P13, calc, r))
+        lie = apply_gauge(gt, X, r).lie_cart
+        assert np.abs(lie - lie_ref).max() <= 1e-14 * np.abs(lie_ref).max()
+
     def test_batched_radii_match_one_radius_calls(self, calc):
         # radii within two stencil steps of r0 or r1 take one-sided stencils
         rng = np.random.default_rng(10)
@@ -683,15 +740,51 @@ class TestFlowOracle:
         eight = reference_flow_lie_derivative(y_fn, P13, points, eps=1e-3, steps=8)
         assert np.abs(table - eight).max() <= 2e-7
 
+    def test_matmul_pullback_matches_einsum_form(self):
+        # the pullback jac^T g jac as a matmul agrees with the three-operand
+        # einsum it replaced; after the division by 2 eps a rounding-level
+        # gap in the pullbacks (|pullback| ~ 1) reads about 1e-13
+        calc = SphereCalc(l_max=6)
+        y_fn, _ = make_test_vector_field(P13)
+        points = (np.linspace(3.0, 12.0, 7)[:, None, None] * calc.normal).reshape(-1, 3)
+        got = flow_lie_derivative(y_fn, P13, points)
+        ref = reference_flow_lie_derivative(
+            y_fn, P13, points, eps=1e-3, steps=1, pullback_form=einsum_pullback
+        )
+        assert np.abs(got - ref).max() <= 1e-12
+
+    def test_matches_exact_lie_derivative(self):
+        # against L_Y g = Y^k d_k g + g dY + dY^T g on 7 shells (637 points,
+        # |L_Y g| <= 0.068) the central difference reads 2.6e-9, its
+        # roundoff floor; the Richardson form it replaced read 7.2e-9
+        calc = SphereCalc(l_max=6)
+        y_fn, _ = make_test_vector_field(P13)
+        points = (np.linspace(3.0, 12.0, 7)[:, None, None] * calc.normal).reshape(-1, 3)
+        exact = exact_lie_derivative(y_fn, P13, points)
+        assert np.abs(flow_lie_derivative(y_fn, P13, points) - exact).max() <= 4e-9
+
     def test_field_call_counts(self):
         calc = SphereCalc(l_max=4)
         y_fn, _ = make_test_vector_field(P13)
         y_count = counting(y_fn)
         flow_lie_derivative(y_count, P13, 5.0 * calc.normal)
-        assert y_count.calls == 13
+        assert y_count.calls == 7
         y_count = counting(y_fn)
         FlowLieDeformation(y_count, P13, calc)
-        assert y_count.calls == 14
+        assert y_count.calls == 8
+
+    @pytest.mark.parametrize(
+        "take", [lambda y: y[:1], lambda y: y[0], lambda y: y[:, :2]],
+        ids=["one-row", "one-vector", "two-columns"],
+    )
+    def test_oracle_rejects_field_of_wrong_shape(self, take):
+        # a field that does not return one vector per probe must not
+        # broadcast: one row would flow every probe by the same vector
+        y_fn, _ = make_test_vector_field(P13)
+        y_count = counting(lambda x: take(y_fn(x)))
+        with pytest.raises(ValueError, match="one vector per probe"):
+            flow_lie_derivative(y_count, P13, 4.0 * SphereCalc(l_max=2).normal)
+        assert y_count.calls == 1
 
     @pytest.mark.parametrize(
         "shape", [(3,), (5, 2), (2, 4, 3), (4, 4)], ids=["vector", "two-columns",

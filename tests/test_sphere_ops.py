@@ -6,6 +6,8 @@ from schwarzstatic.fd import apply_radial, cumulative_integral, stencil_coeffici
 from schwarzstatic.harmonics import mode_position
 from schwarzstatic.sphere_ops import SphereCalc
 
+from reference import scaled_frame_to_cart_covector
+
 
 @pytest.fixture(scope="module")
 def calc():
@@ -175,6 +177,19 @@ class TestScalarOps:
         w = calc.grad_scalar_frame(f)
         cart = calc.frame_to_cart_covector(w)
         assert_allclose(cart, calc.grad_scalar(f), atol=1e-12)
+
+    def test_covector_scale_matches_scaled_frame(self, calc):
+        # scaling w instead of the frame moves the product by rounding only;
+        # at the default scale 1 both forms give the same bits
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((2, 5, calc.n_nodes, 2))
+        assert np.array_equal(calc.frame_to_cart_covector(w),
+                              scaled_frame_to_cart_covector(calc, w))
+        for scale in (1.3, rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, (2, 5))):
+            got = calc.frame_to_cart_covector(w, scale)
+            ref = scaled_frame_to_cart_covector(calc, w, scale)
+            assert got.shape == ref.shape == (2, 5, calc.n_nodes, 3)
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestTensorOps:
