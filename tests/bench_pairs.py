@@ -2,21 +2,23 @@
 """Alternating benchmark pairs: a base revision against the working tree.
 
     python3 tests/bench_pairs.py --workload gauge --pairs 10 [--base HEAD] \\
-        [--seed 1] [--seconds 10] [--metric mean_verdict_s]
+        [--seconds 10]
 
 Run from the root of a source checkout.  The base revision is exported with
 ``git archive`` into a temporary directory; then ``perfbench/run.py`` runs
-there and in the working tree in turn, one process at a time, the order
-swapped on every other pair so that a drift of the host's speed falls on
-both sides alike.  Each run's last output line is the benchmark's JSON
+at seed 1 there and in the working tree in turn, one process at a time,
+the order swapped on every other pair so that a drift of the host's speed
+falls on both sides alike.  Each run's last output line is the benchmark's JSON
 result; every end-to-end metric of every run is printed as it finishes.
 
-The summary applies the pair rule to each metric (``--metric`` picks which;
-lower is better): the change wins a pair when its value is below the base's,
-and a gain holds when it wins at least 9 of 10 pairs and the gap between the
-medians exceeds the interquartile range of the base's runs.  The script
-prints the win count, both medians and that range; it exits 1 when a run
-fails or reports ``correct: false``.  pytest does not collect this file.
+The summary applies the pair rule to every reported metric (lower is
+better): the change wins a pair when its value is below the base's, and a
+gain holds when at least 10 pairs were run, the change wins at least 9 in
+10 of them, the gap between the medians exceeds the interquartile range of
+the base's runs, and in no pair does the change fail more checks than the
+base.  The script prints the win count, both medians and that range; it
+exits 1 when a run fails or reports ``correct: false``.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+MIN_PAIRS = 10
 
 
 def export(rev: str, dest: str) -> None:
@@ -42,7 +46,7 @@ def export(rev: str, dest: str) -> None:
 def run_once(tree: str, args) -> dict:
     """One perfbench/run.py in tree; its JSON result."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload",
-           args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds)]
+           args.workload, "--seed", str(SEED), "--seconds", str(args.seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -60,15 +64,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("sweep", "selftest", "gauge"))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--metric", action="append",
-                        help="end-to-end metric to judge (default: every one reported)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for an interquartile range")
 
     runs = {"base": [], "change": []}
+    failed = {"base": [], "change": []}
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
         export(args.base, base_tree)
@@ -80,20 +82,23 @@ def main(argv=None) -> int:
                 ok &= bool(result["correct"])
                 values = {k: m["value"] for k, m in result["metrics"].items()}
                 runs[side].append(values)
+                failed[side].append(result["failed"])
                 shown = "  ".join(f"{k}={v:.4f}" for k, v in sorted(values.items()))
                 print(f"pair {i + 1:2d} {side:6s} correct={result['correct']} "
                       f"failed={result['failed']}/{result['attempted']}  {shown}", flush=True)
 
-    metrics = args.metric or sorted(runs["base"][0])
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
-          f"base {args.base} against the working tree")
-    for name in metrics:
+    more_failed = sum(c > b for b, c in zip(failed["base"], failed["change"]))
+    print(f"\n{args.workload} seed {SEED}, {args.pairs} pairs of {args.seconds:g} s, "
+          f"base {args.base} against the working tree; "
+          f"the change failed more checks in {more_failed} pairs")
+    for name in sorted(runs["base"][0]):
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
         wins = sum(c < b for b, c in zip(base, change))
         q1, q3 = quartiles(base)
         mb, mc = statistics.median(base), statistics.median(change)
-        holds = wins >= 0.9 * len(base) and mb - mc > q3 - q1
+        holds = (len(base) >= MIN_PAIRS and more_failed == 0
+                 and wins >= 0.9 * len(base) and mb - mc > q3 - q1)
         print(f"{name}: wins {wins}/{len(base)}, median {mb:.4f} -> {mc:.4f} "
               f"({100.0 * (mc - mb) / mb:+.1f} %), base IQR {q3 - q1:.4f}: "
               f"gain {'holds' if holds else 'not shown'}")
